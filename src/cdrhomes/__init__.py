@@ -9,7 +9,6 @@ datasets with known truth to validate the whole chain.
 __version__ = "0.1.0"
 
 from .core import (
-    CdrRecord,
     DatasetSpan,
     IngestError,
     IngestReport,
@@ -24,15 +23,12 @@ from .hda import (
     CANONICAL_HDAS,
     BulkAssignments,
     HdaSpec,
-    HomeAssignment,
     TowerVectors,
     aggregate_homes,
     canonical_hda,
-    detect_home,
     detect_homes_bulk,
     hdas_by_name,
     merge_vectors,
-    tc_filter_accepts,
 )
 from .metrics import (
     DecileBin,
@@ -64,13 +60,11 @@ from .windows import (
     DURATION_CLASSES,
     ObservationWindow,
     generate_windows,
-    window_contains,
     windows_table,
 )
 
 __all__ = [
     "__version__",
-    "CdrRecord",
     "DatasetSpan",
     "IngestError",
     "IngestReport",
@@ -83,15 +77,12 @@ __all__ = [
     "CANONICAL_HDAS",
     "BulkAssignments",
     "HdaSpec",
-    "HomeAssignment",
     "TowerVectors",
     "aggregate_homes",
     "canonical_hda",
-    "detect_home",
     "detect_homes_bulk",
     "hdas_by_name",
     "merge_vectors",
-    "tc_filter_accepts",
     "DecileBin",
     "MetricReport",
     "UndefinedMetric",
@@ -122,6 +113,5 @@ __all__ = [
     "DURATION_CLASSES",
     "ObservationWindow",
     "generate_windows",
-    "window_contains",
     "windows_table",
 ]

@@ -10,34 +10,34 @@ from __future__ import annotations
 
 import argparse
 import sys
-from datetime import date
 from pathlib import Path
-from types import SimpleNamespace
+
+import numpy as np
 
 from . import __version__
 from .core import DatasetSpan, IngestError, TowerRegistry, ingest
 from .hda import (
     CANONICAL_HDA_NAMES,
-    HomeAssignment,
+    BulkAssignments,
     aggregate_homes,
     canonical_hda,
     detect_homes_bulk,
     hdas_by_name,
     merge_vectors,
 )
-from .sweep import CELLS_FILE, MANIFEST_FILE, SweepOptions, SweepResult, _load_completed
+from .sweep import CELLS_FILE, SweepOptions, _write_assignment_dump, load_run
 from .sweep import emit_reports as _emit_reports
 from .sweep import run_sweep
 from .synth import (
     GroundTruthTable,
     MigrationConfig,
     SynthConfig,
+    accuracy_csv,
     build_registry,
     generate,
     pick_touristic_towers,
     score_against_truth,
 )
-from .metrics import MetricReport
 from .timebase import DEFAULT_TZ, CivilClock
 from .windows import (
     DURATION_CLASSES,
@@ -77,14 +77,6 @@ def _parse_bool(text: str) -> bool:
     raise CliError(f"not a boolean: {text!r}")
 
 
-def _parse_date_range(text: str) -> tuple[date, date]:
-    try:
-        a, b = text.split("..")
-        return date.fromisoformat(a), date.fromisoformat(b)
-    except ValueError as exc:
-        raise CliError(f"bad date range {text!r}: expected FIRST..LAST") from exc
-
-
 class Options:
     """Merged view over parsed flags and the config file."""
 
@@ -93,16 +85,17 @@ class Options:
         self.cfg = load_config(args.config) if getattr(args, "config", None) else {}
 
     def get(self, key: str, default=None, convert=None):
+        """Flag, else config value, else default; text goes through convert."""
         v = getattr(self.args, key.replace("-", "_"), None)
-        if v is None and key in self.cfg:
-            v = self.cfg[key]
-            if convert is not None:
-                try:
-                    v = convert(v)
-                except (ValueError, TypeError) as exc:
-                    raise CliError(f"bad config value {key}={v!r}: {exc}") from exc
+        if v is None:
+            v = self.cfg.get(key)
         if v is None:
             return default
+        if convert is not None and isinstance(v, str):
+            try:
+                v = convert(v)
+            except (ValueError, TypeError) as exc:
+                raise CliError(f"bad value {key}={v!r}: {exc}") from exc
         return v
 
     def require(self, key: str, convert=None):
@@ -139,8 +132,8 @@ def _hda_names(opt: Options) -> list[str]:
 
 
 def _custom_window(text: str) -> ObservationWindow:
-    first, last = _parse_date_range(text)
-    return ObservationWindow(text, first, last, "custom")
+    dates = DatasetSpan.parse(text)
+    return ObservationWindow(text, dates.first_day, dates.last_day, "custom")
 
 
 def _read_registry(opt: Options) -> TowerRegistry:
@@ -192,7 +185,7 @@ def cmd_synth(opt: Options) -> int:
     migration = None
     fraction = float(opt.get("migration-fraction", 0.0, float))
     if fraction > 0:
-        first, last = _parse_date_range(opt.require("migration-range"))
+        dates = DatasetSpan.parse(opt.require("migration-range"))
         tour_raw = opt.require("touristic-towers")
         if tour_raw.startswith("lowest:"):
             k = int(tour_raw.split(":", 1)[1])
@@ -201,7 +194,7 @@ def cmd_synth(opt: Options) -> int:
         else:
             touristic = tuple(int(t) for t in tour_raw.split(",") if t.strip())
         migration = MigrationConfig(
-            first, last, fraction, touristic,
+            dates.first_day, dates.last_day, fraction, touristic,
             min_stay_days=int(opt.get("min-stay-days", 28, int)),
         )
 
@@ -252,16 +245,8 @@ def cmd_detect(opt: Options) -> int:
         for tid, x, y in zip(registry.tower_ids, vectors.x, registry.population):
             lines.append(f"{int(tid)},{int(x)},{int(y)}")
         (out_dir / "vectors.csv").write_text("\n".join(lines) + "\n")
-        if opt.get("dump-assignments", False):
-            rows = ["user_id,home_tower,qualifying_count,tie_broken"]
-            for b in bulks:
-                for a in b.iter_assignments():
-                    home = "" if a.home_tower is None else a.home_tower
-                    rows.append(
-                        f"{a.user_id},{home},{a.qualifying_count},"
-                        f"{int(a.tie_broken)}"
-                    )
-            (out_dir / "assignments.csv").write_text("\n".join(rows) + "\n")
+        if opt.get("dump-assignments", False, _parse_bool):
+            _write_assignment_dump(out_dir / "assignments.csv", bulks)
         print(f"wrote {out_dir}/vectors.csv")
     print(
         f"hda={spec.name} window={window.label} users={report.distinct_users} "
@@ -285,7 +270,7 @@ def cmd_sweep(opt: Options) -> int:
         truth = GroundTruthTable.read_csv(truth_path)
         mr = opt.get("migration-range")
         if mr:
-            migration_range = _parse_date_range(mr)
+            migration_range = DatasetSpan.parse(mr)
 
     options = SweepOptions(
         exclusion_threshold=int(opt.get("exclusion-threshold", 0, int)),
@@ -320,41 +305,15 @@ def cmd_sweep(opt: Options) -> int:
 
 
 def cmd_report(opt: Options) -> int:
-    import json
-
     out_dir = Path(opt.require("out"))
-    manifest_path = out_dir / MANIFEST_FILE
-    if not manifest_path.exists():
-        raise CliError(f"no {MANIFEST_FILE} in {out_dir}; run sweep first")
-    manifest = json.loads(manifest_path.read_text())
-    windows = [
-        ObservationWindow(
-            w["label"],
-            date.fromisoformat(w["first_day"]),
-            date.fromisoformat(w["last_day"]),
-            w["class"],
-        )
-        for w in manifest["windows"]
-    ]
-    hdas = []
-    for name in manifest["hdas"]:
-        try:
-            hdas.append(canonical_hda(name))
-        except ValueError:
-            hdas.append(SimpleNamespace(name=name))  # emission reads .name only
-    result = SweepResult(windows=windows, hdas=hdas)
-    for key, rec in _load_completed(out_dir).items():
-        hda_name, window_label = key.split("|", 1)
-        result.reports[(hda_name, window_label)] = MetricReport.from_cell_dict(rec)
-        if rec.get("accuracy"):
-            from .synth import AccuracyRow
-
-            result.accuracy[(hda_name, window_label)] = [
-                AccuracyRow(hda_name, window_label, g, n, c)
-                for g, n, c in rec["accuracy"]
-            ]
-    if not result.reports and not (out_dir / CELLS_FILE).exists():
+    result, n_bad = load_run(out_dir)
+    if not (out_dir / CELLS_FILE).exists():
         raise CliError(f"no {CELLS_FILE} in {out_dir}; nothing to report")
+    if n_bad:
+        print(
+            f"warning: skipped {n_bad} unparseable line(s) in {out_dir / CELLS_FILE}",
+            file=sys.stderr,
+        )
     written = _emit_reports(result, out_dir)
     for path in written:
         print(f"wrote {path}")
@@ -365,30 +324,32 @@ def cmd_score(opt: Options) -> int:
     truth = GroundTruthTable.read_csv(opt.require("truth"))
     window = _custom_window(opt.require("window"))
     mr = opt.get("migration-range")
-    migration_range = _parse_date_range(mr) if mr else None
+    migration_range = DatasetSpan.parse(mr) if mr else None
     path = Path(opt.require("assignments"))
     if not path.exists():
         raise CliError(f"assignments file not found: {path}")
     hda_name = opt.get("hda") or path.stem.split("__")[0]
-    assignments = []
+    uids, homes, quals, ties = [], [], [], []
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
         if lineno == 1 and raw.startswith("user_id"):
             continue
         fields = raw.split(",")
         if len(fields) != 4:
             raise CliError(f"{path}:{lineno}: expected 4 columns")
-        assignments.append(
-            HomeAssignment(
-                user_id=int(fields[0]),
-                hda=hda_name,
-                window=window.label,
-                home_tower=int(fields[1]) if fields[1] else None,
-                qualifying_count=int(fields[2]),
-                tie_broken=bool(int(fields[3])),
-            )
-        )
-    report = score_against_truth({hda_name: assignments}, truth, window, migration_range)
-    print(report.as_csv(), end="")
+        uids.append(int(fields[0]))
+        homes.append(int(fields[1]) if fields[1] else -1)
+        quals.append(int(fields[2]))
+        ties.append(int(fields[3]))
+    bulk = BulkAssignments(
+        hda_name,
+        window.label,
+        np.asarray(uids, dtype=np.uint64),
+        np.asarray(homes, dtype=np.int64),
+        np.asarray(quals, dtype=np.int64),
+        np.asarray(ties, dtype=bool),
+    )
+    report = score_against_truth({hda_name: [bulk]}, truth, window, migration_range)
+    print(accuracy_csv(report.rows), end="")
     return 0
 
 

@@ -31,15 +31,6 @@ class IngestError(ValueError):
 
 
 @dataclass(frozen=True)
-class CdrRecord:
-    """One call/text event: who, where (tower), when (UTC epoch seconds)."""
-
-    user_id: int
-    tower_id: int
-    timestamp: int
-
-
-@dataclass(frozen=True)
 class DatasetSpan:
     """Closed interval of civil dates the dataset covers."""
 
@@ -198,13 +189,6 @@ class UserPartition:
         if i >= len(self.user_ids) or self.user_ids[i] != np.uint64(user_id):
             raise KeyError(f"user {user_id} not in partition {self.index}")
         return slice(int(self.user_starts[i]), int(self.user_starts[i + 1]))
-
-    def records_for(self, user_id: int) -> list[CdrRecord]:
-        s = self.user_slice(user_id)
-        return [
-            CdrRecord(int(u), int(t), int(ts))
-            for u, t, ts in zip(self.users[s], self.towers[s], self.timestamps[s])
-        ]
 
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:

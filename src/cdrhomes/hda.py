@@ -14,12 +14,11 @@ the top value was shared by more than one tower.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
-from .core import CdrRecord, TowerRegistry, UserPartition
-from .timebase import CivilClock
+from .core import TowerRegistry, UserPartition
 from .windows import ObservationWindow
 
 CRITERIA = ("MA", "DD", "TC")
@@ -100,21 +99,6 @@ def hour_in_interval(hour: int, start: int, end: int) -> bool:
     return hour >= start or hour < end
 
 
-def tc_filter_accepts(spec: HdaSpec, hour: int, weekday: int) -> bool:
-    """Whether an event at (civil hour, weekday Mon=0) counts under a TC spec."""
-    if spec.criterion != "TC":
-        raise ValueError(f"{spec.name} is not a TC spec")
-    if spec.has_hour_filter and not hour_in_interval(
-        hour, spec.tc_start_hour, spec.tc_end_hour
-    ):
-        return False
-    if spec.day_filter == "weekend_only":
-        return weekday in (_SATURDAY, _SUNDAY)
-    if spec.day_filter == "weekday_only":
-        return weekday not in (_SATURDAY, _SUNDAY)
-    return True
-
-
 def _hour_lut(spec: HdaSpec) -> np.ndarray:
     lut = np.ones(24, dtype=bool)
     if spec.has_hour_filter:
@@ -131,18 +115,6 @@ def _weekday_lut(spec: HdaSpec) -> np.ndarray:
     elif spec.day_filter == "weekday_only":
         lut[_SATURDAY] = lut[_SUNDAY] = False
     return lut
-
-
-@dataclass(frozen=True)
-class HomeAssignment:
-    """Detection outcome for one user under one (HDA, window) cell."""
-
-    user_id: int
-    hda: str
-    window: str
-    home_tower: int | None
-    qualifying_count: int
-    tie_broken: bool
 
 
 @dataclass
@@ -167,62 +139,6 @@ class BulkAssignments:
     @property
     def n_assigned(self) -> int:
         return int((self.home_towers >= 0).sum())
-
-    def iter_assignments(self) -> Iterator[HomeAssignment]:
-        for uid, home, q, tie in zip(
-            self.user_ids, self.home_towers, self.qualifying, self.tie_broken
-        ):
-            yield HomeAssignment(
-                user_id=int(uid),
-                hda=self.hda,
-                window=self.window,
-                home_tower=int(home) if home >= 0 else None,
-                qualifying_count=int(q),
-                tie_broken=bool(tie),
-            )
-
-
-def detect_home(
-    user_id: int,
-    records: Iterable[CdrRecord],
-    spec: HdaSpec,
-    *,
-    window_label: str = "",
-    clock: CivilClock | None = None,
-    min_qualifying: int = 1,
-) -> HomeAssignment:
-    """Reference per-user detection over records already filtered to a window.
-
-    The caller guarantees every record's civil date falls inside the window;
-    this path re-derives civil time per record and is meant for inspection
-    and small inputs. detect_homes_bulk is the equivalent columnar engine.
-    """
-    clock = clock or CivilClock()
-    counts: dict[int, int] = {}
-    days_seen: dict[int, set[int]] = {}
-    first_ts: dict[int, int] = {}
-    for rec in records:
-        d, hour, weekday = clock.derive_local_time(rec.timestamp)
-        if spec.criterion == "TC" and not tc_filter_accepts(spec, hour, weekday):
-            continue
-        t = rec.tower_id
-        if t not in first_ts or rec.timestamp < first_ts[t]:
-            first_ts[t] = rec.timestamp
-        if spec.criterion == "DD":
-            days_seen.setdefault(t, set()).add(d.toordinal())
-        else:
-            counts[t] = counts.get(t, 0) + 1
-    if spec.criterion == "DD":
-        counts = {t: len(s) for t, s in days_seen.items()}
-    if not counts:
-        return HomeAssignment(user_id, spec.name, window_label, None, 0, False)
-    best = max(counts.values())
-    contenders = [t for t, c in counts.items() if c == best]
-    winner = min(contenders, key=lambda t: (first_ts[t], t))
-    tie = len(contenders) > 1
-    if best < min_qualifying:
-        return HomeAssignment(user_id, spec.name, window_label, None, best, False)
-    return HomeAssignment(user_id, spec.name, window_label, winner, best, tie)
 
 
 def detect_homes_bulk(
@@ -344,39 +260,27 @@ class TowerVectors:
         )
 
 
-def aggregate_homes(assignments, registry: TowerRegistry) -> TowerVectors:
-    """Count detected homes per tower for one (HDA, window) cell.
+def aggregate_homes(
+    assignments: BulkAssignments, registry: TowerRegistry
+) -> TowerVectors:
+    """Count detected homes per tower for one partition in one cell.
 
-    Accepts a BulkAssignments or an iterable of HomeAssignment (which must
-    all carry the same hda and window). A home tower missing from the
-    registry is a fatal error, never a silent drop.
+    merge_vectors folds the per-partition counts into the cell's vector. A
+    home tower missing from the registry is a fatal error, never a silent
+    drop.
     """
-    if isinstance(assignments, BulkAssignments):
-        hda, window = assignments.hda, assignments.window
-        homes = assignments.home_towers
-        assigned = homes[homes >= 0]
-        n_users = assignments.n_users
-    else:
-        items = list(assignments)
-        cells = {(a.hda, a.window) for a in items}
-        if len(cells) > 1:
-            raise ValueError(f"assignments span multiple cells: {sorted(cells)}")
-        hda, window = cells.pop() if cells else ("", "")
-        assigned = np.asarray(
-            [a.home_tower for a in items if a.home_tower is not None],
-            dtype=np.int64,
-        )
-        n_users = len(items)
+    homes = assignments.home_towers
+    assigned = homes[homes >= 0]
     x = np.zeros(len(registry), dtype=np.int64)
     if len(assigned):
         rows = registry.rows_for(assigned)
         x = np.bincount(rows, minlength=len(registry)).astype(np.int64)
     return TowerVectors(
-        hda=hda,
-        window=window,
+        hda=assignments.hda,
+        window=assignments.window,
         tower_ids=registry.tower_ids,
         x=x,
-        n_users=n_users,
+        n_users=assignments.n_users,
         n_assigned=int(len(assigned)),
     )
 

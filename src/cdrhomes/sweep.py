@@ -4,7 +4,8 @@ Cells are independent, so parallelism is cell-level: each cell is computed
 wholly inside one process and pure numpy makes its numbers bitwise
 reproducible, which keeps final report files byte-identical for any worker
 count. Completed cells are appended to cells.jsonl as they land; a killed
-run resumes by skipping cells already recorded there.
+run resumes by skipping cells already recorded there, and load_run is the
+one reader of a run directory, for resume and for re-emitting reports.
 
 Worker processes use the fork start method and read the shared state from a
 module global set before the pool starts; where fork is unavailable the
@@ -22,7 +23,7 @@ import os
 import time
 import traceback
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
+from datetime import date, datetime, timezone
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +37,7 @@ from .synth import (
     AccuracyReport,
     AccuracyRow,
     GroundTruthTable,
+    accuracy_csv,
     score_against_truth,
 )
 from .windows import ObservationWindow, windows_table
@@ -81,14 +83,14 @@ class SweepResult:
     """Everything a finished sweep knows, keyed by (hda, window) labels."""
 
     windows: list[ObservationWindow]
-    hdas: list[HdaSpec]
+    hda_names: list[str]
     reports: dict[tuple[str, str], MetricReport] = field(default_factory=dict)
     accuracy: dict[tuple[str, str], list[AccuracyRow]] = field(default_factory=dict)
     errors: dict[tuple[str, str], str] = field(default_factory=dict)
 
     @property
     def n_cells(self) -> int:
-        return len(self.hdas) * len(self.windows)
+        return len(self.hda_names) * len(self.windows)
 
     @property
     def n_failed(self) -> int:
@@ -99,8 +101,8 @@ class SweepResult:
 
     def accuracy_report(self, window: ObservationWindow) -> AccuracyReport:
         rows = []
-        for spec in self.hdas:
-            rows.extend(self.accuracy.get((spec.name, window.label), []))
+        for hda in self.hda_names:
+            rows.extend(self.accuracy.get((hda, window.label), []))
         return AccuracyReport(window=window.label, rows=rows)
 
 
@@ -205,19 +207,13 @@ def _compute_cell(state: dict, h_idx: int, w_idx: int) -> dict:
             accuracy = [
                 [r.group, r.n_users, r.n_correct] for r in acc.rows
             ]
-        assignments = None
-        if state["dump_assignments"]:
-            assignments = [
-                (b.user_ids, b.home_towers, b.qualifying, b.tie_broken)
-                for b in bulks
-            ]
         return {
             "h": h_idx,
             "w": w_idx,
             "report": report,
             "x": vectors.x,
             "accuracy": accuracy,
-            "assignments": assignments,
+            "assignments": bulks if state["dump_assignments"] else None,
             "error": None,
             "elapsed": time.perf_counter() - t0,
         }
@@ -239,24 +235,67 @@ def _cell_entry(h_idx: int, w_idx: int) -> dict:
     return _compute_cell(_STATE, h_idx, w_idx)
 
 
-def _load_completed(out_dir: Path) -> dict[str, dict]:
-    """Cells already recorded by an interrupted run; bad tail lines skipped."""
-    path = out_dir / CELLS_FILE
-    done: dict[str, dict] = {}
+def load_run(
+    out_dir, windows=None, hda_names=None, *, resume: bool = False
+) -> tuple[SweepResult, int]:
+    """Rebuild a SweepResult from a run directory's cells.jsonl.
+
+    The grid comes from manifest.json unless windows and hda_names are
+    given (a killed run has not written its manifest). Every grid cell
+    recorded "ok" is restored, without per-tower log-ratios. Returns the
+    result and the number of lines that are not JSON objects. With
+    resume=True a torn last line left by a killed run is cut off the file
+    first, so the next appended cell starts a line of its own.
+    """
+    out_path = Path(out_dir)
+    if windows is None:
+        manifest_path = out_path / MANIFEST_FILE
+        if not manifest_path.exists():
+            raise FileNotFoundError(
+                f"no {MANIFEST_FILE} in {out_path}; run sweep first"
+            )
+        manifest = json.loads(manifest_path.read_text())
+        windows = [
+            ObservationWindow(
+                w["label"],
+                date.fromisoformat(w["first_day"]),
+                date.fromisoformat(w["last_day"]),
+                w["class"],
+            )
+            for w in manifest["windows"]
+        ]
+        hda_names = manifest["hdas"]
+    result = SweepResult(windows=list(windows), hda_names=list(hda_names))
+    path = out_path / CELLS_FILE
     if not path.exists():
-        return done
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # torn final write from a killed run
-            if rec.get("status") == "ok":
-                done[_cell_key(rec["hda"], rec["window"])] = rec
-    return done
+        return result, 0
+    data = path.read_bytes()
+    end = data.rfind(b"\n") + 1
+    if resume and end < len(data):
+        with open(path, "r+b") as fh:
+            fh.truncate(end)
+        data = data[:end]
+    grid = {(h, w.label) for h in result.hda_names for w in result.windows}
+    n_bad = 0
+    for line in data.decode().splitlines():
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError:
+            rec = None
+        if not isinstance(rec, dict):
+            n_bad += 1
+            continue
+        key = (rec.get("hda"), rec.get("window"))
+        if rec.get("status") != "ok" or key not in grid:
+            continue
+        result.reports[key] = MetricReport.from_cell_dict(rec)
+        if rec.get("accuracy") is not None:
+            result.accuracy[key] = [
+                AccuracyRow(*key, g, n, c) for g, n, c in rec["accuracy"]
+            ]
+    return result, n_bad
 
 
 def _persist_cell(out_dir: Path, rec: dict) -> None:
@@ -287,13 +326,15 @@ def _write_tower_export(
     _atomic_write(path, buf.getvalue())
 
 
-def _write_assignment_dump(out_dir: Path, hda: str, window: str, parts) -> None:
-    path = out_dir / ASSIGNMENTS_DIR / f"{hda}__{window}.csv"
+def _write_assignment_dump(path: Path, bulks) -> None:
+    """Per-user CSV of a cell's BulkAssignments, one per partition, in order."""
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["user_id", "home_tower", "qualifying_count", "tie_broken"])
-    for user_ids, homes, qual, tie in parts:
-        for uid, home, q, t in zip(user_ids, homes, qual, tie):
+    for b in bulks:
+        for uid, home, q, t in zip(
+            b.user_ids, b.home_towers, b.qualifying, b.tie_broken
+        ):
             w.writerow(
                 [int(uid), int(home) if home >= 0 else "", int(q), int(bool(t))]
             )
@@ -309,7 +350,7 @@ def run_sweep(
     options: SweepOptions = SweepOptions(),
     *,
     truth: GroundTruthTable | None = None,
-    migration=None,  # MigrationConfig or (first_day, last_day) pair
+    migration=None,  # MigrationConfig, DatasetSpan or (first_day, last_day)
     span: str = "",
     tz_name: str = "",
     ingest_report: IngestReport | None = None,
@@ -323,8 +364,9 @@ def run_sweep(
     recorded in an existing cells.jsonl.
     """
     t_start = time.perf_counter()
+    hdas = list(hdas)
+    result = SweepResult(windows=list(windows), hda_names=[s.name for s in hdas])
     out_path: Path | None = None
-    completed: dict[str, dict] = {}
     if out_dir is not None:
         out_path = Path(out_dir)
         out_path.mkdir(parents=True, exist_ok=True)
@@ -339,16 +381,17 @@ def run_sweep(
         if options.dump_assignments:
             (out_path / ASSIGNMENTS_DIR).mkdir(exist_ok=True)
         if options.resume:
-            completed = _load_completed(out_path)
-        elif (out_path / CELLS_FILE).exists():
-            (out_path / CELLS_FILE).unlink()
+            result, _ = load_run(
+                out_path, result.windows, result.hda_names, resume=True
+            )
+        else:
+            (out_path / CELLS_FILE).unlink(missing_ok=True)
 
-    result = SweepResult(windows=list(windows), hdas=list(hdas))
     state = {
         "partitions": partitions,
         "registry": registry,
         "windows": result.windows,
-        "hdas": result.hdas,
+        "hdas": hdas,
         "min_qualifying": options.min_qualifying,
         "exclusion_threshold": options.exclusion_threshold,
         "truth": truth,
@@ -356,34 +399,24 @@ def run_sweep(
         "dump_assignments": options.dump_assignments,
     }
 
-    todo: list[tuple[int, int]] = []
-    for h_idx, spec in enumerate(result.hdas):
-        for w_idx, window in enumerate(result.windows):
-            key = _cell_key(spec.name, window.label)
-            if key in completed:
-                rec = completed[key]
-                result.reports[(spec.name, window.label)] = MetricReport.from_cell_dict(
-                    rec
-                )
-                if rec.get("accuracy") is not None:
-                    result.accuracy[(spec.name, window.label)] = [
-                        AccuracyRow(spec.name, window.label, g, n, c)
-                        for g, n, c in rec["accuracy"]
-                    ]
-            else:
-                todo.append((h_idx, w_idx))
+    todo = [
+        (h_idx, w_idx)
+        for h_idx, hda in enumerate(result.hda_names)
+        for w_idx, window in enumerate(result.windows)
+        if (hda, window.label) not in result.reports
+    ]
 
     def take(payload: dict) -> None:
-        spec = result.hdas[payload["h"]]
+        hda = result.hda_names[payload["h"]]
         window = result.windows[payload["w"]]
-        key = (spec.name, window.label)
+        key = (hda, window.label)
         if payload["error"] is not None:
             result.errors[key] = payload["error"]
             if out_path is not None:
                 _persist_cell(
                     out_path,
                     {
-                        "hda": spec.name,
+                        "hda": hda,
                         "window": window.label,
                         "status": "failed",
                         "error": payload["error"],
@@ -395,7 +428,7 @@ def run_sweep(
         result.reports[key] = report
         if payload["accuracy"] is not None:
             result.accuracy[key] = [
-                AccuracyRow(spec.name, window.label, g, n, c)
+                AccuracyRow(hda, window.label, g, n, c)
                 for g, n, c in payload["accuracy"]
             ]
         if out_path is not None:
@@ -406,9 +439,10 @@ def run_sweep(
             _persist_cell(out_path, rec)
             if options.per_tower_exports:
                 _write_tower_export(out_path, report, payload["x"], registry)
-            if options.dump_assignments and payload["assignments"] is not None:
+            if options.dump_assignments:
                 _write_assignment_dump(
-                    out_path, spec.name, window.label, payload["assignments"]
+                    out_path / ASSIGNMENTS_DIR / f"{hda}__{window.label}.csv",
+                    payload["assignments"],
                 )
 
     use_workers = options.workers if len(todo) > 1 else 1
@@ -443,7 +477,7 @@ def run_sweep(
         tz_name=tz_name,
         n_partitions=len(partitions),
         options=options.as_dict(),
-        hdas=[s.name for s in result.hdas],
+        hdas=list(result.hda_names),
         windows=[
             {
                 "label": w.label,
@@ -457,10 +491,10 @@ def run_sweep(
         n_failed=result.n_failed,
         failed_cells=sorted(_cell_key(h, w) for h, w in result.errors),
         cell_status={
-            _cell_key(s.name, w.label): (
-                "failed" if (s.name, w.label) in result.errors else "ok"
+            _cell_key(h, w.label): (
+                "failed" if (h, w.label) in result.errors else "ok"
             )
-            for s in result.hdas
+            for h in result.hda_names
             for w in result.windows
         },
         elapsed_seconds=time.perf_counter() - t_start,
@@ -474,11 +508,11 @@ def run_sweep(
 
 
 def _cells_in_order(result: SweepResult):
-    for spec in result.hdas:
+    for hda in result.hda_names:
         for window in result.windows:
-            key = (spec.name, window.label)
+            key = (hda, window.label)
             if key in result.reports:
-                yield spec, window, result.reports[key]
+                yield hda, window, result.reports[key]
 
 
 def emit_reports(result: SweepResult, out_dir) -> list[Path]:
@@ -497,40 +531,40 @@ def emit_reports(result: SweepResult, out_dir) -> list[Path]:
 
     # metrics.csv: one row per computed cell
     buf = ["hda,window,class,pearson_r,n_used,excluded"]
-    for spec, window, rep in _cells_in_order(result):
+    for hda, window, rep in _cells_in_order(result):
         buf.append(
-            f"{spec.name},{window.label},{window.duration_class},"
+            f"{hda},{window.label},{window.duration_class},"
             f"{_ffmt(rep.pearson)},{rep.n_used},{rep.n_excluded}"
         )
     emit("metrics.csv", "\n".join(buf) + "\n")
 
     # correlation_over_time.csv: r against window midpoint
     buf = ["hda,window,class,midpoint,pearson_r"]
-    for spec, window, rep in _cells_in_order(result):
+    for hda, window, rep in _cells_in_order(result):
         buf.append(
-            f"{spec.name},{window.label},{window.duration_class},"
+            f"{hda},{window.label},{window.duration_class},"
             f"{window.midpoint.isoformat()},{_ffmt(rep.pearson)}"
         )
     emit("correlation_over_time.csv", "\n".join(buf) + "\n")
 
     # duration_sensitivity.csv: r spread per HDA per duration class
     buf = ["hda,class,n_windows,mean_pearson,min_pearson,max_pearson"]
-    for spec in result.hdas:
+    for hda in result.hda_names:
         for cls in _classes_in_order(result):
             rs = [
                 rep.pearson
-                for s, w, rep in _cells_in_order(result)
-                if s.name == spec.name
+                for h, w, rep in _cells_in_order(result)
+                if h == hda
                 and w.duration_class == cls
                 and rep.pearson is not None
             ]
             if rs:
                 buf.append(
-                    f"{spec.name},{cls},{len(rs)},{_ffmt(sum(rs) / len(rs))},"
+                    f"{hda},{cls},{len(rs)},{_ffmt(sum(rs) / len(rs))},"
                     f"{_ffmt(min(rs))},{_ffmt(max(rs))}"
                 )
             else:
-                buf.append(f"{spec.name},{cls},0,,,")
+                buf.append(f"{hda},{cls},0,,,")
     emit("duration_sensitivity.csv", "\n".join(buf) + "\n")
 
     # criteria_sensitivity.csv: r spread across HDAs per window
@@ -538,7 +572,7 @@ def emit_reports(result: SweepResult, out_dir) -> list[Path]:
     for window in result.windows:
         rs = [
             rep.pearson
-            for s, w, rep in _cells_in_order(result)
+            for _, w, rep in _cells_in_order(result)
             if w.label == window.label and rep.pearson is not None
         ]
         if rs:
@@ -553,27 +587,25 @@ def emit_reports(result: SweepResult, out_dir) -> list[Path]:
 
     # decile_summary.csv: population-decile profile per cell
     buf = ["hda,window,bin,n,y_lo,y_hi,mean_x,std_x"]
-    for spec, window, rep in _cells_in_order(result):
+    for hda, window, rep in _cells_in_order(result):
         for b in rep.deciles:
             buf.append(
-                f"{spec.name},{window.label},{b.index},{b.n},"
+                f"{hda},{window.label},{b.index},{b.n},"
                 f"{_ffmt(b.y_lo)},{_ffmt(b.y_hi)},{_ffmt(b.mean_x)},{_ffmt(b.std_x)}"
             )
     emit("decile_summary.csv", "\n".join(buf) + "\n")
 
     # accuracy.csv only when the sweep was truth-scored
     if result.accuracy:
-        buf = ["hda,window,group,n_users,n_correct,accuracy"]
-        for spec in result.hdas:
-            for window in result.windows:
-                for r in result.accuracy.get((spec.name, window.label), []):
-                    acc = "" if r.accuracy is None else repr(r.accuracy)
-                    buf.append(
-                        f"{r.hda},{r.window},{r.group},{r.n_users},{r.n_correct},{acc}"
-                    )
-        emit("accuracy.csv", "\n".join(buf) + "\n")
+        rows = [
+            r
+            for hda in result.hda_names
+            for window in result.windows
+            for r in result.accuracy.get((hda, window.label), [])
+        ]
+        emit("accuracy.csv", accuracy_csv(rows))
 
-    written.extend(_emit_charts(result, out_path))
+    _emit_charts(result, emit)
     return written
 
 
@@ -585,26 +617,19 @@ def _classes_in_order(result: SweepResult) -> list[str]:
     return seen
 
 
-def _emit_charts(result: SweepResult, out_path: Path) -> list[Path]:
-    written: list[Path] = []
-
-    def emit(name: str, text: str) -> None:
-        path = out_path / name
-        _atomic_write(path, text)
-        written.append(path)
-
+def _emit_charts(result: SweepResult, emit) -> None:
     # one time-series chart per duration class, a polyline per HDA
     for cls in _classes_in_order(result):
         series = []
-        for spec in result.hdas:
+        for hda in result.hda_names:
             pts = [
                 (float(w.midpoint.toordinal()), rep.pearson)
-                for s, w, rep in _cells_in_order(result)
-                if s.name == spec.name
+                for h, w, rep in _cells_in_order(result)
+                if h == hda
                 and w.duration_class == cls
                 and rep.pearson is not None
             ]
-            series.append((spec.name, pts))
+            series.append((hda, pts))
         if any(pts for _, pts in series):
             emit(
                 f"correlation_over_time_{cls}.svg",
@@ -619,13 +644,13 @@ def _emit_charts(result: SweepResult, out_path: Path) -> list[Path]:
 
     # duration sensitivity: r against window length, a series per HDA
     series = []
-    for spec in result.hdas:
+    for hda in result.hda_names:
         pts = [
             (float(w.n_days), rep.pearson)
-            for s, w, rep in _cells_in_order(result)
-            if s.name == spec.name and rep.pearson is not None
+            for h, w, rep in _cells_in_order(result)
+            if h == hda and rep.pearson is not None
         ]
-        series.append((spec.name, pts))
+        series.append((hda, pts))
     if any(pts for _, pts in series):
         emit(
             "duration_sensitivity.svg",
@@ -647,7 +672,7 @@ def _emit_charts(result: SweepResult, out_path: Path) -> list[Path]:
                 continue
             rs = [
                 rep.pearson
-                for s, w, rep in _cells_in_order(result)
+                for _, w, rep in _cells_in_order(result)
                 if w.label == window.label and rep.pearson is not None
             ]
             if len(rs) > 1:
@@ -664,4 +689,3 @@ def _emit_charts(result: SweepResult, out_path: Path) -> list[Path]:
                 x_date_ticks=True,
             ),
         )
-    return written

@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import DatasetSpan, TowerRegistry, write_records_csv
-from .hda import BulkAssignments, HomeAssignment
+from .hda import BulkAssignments
 from .timebase import DEFAULT_TZ, CivilClock, iter_days
 from .windows import ObservationWindow
 
@@ -476,48 +476,33 @@ class AccuracyReport:
     def by_group(self, hda: str) -> dict[str, AccuracyRow]:
         return {r.group: r for r in self.rows if r.hda == hda}
 
-    def as_csv(self) -> str:
-        lines = ["hda,window,group,n_users,n_correct,accuracy"]
-        for r in self.rows:
-            acc = "" if r.accuracy is None else repr(r.accuracy)
-            lines.append(
-                f"{r.hda},{r.window},{r.group},{r.n_users},{r.n_correct},{acc}"
-            )
-        return "\n".join(lines) + "\n"
 
-
-def _assignment_arrays(assignments) -> tuple[np.ndarray, np.ndarray]:
-    """Normalize assignment containers to (user_ids, home_towers[-1=none])."""
-    if isinstance(assignments, BulkAssignments):
-        return assignments.user_ids, assignments.home_towers
-    if isinstance(assignments, (list, tuple)) and assignments and isinstance(
-        assignments[0], BulkAssignments
-    ):
-        uids = np.concatenate([a.user_ids for a in assignments])
-        homes = np.concatenate([a.home_towers for a in assignments])
-        return uids, homes
-    items = list(assignments)
-    uids = np.asarray([a.user_id for a in items], dtype=np.uint64)
-    homes = np.asarray(
-        [a.home_tower if a.home_tower is not None else -1 for a in items],
-        dtype=np.int64,
-    )
-    return uids, homes
+def accuracy_csv(rows: list[AccuracyRow]) -> str:
+    """Accuracy table text: a header, then one line per row in order."""
+    lines = ["hda,window,group,n_users,n_correct,accuracy"]
+    for r in rows:
+        acc = "" if r.accuracy is None else repr(r.accuracy)
+        lines.append(
+            f"{r.hda},{r.window},{r.group},{r.n_users},{r.n_correct},{acc}"
+        )
+    return "\n".join(lines) + "\n"
 
 
 def score_against_truth(
-    assignments_by_hda: dict,
+    assignments_by_hda: dict[str, list[BulkAssignments]],
     truth: GroundTruthTable,
     window: ObservationWindow,
-    migration: "MigrationConfig | tuple[date, date] | None" = None,
+    migration: "MigrationConfig | DatasetSpan | tuple[date, date] | None" = None,
 ) -> AccuracyReport:
     """Fraction of users whose detected home matches the true home.
 
-    Truth is the pre-migration home. Users count as migrants only when they
-    have a destination AND the window overlaps the migration range (which
-    the truth table alone cannot date, hence the explicit argument, either a
-    MigrationConfig or a bare (first_day, last_day) pair). An unassigned
-    user is simply wrong, never dropped from the denominator.
+    Each HDA maps to its cell's assignments, one BulkAssignments per
+    partition. Truth is the pre-migration home. Users count as migrants
+    only when they have a destination AND the window overlaps the migration
+    range (which the truth table alone cannot date, hence the explicit
+    argument: a MigrationConfig, a DatasetSpan or a bare (first_day,
+    last_day) pair). An unassigned user is simply wrong, never dropped from
+    the denominator.
     """
     if isinstance(migration, tuple):
         mig_first, mig_last = migration
@@ -527,8 +512,9 @@ def score_against_truth(
         mig_first = mig_last = None
     overlap = mig_first is not None and window.overlaps(mig_first, mig_last)
     rows: list[AccuracyRow] = []
-    for hda_name in assignments_by_hda:
-        uids, homes = _assignment_arrays(assignments_by_hda[hda_name])
+    for hda_name, bulks in assignments_by_hda.items():
+        uids = np.concatenate([b.user_ids for b in bulks])
+        homes = np.concatenate([b.home_towers for b in bulks])
         tr = truth.rows_for_users(uids)
         correct = homes == truth.home_towers[tr]
         migrant = truth.is_migrant[tr] & overlap

@@ -60,10 +60,6 @@ class ObservationWindow:
         return self.first_day <= last and first <= self.last_day
 
 
-def window_contains(window: ObservationWindow, d: date) -> bool:
-    return window.contains(d)
-
-
 def _fixed_windows(span: DatasetSpan, duration_class: str) -> list[ObservationWindow]:
     length = _FIXED_LENGTH[duration_class]
     prefix = _LABEL_PREFIX[duration_class]

@@ -1,5 +1,7 @@
 """End-to-end runs of the command-line front end via main(argv)."""
 
+import json
+
 import pytest
 
 from cdrhomes.cli import load_config, main
@@ -87,6 +89,43 @@ def test_detect_and_score(synth_dir, tmp_path, capsys):
     by_group = {r.split(",")[2]: r.split(",") for r in rows[1:]}
     assert int(by_group["all"][3]) == 112
     assert int(by_group["migrant"][3]) + int(by_group["non_migrant"][3]) == 112
+
+
+def test_detect_dump_equals_sweep_dump(synth_dir, tmp_path):
+    inputs = [
+        "--records", str(synth_dir / "records.csv"),
+        "--towers", str(synth_dir / "towers.csv"), "--span", SPAN,
+        "--partitions", "2",
+    ]
+    assert main([
+        "detect", *inputs, "--hda", "DD", "--window", SPAN,
+        "--out", str(tmp_path / "detect"), "--dump-assignments",
+    ]) == 0
+    assert main([
+        "sweep", *inputs, "--hdas", "DD", "--classes", "full",
+        "--out", str(tmp_path / "sweep"), "--dump-assignments", "true",
+    ]) == 0
+    dump = (tmp_path / "detect" / "assignments.csv").read_bytes()
+    assert dump == (tmp_path / "sweep" / "assignments" / "DD__full.csv").read_bytes()
+    assert dump.count(b"\n") == 1 + 112
+
+
+def test_sweep_boolean_flags_take_false(synth_dir, tmp_path, capsys):
+    argv = [
+        "sweep", "--records", str(synth_dir / "records.csv"),
+        "--towers", str(synth_dir / "towers.csv"), "--span", SPAN,
+        "--classes", "full", "--hdas", "MA", "--out", str(tmp_path / "run"),
+    ]
+    rc = main(argv + ["--dump-assignments", "false", "--per-tower-exports", "false"])
+    assert rc == 0
+    assert not (tmp_path / "run" / "assignments").exists()
+    assert not (tmp_path / "run" / "towers").exists()
+    options = json.loads((tmp_path / "run" / "manifest.json").read_text())["options"]
+    assert options["dump_assignments"] is False
+    assert options["per_tower_exports"] is False
+
+    assert main(argv + ["--dump-assignments", "maybe"]) == 1
+    assert "not a boolean" in capsys.readouterr().err
 
 
 def test_sweep_and_report_reemit(synth_dir, tmp_path, capsys):

@@ -1,23 +1,24 @@
-"""Detection criteria: reference path, bulk engine, and the independent oracle."""
+"""Detection criteria: the bulk engine against the independent oracle."""
 
 from datetime import date
 
 import numpy as np
 import pytest
 
-from cdrhomes.core import CdrRecord, DatasetSpan
+from cdrhomes.core import DatasetSpan
 from cdrhomes.hda import (
     CANONICAL_HDA_NAMES,
     CANONICAL_HDAS,
+    BulkAssignments,
     HdaSpec,
+    _hour_lut,
+    _weekday_lut,
     aggregate_homes,
     canonical_hda,
-    detect_home,
     detect_homes_bulk,
     hdas_by_name,
     hour_in_interval,
     merge_vectors,
-    tc_filter_accepts,
 )
 from cdrhomes.timebase import CivilClock
 from cdrhomes.windows import ObservationWindow, generate_windows
@@ -36,8 +37,45 @@ def _at(text: str) -> int:
     return CLOCK.parse_local(text)
 
 
-def _recs(uid, *pairs):
-    return [CdrRecord(uid, t, ts) for t, ts in pairs]
+def _row(bulk, i):
+    """(home | None, qualifying, tie_broken) of the bulk's i-th user."""
+    home = int(bulk.home_towers[i])
+    qual, tie = int(bulk.qualifying[i]), bool(bulk.tie_broken[i])
+    return (home if home >= 0 else None), qual, tie
+
+
+def _assert_matches_oracle(part, bulk, spec, window, min_qualifying=1):
+    assert np.array_equal(bulk.user_ids, part.user_ids)
+    for i, uid in enumerate(part.user_ids):
+        sl = part.user_slice(int(uid))
+        ts, tw = part.timestamps[sl], part.towers[sl]
+        want = brute_force_home(
+            spec, tw, ts, user_fields(ts),
+            window.first_day, window.last_day, min_qualifying,
+        )
+        assert _row(bulk, i) == want, (window.label, spec.name, int(uid))
+
+
+def _detect(name, *pairs, min_qualifying=1):
+    """Bulk-engine outcome of one user's (tower, ts) pairs over the full span,
+    checked against the oracle first."""
+    spec = canonical_hda(name)
+    towers = np.array([t for t, _ in pairs], dtype=np.int64)
+    stamps = np.array([ts for _, ts in pairs], dtype=np.int64)
+    part = one_partition(np.full(len(pairs), 7, dtype=np.uint64), towers, stamps)[0]
+    bulk = detect_homes_bulk(part, FULL, spec, min_qualifying=min_qualifying)
+    _assert_matches_oracle(part, bulk, spec, FULL, min_qualifying)
+    return _row(bulk, 0)
+
+
+def _bulk(hda, homes):
+    """BulkAssignments of users 1..n with the given homes (-1 = none)."""
+    n = len(homes)
+    return BulkAssignments(
+        hda, "w", np.arange(1, n + 1, dtype=np.uint64),
+        np.asarray(homes, dtype=np.int64), np.ones(n, dtype=np.int64),
+        np.zeros(n, dtype=bool),
+    )
 
 
 def test_canonical_set():
@@ -79,14 +117,12 @@ def test_hour_interval_wraps():
 
 
 def test_tc_filter_matches_oracle_on_all_cells():
+    # the bulk engine's hour and weekday masks, over every (hour, weekday)
     for spec in CANONICAL_HDAS:
-        if spec.criterion != "TC":
-            with pytest.raises(ValueError):
-                tc_filter_accepts(spec, 12, 0)
-            continue
+        hours, weekdays = _hour_lut(spec), _weekday_lut(spec)
         for hour in range(24):
             for weekday in range(7):
-                assert tc_filter_accepts(spec, hour, weekday) == event_qualifies(
+                assert bool(hours[hour] and weekdays[weekday]) == event_qualifies(
                     spec, hour, weekday
                 ), (spec.name, hour, weekday)
 
@@ -94,68 +130,54 @@ def test_tc_filter_matches_oracle_on_all_cells():
 def test_ma_counts_events_dd_counts_days():
     # 5 events one day at tower 100; one event on each of 3 days at tower 200
     day = "2007-06-0{}T12:00:00"
-    recs = _recs(
-        7,
+    recs = [
         *[(100, _at("2007-06-01T10:0{}:00".format(i))) for i in range(5)],
         *[(200, _at(day.format(i))) for i in (2, 3, 4)],
-    )
-    ma = detect_home(7, recs, canonical_hda("MA"))
-    dd = detect_home(7, recs, canonical_hda("DD"))
-    assert (ma.home_tower, ma.qualifying_count) == (100, 5)
-    assert (dd.home_tower, dd.qualifying_count) == (200, 3)
-    assert not ma.tie_broken and not dd.tie_broken
+    ]
+    assert _detect("MA", *recs) == (100, 5, False)
+    assert _detect("DD", *recs) == (200, 3, False)
 
 
 def test_dd_midnight_crossing_counts_two_days():
-    recs = _recs(
-        1,
+    home, days, _ = _detect(
+        "DD",
         (100, _at("2007-06-01T23:30:00")),
         (100, _at("2007-06-02T00:30:00")),
         (200, _at("2007-06-05T10:00:00")),
     )
-    dd = detect_home(1, recs, canonical_hda("DD"))
-    assert (dd.home_tower, dd.qualifying_count) == (100, 2)
+    assert (home, days) == (100, 2)
 
 
 def test_tie_break_earliest_first_record():
-    recs = _recs(
-        2,
+    home, _, tie = _detect(
+        "MA",
         (300, _at("2007-06-01T10:00:00")),
         (100, _at("2007-06-01T11:00:00")),
         (300, _at("2007-06-02T10:00:00")),
         (100, _at("2007-06-02T11:00:00")),
     )
-    got = detect_home(2, recs, canonical_hda("MA"))
-    assert got.home_tower == 300  # equal counts; 300 seen first
-    assert got.tie_broken
+    assert home == 300  # equal counts; 300 seen first
+    assert tie
 
 
 def test_tie_break_smaller_id_on_equal_timestamps():
     ts = _at("2007-06-01T10:00:00")
-    got = detect_home(3, _recs(3, (200, ts), (100, ts)), canonical_hda("MA"))
-    assert got.home_tower == 100
-    assert got.tie_broken
+    home, _, tie = _detect("MA", (200, ts), (100, ts))
+    assert home == 100
+    assert tie
 
 
 def test_no_qualifying_records():
     # weekday-only events cannot satisfy a weekend-only criterion
-    got = detect_home(
-        4,
-        _recs(4, (100, _at("2007-06-04T12:00:00"))),  # a Monday
-        canonical_hda("TC-WE"),
-    )
-    assert got.home_tower is None
-    assert got.qualifying_count == 0
-    assert not got.tie_broken
+    got = _detect("TC-WE", (100, _at("2007-06-04T12:00:00")))  # a Monday
+    assert got == (None, 0, False)
 
 
 def test_min_qualifying_threshold():
-    recs = _recs(5, *[(100, _at(f"2007-06-01T1{i}:00:00")) for i in range(3)])
-    ok = detect_home(5, recs, canonical_hda("MA"), min_qualifying=3)
-    assert ok.home_tower == 100
-    low = detect_home(5, recs, canonical_hda("MA"), min_qualifying=4)
-    assert low.home_tower is None
-    assert low.qualifying_count == 3  # best value still reported
+    recs = [(100, _at(f"2007-06-01T1{i}:00:00")) for i in range(3)]
+    assert _detect("MA", *recs, min_qualifying=3)[0] == 100
+    low = _detect("MA", *recs, min_qualifying=4)
+    assert low == (None, 3, False)  # best value still reported
     with pytest.raises(ValueError):
         part = one_partition(
             np.array([1], dtype=np.uint64),
@@ -163,15 +185,6 @@ def test_min_qualifying_threshold():
             np.array([T0 + 60], dtype=np.int64),
         )[0]
         detect_homes_bulk(part, FULL, canonical_hda("MA"), min_qualifying=0)
-
-
-def _window_records(part, uid, window):
-    out = []
-    for rec in part.records_for(uid):
-        d, _, _ = CLOCK.derive_local_time(rec.timestamp)
-        if window.contains(d):
-            out.append(rec)
-    return out
 
 
 def test_bulk_matches_reference_and_oracle():
@@ -190,22 +203,7 @@ def test_bulk_matches_reference_and_oracle():
         for window in windows:
             for spec in CANONICAL_HDAS:
                 bulk = detect_homes_bulk(part, window, spec)
-                assert np.array_equal(bulk.user_ids, part.user_ids)
-                for got in bulk.iter_assignments():
-                    recs = _window_records(part, got.user_id, window)
-                    ref = detect_home(
-                        got.user_id, recs, spec, window_label=window.label
-                    )
-                    assert got == ref, (seed, window.label, spec.name)
-                    ts = [r.timestamp for r in part.records_for(got.user_id)]
-                    tw = [r.tower_id for r in part.records_for(got.user_id)]
-                    o_home, o_q, o_tie = brute_force_home(
-                        spec, tw, ts, user_fields(ts),
-                        window.first_day, window.last_day,
-                    )
-                    assert (got.home_tower, got.qualifying_count, got.tie_broken) == (
-                        o_home, o_q, o_tie
-                    ), (seed, window.label, spec.name)
+                _assert_matches_oracle(part, bulk, spec, window)
 
 
 def test_bulk_min_qualifying_matches_reference():
@@ -216,12 +214,7 @@ def test_bulk_min_qualifying_matches_reference():
     part = one_partition(users, towers, stamps)[0]
     for spec in (canonical_hda("MA"), canonical_hda("DD"), canonical_hda("TC-WE")):
         bulk = detect_homes_bulk(part, FULL, spec, min_qualifying=3)
-        for got in bulk.iter_assignments():
-            recs = _window_records(part, got.user_id, FULL)
-            ref = detect_home(
-                got.user_id, recs, spec, window_label=FULL.label, min_qualifying=3
-            )
-            assert got == ref
+        _assert_matches_oracle(part, bulk, spec, FULL, min_qualifying=3)
 
 
 def test_bulk_empty_window():
@@ -254,39 +247,24 @@ def test_aggregate_and_merge_partition_invariance():
     assert int(want.x.sum()) == want.n_assigned
 
 
-def test_aggregate_from_assignment_objects():
+def test_aggregate_from_bulk_assignments():
     reg = make_registry(3)
-    bulk_like = [
-        detect_home(1, _recs(1, (100, T0 + 10)), canonical_hda("MA")),
-        detect_home(2, _recs(2, (100, T0 + 20)), canonical_hda("MA")),
-        detect_home(3, _recs(3, (102, T0 + 30)), canonical_hda("MA")),
-        detect_home(4, [], canonical_hda("MA")),
-    ]
-    v = aggregate_homes(bulk_like, reg)
+    v = aggregate_homes(_bulk("MA", [100, 100, 102, -1]), reg)
+    assert (v.hda, v.window) == ("MA", "w")
     assert v.x.tolist() == [2, 0, 1]
     assert v.n_users == 4
     assert v.n_assigned == 3
 
 
-def test_aggregate_rejects_mixed_cells_and_unknown_towers():
-    reg = make_registry(3)
-    a = detect_home(1, _recs(1, (100, T0 + 10)), canonical_hda("MA"))
-    b = detect_home(2, _recs(2, (100, T0 + 10)), canonical_hda("DD"))
-    with pytest.raises(ValueError, match="cells"):
-        aggregate_homes([a, b], reg)
-    stray = detect_home(1, _recs(1, (999, T0 + 10)), canonical_hda("MA"))
+def test_aggregate_rejects_unknown_towers():
     with pytest.raises(KeyError):
-        aggregate_homes([stray], reg)
+        aggregate_homes(_bulk("MA", [100, 999]), make_registry(3))
 
 
 def test_merge_rejects_mismatched_cells():
     reg = make_registry(3)
-    a = aggregate_homes(
-        [detect_home(1, _recs(1, (100, T0 + 10)), canonical_hda("MA"))], reg
-    )
-    b = aggregate_homes(
-        [detect_home(1, _recs(1, (100, T0 + 10)), canonical_hda("DD"))], reg
-    )
+    a = aggregate_homes(_bulk("MA", [100]), reg)
+    b = aggregate_homes(_bulk("DD", [100]), reg)
     with pytest.raises(ValueError):
         a.merge(b)
     with pytest.raises(ValueError):

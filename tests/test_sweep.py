@@ -6,9 +6,10 @@ from datetime import date
 import numpy as np
 import pytest
 
+from cdrhomes.cli import main
 from cdrhomes.core import DatasetSpan, TowerRegistry
 from cdrhomes.hda import hdas_by_name
-from cdrhomes.sweep import SweepOptions, emit_reports, run_sweep
+from cdrhomes.sweep import SweepOptions, emit_reports, load_run, run_sweep
 from cdrhomes.synth import SynthConfig, MigrationConfig, generate
 from cdrhomes.timebase import CivilClock
 from cdrhomes.windows import generate_windows
@@ -139,9 +140,41 @@ def test_sweep_resume_skips_completed_cells(tmp_path):
     assert sw.n_failed == 0
     assert (out / "metrics.csv").read_bytes() == want
     resumed = (out / "cells.jsonl").read_text().splitlines()
-    completed = [l for l in resumed if l.strip().startswith("{\"")]
-    # 4 kept + the torn line survives mid-file + recomputed remainder
-    assert len([l for l in completed if '"status": "ok"' in l]) >= sw.n_cells - 4
+    # 4 kept + recomputed remainder; the torn line was cut off before appending
+    assert resumed[:4] == all_lines[:4]
+    cells = [json.loads(l) for l in resumed]
+    assert len(cells) == sw.n_cells
+    assert all(c["status"] == "ok" for c in cells)
+
+
+def test_report_after_resume_from_torn_cells_log_emits_every_cell(tmp_path, capsys):
+    res, parts, wins = _dataset()
+    out = tmp_path / "run"
+    run_sweep(parts, res.registry, wins, HDAS, out, SweepOptions())
+    want = (out / "metrics.csv").read_bytes()
+    lines = (out / "cells.jsonl").read_text().splitlines()
+    (out / "cells.jsonl").write_text("\n".join(lines[:4]) + "\n" + lines[4][:30])
+
+    assert main(["report", "--out", str(out)]) == 0
+    assert "skipped 1 unparseable line(s)" in capsys.readouterr().err
+
+    run_sweep(parts, res.registry, wins, HDAS, out, SweepOptions(resume=True))
+    (out / "metrics.csv").unlink()
+    assert main(["report", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert (out / "metrics.csv").read_bytes() == want
+
+
+def test_load_run_counts_lines_that_are_not_cell_objects(tmp_path):
+    res, parts, wins = _dataset()
+    out = tmp_path / "run"
+    sw, _ = run_sweep(parts, res.registry, wins, HDAS, out, SweepOptions())
+    with open(out / "cells.jsonl", "a") as fh:
+        fh.write("[1, 2]\nnot json\n")
+    loaded, n_bad = load_run(out)
+    assert n_bad == 2
+    assert loaded.hda_names == [s.name for s in HDAS]
+    assert loaded.reports.keys() == sw.reports.keys()
 
 
 def test_sweep_without_resume_restarts_cells_log(tmp_path):

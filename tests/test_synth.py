@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from cdrhomes.core import DatasetSpan
-from cdrhomes.hda import canonical_hda, detect_homes_bulk
+from cdrhomes.hda import BulkAssignments, canonical_hda, detect_homes_bulk
 from cdrhomes.synth import (
     GroundTruthTable,
     MigrationConfig,
     SynthConfig,
+    accuracy_csv,
     build_registry,
     generate,
     pick_touristic_towers,
@@ -225,13 +226,12 @@ def test_score_against_truth_grouping():
         work_towers=np.array([100, 101, 102, 103], dtype=np.int64),
         migration_towers=np.array([-1, 110, -1, 111], dtype=np.int64),
     )
-    from cdrhomes.hda import HomeAssignment
-
-    def assign(uid, tower):
-        return HomeAssignment(uid, "MA", "w", tower, 3, False)
-
     assignments = {
-        "MA": [assign(1, 100), assign(2, 999), assign(3, 102), assign(4, None)]
+        "MA": [BulkAssignments(
+            "MA", "w", truth.user_ids,
+            np.array([100, 999, 102, -1], dtype=np.int64),
+            np.full(4, 3, dtype=np.int64), np.zeros(4, dtype=bool),
+        )]
     }
     overlap_win = ObservationWindow(
         "w", date(2007, 6, 1), date(2007, 6, 14), "custom"
@@ -254,8 +254,12 @@ def test_score_against_truth_grouping():
     )
     assert rep2.by_group("MA")["migrant"].n_users == 0
     assert rep2.by_group("MA")["migrant"].accuracy is None
-    csv_text = rep2.as_csv()
-    assert csv_text.startswith("hda,window,group,")
+    assert accuracy_csv(rep2.rows) == (
+        "hda,window,group,n_users,n_correct,accuracy\n"
+        "MA,w,all,4,2,0.5\n"
+        "MA,w,migrant,0,0,\n"
+        "MA,w,non_migrant,4,2,0.5\n"
+    )
 
 
 def test_detection_on_calm_data_is_accurate():
@@ -266,7 +270,7 @@ def test_detection_on_calm_data_is_accurate():
     window = ObservationWindow("full", SPAN30.first_day, SPAN30.last_day, "full")
     for name in ("MA", "DD", "TC-19-9"):
         bulk = detect_homes_bulk(part, window, canonical_hda(name))
-        rep = score_against_truth({name: bulk}, res.truth, window)
+        rep = score_against_truth({name: [bulk]}, res.truth, window)
         acc = rep.by_group(name)["all"].accuracy
         assert acc > 0.9, (name, acc)
 
