@@ -3,7 +3,9 @@
 Subcommands: ingest-check, windows, synth, detect, sweep, report, score.
 Every flag can also come from a key=value config file (--config); explicit
 flags win over the file, the file wins over built-in defaults. Exit codes:
-0 success, 1 fatal error, 2 sweep finished with failed cells.
+0 success, 1 fatal error, 2 sweep finished with failed cells or a command
+line that cannot be carried out as given (argparse usage errors, detect
+--dump-assignments without --out).
 """
 
 from __future__ import annotations
@@ -228,6 +230,12 @@ def cmd_synth(opt: Options) -> int:
 
 
 def cmd_detect(opt: Options) -> int:
+    out = opt.get("out")
+    dump = opt.get("dump-assignments", False, _parse_bool)
+    if dump and not out:
+        print("error: --dump-assignments needs --out (the dump is written there)",
+              file=sys.stderr)
+        return 2
     registry = _read_registry(opt)
     partitions, report = _do_ingest(opt, registry)
     window = _custom_window(opt.require("window"))
@@ -237,7 +245,6 @@ def cmd_detect(opt: Options) -> int:
         detect_homes_bulk(p, window, spec, min_qualifying=min_q) for p in partitions
     ]
     vectors = merge_vectors([aggregate_homes(b, registry) for b in bulks])
-    out = opt.get("out")
     if out:
         out_dir = Path(out)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -245,7 +252,7 @@ def cmd_detect(opt: Options) -> int:
         for tid, x, y in zip(registry.tower_ids, vectors.x, registry.population):
             lines.append(f"{int(tid)},{int(x)},{int(y)}")
         (out_dir / "vectors.csv").write_text("\n".join(lines) + "\n")
-        if opt.get("dump-assignments", False, _parse_bool):
+        if dump:
             _write_assignment_dump(out_dir / "assignments.csv", bulks)
         print(f"wrote {out_dir}/vectors.csv")
     print(

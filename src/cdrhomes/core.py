@@ -11,7 +11,7 @@ identical final state.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import date
 from pathlib import Path
 
@@ -150,6 +150,18 @@ class UserPartition:
     Record columns are parallel arrays canonically sorted by
     (user_id, timestamp, tower_id); user_ids is sorted unique and
     user_starts[i]:user_starts[i+1] slices user i's rows.
+
+    The index_* columns are the detection index: the same records again,
+    ordered by (civil day, pair, timestamp), where a pair is one (user,
+    tower) combination numbered densely in (user, tower) order: pair_users
+    ascends, and pair_towers ascends within each user. Records of
+    index_days[i] fill index_day_starts[i]:index_day_starts[i+1], which makes
+    any window a slice (day_slice). index_day_first marks the first record
+    of each (pair, day) run; as a window keeps or drops whole days, the
+    flags in a window's slice count each pair's distinct days, and the
+    flagged records carry each pair's earliest timestamp per day. Nothing
+    assumes the civil date rises with the timestamp. The index costs 15
+    bytes per record plus 16 per pair.
     """
 
     index: int
@@ -159,22 +171,20 @@ class UserPartition:
     users: np.ndarray  # uint64 per record
     towers: np.ndarray  # int64
     timestamps: np.ndarray  # int64 epoch seconds
-    day_ords: np.ndarray  # int32 civil date ordinal
-    hours: np.ndarray  # uint8 civil hour 0-23
-    weekdays: np.ndarray  # uint8 Mon=0..Sun=6
+    pair_users: np.ndarray  # int64 row in user_ids, per pair
+    pair_towers: np.ndarray  # int64 tower id, per pair
+    index_days: np.ndarray  # int32 civil date ordinals present, ascending
+    index_day_starts: np.ndarray  # int64, len index_days + 1
+    index_pairs: np.ndarray  # int32 pair id per indexed record
+    index_timestamps: np.ndarray  # int64 epoch seconds
+    index_week_hours: np.ndarray  # uint8 civil weekday (Mon=0) * 24 + hour
+    index_day_first: np.ndarray  # bool, first record of its (pair, day)
 
     def __post_init__(self):
-        for arr in (
-            self.user_ids,
-            self.user_starts,
-            self.users,
-            self.towers,
-            self.timestamps,
-            self.day_ords,
-            self.hours,
-            self.weekdays,
-        ):
-            arr.setflags(write=False)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
 
     @property
     def n_records(self) -> int:
@@ -184,11 +194,20 @@ class UserPartition:
     def n_users(self) -> int:
         return len(self.user_ids)
 
+    @property
+    def n_pairs(self) -> int:
+        return len(self.pair_towers)
+
     def user_slice(self, user_id: int) -> slice:
         i = np.searchsorted(self.user_ids, np.uint64(user_id))
         if i >= len(self.user_ids) or self.user_ids[i] != np.uint64(user_id):
             raise KeyError(f"user {user_id} not in partition {self.index}")
         return slice(int(self.user_starts[i]), int(self.user_starts[i + 1]))
+
+    def day_slice(self, first_ord: int, last_ord: int) -> slice:
+        """Slice of the index_* columns holding civil days first..last."""
+        lo, hi = np.searchsorted(self.index_days, [first_ord, last_ord + 1])
+        return slice(int(self.index_day_starts[lo]), int(self.index_day_starts[hi]))
 
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:
@@ -207,6 +226,50 @@ def partition_of(user_id: int, n_partitions: int) -> int:
     return int(_splitmix64(np.asarray([user_id], dtype=np.uint64))[0] % n_partitions)
 
 
+def _detection_index(user_starts, towers, timestamps, day_ords, week_hours):
+    """The index_* and pair_* columns of a partition in canonical order."""
+    n = len(towers)
+    user_rows = np.repeat(
+        np.arange(len(user_starts) - 1, dtype=np.int64), np.diff(user_starts)
+    )
+    tower_ids, tower_codes = np.unique(towers, return_inverse=True)
+    pair_keys = user_rows * len(tower_ids) + tower_codes
+    # stable sorts keep the canonical timestamp order inside every pair; the
+    # day key is small and unsigned, which numpy sorts by radix
+    by_pair = np.argsort(pair_keys, kind="stable")
+    pair_keys = pair_keys[by_pair]
+    new_pair = np.empty(n, dtype=bool)
+    new_pair[:1] = True
+    np.not_equal(pair_keys[1:], pair_keys[:-1], out=new_pair[1:])
+    pairs = np.cumsum(new_pair, dtype=np.int64) - 1
+    pair_keys = pair_keys[new_pair]
+    pairs = pairs.astype(np.int32 if len(pair_keys) <= 2**31 else np.int64)
+    days = day_ords[by_pair]
+    first_day, last_day = (int(days.min()), int(days.max())) if n else (0, 0)
+    by_day = np.argsort(
+        (days - first_day).astype(np.min_scalar_type(last_day - first_day)),
+        kind="stable",
+    )
+    order = by_pair[by_day]
+    pairs, days = pairs[by_day], days[by_day]
+    new_day = np.empty(n, dtype=bool)
+    new_day[:1] = True
+    np.not_equal(days[1:], days[:-1], out=new_day[1:])
+    day_first = new_day.copy()
+    day_first[1:] |= pairs[1:] != pairs[:-1]
+    day_starts = np.flatnonzero(new_day)
+    return {
+        "pair_users": pair_keys // len(tower_ids),
+        "pair_towers": tower_ids[pair_keys % len(tower_ids)],
+        "index_days": days[day_starts],
+        "index_day_starts": np.append(day_starts, n).astype(np.int64),
+        "index_pairs": pairs,
+        "index_timestamps": timestamps[order],
+        "index_week_hours": week_hours[order],
+        "index_day_first": day_first,
+    }
+
+
 def partition_records(
     users,
     towers,
@@ -221,7 +284,8 @@ def partition_records(
     Derives civil fields in bulk; when a span is given, records whose civil
     date falls outside it are dropped and counted. Returns (partitions,
     n_out_of_span). Input order never matters: every partition is sorted by
-    (user, timestamp, tower) before indexing.
+    (user, timestamp, tower), then its detection index is built once from
+    that order (see UserPartition).
     """
     if n_partitions < 1:
         raise ValueError("n_partitions must be >= 1")
@@ -232,6 +296,7 @@ def partition_records(
         raise ValueError("record columns have unequal lengths")
 
     day_ords, hours, weekdays = clock.local_fields(timestamps)
+    week_hours = weekdays * 24 + hours
     n_out = 0
     if span is not None:
         lo, hi = day_ordinal(span.first_day), day_ordinal(span.last_day)
@@ -239,17 +304,17 @@ def partition_records(
         n_out = int((~keep).sum())
         if n_out:
             users, towers, timestamps = users[keep], towers[keep], timestamps[keep]
-            day_ords, hours, weekdays = day_ords[keep], hours[keep], weekdays[keep]
+            day_ords, week_hours = day_ords[keep], week_hours[keep]
 
     part_idx = _splitmix64(users) % np.uint64(n_partitions)
     parts: list[UserPartition] = []
     for p in range(n_partitions):
         m = part_idx == np.uint64(p)
         pu, pt, pts = users[m], towers[m], timestamps[m]
-        pd, ph, pw = day_ords[m], hours[m], weekdays[m]
+        pd, pw = day_ords[m], week_hours[m]
         order = np.lexsort((pt, pts, pu))
         pu, pt, pts = pu[order], pt[order], pts[order]
-        pd, ph, pw = pd[order], ph[order], pw[order]
+        pd, pw = pd[order], pw[order]
         uniq, starts = np.unique(pu, return_index=True)
         starts = np.append(starts, len(pu)).astype(np.int64)
         parts.append(
@@ -261,9 +326,7 @@ def partition_records(
                 users=pu,
                 towers=pt,
                 timestamps=pts,
-                day_ords=pd,
-                hours=ph,
-                weekdays=pw,
+                **_detection_index(starts, pt, pts, pd, pw),
             )
         )
     return parts, n_out
@@ -392,6 +455,8 @@ def ingest(
     u = np.asarray(users, dtype=np.uint64)
     t = np.asarray(towers, dtype=np.int64)
     s = np.asarray(stamps, dtype=np.int64)
+    # the parse lists take several times the arrays' memory; free them first
+    del users, towers, stamps
 
     known = registry.contains_ids(t)
     n_unknown = int((~known).sum())

@@ -24,7 +24,8 @@ from .windows import ObservationWindow
 CRITERIA = ("MA", "DD", "TC")
 DAY_FILTERS = ("all", "weekend_only", "weekday_only")
 
-_SATURDAY, _SUNDAY = 5, 6
+_SATURDAY = 5  # Mon=0; Saturday and Sunday make the weekend
+_NEVER = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -99,22 +100,17 @@ def hour_in_interval(hour: int, start: int, end: int) -> bool:
     return hour >= start or hour < end
 
 
-def _hour_lut(spec: HdaSpec) -> np.ndarray:
-    lut = np.ones(24, dtype=bool)
+def _week_hour_lut(spec: HdaSpec) -> np.ndarray:
+    """Qualifying mask over the index's week hours, weekday * 24 + hour."""
+    lut = np.ones((7, 24), dtype=bool)
     if spec.has_hour_filter:
         for h in range(24):
-            lut[h] = hour_in_interval(h, spec.tc_start_hour, spec.tc_end_hour)
-    return lut
-
-
-def _weekday_lut(spec: HdaSpec) -> np.ndarray:
-    lut = np.ones(7, dtype=bool)
+            lut[:, h] = hour_in_interval(h, spec.tc_start_hour, spec.tc_end_hour)
     if spec.day_filter == "weekend_only":
-        lut[:] = False
-        lut[_SATURDAY] = lut[_SUNDAY] = True
+        lut[:_SATURDAY] = False
     elif spec.day_filter == "weekday_only":
-        lut[_SATURDAY] = lut[_SUNDAY] = False
-    return lut
+        lut[_SATURDAY:] = False
+    return lut.ravel()
 
 
 @dataclass
@@ -150,9 +146,13 @@ def detect_homes_bulk(
 ) -> BulkAssignments:
     """Columnar detection for every user of a partition in one cell.
 
-    Grouping is done with one lexsort per criterion pass instead of per-user
-    loops; DD needs a second ordering because distinct-day counting must not
-    assume civil dates are monotone in the timestamp within a tower group.
+    Reads only the partition's detection index: the window is a slice of
+    it, TC filters the slice through a weekday x hour table, a bincount of
+    pair ids gives every (user, tower) score and a per-pair minimum gives
+    the earliest qualifying timestamp. MA and DD take that minimum over the
+    first record of each (pair, day) only, and DD counts only those records,
+    since a window keeps or drops whole days. Winners are picked per user
+    among the pairs that scored, with no sort.
     """
     if min_qualifying < 1:
         raise ValueError("min_qualifying must be >= 1")
@@ -161,65 +161,52 @@ def detect_homes_bulk(
     qual = np.zeros(n_all, dtype=np.int64)
     tieb = np.zeros(n_all, dtype=bool)
 
-    m = (partition.day_ords >= window.first_ord) & (
-        partition.day_ords <= window.last_ord
-    )
+    days = partition.day_slice(window.first_ord, window.last_ord)
+    pairs = partition.index_pairs[days]
+    stamps = partition.index_timestamps[days]
     if spec.criterion == "TC":
-        if spec.has_hour_filter:
-            m &= _hour_lut(spec)[partition.hours]
-        if spec.day_filter != "all":
-            m &= _weekday_lut(spec)[partition.weekdays]
-
-    u = partition.users[m]
-    if len(u) == 0:
+        keep = _week_hour_lut(spec)[partition.index_week_hours[days]]
+        pairs, stamps = pairs[keep], stamps[keep]
+        first_pairs, first_stamps = pairs, stamps
+    else:
+        day_first = partition.index_day_first[days]
+        first_pairs, first_stamps = pairs[day_first], stamps[day_first]
+        if spec.criterion == "DD":
+            pairs = first_pairs
+    if len(pairs) == 0:
         return BulkAssignments(
             spec.name, window.label, partition.user_ids, home, qual, tieb
         )
-    t = partition.towers[m]
-    s = partition.timestamps[m]
 
-    # group rows by (user, tower); timestamps ascend within each group
-    order = np.lexsort((s, t, u))
-    gu_all, gt_all, gs_all = u[order], t[order], s[order]
-    new_group = np.empty(len(gu_all), dtype=bool)
-    new_group[0] = True
-    new_group[1:] = (gu_all[1:] != gu_all[:-1]) | (gt_all[1:] != gt_all[:-1])
-    gstart = np.flatnonzero(new_group)
-    gu, gt, gfirst = gu_all[gstart], gt_all[gstart], gs_all[gstart]
+    n_pairs = partition.n_pairs
+    score = np.bincount(pairs, minlength=n_pairs)
+    earliest = np.full(n_pairs, _NEVER, dtype=np.int64)
+    np.minimum.at(earliest, first_pairs, first_stamps)
 
-    if spec.criterion == "DD":
-        d = partition.day_ords[m]
-        order2 = np.lexsort((d, t, u))
-        d2 = d[order2]
-        # (user, tower) group boundaries are position-identical in both sorts
-        day_new = np.empty(len(d2), dtype=np.int64)
-        day_new[0] = 1
-        day_new[1:] = (new_group[1:] | (d2[1:] != d2[:-1])).astype(np.int64)
-        score = np.add.reduceat(day_new, gstart)
-    else:
-        bounds = np.append(gstart, len(gu_all))
-        score = np.diff(bounds).astype(np.int64)
+    # pairs that scored, grouped by user, towers ascending within a user
+    live = np.flatnonzero(score)
+    users = partition.pair_users[live]
+    score, earliest = score[live], earliest[live]
+    new_user = np.empty(len(live), dtype=bool)
+    new_user[0] = True
+    np.not_equal(users[1:], users[:-1], out=new_user[1:])
+    starts = np.flatnonzero(new_user)
+    group = np.cumsum(new_user) - 1
 
     # winner per user: max score, then earliest first record, then smaller id
-    order3 = np.lexsort((gt, gfirst, -score, gu))
-    su = gu[order3]
-    first_of_user = np.empty(len(su), dtype=bool)
-    first_of_user[0] = True
-    first_of_user[1:] = su[1:] != su[:-1]
-    win_pos = np.flatnonzero(first_of_user)
-    win_rows = order3[win_pos]
-    w_users, w_towers, w_score = gu[win_rows], gt[win_rows], score[win_rows]
+    best = np.maximum.reduceat(score, starts)
+    top = score == best[group]
+    n_top = np.add.reduceat(top, starts, dtype=np.int64)
+    top_first = np.minimum.reduceat(np.where(top, earliest, _NEVER), starts)
+    wins = top & (earliest == top_first[group])
+    win_pos = np.minimum.reduceat(
+        np.where(wins, np.arange(len(live)), len(live)), starts
+    )
 
-    w_tie = np.zeros(len(win_pos), dtype=bool)
-    nxt = win_pos + 1
-    ok = np.flatnonzero(nxt < len(order3))
-    rows_next = order3[nxt[ok]]
-    w_tie[ok] = (gu[rows_next] == w_users[ok]) & (score[rows_next] == w_score[ok])
-
-    pos = np.searchsorted(partition.user_ids, w_users)
-    home[pos] = w_towers
-    qual[pos] = w_score
-    tieb[pos] = w_tie
+    rows = users[starts]
+    home[rows] = partition.pair_towers[live[win_pos]]
+    qual[rows] = best
+    tieb[rows] = n_top > 1
     if min_qualifying > 1:
         below = qual < min_qualifying
         home[below] = -1

@@ -304,26 +304,35 @@ def _persist_cell(out_dir: Path, rec: dict) -> None:
         fh.flush()
 
 
-def _write_tower_export(
-    out_dir: Path, report: MetricReport, x: np.ndarray, registry: TowerRegistry
-) -> None:
-    path = out_dir / TOWERS_DIR / f"{report.hda}__{report.window}.csv"
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["tower_id", "lon", "lat", "x", "y", "logratio"])
-    logratio = report.logratio
-    for i in range(len(registry)):
-        w.writerow(
-            [
-                int(registry.tower_ids[i]),
-                repr(float(registry.lon[i])),
-                repr(float(registry.lat[i])),
-                int(x[i]),
-                int(registry.population[i]),
-                _ffmt(logratio[i]) if logratio is not None else "",
-            ]
+def _tower_export_rows(registry: TowerRegistry) -> list[tuple[str, str]]:
+    """Per-tower text of a tower export around its x: ("id,lon,lat,", ",y,")."""
+    return [
+        (f"{tid},{lon!r},{lat!r},", f",{pop},")
+        for tid, lon, lat, pop in zip(
+            registry.tower_ids.tolist(),
+            registry.lon.tolist(),
+            registry.lat.tolist(),
+            registry.population.tolist(),
         )
-    _atomic_write(path, buf.getvalue())
+    ]
+
+
+def _write_tower_export(
+    out_dir: Path, report: MetricReport, x: np.ndarray, rows: list[tuple[str, str]]
+) -> None:
+    """One cell's per-tower CSV; rows come from _tower_export_rows."""
+    path = out_dir / TOWERS_DIR / f"{report.hda}__{report.window}.csv"
+    logratio = (
+        [""] * len(rows)
+        if report.logratio is None
+        else ["" if v != v else repr(v) for v in report.logratio.tolist()]  # NaN
+    )
+    lines = ["tower_id,lon,lat,x,y,logratio"]
+    lines += [
+        f"{head}{xi}{mid}{lr}"
+        for (head, mid), xi, lr in zip(rows, x.tolist(), logratio)
+    ]
+    _atomic_write(path, "\n".join(lines) + "\n")
 
 
 def _write_assignment_dump(path: Path, bulks) -> None:
@@ -378,6 +387,7 @@ def run_sweep(
             raise OSError(f"output directory not writable: {out_path}") from exc
         if options.per_tower_exports:
             (out_path / TOWERS_DIR).mkdir(exist_ok=True)
+            tower_rows = _tower_export_rows(registry)
         if options.dump_assignments:
             (out_path / ASSIGNMENTS_DIR).mkdir(exist_ok=True)
         if options.resume:
@@ -438,7 +448,7 @@ def run_sweep(
             rec["elapsed"] = round(payload["elapsed"], 4)
             _persist_cell(out_path, rec)
             if options.per_tower_exports:
-                _write_tower_export(out_path, report, payload["x"], registry)
+                _write_tower_export(out_path, report, payload["x"], tower_rows)
             if options.dump_assignments:
                 _write_assignment_dump(
                     out_path / ASSIGNMENTS_DIR / f"{hda}__{window.label}.csv",

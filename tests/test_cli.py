@@ -110,6 +110,23 @@ def test_detect_dump_equals_sweep_dump(synth_dir, tmp_path):
     assert dump.count(b"\n") == 1 + 112
 
 
+def test_detect_dump_without_out_is_refused(synth_dir, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "dump.cfg"
+    cfg.write_text("dump-assignments = true\n")
+    inputs = [
+        "detect", "--records", str(synth_dir / "records.csv"),
+        "--towers", str(synth_dir / "towers.csv"), "--span", SPAN,
+        "--hda", "MA", "--window", SPAN,
+    ]
+    for extra in (["--dump-assignments"], ["--config", str(cfg)]):
+        assert main(inputs + extra) == 2
+        said = capsys.readouterr()
+        assert "--out" in said.err
+        assert said.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dump.cfg"]
+
+
 def test_sweep_boolean_flags_take_false(synth_dir, tmp_path, capsys):
     argv = [
         "sweep", "--records", str(synth_dir / "records.csv"),

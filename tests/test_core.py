@@ -1,5 +1,6 @@
 """Records model, partitioning, and ingestion accounting."""
 
+import dataclasses
 from datetime import date
 
 import numpy as np
@@ -148,6 +149,46 @@ def test_partition_arrays_read_only():
     part = partition_records(users, towers, stamps, clock=CivilClock())[0][0]
     with pytest.raises(ValueError):
         part.towers[0] = 5
+    # every column, the detection index's included
+    arrays = {
+        f.name: getattr(part, f.name)
+        for f in dataclasses.fields(part)
+        if isinstance(getattr(part, f.name), np.ndarray)
+    }
+    assert {"index_pairs", "index_timestamps", "index_week_hours",
+            "index_day_first", "index_days", "index_day_starts",
+            "pair_users", "pair_towers"} <= set(arrays)
+    for name, arr in arrays.items():
+        assert not arr.flags.writeable, name
+        with pytest.raises(ValueError):
+            arr[:1] = arr[:1]
+
+
+def test_detection_index_holds_the_canonical_records_by_day():
+    rng = np.random.default_rng(11)
+    users, towers, stamps = random_records(rng, 12, np.arange(100, 104), T0, T1)
+    part = partition_records(users, towers, stamps, clock=CivilClock())[0][0]
+    pairs = part.index_pairs
+    # pairs number (user, tower) combinations densely in that order
+    key = part.pair_users * 1000 + part.pair_towers
+    assert (np.diff(key) > 0).all()
+    day_of = np.repeat(part.index_days, np.diff(part.index_day_starts))
+    assert (np.diff(part.index_days) > 0).all()
+    assert part.index_day_starts[-1] == part.n_records
+    # the same records as the canonical columns, in (day, pair, timestamp) order
+    index_rows = np.lexsort((part.index_timestamps, pairs, day_of))
+    assert np.array_equal(index_rows, np.arange(part.n_records))
+    canonical = sorted(zip(part.users, part.towers, part.timestamps))
+    indexed = sorted(zip(
+        part.user_ids[part.pair_users[pairs]], part.pair_towers[pairs],
+        part.index_timestamps,
+    ))
+    assert canonical == indexed
+    # one flag per (pair, day); a day range is a slice
+    assert part.index_day_first.sum() == len(set(zip(pairs, day_of)))
+    sl = part.day_slice(int(part.index_days[3]), int(part.index_days[5]))
+    assert set(day_of[sl]) == set(part.index_days[3:6])
+    assert part.day_slice(0, int(part.index_days[0]) - 1) == slice(0, 0)
 
 
 def test_partition_civil_fields_match_clock():
@@ -155,11 +196,11 @@ def test_partition_civil_fields_match_clock():
     users, towers, stamps = random_records(rng, 10, np.arange(100, 103), T0, T1)
     clock = CivilClock()
     part = partition_records(users, towers, stamps, clock=clock)[0][0]
+    day_of = np.repeat(part.index_days, np.diff(part.index_day_starts))
     for i in range(0, part.n_records, 31):
-        d, h, w = clock.derive_local_time(int(part.timestamps[i]))
-        assert part.day_ords[i] == d.toordinal()
-        assert part.hours[i] == h
-        assert part.weekdays[i] == w
+        d, h, w = clock.derive_local_time(int(part.index_timestamps[i]))
+        assert day_of[i] == d.toordinal()
+        assert part.index_week_hours[i] == w * 24 + h
 
 
 def _write_lines(path, lines):

@@ -11,8 +11,7 @@ from cdrhomes.hda import (
     CANONICAL_HDAS,
     BulkAssignments,
     HdaSpec,
-    _hour_lut,
-    _weekday_lut,
+    _week_hour_lut,
     aggregate_homes,
     canonical_hda,
     detect_homes_bulk,
@@ -24,7 +23,7 @@ from cdrhomes.timebase import CivilClock
 from cdrhomes.windows import ObservationWindow, generate_windows
 
 from conftest import make_registry, one_partition, random_records
-from oracles import brute_force_home, event_qualifies, user_fields
+from oracles import TZ_NAME, brute_force_home, event_qualifies, user_fields
 
 SPAN = DatasetSpan.parse("2007-05-13..2007-10-13")
 CLOCK = CivilClock()
@@ -44,13 +43,20 @@ def _row(bulk, i):
     return (home if home >= 0 else None), qual, tie
 
 
-def _assert_matches_oracle(part, bulk, spec, window, min_qualifying=1):
+def _assert_matches_oracle(
+    part, bulk, spec, window, min_qualifying=1, tz_name=TZ_NAME, fields=None
+):
+    """Every user of the bulk equals brute_force_home; fields caches
+    user_fields per user id across calls."""
+    fields = {} if fields is None else fields
     assert np.array_equal(bulk.user_ids, part.user_ids)
     for i, uid in enumerate(part.user_ids):
         sl = part.user_slice(int(uid))
         ts, tw = part.timestamps[sl], part.towers[sl]
+        if int(uid) not in fields:
+            fields[int(uid)] = user_fields(ts, tz_name)
         want = brute_force_home(
-            spec, tw, ts, user_fields(ts),
+            spec, tw, ts, fields[int(uid)],
             window.first_day, window.last_day, min_qualifying,
         )
         assert _row(bulk, i) == want, (window.label, spec.name, int(uid))
@@ -117,12 +123,13 @@ def test_hour_interval_wraps():
 
 
 def test_tc_filter_matches_oracle_on_all_cells():
-    # the bulk engine's hour and weekday masks, over every (hour, weekday)
+    # the bulk engine's mask over the index's weekday * 24 + hour, every cell
     for spec in CANONICAL_HDAS:
-        hours, weekdays = _hour_lut(spec), _weekday_lut(spec)
+        lut = _week_hour_lut(spec)
+        assert lut.shape == (7 * 24,)
         for hour in range(24):
             for weekday in range(7):
-                assert bool(hours[hour] and weekdays[weekday]) == event_qualifies(
+                assert bool(lut[weekday * 24 + hour]) == event_qualifies(
                     spec, hour, weekday
                 ), (spec.name, hour, weekday)
 
@@ -215,6 +222,76 @@ def test_bulk_min_qualifying_matches_reference():
     for spec in (canonical_hda("MA"), canonical_hda("DD"), canonical_hda("TC-WE")):
         bulk = detect_homes_bulk(part, FULL, spec, min_qualifying=3)
         _assert_matches_oracle(part, bulk, spec, FULL, min_qualifying=3)
+
+
+@pytest.mark.parametrize("n_partitions", [1, 3])
+def test_bulk_matches_oracle_on_whole_grid(n_partitions):
+    # few towers so ties are frequent; records start after the span's first
+    # week and end before its last, so "before" and "after" hold no record
+    first, last = date(2007, 5, 20), date(2007, 10, 6)
+    windows = [
+        *generate_windows(SPAN),
+        ObservationWindow("before", SPAN.first_day, date(2007, 5, 19), "custom"),
+        ObservationWindow("after", date(2007, 10, 7), SPAN.last_day, "custom"),
+    ]
+    thresholds = [
+        (spec, 1) for spec in CANONICAL_HDAS
+    ] + [(spec, 3) for spec in CANONICAL_HDAS if spec.criterion != "MA"]
+    rng = np.random.default_rng(30 + n_partitions)
+    users, towers, stamps = random_records(
+        rng, 24, np.arange(100, 104),
+        CLOCK.midnight_epoch(first), CLOCK.midnight_epoch(last), mean_events=40,
+    )
+    parts = one_partition(users, towers, stamps, n_partitions=n_partitions)
+    assert len(parts) == n_partitions
+    fields = {}
+    for window in windows:
+        for spec, min_q in thresholds:
+            for part in parts:
+                bulk = detect_homes_bulk(part, window, spec, min_qualifying=min_q)
+                _assert_matches_oracle(part, bulk, spec, window, min_q, fields=fields)
+                if window.label in ("before", "after"):
+                    assert bulk.n_assigned == 0 and not bulk.qualifying.any()
+
+
+def test_bulk_matches_oracle_where_civil_date_steps_back():
+    # St. John's left DST at 00:01 on 2007-11-04: the clocks went back to
+    # 23:01 on Nov 3, so a later record can carry an earlier civil date
+    tz_name = "America/St_Johns"
+    clock = CivilClock(tz_name)
+    switch = 1194143460  # 2007-11-04 02:31 UTC, 00:01 NDT -> 23:01 NST
+    # user 99: tower 100 first on Nov 4 00:00:30, then on Nov 3 23:20;
+    # tower 101 twice on Nov 3 in between, so the earliest record of the
+    # tied pair 100 sits on the later civil day
+    own = [(100, switch - 30), (100, switch + 1200),
+           (101, switch + 300), (101, switch + 600)]
+    days = [clock.derive_local_time(ts)[0] for _, ts in own]
+    assert days == [date(2007, 11, 4)] + [date(2007, 11, 3)] * 3
+    rng = np.random.default_rng(7)
+    users, towers, stamps = random_records(
+        rng, 30, np.arange(100, 103), switch - 3600, switch + 3600, mean_events=4
+    )
+    users = np.concatenate([users, np.full(len(own), 99, dtype=np.uint64)])
+    towers = np.concatenate([towers, np.array([t for t, _ in own], dtype=np.int64)])
+    stamps = np.concatenate([stamps, np.array([s for _, s in own], dtype=np.int64)])
+    part = one_partition(users, towers, stamps, clock=clock)[0]
+    windows = [
+        ObservationWindow(
+            "nov", date(2007, 11, 1), date(2007, 11, 10), "custom"
+        ),
+        ObservationWindow("nov3", date(2007, 11, 3), date(2007, 11, 3), "custom"),
+        ObservationWindow("nov4", date(2007, 11, 4), date(2007, 11, 4), "custom"),
+    ]
+    fields = {}
+    for window in windows:
+        for spec in CANONICAL_HDAS:
+            bulk = detect_homes_bulk(part, window, spec)
+            _assert_matches_oracle(
+                part, bulk, spec, window, tz_name=tz_name, fields=fields
+            )
+    row = int(np.searchsorted(part.user_ids, 99))
+    bulk = detect_homes_bulk(part, windows[0], canonical_hda("MA"))
+    assert _row(bulk, row) == (100, 2, True)
 
 
 def test_bulk_empty_window():
