@@ -128,8 +128,10 @@ def _classes(opt: Options) -> tuple[str, ...]:
 def _hda_names(opt: Options) -> list[str]:
     raw = opt.get("hdas", ",".join(CANONICAL_HDA_NAMES))
     names = [n.strip() for n in raw.split(",") if n.strip()]
-    for n in names:
+    for i, n in enumerate(names):
         canonical_hda(n)  # raises on unknown names
+        if n in names[:i]:
+            raise CliError(f"duplicate HDA {n!r}")
     return names
 
 

@@ -3,9 +3,10 @@
 Records live in columnar numpy arrays grouped into per-user partitions; the
 partition a user lands in depends only on the user id (splitmix64 hash mod
 partition count), so any merge of per-partition results is order-free.
-Ingestion here is sequential; partition_records accepts records in any order
-and canonically sorts, so a chunked concurrent reader would produce the
-identical final state.
+Each partition holds its records once, in the detection index (see
+UserPartition), which is one function of the partition's record multiset:
+partition_records accepts records in any order, so a chunked concurrent
+reader would produce the identical final state. Ingestion is sequential.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ TOWERS_HEADER = ("tower_id", "lon", "lat", "population")
 
 _U64_MAX = 2**64 - 1
 _I64_MIN, _I64_MAX = -(2**63), 2**63 - 1
+_DAY = 86400
 
 
 class IngestError(ValueError):
@@ -147,30 +149,23 @@ class TowerRegistry:
 class UserPartition:
     """One shard of the record table holding every record of its users.
 
-    Record columns are parallel arrays canonically sorted by
-    (user_id, timestamp, tower_id); user_ids is sorted unique and
-    user_starts[i]:user_starts[i+1] slices user i's rows.
-
-    The index_* columns are the detection index: the same records again,
-    ordered by (civil day, pair, timestamp), where a pair is one (user,
-    tower) combination numbered densely in (user, tower) order: pair_users
-    ascends, and pair_towers ascends within each user. Records of
-    index_days[i] fill index_day_starts[i]:index_day_starts[i+1], which makes
-    any window a slice (day_slice). index_day_first marks the first record
-    of each (pair, day) run; as a window keeps or drops whole days, the
-    flags in a window's slice count each pair's distinct days, and the
-    flagged records carry each pair's earliest timestamp per day. Nothing
-    assumes the civil date rises with the timestamp. The index costs 15
-    bytes per record plus 16 per pair.
+    user_ids is sorted unique. The records are held once, in the detection
+    index: the index_* columns, ordered by (civil day, pair, timestamp),
+    where a pair is one (user, tower) combination numbered densely in
+    (user, tower) order: pair_users ascends, and pair_towers ascends within
+    each user. Records of index_days[i] fill
+    index_day_starts[i]:index_day_starts[i+1], which makes any window a
+    slice (day_slice). index_day_first marks the first record of each
+    (pair, day) run; as a window keeps or drops whole days, the flags in a
+    window's slice count each pair's distinct days, and the flagged records
+    carry each pair's earliest timestamp per day. Nothing assumes the civil
+    date rises with the timestamp. The layout costs 14 bytes per record,
+    16 per pair, 8 per user and 12 per civil day (plus 8).
     """
 
     index: int
     n_partitions: int
     user_ids: np.ndarray  # uint64, sorted unique
-    user_starts: np.ndarray  # int64, len n_users + 1
-    users: np.ndarray  # uint64 per record
-    towers: np.ndarray  # int64
-    timestamps: np.ndarray  # int64 epoch seconds
     pair_users: np.ndarray  # int64 row in user_ids, per pair
     pair_towers: np.ndarray  # int64 tower id, per pair
     index_days: np.ndarray  # int32 civil date ordinals present, ascending
@@ -188,7 +183,7 @@ class UserPartition:
 
     @property
     def n_records(self) -> int:
-        return len(self.users)
+        return len(self.index_pairs)
 
     @property
     def n_users(self) -> int:
@@ -197,12 +192,6 @@ class UserPartition:
     @property
     def n_pairs(self) -> int:
         return len(self.pair_towers)
-
-    def user_slice(self, user_id: int) -> slice:
-        i = np.searchsorted(self.user_ids, np.uint64(user_id))
-        if i >= len(self.user_ids) or self.user_ids[i] != np.uint64(user_id):
-            raise KeyError(f"user {user_id} not in partition {self.index}")
-        return slice(int(self.user_starts[i]), int(self.user_starts[i + 1]))
 
     def day_slice(self, first_ord: int, last_ord: int) -> slice:
         """Slice of the index_* columns holding civil days first..last."""
@@ -226,31 +215,32 @@ def partition_of(user_id: int, n_partitions: int) -> int:
     return int(_splitmix64(np.asarray([user_id], dtype=np.uint64))[0] % n_partitions)
 
 
-def _detection_index(user_starts, towers, timestamps, day_ords, week_hours):
-    """The index_* and pair_* columns of a partition in canonical order."""
-    n = len(towers)
-    user_rows = np.repeat(
-        np.arange(len(user_starts) - 1, dtype=np.int64), np.diff(user_starts)
-    )
+def _detection_index(users, towers, timestamps, day_ords, week_hours):
+    """user_ids and the pair_* and index_* columns of one partition's records."""
+    n = len(users)
+    user_ids, user_rows = np.unique(users, return_inverse=True)
     tower_ids, tower_codes = np.unique(towers, return_inverse=True)
     pair_keys = user_rows * len(tower_ids) + tower_codes
-    # stable sorts keep the canonical timestamp order inside every pair; the
-    # day key is small and unsigned, which numpy sorts by radix
-    by_pair = np.argsort(pair_keys, kind="stable")
-    pair_keys = pair_keys[by_pair]
+    # a sort by timestamp, then stable sorts by pair and by day, give (day,
+    # pair, timestamp) order; records that tie on all three are equal, so
+    # every column is a function of the record multiset, not the input
+    # order. The day key is small and unsigned, which numpy sorts by radix
+    order = np.argsort(timestamps)
+    order = order[np.argsort(pair_keys[order], kind="stable")]
+    pair_keys = pair_keys[order]
     new_pair = np.empty(n, dtype=bool)
     new_pair[:1] = True
     np.not_equal(pair_keys[1:], pair_keys[:-1], out=new_pair[1:])
     pairs = np.cumsum(new_pair, dtype=np.int64) - 1
     pair_keys = pair_keys[new_pair]
     pairs = pairs.astype(np.int32 if len(pair_keys) <= 2**31 else np.int64)
-    days = day_ords[by_pair]
+    days = day_ords[order]
     first_day, last_day = (int(days.min()), int(days.max())) if n else (0, 0)
     by_day = np.argsort(
         (days - first_day).astype(np.min_scalar_type(last_day - first_day)),
         kind="stable",
     )
-    order = by_pair[by_day]
+    order = order[by_day]
     pairs, days = pairs[by_day], days[by_day]
     new_day = np.empty(n, dtype=bool)
     new_day[:1] = True
@@ -259,6 +249,7 @@ def _detection_index(user_starts, towers, timestamps, day_ords, week_hours):
     day_first[1:] |= pairs[1:] != pairs[:-1]
     day_starts = np.flatnonzero(new_day)
     return {
+        "user_ids": user_ids,
         "pair_users": pair_keys // len(tower_ids),
         "pair_towers": tower_ids[pair_keys % len(tower_ids)],
         "index_days": days[day_starts],
@@ -279,13 +270,11 @@ def partition_records(
     n_partitions: int = 1,
     span: DatasetSpan | None = None,
 ) -> tuple[list[UserPartition], int]:
-    """Split records into per-user partitions in canonical order.
+    """Split records into per-user partitions, each holding its detection index.
 
     Derives civil fields in bulk; when a span is given, records whose civil
     date falls outside it are dropped and counted. Returns (partitions,
-    n_out_of_span). Input order never matters: every partition is sorted by
-    (user, timestamp, tower), then its detection index is built once from
-    that order (see UserPartition).
+    n_out_of_span). Input order never matters (see UserPartition).
     """
     if n_partitions < 1:
         raise ValueError("n_partitions must be >= 1")
@@ -295,38 +284,38 @@ def partition_records(
     if not (len(users) == len(towers) == len(timestamps)):
         raise ValueError("record columns have unequal lengths")
 
+    n_in = len(users)
+    if span is not None:
+        # a civil date is within a day of the UTC date: records two days
+        # outside the span's midnights are out of span, and dropping them
+        # before civil-time derivation keeps the zone's transition table
+        # (and datetime's year range) to the span
+        lo = clock.midnight_epoch(span.first_day) - 2 * _DAY
+        hi = clock.midnight_epoch(span.last_day) + 3 * _DAY
+        keep = (timestamps >= lo) & (timestamps < hi)
+        if not keep.all():
+            users, towers, timestamps = users[keep], towers[keep], timestamps[keep]
     day_ords, hours, weekdays = clock.local_fields(timestamps)
     week_hours = weekdays * 24 + hours
-    n_out = 0
     if span is not None:
         lo, hi = day_ordinal(span.first_day), day_ordinal(span.last_day)
         keep = (day_ords >= lo) & (day_ords <= hi)
-        n_out = int((~keep).sum())
-        if n_out:
+        if not keep.all():
             users, towers, timestamps = users[keep], towers[keep], timestamps[keep]
             day_ords, week_hours = day_ords[keep], week_hours[keep]
+    n_out = n_in - len(users)
 
     part_idx = _splitmix64(users) % np.uint64(n_partitions)
     parts: list[UserPartition] = []
     for p in range(n_partitions):
         m = part_idx == np.uint64(p)
-        pu, pt, pts = users[m], towers[m], timestamps[m]
-        pd, pw = day_ords[m], week_hours[m]
-        order = np.lexsort((pt, pts, pu))
-        pu, pt, pts = pu[order], pt[order], pts[order]
-        pd, pw = pd[order], pw[order]
-        uniq, starts = np.unique(pu, return_index=True)
-        starts = np.append(starts, len(pu)).astype(np.int64)
         parts.append(
             UserPartition(
                 index=p,
                 n_partitions=n_partitions,
-                user_ids=uniq,
-                user_starts=starts,
-                users=pu,
-                towers=pt,
-                timestamps=pts,
-                **_detection_index(starts, pt, pts, pd, pw),
+                **_detection_index(
+                    users[m], towers[m], timestamps[m], day_ords[m], week_hours[m]
+                ),
             )
         )
     return parts, n_out
@@ -444,6 +433,8 @@ def ingest(
                     ts = int(fields[2])
                 except ValueError:
                     ts = clock.parse_local(fields[2].strip())
+                if not (_I64_MIN <= ts <= _I64_MAX):
+                    raise ValueError("timestamp out of range")
             except ValueError:
                 report.rejected_malformed += 1
                 note_reject(line, "malformed")

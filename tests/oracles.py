@@ -22,6 +22,16 @@ def local_fields(ts: int, tz_name: str = TZ_NAME):
     return dt.date(), dt.hour, dt.weekday()
 
 
+def records_by_user(users, towers, timestamps):
+    """{user id: (towers, timestamps)} of raw record columns, input order."""
+    records = {}
+    for uid, tower, ts in zip(users.tolist(), towers.tolist(), timestamps.tolist()):
+        tw, st = records.setdefault(uid, ([], []))
+        tw.append(tower)
+        st.append(ts)
+    return records
+
+
 def user_fields(timestamps, tz_name: str = TZ_NAME):
     """Precomputed local fields for one user's timestamps, in order."""
     tz = ZoneInfo(tz_name)

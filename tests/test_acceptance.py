@@ -27,7 +27,9 @@ from cdrhomes.timebase import CivilClock
 from cdrhomes.windows import generate_windows
 
 from acceptance_log import log
-from oracles import brute_force_home, two_pass_pearson, user_fields
+from oracles import (
+    brute_force_home, records_by_user, two_pass_pearson, user_fields,
+)
 
 CLOCK = CivilClock("Europe/Paris")
 
@@ -62,14 +64,14 @@ def test_bulk_engine_equals_brute_force_reference():
     assert part.n_users >= 1000 and len(res.registry) >= 50
 
     started = time.perf_counter()
-    starts = part.user_starts
-    per_user = []
-    for i in range(part.n_users):
-        s = slice(int(starts[i]), int(starts[i + 1]))
-        ts = part.timestamps[s]
-        per_user.append((part.towers[s], ts, user_fields(ts)))
+    # each user's records straight from the generator's arrays, so a record
+    # the partition dropped or duplicated shows as a mismatch
+    records = records_by_user(res.users, res.towers, res.timestamps)
+    per_user = [records[uid] + (user_fields(records[uid][1]),)
+                for uid in part.user_ids.tolist()]
+    mismatches = int(part.user_ids.tolist() != sorted(records))
+    mismatches += abs(part.n_records - len(res.users))
 
-    mismatches = 0
     for spec in CANONICAL_HDAS:
         bulk = detect_homes_bulk(part, window, spec)
         for i, (tw, ts, fields) in enumerate(per_user):

@@ -224,6 +224,18 @@ def test_unknown_hda_rejected(synth_dir, tmp_path, capsys):
     assert "unknown HDA" in capsys.readouterr().err
 
 
+def test_duplicate_hda_rejected(synth_dir, tmp_path, capsys):
+    out = tmp_path / "r"
+    rc = main([
+        "sweep", "--records", str(synth_dir / "records.csv"),
+        "--towers", str(synth_dir / "towers.csv"), "--span", SPAN,
+        "--hdas", "MA,DD,MA", "--classes", "full", "--out", str(out),
+    ])
+    assert rc == 1
+    assert "duplicate HDA 'MA'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -1,6 +1,7 @@
 """Records model, partitioning, and ingestion accounting."""
 
 import dataclasses
+from collections import Counter
 from datetime import date
 
 import numpy as np
@@ -78,36 +79,73 @@ def test_registry_csv_round_trip(tmp_path):
     assert np.array_equal(back.population, reg.population)
 
 
+def _with_duplicates(rng, users, towers, stamps, n_dup=15):
+    """The records plus n_dup repeats of random ones, shuffled."""
+    rows = np.concatenate([np.arange(len(users)), rng.choice(len(users), n_dup)])
+    rows = rng.permutation(rows)
+    return users[rows], towers[rows], stamps[rows]
+
+
+def _array_fields(part):
+    return {
+        f.name: getattr(part, f.name)
+        for f in dataclasses.fields(part)
+        if isinstance(getattr(part, f.name), np.ndarray)
+    }
+
+
+def _assert_same_partitions(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        g_arrays, w_arrays = _array_fields(g), _array_fields(w)
+        assert g_arrays.keys() == w_arrays.keys()
+        for name, arr in w_arrays.items():
+            assert g_arrays[name].dtype == arr.dtype, name
+            assert np.array_equal(g_arrays[name], arr), name
+
+
 def test_partition_canonical_order_ignores_input_order():
     rng = np.random.default_rng(5)
-    users, towers, stamps = random_records(rng, 30, np.arange(100, 110), T0, T1)
-    clock = CivilClock()
-    parts_a, _ = partition_records(users, towers, stamps, clock=clock)
-    shuffle = rng.permutation(len(users))
-    parts_b, _ = partition_records(
-        users[shuffle], towers[shuffle], stamps[shuffle], clock=clock
+    users, towers, stamps = _with_duplicates(
+        rng, *random_records(rng, 30, np.arange(100, 110), T0, T1)
     )
-    a, b = parts_a[0], parts_b[0]
-    assert np.array_equal(a.users, b.users)
-    assert np.array_equal(a.towers, b.towers)
-    assert np.array_equal(a.timestamps, b.timestamps)
-    # sorted by (user, timestamp, tower)
-    key = np.lexsort((a.towers, a.timestamps, a.users))
-    assert np.array_equal(key, np.arange(len(key)))
+    clock = CivilClock()
+    for n_partitions in (1, 3):
+        parts_a, _ = partition_records(
+            users, towers, stamps, clock=clock, n_partitions=n_partitions
+        )
+        shuffle = rng.permutation(len(users))
+        parts_b, _ = partition_records(
+            users[shuffle], towers[shuffle], stamps[shuffle], clock=clock,
+            n_partitions=n_partitions,
+        )
+        _assert_same_partitions(parts_b, parts_a)
 
 
-def test_partition_user_slices():
+def _indexed_records(part):
+    """(user, tower, timestamp) of every record the index holds."""
+    pairs = part.index_pairs
+    return zip(
+        part.user_ids[part.pair_users[pairs]].tolist(),
+        part.pair_towers[pairs].tolist(),
+        part.index_timestamps.tolist(),
+    )
+
+
+def test_partition_holds_each_input_record_once():
     rng = np.random.default_rng(6)
-    users, towers, stamps = random_records(rng, 25, np.arange(100, 105), T0, T1)
-    part = partition_records(users, towers, stamps, clock=CivilClock())[0][0]
-    assert part.n_users == 25
-    total = 0
-    for uid in part.user_ids:
-        sl = part.user_slice(int(uid))
-        assert (part.users[sl] == uid).all()
-        assert (np.diff(part.timestamps[sl]) >= 0).all()
-        total += sl.stop - sl.start
-    assert total == part.n_records
+    users, towers, stamps = _with_duplicates(
+        rng, *random_records(rng, 25, np.arange(100, 105), T0, T1)
+    )
+    parts, _ = partition_records(
+        users, towers, stamps, clock=CivilClock(), n_partitions=2
+    )
+    assert sum(p.n_users for p in parts) == 25
+    assert sum(p.n_records for p in parts) == len(users)
+    held = Counter()
+    for part in parts:
+        held.update(_indexed_records(part))
+    assert held == Counter(zip(users.tolist(), towers.tolist(), stamps.tolist()))
 
 
 def test_partition_assignment_stable_and_complete():
@@ -148,42 +186,52 @@ def test_partition_arrays_read_only():
     users, towers, stamps = random_records(rng, 5, np.arange(100, 103), T0, T1)
     part = partition_records(users, towers, stamps, clock=CivilClock())[0][0]
     with pytest.raises(ValueError):
-        part.towers[0] = 5
-    # every column, the detection index's included
-    arrays = {
-        f.name: getattr(part, f.name)
-        for f in dataclasses.fields(part)
-        if isinstance(getattr(part, f.name), np.ndarray)
-    }
-    assert {"index_pairs", "index_timestamps", "index_week_hours",
+        part.index_timestamps[0] = 5
+    arrays = _array_fields(part)
+    assert {"user_ids", "index_pairs", "index_timestamps", "index_week_hours",
             "index_day_first", "index_days", "index_day_starts",
-            "pair_users", "pair_towers"} <= set(arrays)
+            "pair_users", "pair_towers"} == set(arrays)
     for name, arr in arrays.items():
         assert not arr.flags.writeable, name
         with pytest.raises(ValueError):
             arr[:1] = arr[:1]
 
 
-def test_detection_index_holds_the_canonical_records_by_day():
+def test_partition_layout_bytes():
+    # the records are held once: 14 bytes per record (int32 pair, int64
+    # timestamp, uint8 week hour, bool first-of-day), 16 per pair, 8 per
+    # user, 12 per civil day plus the closing day start
+    rng = np.random.default_rng(13)
+    users, towers, stamps = random_records(rng, 40, np.arange(100, 106), T0, T1)
+    for part in partition_records(
+        users, towers, stamps, clock=CivilClock(), n_partitions=2
+    )[0]:
+        n_days = len(part.index_days)
+        layout = (14 * part.n_records + 16 * part.n_pairs + 8 * part.n_users
+                  + 12 * n_days + 8)
+        assert sum(a.nbytes for a in _array_fields(part).values()) == layout
+
+
+def test_detection_index_holds_the_input_records_by_day():
     rng = np.random.default_rng(11)
-    users, towers, stamps = random_records(rng, 12, np.arange(100, 104), T0, T1)
+    users, towers, stamps = _with_duplicates(
+        rng, *random_records(rng, 12, np.arange(100, 104), T0, T1)
+    )
     part = partition_records(users, towers, stamps, clock=CivilClock())[0][0]
     pairs = part.index_pairs
     # pairs number (user, tower) combinations densely in that order
     key = part.pair_users * 1000 + part.pair_towers
     assert (np.diff(key) > 0).all()
+    assert part.user_ids.tolist() == sorted(set(users.tolist()))
     day_of = np.repeat(part.index_days, np.diff(part.index_day_starts))
     assert (np.diff(part.index_days) > 0).all()
-    assert part.index_day_starts[-1] == part.n_records
-    # the same records as the canonical columns, in (day, pair, timestamp) order
+    assert part.index_day_starts[-1] == part.n_records == len(users)
+    # the input records, duplicates included, in (day, pair, timestamp) order
     index_rows = np.lexsort((part.index_timestamps, pairs, day_of))
     assert np.array_equal(index_rows, np.arange(part.n_records))
-    canonical = sorted(zip(part.users, part.towers, part.timestamps))
-    indexed = sorted(zip(
-        part.user_ids[part.pair_users[pairs]], part.pair_towers[pairs],
-        part.index_timestamps,
-    ))
-    assert canonical == indexed
+    assert sorted(_indexed_records(part)) == sorted(
+        zip(users.tolist(), towers.tolist(), stamps.tolist())
+    )
     # one flag per (pair, day); a day range is a slice
     assert part.index_day_first.sum() == len(set(zip(pairs, day_of)))
     sl = part.day_slice(int(part.index_days[3]), int(part.index_days[5]))
@@ -249,6 +297,40 @@ def test_ingest_reject_accounting(tmp_path):
     assert "accepted=2" in text
 
 
+def test_ingest_rejects_timestamps_beyond_int64(tmp_path):
+    reg = make_registry(2)
+    path = tmp_path / "records.csv"
+    _write_lines(path, [
+        f"1,100,{T0 + 50}",
+        "1,100,99999999999999999999",
+        "1,100,-99999999999999999999",
+        f"1,100,{2**63}",
+    ])
+    parts, report = ingest(path, reg, SPAN)
+    assert report.accepted == 1
+    assert report.rejected_malformed == 3
+    assert parts[0].index_timestamps.tolist() == [T0 + 50]
+
+
+def test_ingest_counts_far_off_timestamps_out_of_span(tmp_path):
+    # some 32 million years either side of 1970, and the int64 extremes:
+    # dropped before civil-time derivation, which cannot represent them
+    reg = make_registry(2)
+    path = tmp_path / "records.csv"
+    _write_lines(path, [
+        f"1,100,{T0 + 50}",
+        "1,100,1000000000000000",
+        "1,101,-1000000000000000",
+        f"2,100,{2**63 - 1}",
+        f"2,101,{-(2**63)}",
+    ])
+    parts, report = ingest(path, reg, SPAN)
+    assert report.accepted == 1
+    assert report.rejected_out_of_span == 4
+    assert report.distinct_users == 1
+    assert parts[0].index_timestamps.tolist() == [T0 + 50]
+
+
 def test_ingest_unknown_tower_fail(tmp_path):
     reg = make_registry(2)
     path = tmp_path / "records.csv"
@@ -265,7 +347,9 @@ def test_ingest_missing_file(tmp_path):
 def test_write_then_ingest_round_trip(tmp_path):
     rng = np.random.default_rng(12)
     reg = make_registry(6)
-    users, towers, stamps = random_records(rng, 40, reg.tower_ids, T0, T1)
+    users, towers, stamps = _with_duplicates(
+        rng, *random_records(rng, 40, reg.tower_ids, T0, T1)
+    )
     path = tmp_path / "records.csv"
     write_records_csv(path, users, towers, stamps)
     parts, report = ingest(path, reg, SPAN, n_partitions=3)
@@ -273,7 +357,4 @@ def test_write_then_ingest_round_trip(tmp_path):
     direct, _ = partition_records(
         users, towers, stamps, clock=CivilClock(), n_partitions=3
     )
-    for got, want in zip(parts, direct):
-        assert np.array_equal(got.users, want.users)
-        assert np.array_equal(got.towers, want.towers)
-        assert np.array_equal(got.timestamps, want.timestamps)
+    _assert_same_partitions(parts, direct)

@@ -23,7 +23,9 @@ from cdrhomes.timebase import CivilClock
 from cdrhomes.windows import ObservationWindow, generate_windows
 
 from conftest import make_registry, one_partition, random_records
-from oracles import TZ_NAME, brute_force_home, event_qualifies, user_fields
+from oracles import (
+    TZ_NAME, brute_force_home, event_qualifies, records_by_user, user_fields,
+)
 
 SPAN = DatasetSpan.parse("2007-05-13..2007-10-13")
 CLOCK = CivilClock()
@@ -44,33 +46,39 @@ def _row(bulk, i):
 
 
 def _assert_matches_oracle(
-    part, bulk, spec, window, min_qualifying=1, tz_name=TZ_NAME, fields=None
+    part, bulk, spec, window, records, min_qualifying=1, tz_name=TZ_NAME,
+    fields=None,
 ):
-    """Every user of the bulk equals brute_force_home; fields caches
-    user_fields per user id across calls."""
+    """Every user of the bulk equals brute_force_home over the user's input
+    records (records_by_user), and the partition holds exactly those
+    records; fields caches user_fields per user id across calls."""
     fields = {} if fields is None else fields
     assert np.array_equal(bulk.user_ids, part.user_ids)
-    for i, uid in enumerate(part.user_ids):
-        sl = part.user_slice(int(uid))
-        ts, tw = part.timestamps[sl], part.towers[sl]
-        if int(uid) not in fields:
-            fields[int(uid)] = user_fields(ts, tz_name)
+    if part.n_partitions == 1:
+        assert part.user_ids.tolist() == sorted(records)
+    assert part.n_records == sum(len(records[int(u)][1]) for u in part.user_ids)
+    for i, uid in enumerate(part.user_ids.tolist()):
+        tw, ts = records[uid]
+        if uid not in fields:
+            fields[uid] = user_fields(ts, tz_name)
         want = brute_force_home(
-            spec, tw, ts, fields[int(uid)],
+            spec, tw, ts, fields[uid],
             window.first_day, window.last_day, min_qualifying,
         )
-        assert _row(bulk, i) == want, (window.label, spec.name, int(uid))
+        assert _row(bulk, i) == want, (window.label, spec.name, uid)
 
 
 def _detect(name, *pairs, min_qualifying=1):
     """Bulk-engine outcome of one user's (tower, ts) pairs over the full span,
     checked against the oracle first."""
     spec = canonical_hda(name)
+    users = np.full(len(pairs), 7, dtype=np.uint64)
     towers = np.array([t for t, _ in pairs], dtype=np.int64)
     stamps = np.array([ts for _, ts in pairs], dtype=np.int64)
-    part = one_partition(np.full(len(pairs), 7, dtype=np.uint64), towers, stamps)[0]
+    part = one_partition(users, towers, stamps)[0]
     bulk = detect_homes_bulk(part, FULL, spec, min_qualifying=min_qualifying)
-    _assert_matches_oracle(part, bulk, spec, FULL, min_qualifying)
+    records = records_by_user(users, towers, stamps)
+    _assert_matches_oracle(part, bulk, spec, FULL, records, min_qualifying)
     return _row(bulk, 0)
 
 
@@ -207,10 +215,11 @@ def test_bulk_matches_reference_and_oracle():
             rng, 20, np.arange(100, 105), T0, T1, mean_events=12
         )
         part = one_partition(users, towers, stamps)[0]
+        records = records_by_user(users, towers, stamps)
         for window in windows:
             for spec in CANONICAL_HDAS:
                 bulk = detect_homes_bulk(part, window, spec)
-                _assert_matches_oracle(part, bulk, spec, window)
+                _assert_matches_oracle(part, bulk, spec, window, records)
 
 
 def test_bulk_min_qualifying_matches_reference():
@@ -219,9 +228,10 @@ def test_bulk_min_qualifying_matches_reference():
         rng, 15, np.arange(100, 104), T0, T1, mean_events=6
     )
     part = one_partition(users, towers, stamps)[0]
+    records = records_by_user(users, towers, stamps)
     for spec in (canonical_hda("MA"), canonical_hda("DD"), canonical_hda("TC-WE")):
         bulk = detect_homes_bulk(part, FULL, spec, min_qualifying=3)
-        _assert_matches_oracle(part, bulk, spec, FULL, min_qualifying=3)
+        _assert_matches_oracle(part, bulk, spec, FULL, records, min_qualifying=3)
 
 
 @pytest.mark.parametrize("n_partitions", [1, 3])
@@ -244,12 +254,17 @@ def test_bulk_matches_oracle_on_whole_grid(n_partitions):
     )
     parts = one_partition(users, towers, stamps, n_partitions=n_partitions)
     assert len(parts) == n_partitions
+    records = records_by_user(users, towers, stamps)
+    held = np.concatenate([p.user_ids for p in parts])
+    assert sorted(held.tolist()) == sorted(records)
     fields = {}
     for window in windows:
         for spec, min_q in thresholds:
             for part in parts:
                 bulk = detect_homes_bulk(part, window, spec, min_qualifying=min_q)
-                _assert_matches_oracle(part, bulk, spec, window, min_q, fields=fields)
+                _assert_matches_oracle(
+                    part, bulk, spec, window, records, min_q, fields=fields
+                )
                 if window.label in ("before", "after"):
                     assert bulk.n_assigned == 0 and not bulk.qualifying.any()
 
@@ -275,6 +290,7 @@ def test_bulk_matches_oracle_where_civil_date_steps_back():
     towers = np.concatenate([towers, np.array([t for t, _ in own], dtype=np.int64)])
     stamps = np.concatenate([stamps, np.array([s for _, s in own], dtype=np.int64)])
     part = one_partition(users, towers, stamps, clock=clock)[0]
+    records = records_by_user(users, towers, stamps)
     windows = [
         ObservationWindow(
             "nov", date(2007, 11, 1), date(2007, 11, 10), "custom"
@@ -287,7 +303,7 @@ def test_bulk_matches_oracle_where_civil_date_steps_back():
         for spec in CANONICAL_HDAS:
             bulk = detect_homes_bulk(part, window, spec)
             _assert_matches_oracle(
-                part, bulk, spec, window, tz_name=tz_name, fields=fields
+                part, bulk, spec, window, records, tz_name=tz_name, fields=fields
             )
     row = int(np.searchsorted(part.user_ids, 99))
     bulk = detect_homes_bulk(part, windows[0], canonical_hda("MA"))
