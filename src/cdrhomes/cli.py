@@ -150,7 +150,7 @@ def _do_ingest(opt: Options, registry: TowerRegistry):
         opt.require("records"),
         registry,
         span,
-        n_partitions=int(opt.get("partitions", 1, int)),
+        n_partitions=opt.get("partitions", 1, int),
         unknown_tower=opt.get("unknown-tower", "skip"),
         clock=_clock(opt),
     )
@@ -178,16 +178,23 @@ def cmd_windows(opt: Options) -> int:
     return 0
 
 
+def _given(opt: Options, **converts) -> dict:
+    """{name: value} of the names whose flag (the name with '-' for '_') or
+    config key is given, so the callee's defaults hold for the rest."""
+    given = {k: opt.get(k.replace("_", "-"), None, c) for k, c in converts.items()}
+    return {k: v for k, v in given.items() if v is not None}
+
+
 def cmd_synth(opt: Options) -> int:
     out_dir = Path(opt.require("out"))
     out_dir.mkdir(parents=True, exist_ok=True)
-    seed = int(opt.require("seed"))
-    n_towers = int(opt.require("n-towers"))
-    n_population = int(opt.require("n-population"))
+    seed = opt.require("seed", int)
+    n_towers = opt.require("n-towers", int)
+    n_population = opt.require("n-population", int)
     span = _span(opt)
 
     migration = None
-    fraction = float(opt.get("migration-fraction", 0.0, float))
+    fraction = opt.get("migration-fraction", 0.0, float)
     if fraction > 0:
         dates = DatasetSpan.parse(opt.require("migration-range"))
         tour_raw = opt.require("touristic-towers")
@@ -199,23 +206,23 @@ def cmd_synth(opt: Options) -> int:
             touristic = tuple(int(t) for t in tour_raw.split(",") if t.strip())
         migration = MigrationConfig(
             dates.first_day, dates.last_day, fraction, touristic,
-            min_stay_days=int(opt.get("min-stay-days", 28, int)),
+            **_given(opt, min_stay_days=int),
         )
 
+    tunables = _given(
+        opt, market_share=float, daily_event_rate=float, home_call_share_night=float,
+        work_call_share_day=float, home_call_share_day=float, work_pool_size=int,
+        neighbor_pool_size=int, tz=str,
+    )
+    if "tz" in tunables:
+        tunables["tz_name"] = tunables.pop("tz")
     config = SynthConfig(
         seed=seed,
         n_towers=n_towers,
         n_population=n_population,
         span=span,
-        market_share=float(opt.get("market-share", 0.28, float)),
-        daily_event_rate=float(opt.get("daily-event-rate", 6.0, float)),
-        home_call_share_night=float(opt.get("home-call-share-night", 0.85, float)),
-        work_call_share_day=float(opt.get("work-call-share-day", 0.6, float)),
-        home_call_share_day=float(opt.get("home-call-share-day", 0.3, float)),
-        work_pool_size=int(opt.get("work-pool-size", 6, int)),
-        neighbor_pool_size=int(opt.get("neighbor-pool-size", 8, int)),
         migration=migration,
-        tz_name=opt.get("tz", DEFAULT_TZ),
+        **tunables,
     )
     result = generate(config)
     result.registry.write_csv(out_dir / "towers.csv")
@@ -242,7 +249,7 @@ def cmd_detect(opt: Options) -> int:
     partitions, report = _do_ingest(opt, registry)
     window = _custom_window(opt.require("window"))
     spec = canonical_hda(opt.require("hda"))
-    min_q = int(opt.get("min-qualifying", 1, int))
+    min_q = opt.get("min-qualifying", 1, int)
     bulks = [
         detect_homes_bulk(p, window, spec, min_qualifying=min_q) for p in partitions
     ]
@@ -282,9 +289,9 @@ def cmd_sweep(opt: Options) -> int:
             migration_range = DatasetSpan.parse(mr)
 
     options = SweepOptions(
-        exclusion_threshold=int(opt.get("exclusion-threshold", 0, int)),
-        min_qualifying=int(opt.get("min-qualifying", 1, int)),
-        workers=int(opt.get("workers", 1, int)),
+        exclusion_threshold=opt.get("exclusion-threshold", 0, int),
+        min_qualifying=opt.get("min-qualifying", 1, int),
+        workers=opt.get("workers", 1, int),
         per_tower_exports=opt.get("per-tower-exports", True, _parse_bool),
         dump_assignments=opt.get("dump-assignments", False, _parse_bool),
         resume=opt.get("resume", False, _parse_bool),

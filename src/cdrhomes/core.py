@@ -353,16 +353,11 @@ class IngestReport:
             )
 
     def as_dict(self) -> dict:
+        """Every field but sample_rejects, in field order."""
         return {
-            "records_file": self.records_file,
-            "header_line": self.header_line,
-            "total_lines": self.total_lines,
-            "accepted": self.accepted,
-            "rejected_malformed": self.rejected_malformed,
-            "rejected_unknown_tower": self.rejected_unknown_tower,
-            "rejected_out_of_span": self.rejected_out_of_span,
-            "distinct_users": self.distinct_users,
-            "n_partitions": self.n_partitions,
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.name != "sample_rejects"
         }
 
     def as_text(self) -> str:

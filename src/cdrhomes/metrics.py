@@ -15,7 +15,6 @@ import numpy as np
 
 from .hda import TowerVectors
 
-_BLOCK = 65536
 N_DECILE_BINS = 9  # top decile is excluded from the profile
 
 
@@ -33,12 +32,11 @@ def _as_vector(a, name: str) -> np.ndarray:
 
 
 def pearson_r(x, y) -> float:
-    """Pearson correlation in one pass with blockwise compensated moments.
+    """Pearson correlation by the centred two-pass formula.
 
-    Accumulates (n, mean, centered second moments) per block and merges with
-    the parallel-combination identities, so catastrophic cancellation on
-    large offsets is avoided without a second pass. Result is clamped to
-    [-1, 1]; constant input raises UndefinedMetric rather than returning 0.
+    The first pass takes the means, the second the centred second moments,
+    so large offsets cause no catastrophic cancellation. Result is clamped
+    to [-1, 1]; constant input raises UndefinedMetric rather than returning 0.
     """
     xa = _as_vector(x, "x")
     ya = _as_vector(y, "y")
@@ -47,36 +45,11 @@ def pearson_r(x, y) -> float:
     n = len(xa)
     if n < 2:
         raise UndefinedMetric(f"need at least 2 points, got {n}")
-
-    n_acc = 0
-    mx = my = 0.0
-    sxx = syy = sxy = 0.0
-    for i in range(0, n, _BLOCK):
-        bx = xa[i : i + _BLOCK]
-        by = ya[i : i + _BLOCK]
-        bn = len(bx)
-        bmx = float(bx.mean())
-        bmy = float(by.mean())
-        dx = bx - bmx
-        dy = by - bmy
-        bsxx = float(dx @ dx)
-        bsyy = float(dy @ dy)
-        bsxy = float(dx @ dy)
-        if n_acc == 0:
-            n_acc, mx, my = bn, bmx, bmy
-            sxx, syy, sxy = bsxx, bsyy, bsxy
-        else:
-            tot = n_acc + bn
-            ddx = bmx - mx
-            ddy = bmy - my
-            w = n_acc * bn / tot
-            sxx += bsxx + ddx * ddx * w
-            syy += bsyy + ddy * ddy * w
-            sxy += bsxy + ddx * ddy * w
-            mx += ddx * bn / tot
-            my += ddy * bn / tot
-            n_acc = tot
-
+    dx = xa - float(xa.mean())
+    dy = ya - float(ya.mean())
+    sxx = float(dx @ dx)
+    syy = float(dy @ dy)
+    sxy = float(dx @ dy)
     if sxx <= 0.0:
         raise UndefinedMetric("x is constant; correlation undefined")
     if syy <= 0.0:

@@ -3,9 +3,13 @@
 Cells are independent, so parallelism is cell-level: each cell is computed
 wholly inside one process and pure numpy makes its numbers bitwise
 reproducible, which keeps final report files byte-identical for any worker
-count. Completed cells are appended to cells.jsonl as they land; a killed
-run resumes by skipping cells already recorded there, and load_run is the
-one reader of a run directory, for resume and for re-emitting reports.
+count. A cell's result is its cells.jsonl record: computing a cell yields
+that record, SweepResult.add_cell takes it in, and the reports are built
+from what add_cell kept, so a live sweep and a run directory read back by
+load_run emit the same bytes. A killed run resumes by skipping cells already
+recorded there, provided they carry the run's fingerprint (a hash of the
+options, grid and input arrays); cells computed under anything else refuse
+the resume.
 
 Worker processes use the fork start method and read the shared state from a
 module global set before the pool starts; where fork is unavailable the
@@ -15,14 +19,13 @@ sweep degrades to sequential execution with identical outputs.
 from __future__ import annotations
 
 import concurrent.futures
-import csv
-import io
+import hashlib
 import json
 import multiprocessing
 import os
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from datetime import date, datetime, timezone
 from pathlib import Path
 
@@ -38,6 +41,7 @@ from .synth import (
     AccuracyRow,
     GroundTruthTable,
     accuracy_csv,
+    migration_range,
     score_against_truth,
 )
 from .windows import ObservationWindow, windows_table
@@ -68,19 +72,16 @@ class SweepOptions:
             raise ValueError("workers must be >= 1")
 
     def as_dict(self) -> dict:
-        return {
-            "exclusion_threshold": self.exclusion_threshold,
-            "min_qualifying": self.min_qualifying,
-            "workers": self.workers,
-            "per_tower_exports": self.per_tower_exports,
-            "dump_assignments": self.dump_assignments,
-            "resume": self.resume,
-        }
+        return asdict(self)
 
 
 @dataclass
 class SweepResult:
-    """Everything a finished sweep knows, keyed by (hda, window) labels."""
+    """Everything a finished sweep knows, keyed by (hda, window) labels.
+
+    Reports are rebuilt from the cells' records, so they carry no per-tower
+    log-ratios (those live in the tower exports).
+    """
 
     windows: list[ObservationWindow]
     hda_names: list[str]
@@ -105,6 +106,18 @@ class SweepResult:
             rows.extend(self.accuracy.get((hda, window.label), []))
         return AccuracyReport(window=window.label, rows=rows)
 
+    def add_cell(self, rec: dict) -> None:
+        """Take in one cell record: an ok cell's report and accuracy, or its error."""
+        key = (rec["hda"], rec["window"])
+        if rec["status"] != "ok":
+            self.errors[key] = rec["error"]
+            return
+        self.reports[key] = MetricReport.from_cell_dict(rec)
+        if rec.get("accuracy") is not None:
+            self.accuracy[key] = [
+                AccuracyRow(*key, g, n, c) for g, n, c in rec["accuracy"]
+            ]
+
 
 @dataclass
 class RunManifest:
@@ -118,6 +131,7 @@ class RunManifest:
     options: dict
     hdas: list[str]
     windows: list[dict]
+    fingerprint: str
     n_cells: int
     n_failed: int
     failed_cells: list[str]
@@ -128,25 +142,9 @@ class RunManifest:
     extra: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        payload = {
-            "tool": "cdrhomes",
-            "version": self.version,
-            "created_utc": self.created_utc,
-            "span": self.span,
-            "tz": self.tz_name,
-            "n_partitions": self.n_partitions,
-            "options": self.options,
-            "hdas": self.hdas,
-            "windows": self.windows,
-            "n_cells": self.n_cells,
-            "n_failed": self.n_failed,
-            "failed_cells": self.failed_cells,
-            "cell_status": self.cell_status,
-            "elapsed_seconds": round(self.elapsed_seconds, 3),
-            "ingest": self.ingest,
-            "seeds": self.seeds,
-            "extra": self.extra,
-        }
+        payload = {"tool": "cdrhomes", **asdict(self)}
+        payload["tz"] = payload.pop("tz_name")
+        payload["elapsed_seconds"] = round(self.elapsed_seconds, 3)
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
     def write(self, out_dir) -> Path:
@@ -176,11 +174,9 @@ def _ffmt(v) -> str:
 _STATE: dict | None = None
 
 
-def _cell_key(hda: str, window: str) -> str:
-    return f"{hda}|{window}"
-
-
-def _compute_cell(state: dict, h_idx: int, w_idx: int) -> dict:
+def _compute_cell(state: dict, h_idx: int, w_idx: int) -> tuple:
+    """(record, x, logratio, bulks): the cell's cells.jsonl record, "ok" or
+    "failed", and what its export files need (None for a failed cell)."""
     spec: HdaSpec = state["hdas"][h_idx]
     window: ObservationWindow = state["windows"][w_idx]
     t0 = time.perf_counter()
@@ -199,53 +195,77 @@ def _compute_cell(state: dict, h_idx: int, w_idx: int) -> dict:
             window.duration_class,
             exclusion_threshold=state["exclusion_threshold"],
         )
-        accuracy = None
+        rec = report.as_cell_dict()
+        rec["status"] = "ok"
+        rec["accuracy"] = None
         if state["truth"] is not None:
             acc = score_against_truth(
                 {spec.name: bulks}, state["truth"], window, state["migration"]
             )
-            accuracy = [
-                [r.group, r.n_users, r.n_correct] for r in acc.rows
-            ]
-        return {
-            "h": h_idx,
-            "w": w_idx,
-            "report": report,
-            "x": vectors.x,
-            "accuracy": accuracy,
-            "assignments": bulks if state["dump_assignments"] else None,
-            "error": None,
-            "elapsed": time.perf_counter() - t0,
-        }
+            rec["accuracy"] = [[r.group, r.n_users, r.n_correct] for r in acc.rows]
+        exports = (
+            vectors.x, report.logratio, bulks if state["dump_assignments"] else None
+        )
     except Exception:
-        return {
-            "h": h_idx,
-            "w": w_idx,
-            "report": None,
-            "x": None,
-            "accuracy": None,
-            "assignments": None,
+        rec = {
+            "hda": spec.name,
+            "window": window.label,
+            "status": "failed",
             "error": traceback.format_exc(limit=8),
-            "elapsed": time.perf_counter() - t0,
         }
+        exports = (None, None, None)
+    rec["fingerprint"] = state["fingerprint"]
+    rec["elapsed"] = round(time.perf_counter() - t0, 4)
+    return (rec, *exports)
 
 
-def _cell_entry(h_idx: int, w_idx: int) -> dict:
+def _cell_entry(h_idx: int, w_idx: int) -> tuple:
     assert _STATE is not None, "worker state missing (fork expected)"
     return _compute_cell(_STATE, h_idx, w_idx)
 
 
+def _fingerprint(
+    header: dict,
+    partitions: list[UserPartition],
+    registry: TowerRegistry,
+    truth: GroundTruthTable | None,
+) -> str:
+    """sha256 of what a cell's record depends on: the header, then every
+    partition, registry and truth array (name, dtype, shape and bytes)."""
+    arrays = [
+        (f"partition{p.index}.{f.name}", getattr(p, f.name))
+        for p in partitions
+        for f in fields(p)
+        if isinstance(getattr(p, f.name), np.ndarray)
+    ]
+    arrays += [
+        (f"registry.{name}", getattr(registry, name))
+        for name in ("tower_ids", "lon", "lat", "population")
+    ]
+    if truth is not None:
+        arrays += [(f"truth.{f.name}", getattr(truth, f.name)) for f in fields(truth)]
+    h = hashlib.sha256(json.dumps(header, sort_keys=True, default=str).encode())
+    for name, a in arrays:
+        h.update(f"\n{name} {a.dtype.str} {a.shape}\n".encode())
+        h.update(np.ascontiguousarray(a).data)
+    return h.hexdigest()
+
+
 def load_run(
-    out_dir, windows=None, hda_names=None, *, resume: bool = False
+    out_dir, windows=None, hda_names=None, *, fingerprint: str | None = None
 ) -> tuple[SweepResult, int]:
     """Rebuild a SweepResult from a run directory's cells.jsonl.
 
     The grid comes from manifest.json unless windows and hda_names are
     given (a killed run has not written its manifest). Every grid cell
-    recorded "ok" is restored, without per-tower log-ratios. Returns the
-    result and the number of lines that are not JSON objects. With
-    resume=True a torn last line left by a killed run is cut off the file
-    first, so the next appended cell starts a line of its own.
+    recorded "ok" is restored through SweepResult.add_cell; failed cells
+    are left out, so a resume computes them again. Returns the result and
+    the number of lines that are not JSON objects.
+
+    A resume passes the run's fingerprint: an "ok" record with another
+    fingerprint, or none, raises ValueError (it was computed under other
+    inputs or options), and a torn last line left by a killed run is cut
+    off the file, so the next appended cell starts a line of its own.
     """
     out_path = Path(out_dir)
     if windows is None:
@@ -271,9 +291,8 @@ def load_run(
         return result, 0
     data = path.read_bytes()
     end = data.rfind(b"\n") + 1
-    if resume and end < len(data):
-        with open(path, "r+b") as fh:
-            fh.truncate(end)
+    torn = fingerprint is not None and end < len(data)
+    if torn:
         data = data[:end]
     grid = {(h, w.label) for h in result.hda_names for w in result.windows}
     n_bad = 0
@@ -287,21 +306,21 @@ def load_run(
         if not isinstance(rec, dict):
             n_bad += 1
             continue
-        key = (rec.get("hda"), rec.get("window"))
-        if rec.get("status") != "ok" or key not in grid:
+        if rec.get("status") != "ok":
             continue
-        result.reports[key] = MetricReport.from_cell_dict(rec)
-        if rec.get("accuracy") is not None:
-            result.accuracy[key] = [
-                AccuracyRow(*key, g, n, c) for g, n, c in rec["accuracy"]
-            ]
+        if fingerprint is not None and rec.get("fingerprint") != fingerprint:
+            raise ValueError(
+                f"cannot resume {out_path}: cell {rec.get('hda')}|"
+                f"{rec.get('window')} was computed under other inputs or options "
+                f"(fingerprint {rec.get('fingerprint')} != {fingerprint}); "
+                "run without resume"
+            )
+        if (rec.get("hda"), rec.get("window")) in grid:
+            result.add_cell(rec)
+    if torn:
+        with open(path, "r+b") as fh:
+            fh.truncate(end)
     return result, n_bad
-
-
-def _persist_cell(out_dir: Path, rec: dict) -> None:
-    with open(out_dir / CELLS_FILE, "a") as fh:
-        fh.write(json.dumps(rec, sort_keys=True) + "\n")
-        fh.flush()
 
 
 def _tower_export_rows(registry: TowerRegistry) -> list[tuple[str, str]]:
@@ -318,36 +337,36 @@ def _tower_export_rows(registry: TowerRegistry) -> list[tuple[str, str]]:
 
 
 def _write_tower_export(
-    out_dir: Path, report: MetricReport, x: np.ndarray, rows: list[tuple[str, str]]
+    path: Path, x: np.ndarray, logratio: np.ndarray, rows: list[tuple[str, str]]
 ) -> None:
     """One cell's per-tower CSV; rows come from _tower_export_rows."""
-    path = out_dir / TOWERS_DIR / f"{report.hda}__{report.window}.csv"
-    logratio = (
-        [""] * len(rows)
-        if report.logratio is None
-        else ["" if v != v else repr(v) for v in report.logratio.tolist()]  # NaN
-    )
+    lr = ["" if v != v else repr(v) for v in logratio.tolist()]  # NaN
     lines = ["tower_id,lon,lat,x,y,logratio"]
     lines += [
-        f"{head}{xi}{mid}{lr}"
-        for (head, mid), xi, lr in zip(rows, x.tolist(), logratio)
+        f"{head}{xi}{mid}{v}" for (head, mid), xi, v in zip(rows, x.tolist(), lr)
     ]
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
 def _write_assignment_dump(path: Path, bulks) -> None:
-    """Per-user CSV of a cell's BulkAssignments, one per partition, in order."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["user_id", "home_tower", "qualifying_count", "tie_broken"])
+    """Per-user CSV of a cell's BulkAssignments, one per partition.
+
+    Rows come partition by partition, by ascending user id within each
+    partition, so the row order (not the rows) depends on the partition
+    count; an unassigned user has an empty home_tower.
+    """
+    lines = ["user_id,home_tower,qualifying_count,tie_broken"]
     for b in bulks:
-        for uid, home, q, t in zip(
-            b.user_ids, b.home_towers, b.qualifying, b.tie_broken
-        ):
-            w.writerow(
-                [int(uid), int(home) if home >= 0 else "", int(q), int(bool(t))]
+        lines += [
+            f"{uid},{'' if home < 0 else home},{q},{int(t)}"
+            for uid, home, q, t in zip(
+                b.user_ids.tolist(),
+                b.home_towers.tolist(),
+                b.qualifying.tolist(),
+                b.tie_broken.tolist(),
             )
-    _atomic_write(path, buf.getvalue())
+        ]
+    _atomic_write(path, "\n".join(lines) + "\n")
 
 
 def run_sweep(
@@ -370,11 +389,33 @@ def run_sweep(
     With out_dir=None nothing is written (in-memory use); otherwise the
     directory is probed for writability before any computation starts, and
     emit_reports is invoked at the end. options.resume skips cells already
-    recorded in an existing cells.jsonl.
+    recorded in an existing cells.jsonl, and raises ValueError when any of
+    them was computed under another fingerprint.
     """
     t_start = time.perf_counter()
     hdas = list(hdas)
     result = SweepResult(windows=list(windows), hda_names=[s.name for s in hdas])
+    window_dicts = [
+        {
+            "label": w.label,
+            "first_day": w.first_day.isoformat(),
+            "last_day": w.last_day.isoformat(),
+            "class": w.duration_class,
+        }
+        for w in result.windows
+    ]
+    options_used = options.as_dict()
+    del options_used["workers"], options_used["resume"]  # neither changes a record
+    header = {
+        "options": options_used,
+        "span": span,
+        "tz": tz_name,
+        "hdas": [asdict(s) for s in hdas],
+        "windows": window_dicts,
+        "n_partitions": len(partitions),
+        "migration": migration_range(migration),
+    }
+    fingerprint = _fingerprint(header, partitions, registry, truth)
     out_path: Path | None = None
     if out_dir is not None:
         out_path = Path(out_dir)
@@ -385,17 +426,17 @@ def run_sweep(
             probe.unlink()
         except OSError as exc:
             raise OSError(f"output directory not writable: {out_path}") from exc
+        if options.resume:
+            result, _ = load_run(
+                out_path, result.windows, result.hda_names, fingerprint=fingerprint
+            )
+        else:
+            (out_path / CELLS_FILE).unlink(missing_ok=True)
         if options.per_tower_exports:
             (out_path / TOWERS_DIR).mkdir(exist_ok=True)
             tower_rows = _tower_export_rows(registry)
         if options.dump_assignments:
             (out_path / ASSIGNMENTS_DIR).mkdir(exist_ok=True)
-        if options.resume:
-            result, _ = load_run(
-                out_path, result.windows, result.hda_names, resume=True
-            )
-        else:
-            (out_path / CELLS_FILE).unlink(missing_ok=True)
 
     state = {
         "partitions": partitions,
@@ -407,6 +448,7 @@ def run_sweep(
         "truth": truth,
         "migration": migration,
         "dump_assignments": options.dump_assignments,
+        "fingerprint": fingerprint,
     }
 
     todo = [
@@ -416,60 +458,30 @@ def run_sweep(
         if (hda, window.label) not in result.reports
     ]
 
-    def take(payload: dict) -> None:
-        hda = result.hda_names[payload["h"]]
-        window = result.windows[payload["w"]]
-        key = (hda, window.label)
-        if payload["error"] is not None:
-            result.errors[key] = payload["error"]
-            if out_path is not None:
-                _persist_cell(
-                    out_path,
-                    {
-                        "hda": hda,
-                        "window": window.label,
-                        "status": "failed",
-                        "error": payload["error"],
-                        "elapsed": round(payload["elapsed"], 4),
-                    },
-                )
+    def take(cell: tuple) -> None:
+        rec, x, logratio, bulks = cell
+        result.add_cell(rec)
+        if out_path is None:
             return
-        report: MetricReport = payload["report"]
-        result.reports[key] = report
-        if payload["accuracy"] is not None:
-            result.accuracy[key] = [
-                AccuracyRow(hda, window.label, g, n, c)
-                for g, n, c in payload["accuracy"]
-            ]
-        if out_path is not None:
-            rec = report.as_cell_dict()
-            rec["status"] = "ok"
-            rec["accuracy"] = payload["accuracy"]
-            rec["elapsed"] = round(payload["elapsed"], 4)
-            _persist_cell(out_path, rec)
-            if options.per_tower_exports:
-                _write_tower_export(out_path, report, payload["x"], tower_rows)
-            if options.dump_assignments:
-                _write_assignment_dump(
-                    out_path / ASSIGNMENTS_DIR / f"{hda}__{window.label}.csv",
-                    payload["assignments"],
-                )
+        with open(out_path / CELLS_FILE, "a") as fh:
+            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+        if rec["status"] != "ok":
+            return
+        name = f"{rec['hda']}__{rec['window']}.csv"
+        if options.per_tower_exports:
+            _write_tower_export(out_path / TOWERS_DIR / name, x, logratio, tower_rows)
+        if options.dump_assignments:
+            _write_assignment_dump(out_path / ASSIGNMENTS_DIR / name, bulks)
 
     use_workers = options.workers if len(todo) > 1 else 1
-    if use_workers > 1:
-        try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError:
-            ctx = None
-        if ctx is None:
-            use_workers = 1
-
+    if "fork" not in multiprocessing.get_all_start_methods():
+        use_workers = 1
     if use_workers > 1:
         global _STATE
         _STATE = state
         try:
             with concurrent.futures.ProcessPoolExecutor(
-                max_workers=use_workers, mp_context=ctx
+                max_workers=use_workers, mp_context=multiprocessing.get_context("fork")
             ) as pool:
                 futures = [pool.submit(_cell_entry, h, w) for h, w in todo]
                 for fut in concurrent.futures.as_completed(futures):
@@ -488,22 +500,13 @@ def run_sweep(
         n_partitions=len(partitions),
         options=options.as_dict(),
         hdas=list(result.hda_names),
-        windows=[
-            {
-                "label": w.label,
-                "first_day": w.first_day.isoformat(),
-                "last_day": w.last_day.isoformat(),
-                "class": w.duration_class,
-            }
-            for w in result.windows
-        ],
+        windows=window_dicts,
+        fingerprint=fingerprint,
         n_cells=result.n_cells,
         n_failed=result.n_failed,
-        failed_cells=sorted(_cell_key(h, w) for h, w in result.errors),
+        failed_cells=sorted(f"{h}|{w}" for h, w in result.errors),
         cell_status={
-            _cell_key(h, w.label): (
-                "failed" if (h, w.label) in result.errors else "ok"
-            )
+            f"{h}|{w.label}": "failed" if (h, w.label) in result.errors else "ok"
             for h in result.hda_names
             for w in result.windows
         },
@@ -517,16 +520,24 @@ def run_sweep(
     return result, manifest
 
 
-def _cells_in_order(result: SweepResult):
-    for hda in result.hda_names:
-        for window in result.windows:
-            key = (hda, window.label)
-            if key in result.reports:
-                yield hda, window, result.reports[key]
+def _csv(header: str, rows) -> str:
+    return "\n".join([header, *rows]) + "\n"
+
+
+def _r_stats(rs: list[float]) -> tuple:
+    """(mean, min, max, spread) of defined Pearson r values; Nones if none."""
+    if not rs:
+        return None, None, None, None
+    return sum(rs) / len(rs), min(rs), max(rs), max(rs) - min(rs)
 
 
 def emit_reports(result: SweepResult, out_dir) -> list[Path]:
-    """Write the final report files; an empty grid still yields valid headers."""
+    """Write the final report files; an empty grid still yields valid headers.
+
+    One pass groups the cells: the computed cells in grid order, and the
+    defined Pearson r per HDA (in window order) and per window (in HDA
+    order). Every CSV and chart reads those lists.
+    """
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
@@ -536,166 +547,104 @@ def emit_reports(result: SweepResult, out_dir) -> list[Path]:
         _atomic_write(path, text)
         written.append(path)
 
-    # windows.csv: the grid audit table
+    def chart(name: str, series: list, y_label: str = "Pearson r", **kwargs):
+        if any(pts for _, pts in series):
+            emit(name, line_chart(series, y_label=y_label, **kwargs))
+
+    cells = [
+        (hda, w, result.reports[(hda, w.label)])
+        for hda in result.hda_names
+        for w in result.windows
+        if (hda, w.label) in result.reports
+    ]
+    r_by_hda = {hda: [] for hda in result.hda_names}
+    r_by_window = {w.label: [] for w in result.windows}
+    for hda, w, rep in cells:
+        if rep.pearson is not None:
+            r_by_hda[hda].append((w, rep.pearson))
+            r_by_window[w.label].append(rep.pearson)
+    classes = list(dict.fromkeys(w.duration_class for w in result.windows))
+
     emit("windows.csv", windows_table(result.windows))
-
-    # metrics.csv: one row per computed cell
-    buf = ["hda,window,class,pearson_r,n_used,excluded"]
-    for hda, window, rep in _cells_in_order(result):
-        buf.append(
-            f"{hda},{window.label},{window.duration_class},"
-            f"{_ffmt(rep.pearson)},{rep.n_used},{rep.n_excluded}"
-        )
-    emit("metrics.csv", "\n".join(buf) + "\n")
-
-    # correlation_over_time.csv: r against window midpoint
-    buf = ["hda,window,class,midpoint,pearson_r"]
-    for hda, window, rep in _cells_in_order(result):
-        buf.append(
-            f"{hda},{window.label},{window.duration_class},"
-            f"{window.midpoint.isoformat()},{_ffmt(rep.pearson)}"
-        )
-    emit("correlation_over_time.csv", "\n".join(buf) + "\n")
-
-    # duration_sensitivity.csv: r spread per HDA per duration class
-    buf = ["hda,class,n_windows,mean_pearson,min_pearson,max_pearson"]
+    emit("metrics.csv", _csv("hda,window,class,pearson_r,n_used,excluded", (
+        f"{hda},{w.label},{w.duration_class},"
+        f"{_ffmt(rep.pearson)},{rep.n_used},{rep.n_excluded}"
+        for hda, w, rep in cells
+    )))
+    emit("correlation_over_time.csv", _csv("hda,window,class,midpoint,pearson_r", (
+        f"{hda},{w.label},{w.duration_class},"
+        f"{w.midpoint.isoformat()},{_ffmt(rep.pearson)}"
+        for hda, w, rep in cells
+    )))
+    # r spread per HDA per duration class
+    rows = []
     for hda in result.hda_names:
-        for cls in _classes_in_order(result):
-            rs = [
-                rep.pearson
-                for h, w, rep in _cells_in_order(result)
-                if h == hda
-                and w.duration_class == cls
-                and rep.pearson is not None
-            ]
-            if rs:
-                buf.append(
-                    f"{hda},{cls},{len(rs)},{_ffmt(sum(rs) / len(rs))},"
-                    f"{_ffmt(min(rs))},{_ffmt(max(rs))}"
-                )
-            else:
-                buf.append(f"{hda},{cls},0,,,")
-    emit("duration_sensitivity.csv", "\n".join(buf) + "\n")
-
-    # criteria_sensitivity.csv: r spread across HDAs per window
-    buf = ["window,class,n_hdas,mean_pearson,min_pearson,max_pearson,spread"]
-    for window in result.windows:
-        rs = [
-            rep.pearson
-            for _, w, rep in _cells_in_order(result)
-            if w.label == window.label and rep.pearson is not None
-        ]
-        if rs:
-            buf.append(
-                f"{window.label},{window.duration_class},{len(rs)},"
-                f"{_ffmt(sum(rs) / len(rs))},{_ffmt(min(rs))},{_ffmt(max(rs))},"
-                f"{_ffmt(max(rs) - min(rs))}"
-            )
-        else:
-            buf.append(f"{window.label},{window.duration_class},0,,,,")
-    emit("criteria_sensitivity.csv", "\n".join(buf) + "\n")
-
-    # decile_summary.csv: population-decile profile per cell
-    buf = ["hda,window,bin,n,y_lo,y_hi,mean_x,std_x"]
-    for hda, window, rep in _cells_in_order(result):
-        for b in rep.deciles:
-            buf.append(
-                f"{hda},{window.label},{b.index},{b.n},"
-                f"{_ffmt(b.y_lo)},{_ffmt(b.y_hi)},{_ffmt(b.mean_x)},{_ffmt(b.std_x)}"
-            )
-    emit("decile_summary.csv", "\n".join(buf) + "\n")
-
+        for cls in classes:
+            rs = [r for w, r in r_by_hda[hda] if w.duration_class == cls]
+            stats = ",".join(_ffmt(v) for v in _r_stats(rs)[:3])
+            rows.append(f"{hda},{cls},{len(rs)},{stats}")
+    emit("duration_sensitivity.csv", _csv(
+        "hda,class,n_windows,mean_pearson,min_pearson,max_pearson", rows
+    ))
+    # r spread across HDAs per window
+    emit("criteria_sensitivity.csv", _csv(
+        "window,class,n_hdas,mean_pearson,min_pearson,max_pearson,spread",
+        (
+            f"{w.label},{w.duration_class},{len(r_by_window[w.label])},"
+            + ",".join(_ffmt(v) for v in _r_stats(r_by_window[w.label]))
+            for w in result.windows
+        ),
+    ))
+    emit("decile_summary.csv", _csv("hda,window,bin,n,y_lo,y_hi,mean_x,std_x", (
+        f"{hda},{w.label},{b.index},{b.n},"
+        f"{_ffmt(b.y_lo)},{_ffmt(b.y_hi)},{_ffmt(b.mean_x)},{_ffmt(b.std_x)}"
+        for hda, w, rep in cells
+        for b in rep.deciles
+    )))
     # accuracy.csv only when the sweep was truth-scored
     if result.accuracy:
-        rows = [
-            r
+        emit("accuracy.csv", accuracy_csv([
+            r for hda, w, _ in cells for r in result.accuracy.get((hda, w.label), [])
+        ]))
+
+    for cls in classes:
+        chart(
+            f"correlation_over_time_{cls}.svg",
+            [
+                (hda, [
+                    (float(w.midpoint.toordinal()), r)
+                    for w, r in r_by_hda[hda]
+                    if w.duration_class == cls
+                ])
+                for hda in result.hda_names
+            ],
+            title=f"Correlation with population over time ({cls} windows)",
+            x_label="window midpoint",
+            x_date_ticks=True,
+        )
+    chart(
+        "duration_sensitivity.svg",
+        [
+            (hda, [(float(w.n_days), r) for w, r in r_by_hda[hda]])
             for hda in result.hda_names
-            for window in result.windows
-            for r in result.accuracy.get((hda, window.label), [])
-        ]
-        emit("accuracy.csv", accuracy_csv(rows))
-
-    _emit_charts(result, emit)
+        ],
+        title="Correlation against observation-window length",
+        x_label="window length (days)",
+        scatter=True,
+    )
+    chart(
+        "criteria_sensitivity.svg",
+        [
+            (cls, [
+                (float(w.midpoint.toordinal()), _r_stats(r_by_window[w.label])[3])
+                for w in result.windows
+                if w.duration_class == cls and len(r_by_window[w.label]) > 1
+            ])
+            for cls in classes
+        ],
+        title="Spread of Pearson r across detection criteria",
+        x_label="window midpoint",
+        y_label="max r - min r",
+        x_date_ticks=True,
+    )
     return written
-
-
-def _classes_in_order(result: SweepResult) -> list[str]:
-    seen: list[str] = []
-    for w in result.windows:
-        if w.duration_class not in seen:
-            seen.append(w.duration_class)
-    return seen
-
-
-def _emit_charts(result: SweepResult, emit) -> None:
-    # one time-series chart per duration class, a polyline per HDA
-    for cls in _classes_in_order(result):
-        series = []
-        for hda in result.hda_names:
-            pts = [
-                (float(w.midpoint.toordinal()), rep.pearson)
-                for h, w, rep in _cells_in_order(result)
-                if h == hda
-                and w.duration_class == cls
-                and rep.pearson is not None
-            ]
-            series.append((hda, pts))
-        if any(pts for _, pts in series):
-            emit(
-                f"correlation_over_time_{cls}.svg",
-                line_chart(
-                    series,
-                    title=f"Correlation with population over time ({cls} windows)",
-                    x_label="window midpoint",
-                    y_label="Pearson r",
-                    x_date_ticks=True,
-                ),
-            )
-
-    # duration sensitivity: r against window length, a series per HDA
-    series = []
-    for hda in result.hda_names:
-        pts = [
-            (float(w.n_days), rep.pearson)
-            for h, w, rep in _cells_in_order(result)
-            if h == hda and rep.pearson is not None
-        ]
-        series.append((hda, pts))
-    if any(pts for _, pts in series):
-        emit(
-            "duration_sensitivity.svg",
-            line_chart(
-                series,
-                title="Correlation against observation-window length",
-                x_label="window length (days)",
-                y_label="Pearson r",
-                scatter=True,
-            ),
-        )
-
-    # criteria sensitivity: cross-HDA r spread per window over time
-    series = []
-    for cls in _classes_in_order(result):
-        pts = []
-        for window in result.windows:
-            if window.duration_class != cls:
-                continue
-            rs = [
-                rep.pearson
-                for _, w, rep in _cells_in_order(result)
-                if w.label == window.label and rep.pearson is not None
-            ]
-            if len(rs) > 1:
-                pts.append((float(window.midpoint.toordinal()), max(rs) - min(rs)))
-        series.append((cls, pts))
-    if any(pts for _, pts in series):
-        emit(
-            "criteria_sensitivity.svg",
-            line_chart(
-                series,
-                title="Spread of Pearson r across detection criteria",
-                x_label="window midpoint",
-                y_label="max r - min r",
-                x_date_ticks=True,
-            ),
-        )

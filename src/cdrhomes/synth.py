@@ -488,6 +488,15 @@ def accuracy_csv(rows: list[AccuracyRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def migration_range(
+    migration: "MigrationConfig | DatasetSpan | tuple[date, date] | None",
+) -> tuple[date, date] | None:
+    """(first_day, last_day) of a MigrationConfig, a DatasetSpan or a pair."""
+    if migration is None or isinstance(migration, tuple):
+        return migration
+    return migration.first_day, migration.last_day
+
+
 def score_against_truth(
     assignments_by_hda: dict[str, list[BulkAssignments]],
     truth: GroundTruthTable,
@@ -504,13 +513,8 @@ def score_against_truth(
     last_day) pair). An unassigned user is simply wrong, never dropped from
     the denominator.
     """
-    if isinstance(migration, tuple):
-        mig_first, mig_last = migration
-    elif migration is not None:
-        mig_first, mig_last = migration.first_day, migration.last_day
-    else:
-        mig_first = mig_last = None
-    overlap = mig_first is not None and window.overlaps(mig_first, mig_last)
+    mig = migration_range(migration)
+    overlap = mig is not None and window.overlaps(*mig)
     rows: list[AccuracyRow] = []
     for hda_name, bulks in assignments_by_hda.items():
         uids = np.concatenate([b.user_ids for b in bulks])

@@ -132,7 +132,7 @@ def test_correlation_engine_tolerances():
         "correlation engine",
         ok,
         f"identity {d_ident:.1e}, hand case {d_hand:.1e} (tol 1e-12); "
-        f"log-ratio {d_log:.1e}, 1e6-element single vs two pass {d_pass:.1e} (tol 1e-9)",
+        f"log-ratio {d_log:.1e}, 1e6-element engine vs oracle two pass {d_pass:.1e} (tol 1e-9)",
     )
 
 

@@ -5,6 +5,8 @@ import json
 import pytest
 
 from cdrhomes.cli import load_config, main
+from cdrhomes.core import DatasetSpan
+from cdrhomes.synth import SynthConfig
 
 SPAN = "2007-06-01..2007-06-28"
 
@@ -37,6 +39,21 @@ def test_synth_outputs(synth_dir, capsys):
     assert manifest["min_stay_days"] == "7"
     n_lines = len((synth_dir / "records.csv").read_text().splitlines())
     assert n_lines == int(manifest["n_records"]) + 1  # header
+
+
+def test_synth_without_tunables_writes_the_generator_defaults(tmp_path, capsys):
+    out = tmp_path / "synth"
+    rc = main([
+        "synth", "--out", str(out), "--seed", "3", "--span", SPAN,
+        "--n-towers", "5", "--n-population", "60",
+    ])
+    assert rc == 0
+    lines = (out / "synth_manifest.txt").read_text().splitlines()
+    assert lines[-1].startswith("n_records=")
+    config = SynthConfig(
+        seed=3, n_towers=5, n_population=60, span=DatasetSpan.parse(SPAN)
+    )
+    assert lines[:-1] == [f"{k}={v}" for k, v in config.echo().items()]
 
 
 def test_ingest_check(synth_dir, capsys):
@@ -158,17 +175,63 @@ def test_sweep_and_report_reemit(synth_dir, tmp_path, capsys):
     rc = main(argv)
     assert rc == 0
     assert "cells=9 failed=0" in capsys.readouterr().out
-    metrics = (run / "metrics.csv").read_bytes()
-    accuracy = (run / "accuracy.csv").read_bytes()
-    assert metrics.decode().count("\n") == 1 + 9
+    live = {
+        p.name: p.read_bytes()
+        for p in run.iterdir()
+        if p.is_file() and p.name not in ("manifest.json", "cells.jsonl")
+    }
+    assert set(live) == {
+        "windows.csv", "metrics.csv", "correlation_over_time.csv",
+        "duration_sensitivity.csv", "criteria_sensitivity.csv",
+        "decile_summary.csv", "accuracy.csv", "correlation_over_time_days14.svg",
+        "correlation_over_time_full.svg", "duration_sensitivity.svg",
+        "criteria_sensitivity.svg",
+    }
+    assert live["metrics.csv"].decode().count("\n") == 1 + 9
 
-    # re-emission from cells.jsonl alone reproduces the report files
-    (run / "metrics.csv").unlink()
-    (run / "accuracy.csv").unlink()
+    # re-emission from cells.jsonl alone reproduces every report file
+    for name in live:
+        (run / name).unlink()
     rc = main(["report", "--out", str(run)])
     assert rc == 0
-    assert (run / "metrics.csv").read_bytes() == metrics
-    assert (run / "accuracy.csv").read_bytes() == accuracy
+    reemitted = {
+        p.name: p.read_bytes()
+        for p in run.iterdir()
+        if p.is_file() and p.name not in ("manifest.json", "cells.jsonl")
+    }
+    assert reemitted.keys() == live.keys()
+    for name, data in live.items():
+        assert reemitted[name] == data, name
+
+
+def test_resume_under_other_options_is_refused(synth_dir, tmp_path, capsys):
+    run = tmp_path / "run"
+    argv = [
+        "sweep", "--records", str(synth_dir / "records.csv"),
+        "--towers", str(synth_dir / "towers.csv"), "--span", SPAN,
+        "--classes", "full", "--hdas", "MA,DD", "--out", str(run),
+    ]
+    assert main(argv) == 0
+    cells = (run / "cells.jsonl").read_bytes()
+    capsys.readouterr()
+
+    # the cells kept would be wrong: a fresh run with this threshold differs
+    fresh = tmp_path / "fresh"
+    assert main(argv[:-1] + [str(fresh), "--exclusion-threshold", "50"]) == 0
+    assert (fresh / "metrics.csv").read_bytes() != (run / "metrics.csv").read_bytes()
+    assert main(argv + ["--resume", "--exclusion-threshold", "50"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot resume") and "fingerprint" in err
+    assert (run / "cells.jsonl").read_bytes() == cells
+    fingerprint = json.loads((run / "manifest.json").read_text())["fingerprint"]
+    assert all(
+        json.loads(line)["fingerprint"] == fingerprint
+        for line in cells.decode().splitlines()
+    )
+
+    # the same options resume: every cell is kept, none recomputed
+    assert main(argv + ["--resume", "--workers", "2"]) == 0
+    assert (run / "cells.jsonl").read_bytes() == cells
 
 
 def test_config_file_defaults_and_precedence(synth_dir, tmp_path, capsys):

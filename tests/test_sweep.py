@@ -147,6 +147,59 @@ def test_sweep_resume_skips_completed_cells(tmp_path):
     assert all(c["status"] == "ok" for c in cells)
 
 
+def test_resume_refuses_cells_of_other_inputs(tmp_path):
+    res, parts, wins = _dataset()
+    out = tmp_path / "run"
+    run_sweep(parts, res.registry, wins, HDAS, out, SweepOptions())
+    cells = (out / "cells.jsonl").read_bytes()
+    resume = SweepOptions(resume=True)
+
+    other, other_parts, _ = _dataset(seed=10)
+    for args in (
+        (other_parts, res.registry),  # other records
+        (parts, other.registry),  # other tower registry
+        (parts[:1], res.registry),  # other partitions
+    ):
+        with pytest.raises(ValueError, match="other inputs or options"):
+            run_sweep(*args, wins, HDAS, out, resume)
+        assert (out / "cells.jsonl").read_bytes() == cells
+    with pytest.raises(ValueError, match="other inputs or options"):
+        run_sweep(parts, res.registry, wins, HDAS, out, resume, truth=res.truth)
+
+    # a record without a fingerprint (written before fingerprints) is refused
+    lines = cells.decode().splitlines()
+    rec = json.loads(lines[0])
+    del rec["fingerprint"]
+    (out / "cells.jsonl").write_text("\n".join([json.dumps(rec), *lines[1:]]) + "\n")
+    with pytest.raises(ValueError, match="fingerprint None"):
+        run_sweep(parts, res.registry, wins, HDAS, out, resume)
+
+
+def test_assignment_dump_rows_do_not_depend_on_partition_count(tmp_path):
+    res, _, wins = _dataset()
+    dumps = {}
+    for n_parts in (1, 4):
+        parts = one_partition(
+            res.users, res.towers, res.timestamps,
+            clock=CivilClock(res.config.tz_name), n_partitions=n_parts,
+        )
+        out = tmp_path / f"p{n_parts}"
+        run_sweep(
+            parts, res.registry, wins, HDAS, out, SweepOptions(dump_assignments=True)
+        )
+        dumps[n_parts] = {
+            p.name: p.read_text().splitlines()
+            for p in (out / "assignments").glob("*.csv")
+        }
+    assert len(dumps[1]) == len(wins) * len(HDAS)
+    assert dumps[4].keys() == dumps[1].keys()
+    for name, lines in dumps[1].items():
+        # rows come partition by partition, each partition by user id
+        assert [int(l.split(",")[0]) for l in lines[1:]] == sorted(res.truth.user_ids)
+        assert dumps[4][name][0] == lines[0]
+        assert sorted(dumps[4][name][1:]) == sorted(lines[1:]), name
+
+
 def test_report_after_resume_from_torn_cells_log_emits_every_cell(tmp_path, capsys):
     res, parts, wins = _dataset()
     out = tmp_path / "run"
