@@ -37,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DatasetSpan, TowerRegistry, write_records_csv
+from .core import DatasetSpan, TowerRegistry, row_chunks, write_records_csv
 from .hda import BulkAssignments
 from .timebase import DEFAULT_TZ, CivilClock, iter_days
 from .windows import ObservationWindow
@@ -200,12 +200,12 @@ class GroundTruthTable:
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["user_id", "home_tower", "work_tower", "migration_tower"])
-            for uid, h, wk, m in zip(
+            fh.write("user_id,home_tower,work_tower,migration_tower\n")
+            for rows in row_chunks(
                 self.user_ids, self.home_towers, self.work_towers, self.migration_towers
             ):
-                w.writerow([int(uid), int(h), int(wk), int(m) if m >= 0 else ""])
+                fh.write("".join([f"{u},{h},{w},{'' if m < 0 else m}\n"
+                                  for u, h, w, m in rows]))
 
     @classmethod
     def read_csv(cls, path) -> "GroundTruthTable":

@@ -85,6 +85,25 @@ class CivilClock:
         weekday = ((days + _EPOCH_WEEKDAY) % 7).astype(np.uint8)
         return day_ord, hour, weekday
 
+    def epochs_from_local(self, local: np.ndarray) -> np.ndarray:
+        """Vectorized parse_local: epochs of wall-clock times in this zone.
+
+        local holds int64 seconds since 1970-01-01T00:00:00 wall-clock time.
+        Offset i-1 of the transition table holds while the wall clock reads
+        less than transition i's start plus the larger of the two offsets:
+        a time in a gap takes the offset before it and a time in a fold its
+        first occurrence, which is what parse_local (fold=0) returns.
+        """
+        local = np.asarray(local, dtype=np.int64)
+        if local.size == 0:
+            return np.zeros(0, dtype=np.int64)
+        # a UTC offset is less than a day either way
+        starts, offsets = self._transition_table(
+            int(local.min()) - _DAY, int(local.max()) + _DAY
+        )
+        ends = starts[1:] + np.maximum(offsets[:-1], offsets[1:])
+        return local - offsets[np.searchsorted(ends, local, side="right")]
+
     def _transition_table(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         """Piecewise-constant UTC offsets covering [lo, hi], cached and widened."""
         pad = 90 * _DAY

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,26 @@ def one_partition(users, towers, stamps, clock=None, n_partitions=1):
         n_partitions=n_partitions,
     )
     return parts
+
+
+def array_fields(part) -> dict:
+    """{field name: array} of a UserPartition's array fields."""
+    return {
+        f.name: getattr(part, f.name)
+        for f in dataclasses.fields(part)
+        if isinstance(getattr(part, f.name), np.ndarray)
+    }
+
+
+def assert_same_partitions(got, want):
+    """Equal partition lists: every array field equal, dtype included."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        g_arrays, w_arrays = array_fields(g), array_fields(w)
+        assert g_arrays.keys() == w_arrays.keys()
+        for name, arr in w_arrays.items():
+            assert g_arrays[name].dtype == arr.dtype, name
+            assert np.array_equal(g_arrays[name], arr), name
 
 
 @pytest.fixture(scope="session")

@@ -136,3 +136,67 @@ def decile_bins(x, y):
         var = math.fsum((v - m) ** 2 for v in seg) / len(seg)
         out.append((hi - lo, ys[lo], ys[hi - 1], m, math.sqrt(var)))
     return out
+
+
+def reference_records(path, registry_ids, tz_name: str = TZ_NAME):
+    """Per-line reference for the records-file reader, in file order.
+
+    The line loop is the reader as it was before block parsing, reading
+    UTF-8 with undecodable bytes escaped. Returns (counts, users, towers,
+    timestamps): counts holds header_line, total_lines, rejected_malformed,
+    rejected_unknown_tower and sample_rejects; the columns hold the records
+    on known towers, for partitioning and the span filter.
+    """
+    tz = ZoneInfo(tz_name)
+    known = set(int(t) for t in registry_ids)
+    counts = {"header_line": False, "total_lines": 0, "rejected_malformed": 0,
+              "rejected_unknown_tower": 0, "sample_rejects": []}
+    samples = counts["sample_rejects"]
+
+    def note_reject(line: str, reason: str) -> None:
+        if len(samples) < 5:
+            samples.append(f"{reason}: {line[:80]}")
+
+    records = []
+    with open(path, newline="", encoding="utf-8", errors="backslashreplace") as fh:
+        first = True
+        for raw in fh:
+            line = raw.strip()
+            if first:
+                first = False
+                head = line.split(",")[0].strip()
+                try:
+                    int(head)
+                except ValueError:
+                    counts["header_line"] = True
+                    continue
+            counts["total_lines"] += 1
+            fields = line.split(",")
+            if len(fields) != 3:
+                counts["rejected_malformed"] += 1
+                note_reject(line, "malformed")
+                continue
+            try:
+                uid = int(fields[0])
+                tid = int(fields[1])
+                if not (0 <= uid <= 2**64 - 1) or not (-(2**63) <= tid <= 2**63 - 1):
+                    raise ValueError("id out of range")
+                try:
+                    ts = int(fields[2])
+                except ValueError:
+                    naive = datetime.strptime(fields[2].strip(), "%Y-%m-%dT%H:%M:%S")
+                    ts = int(naive.replace(tzinfo=tz).timestamp())
+                if not (-(2**63) <= ts <= 2**63 - 1):
+                    raise ValueError("timestamp out of range")
+            except ValueError:
+                counts["rejected_malformed"] += 1
+                note_reject(line, "malformed")
+                continue
+            records.append((uid, tid, ts))
+
+    unknown = [tid for _, tid, _ in records if tid not in known]
+    counts["rejected_unknown_tower"] = len(unknown)
+    for tid in unknown[:5]:
+        note_reject(f"tower_id={tid}", "unknown_tower")
+    kept = [r for r in records if r[1] in known]
+    return (counts, [r[0] for r in kept], [r[1] for r in kept], [r[2] for r in kept])

@@ -13,7 +13,7 @@ from datetime import date
 import numpy as np
 import pytest
 
-from cdrhomes.core import DatasetSpan, partition_records
+from cdrhomes.core import DatasetSpan, TowerRegistry, ingest, partition_records
 from cdrhomes.hda import CANONICAL_HDAS, canonical_hda, detect_homes_bulk
 from cdrhomes.metrics import log_ratio, pearson_r
 from cdrhomes.sweep import SweepOptions, run_sweep
@@ -272,4 +272,45 @@ def test_single_hda_throughput_over_ten_million_records():
     log(
         f"{verdict} throughput (tracked): TC-19-9 over {n:,} records in "
         f"{elapsed:.1f}s (target 60s, not a gate)"
+    )
+
+
+def test_ingest_throughput_over_two_million_lines(tmp_path):
+    n = 2_000_000
+    rng = np.random.default_rng(19)
+    users = rng.integers(1, 20_001, n, dtype=np.uint64).tolist()
+    towers = rng.integers(1, 301, n).tolist()
+    span = DatasetSpan(date(2007, 5, 13), date(2007, 10, 13))
+    t0 = CLOCK.midnight_epoch(span.first_day)
+    t1 = CLOCK.midnight_epoch(date(2007, 10, 14))
+    stamps = np.sort(rng.integers(t0, t1, n))
+    iso = rng.random(n) < 0.05
+    path = tmp_path / "records.csv"
+    with open(path, "w") as fh:
+        fh.write("user_id,tower_id,timestamp\n")
+        for lo in range(0, n, 1 << 16):
+            hi = min(lo + (1 << 16), n)
+            texts = stamps[lo:hi].astype(str).astype(object)
+            rows = np.flatnonzero(iso[lo:hi])
+            # wall-clock text: summer time holds over the span
+            texts[rows] = np.datetime_as_string(
+                (stamps[lo:hi][rows] + 7200).astype("datetime64[s]")
+            )
+            fh.write("".join([f"{u},{t},{s}\n" for u, t, s in
+                              zip(users[lo:hi], towers[lo:hi], texts.tolist())]))
+    del users, towers, stamps
+    registry = TowerRegistry(np.arange(1, 301), np.zeros(300), np.zeros(300),
+                             np.ones(300, dtype=np.int64))
+
+    started = time.perf_counter()
+    _, report = ingest(path, registry, span, clock=CLOCK)
+    elapsed = time.perf_counter() - started
+
+    assert report.total_lines == n and report.accepted == n
+    rate = n / elapsed
+    verdict = "PASS" if rate >= 1_000_000 else "MISS"
+    log(
+        f"{verdict} ingest throughput (tracked): {n:,} lines, "
+        f"{int(iso.sum()):,} of them ISO local time, in {elapsed:.1f}s = "
+        f"{rate:,.0f} lines/s (target 1,000,000 lines/s, not a gate)"
     )

@@ -68,6 +68,20 @@ def test_ingest_check(synth_dir, capsys):
     assert "distinct_users=112" in text
 
 
+def test_ingest_check_counts_undecodable_line(synth_dir, tmp_path, capsys):
+    records = tmp_path / "records.csv"
+    records.write_bytes((synth_dir / "records.csv").read_bytes() + b"1,2,\xff3\n")
+    rc = main([
+        "ingest-check", "--records", str(records),
+        "--towers", str(synth_dir / "towers.csv"), "--span", SPAN,
+    ])
+    assert rc == 0
+    text = capsys.readouterr().out
+    assert "accepted=9528" in text
+    assert "rejected_malformed=1" in text
+    assert "sample_reject=malformed: 1,2,\\xff3" in text
+
+
 def test_windows_table(capsys):
     rc = main(["windows", "--span", "2007-05-13..2007-10-13"])
     assert rc == 0

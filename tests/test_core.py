@@ -1,6 +1,6 @@
 """Records model, partitioning, and ingestion accounting."""
 
-import dataclasses
+import csv
 from collections import Counter
 from datetime import date
 
@@ -16,9 +16,12 @@ from cdrhomes.core import (
     partition_records,
     write_records_csv,
 )
+from cdrhomes.synth import GroundTruthTable
 from cdrhomes.timebase import CivilClock
 
-from conftest import make_registry, random_records
+from conftest import (
+    array_fields, assert_same_partitions, make_registry, random_records,
+)
 
 SPAN = DatasetSpan.parse("2007-05-13..2007-10-13")
 T0 = CivilClock().midnight_epoch(date(2007, 5, 13))
@@ -67,6 +70,51 @@ def test_registry_rejects_duplicates_and_negative_population():
         )
 
 
+def _csv_writer_bytes(path, header, rows):
+    """What csv.writer makes of the rows: the writers' earlier form."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
+    return path.read_bytes()
+
+
+def test_writers_equal_csv_writer(tmp_path):
+    u64 = np.array([2**64 - 1, 0, 7], dtype=np.uint64)
+    i64 = np.array([-(2**63), -5, 2**63 - 1], dtype=np.int64)
+    floats = np.array([0.1, -0.0, 5e-324], dtype=np.float64)
+
+    write_records_csv(tmp_path / "r.csv", u64, i64, i64[::-1])
+    want = _csv_writer_bytes(
+        tmp_path / "r0.csv", ["user_id", "tower_id", "timestamp"],
+        [[int(u), int(t), int(s)] for u, t, s in zip(u64, i64, i64[::-1])],
+    )
+    assert (tmp_path / "r.csv").read_bytes() == want
+    write_records_csv(tmp_path / "r.csv", u64, i64, i64, header=False)
+    assert (tmp_path / "r.csv").read_bytes().count(b"\n") == 3
+
+    reg = TowerRegistry(i64, floats, -floats * 1e300, np.array([0, 3, 2**62]))
+    reg.write_csv(tmp_path / "t.csv")
+    want = _csv_writer_bytes(
+        tmp_path / "t0.csv", ["tower_id", "lon", "lat", "population"],
+        [[int(t), repr(float(lo)), repr(float(la)), int(p)]
+         for t, lo, la, p in zip(reg.tower_ids, reg.lon, reg.lat, reg.population)],
+    )
+    assert (tmp_path / "t.csv").read_bytes() == want
+
+    truth = GroundTruthTable(u64, i64, i64[::-1], np.array([-1, -7, 12]))
+    truth.write_csv(tmp_path / "g.csv")
+    want = _csv_writer_bytes(
+        tmp_path / "g0.csv",
+        ["user_id", "home_tower", "work_tower", "migration_tower"],
+        [[int(u), int(h), int(w), int(m) if m >= 0 else ""]
+         for u, h, w, m in zip(truth.user_ids, truth.home_towers,
+                               truth.work_towers, truth.migration_towers)],
+    )
+    assert (tmp_path / "g.csv").read_bytes() == want
+    assert b",\n" in want  # an empty migration tower
+
+
 def test_registry_csv_round_trip(tmp_path):
     rng = np.random.default_rng(3)
     reg = make_registry(20, rng=rng)
@@ -86,24 +134,6 @@ def _with_duplicates(rng, users, towers, stamps, n_dup=15):
     return users[rows], towers[rows], stamps[rows]
 
 
-def _array_fields(part):
-    return {
-        f.name: getattr(part, f.name)
-        for f in dataclasses.fields(part)
-        if isinstance(getattr(part, f.name), np.ndarray)
-    }
-
-
-def _assert_same_partitions(got, want):
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        g_arrays, w_arrays = _array_fields(g), _array_fields(w)
-        assert g_arrays.keys() == w_arrays.keys()
-        for name, arr in w_arrays.items():
-            assert g_arrays[name].dtype == arr.dtype, name
-            assert np.array_equal(g_arrays[name], arr), name
-
-
 def test_partition_canonical_order_ignores_input_order():
     rng = np.random.default_rng(5)
     users, towers, stamps = _with_duplicates(
@@ -119,7 +149,7 @@ def test_partition_canonical_order_ignores_input_order():
             users[shuffle], towers[shuffle], stamps[shuffle], clock=clock,
             n_partitions=n_partitions,
         )
-        _assert_same_partitions(parts_b, parts_a)
+        assert_same_partitions(parts_b, parts_a)
 
 
 def _indexed_records(part):
@@ -187,7 +217,7 @@ def test_partition_arrays_read_only():
     part = partition_records(users, towers, stamps, clock=CivilClock())[0][0]
     with pytest.raises(ValueError):
         part.index_timestamps[0] = 5
-    arrays = _array_fields(part)
+    arrays = array_fields(part)
     assert {"user_ids", "index_pairs", "index_timestamps", "index_week_hours",
             "index_day_first", "index_days", "index_day_starts",
             "pair_users", "pair_towers"} == set(arrays)
@@ -209,7 +239,7 @@ def test_partition_layout_bytes():
         n_days = len(part.index_days)
         layout = (14 * part.n_records + 16 * part.n_pairs + 8 * part.n_users
                   + 12 * n_days + 8)
-        assert sum(a.nbytes for a in _array_fields(part).values()) == layout
+        assert sum(a.nbytes for a in array_fields(part).values()) == layout
 
 
 def test_detection_index_holds_the_input_records_by_day():
@@ -357,4 +387,4 @@ def test_write_then_ingest_round_trip(tmp_path):
     direct, _ = partition_records(
         users, towers, stamps, clock=CivilClock(), n_partitions=3
     )
-    _assert_same_partitions(parts, direct)
+    assert_same_partitions(parts, direct)

@@ -82,6 +82,28 @@ def test_parse_local_round_trip():
         clock.parse_local("2007-07-01 12:30:00")
 
 
+@pytest.mark.parametrize(
+    "tz_name", ["Europe/Paris", "America/St_Johns", "Australia/Lord_Howe", "UTC"]
+)
+def test_epochs_from_local_equals_parse_local(tz_name):
+    # every minute from noon before to midnight after each day of 2007 whose
+    # UTC offset changes: St John's changed at 00:01, Lord Howe by 30 minutes
+    clock = CivilClock(tz_name)
+    tz = ZoneInfo(tz_name)
+    days = [date(2007, 1, 1) + timedelta(days=i) for i in range(365)]
+    noon_offsets = [datetime(d.year, d.month, d.day, 12, tzinfo=tz).utcoffset()
+                    for d in days]
+    changes = [d for d, a, b in zip(days[1:], noon_offsets, noon_offsets[1:]) if a != b]
+    assert len(changes) == (0 if tz_name == "UTC" else 2)
+    start = datetime(2007, 1, 1, 12)  # uniform sample for UTC
+    walls = [datetime(d.year, d.month, d.day) - timedelta(hours=12) for d in changes]
+    walls = [w + timedelta(minutes=m) for w in walls or [start] for m in range(36 * 60)]
+    local = np.array([(w - datetime(1970, 1, 1)) // timedelta(seconds=1) for w in walls])
+    want = [clock.parse_local(w.strftime("%Y-%m-%dT%H:%M:%S")) for w in walls]
+    assert clock.epochs_from_local(local).tolist() == want
+    assert clock.epochs_from_local(np.zeros(0, dtype=np.int64)).size == 0
+
+
 def test_utc_offset_values():
     clock = CivilClock()
     assert clock.utc_offset(clock.parse_local("2007-07-01T12:00:00")) == 7200
