@@ -682,8 +682,9 @@ def ingest(
     return parts, report
 
 
-# rows per chunk of the CSV writers: larger chunks are no faster, and their
-# Python objects would raise the writing process's peak memory
+# rows per chunk of the registry and truth writers: larger chunks are no
+# faster, and their Python objects would raise the writing process's peak
+# memory
 _WRITE_ROWS = 1 << 10
 
 
@@ -698,10 +699,65 @@ def row_chunks(*columns):
         yield zip(*(c[lo:lo + _WRITE_ROWS].tolist() for c in columns))
 
 
+# rows per block of write_records_csv: each block's text matrix is a few
+# hundred KiB, which keeps the writing process's peak memory flat
+_FORMAT_ROWS = 1 << 14
+_POWERS_OF_TEN = [np.uint64(10**p) for p in range(20)]  # all of uint64's
+_TEN = _POWERS_OF_TEN[1]
+
+
+def _format_rows(columns: list[np.ndarray]) -> bytes:
+    """The CSV lines of integer columns, as csv.writer writes Python ints.
+
+    Each value takes a field of a sign byte and its column's largest digit
+    count in an (n rows, line width) byte matrix, filled by repeated
+    division by ten; a mask of the bytes each value's str() has drops the
+    padding in one compress.
+    """
+    specs = []
+    for column in columns:
+        if column.dtype.kind == "u":
+            negative = None
+            magnitude = column.astype(np.uint64)
+        else:
+            negative = column < 0
+            magnitude = column.astype(np.int64).astype(np.uint64)
+            # negating in uint64 wraps, so the magnitude of int64 min is exact
+            np.negative(magnitude, out=magnitude, where=negative)
+        specs.append((negative, magnitude, len(str(int(magnitude.max())))))
+    width = sum(2 + digits for _, _, digits in specs)
+    text = np.empty((len(columns[0]), width), dtype=np.uint8)
+    keep = np.ones(text.shape, dtype=bool)
+    at = 0
+    for (negative, magnitude, digits), end in zip(specs, b",,\n"):
+        text[:, at] = ord("-")
+        keep[:, at] = False if negative is None else negative
+        rest = magnitude
+        for p, col in enumerate(range(at + digits, at, -1)):
+            if p:  # the last digit always shows, 0 included
+                keep[:, col] = magnitude >= _POWERS_OF_TEN[p]
+            quotient = rest // _TEN  # a // by a scalar is several times
+            text[:, col] = rest - quotient * _TEN  # faster than np.divmod
+            rest = quotient
+        text[:, at + 1:at + 1 + digits] += ord("0")
+        text[:, at + 1 + digits] = end
+        at += 2 + digits
+    return text[keep].tobytes()
+
+
 def write_records_csv(path, users, towers, timestamps, header: bool = True) -> None:
-    """Write integer records as user_id,tower_id,timestamp rows."""
-    with open(path, "w", newline="") as fh:
+    """Write integer records as user_id,tower_id,timestamp rows.
+
+    The bytes are those of csv.writer given the values as Python ints;
+    numpy formats them _FORMAT_ROWS rows at a time (see _format_rows).
+    """
+    columns = [np.asarray(c) for c in (users, towers, timestamps)]
+    if any(c.dtype.kind not in "iu" for c in columns):
+        raise TypeError("record columns must be integer arrays")
+    if not len(columns[0]) == len(columns[1]) == len(columns[2]):
+        raise ValueError("record columns have unequal lengths")
+    with open(path, "wb") as fh:
         if header:
-            fh.write(",".join(RECORDS_HEADER) + "\n")
-        for rows in row_chunks(users, towers, timestamps):
-            fh.write("".join([f"{u},{t},{s}\n" for u, t, s in rows]))
+            fh.write((",".join(RECORDS_HEADER) + "\n").encode())
+        for lo in range(0, len(columns[0]), _FORMAT_ROWS):
+            fh.write(_format_rows([c[lo:lo + _FORMAT_ROWS] for c in columns]))

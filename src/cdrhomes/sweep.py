@@ -8,8 +8,9 @@ that record, SweepResult.add_cell takes it in, and the reports are built
 from what add_cell kept, so a live sweep and a run directory read back by
 load_run emit the same bytes. A killed run resumes by skipping cells already
 recorded there, provided they carry the run's fingerprint (a hash of the
-options, grid and input arrays); cells computed under anything else refuse
-the resume.
+package source, options, grid and input arrays); cells computed under
+anything else refuse the resume. A cell is recorded only after its export
+files are written.
 
 Worker processes use the fork start method and read the shared state from a
 module global set before the pool starts; where fork is unavailable the
@@ -230,8 +231,9 @@ def _fingerprint(
     registry: TowerRegistry,
     truth: GroundTruthTable | None,
 ) -> str:
-    """sha256 of what a cell's record depends on: the header, then every
-    partition, registry and truth array (name, dtype, shape and bytes)."""
+    """sha256 of what a cell's record depends on: the package's own source,
+    the header, then every partition, registry and truth array (name, dtype,
+    shape and bytes)."""
     arrays = [
         (f"partition{p.index}.{f.name}", getattr(p, f.name))
         for p in partitions
@@ -244,7 +246,13 @@ def _fingerprint(
     ]
     if truth is not None:
         arrays += [(f"truth.{f.name}", getattr(truth, f.name)) for f in fields(truth)]
-    h = hashlib.sha256(json.dumps(header, sort_keys=True, default=str).encode())
+    h = hashlib.sha256()
+    # any edit to the code may change a record, so a resume under other
+    # code is refused like one under other inputs
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        h.update(f"\n{path.name}\n".encode())
+        h.update(path.read_bytes())
+    h.update(json.dumps(header, sort_keys=True, default=str).encode())
     for name, a in arrays:
         h.update(f"\n{name} {a.dtype.str} {a.shape}\n".encode())
         h.update(np.ascontiguousarray(a).data)
@@ -463,15 +471,18 @@ def run_sweep(
         result.add_cell(rec)
         if out_path is None:
             return
+        # the cell's files come before its record: a resume skips every
+        # recorded cell, so a run killed in between must leave it unrecorded
+        if rec["status"] == "ok":
+            name = f"{rec['hda']}__{rec['window']}.csv"
+            if options.per_tower_exports:
+                _write_tower_export(
+                    out_path / TOWERS_DIR / name, x, logratio, tower_rows
+                )
+            if options.dump_assignments:
+                _write_assignment_dump(out_path / ASSIGNMENTS_DIR / name, bulks)
         with open(out_path / CELLS_FILE, "a") as fh:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
-        if rec["status"] != "ok":
-            return
-        name = f"{rec['hda']}__{rec['window']}.csv"
-        if options.per_tower_exports:
-            _write_tower_export(out_path / TOWERS_DIR / name, x, logratio, tower_rows)
-        if options.dump_assignments:
-            _write_assignment_dump(out_path / ASSIGNMENTS_DIR / name, bulks)
 
     use_workers = options.workers if len(todo) > 1 else 1
     if "fork" not in multiprocessing.get_all_start_methods():

@@ -37,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DatasetSpan, TowerRegistry, row_chunks, write_records_csv
+from .core import DatasetSpan, TowerRegistry, _grown, row_chunks, write_records_csv
 from .hda import BulkAssignments
 from .timebase import DEFAULT_TZ, CivilClock, iter_days
 from .windows import ObservationWindow
@@ -47,6 +47,10 @@ NIGHT_END_HOUR = 8
 
 _TAG_TOWERS = 1
 _TAG_USER = 2
+
+# subscribers per block of the generator: their draws are taken one
+# subscriber at a time, and all that follows from them in one numpy pass
+_SUBSCRIBER_BLOCK = 64
 
 _CLUSTERED_SHARE = 0.7
 _CLUSTER_SPREAD = 0.25
@@ -294,7 +298,17 @@ def _nearest_pools(lon: np.ndarray, lat: np.ndarray, k: int) -> np.ndarray:
 
 
 def generate(config: SynthConfig) -> SynthResult:
-    """Produce one deterministic synthetic dataset from a config."""
+    """Produce one deterministic synthetic dataset from a config.
+
+    Each subscriber draws from its own stream, in a fixed order: six
+    uniforms (home, work, migration, destination, stay length, stay
+    offset), one geometric event count per day, then three uniforms per
+    event (second of the day, branch, pick). Only these draws run per
+    subscriber; everything that follows from them runs as one numpy pass
+    over a block of _SUBSCRIBER_BLOCK subscribers, writing into record
+    columns sized for the expected count. The records come out ordered by
+    (timestamp, user, tower).
+    """
     clock = CivilClock(config.tz_name)
     registry = build_registry(config.seed, config.n_towers, config.n_population)
     n_subs = config.n_subscribers
@@ -321,6 +335,7 @@ def generate(config: SynthConfig) -> SynthResult:
         work_pools = np.concatenate([self_col, near], axis=1)
     else:
         work_pools = np.zeros((len(registry), 0), dtype=np.int64)
+    work_k = work_pools.shape[1]
     nb_pools = _nearest_pools(registry.lon, registry.lat, config.neighbor_pool_size)
     nb_k = nb_pools.shape[1]
 
@@ -340,63 +355,77 @@ def generate(config: SynthConfig) -> SynthResult:
         mig_stay_spread = mig_span_days - mig.min_stay_days + 1
     else:
         mig = None
-        tour_rows = np.zeros(0, dtype=np.int64)
-        mig_start_idx = 0
-        mig_span_days = 0
-        mig_stay_spread = 1
 
     p_event = 1.0 / (1.0 + config.daily_event_rate)
+    day_cut = config.work_call_share_day + config.home_call_share_day
     day_index = np.arange(n_days)
 
-    uid_col: list[np.ndarray] = []
-    tower_col: list[np.ndarray] = []
-    ts_col: list[np.ndarray] = []
+    # the counts are geometric, so the total lies within a few hundredths of
+    # its mean; the margin makes growing the columns all but never happen
+    expected = n_subs * n_days * config.daily_event_rate
+    columns = [np.empty(int(expected * 1.02) + 1024, dtype=dtype)
+               for dtype in (np.uint64, np.int64, np.int64)]
+    n = 0
     t_home = np.empty(n_subs, dtype=np.int64)
     t_work = np.empty(n_subs, dtype=np.int64)
     t_mig = np.full(n_subs, -1, dtype=np.int64)
 
-    for i in range(n_subs):
-        uid = i + 1
-        rng = np.random.default_rng(np.random.SeedSequence([config.seed, _TAG_USER, uid]))
-        # fixed draw order; every branch consumes the same stream positions
-        u_home = rng.random()
-        u_work = rng.random()
-        u_mig = rng.random()
-        u_dest = rng.random()
-        u_stay_len = rng.random()
-        u_stay_off = rng.random()
-        counts = rng.geometric(p_event, size=n_days) - 1
-        total = int(counts.sum())
-        secs = rng.random(total)
-        branch = rng.random(total)
-        pick = rng.random(total)
+    for b0 in range(0, n_subs, _SUBSCRIBER_BLOCK):
+        uids = np.arange(b0 + 1, min(b0 + _SUBSCRIBER_BLOCK, n_subs) + 1)
+        m = len(uids)
+        scalars = np.empty((m, 6))
+        counts = np.empty((m, n_days), dtype=np.int64)
+        draws = []
+        for j, uid in enumerate(uids.tolist()):
+            rng = np.random.default_rng(
+                np.random.SeedSequence([config.seed, _TAG_USER, uid])
+            )
+            scalars[j] = rng.random(6)
+            counts[j] = rng.geometric(p_event, size=n_days)
+            counts[j] -= 1
+            total = int(counts[j].sum())
+            draws.append(rng.random(3 * total).reshape(3, total))
+        u_home, u_work, u_mig, u_dest, u_stay_len, u_stay_off = scalars.T
+        secs, branch, pick = np.concatenate(draws, axis=1)
 
-        home_row = min(int(np.searchsorted(home_cdf, u_home, side="right")), len(pop) - 1)
-        wp = work_pools[home_row]
-        work_row = int(wp[int(u_work * len(wp))]) if len(wp) else home_row
-        migrant = mig is not None and u_mig < mig.fraction
-        dest_row = int(tour_rows[int(u_dest * len(tour_rows))]) if migrant else home_row
+        home_row = np.minimum(
+            np.searchsorted(home_cdf, u_home, side="right"), len(pop) - 1
+        )
+        if work_k:
+            work_row = work_pools[home_row, (u_work * work_k).astype(np.int64)]
+        else:
+            work_row = home_row
+        t_home[b0:b0 + m] = registry.tower_ids[home_row]
+        t_work[b0:b0 + m] = registry.tower_ids[work_row]
 
-        t_home[i] = registry.tower_ids[home_row]
-        t_work[i] = registry.tower_ids[work_row]
-        if migrant:
-            t_mig[i] = registry.tower_ids[dest_row]
-        if total == 0:
-            continue
+        totals = counts.sum(axis=1)
+        k = int(totals.sum())
+        if n + k > len(columns[0]):
+            columns = [_grown(c[:n], 2 * (n + k)) for c in columns]
+        users, towers, stamps = (c[n:n + k] for c in columns)
+        n += k
 
-        d_idx = np.repeat(day_index, counts)
+        # per record: its subscriber in the block and its day of the span
+        sub = np.repeat(np.arange(m), totals)
+        users[:] = uids[sub]
+        d_idx = np.repeat(np.tile(day_index, m), counts.ravel())
         offs = (secs * day_len[d_idx]).astype(np.int64)
-        ts = midnights[d_idx] + offs
+        np.add(midnights[d_idx], offs, out=stamps)
         hour = offs // 3600
         night = (hour >= NIGHT_START_HOUR) | (hour < NIGHT_END_HOUR)
 
-        if migrant:
-            stay = mig.min_stay_days + int(u_stay_len * mig_stay_spread)
-            a0 = mig_start_idx + int(u_stay_off * (mig_span_days - stay + 1))
-            away = (d_idx >= a0) & (d_idx < a0 + stay)
-        else:
-            away = np.zeros(total, dtype=bool)
-        base_home = np.where(away, dest_row, home_row)
+        base_home = home = home_row[sub]
+        away = np.zeros(k, dtype=bool)
+        if mig is not None and (migrant := u_mig < mig.fraction).any():
+            dest_row = tour_rows[(u_dest * len(tour_rows)).astype(np.int64)]
+            t_mig[b0:b0 + m][migrant] = registry.tower_ids[dest_row[migrant]]
+            stay = mig.min_stay_days + (u_stay_len * mig_stay_spread).astype(np.int64)
+            a0 = mig_start_idx + (
+                u_stay_off * (mig_span_days - stay + 1)
+            ).astype(np.int64)
+            a0[~migrant] = stay[~migrant] = 0  # away on no day
+            away = (d_idx >= a0[sub]) & (d_idx < (a0 + stay)[sub])
+            base_home = np.where(away, dest_row[sub], home)
         if nb_k > 0:
             wander = nb_pools[base_home, (pick * nb_k).astype(np.int64)]
         else:
@@ -407,12 +436,11 @@ def generate(config: SynthConfig) -> SynthResult:
         # nor disperse: away-day work-share events stay at the destination,
         # which makes a long stay flip daytime criteria sooner than night
         # ones.
-        if len(wp):
-            work_scatter = wp[(pick * len(wp)).astype(np.int64)]
+        if work_k:
+            work_scatter = work_pools[home, (pick * work_k).astype(np.int64)]
         else:
-            work_scatter = np.full(total, home_row, dtype=np.int64)
+            work_scatter = home
         day_work_rows = np.where(away, base_home, work_scatter)
-        day_cut = config.work_call_share_day + config.home_call_share_day
         day_rows = np.where(
             branch < config.work_call_share_day,
             day_work_rows,
@@ -422,35 +450,49 @@ def generate(config: SynthConfig) -> SynthResult:
             branch < config.home_call_share_night, base_home, wander
         )
         rows = np.where(night, night_rows, day_rows)
+        np.take(registry.tower_ids, rows, out=towers)
 
-        uid_col.append(np.full(total, uid, dtype=np.uint64))
-        tower_col.append(registry.tower_ids[rows])
-        ts_col.append(ts)
-
-    if uid_col:
-        users = np.concatenate(uid_col)
-        towers = np.concatenate(tower_col)
-        stamps = np.concatenate(ts_col)
-    else:
-        users = np.zeros(0, dtype=np.uint64)
-        towers = np.zeros(0, dtype=np.int64)
-        stamps = np.zeros(0, dtype=np.int64)
-
-    order = np.lexsort((towers, users, stamps))
+    users, towers, stamps = (c[:n] for c in columns)
+    del columns
+    order = _time_order(users, towers, stamps)
     truth = GroundTruthTable(
         user_ids=np.arange(1, n_subs + 1, dtype=np.uint64),
         home_towers=t_home,
         work_towers=t_work,
         migration_towers=t_mig,
     )
+    # each column is gathered in turn, so its unsorted buffer is freed
+    # before the next one is gathered
+    users = users[order]
+    towers = towers[order]
+    stamps = stamps[order]
     return SynthResult(
         config=config,
         registry=registry,
         truth=truth,
-        users=users[order],
-        towers=towers[order],
-        timestamps=stamps[order],
+        users=users,
+        towers=towers,
+        timestamps=stamps,
     )
+
+
+def _time_order(users, towers, stamps) -> np.ndarray:
+    """The permutation that sorts the records by (timestamp, user, tower).
+
+    One sort by timestamp, then a lexsort of only the records that share
+    their timestamp with another. Records equal on all three keys are the
+    same record, so the order of the columns is that of a full lexsort.
+    """
+    order = np.argsort(stamps)
+    sorted_stamps = stamps[order]
+    tied = np.zeros(len(order), dtype=bool)
+    same = sorted_stamps[1:] == sorted_stamps[:-1]
+    tied[1:] |= same
+    tied[:-1] |= same
+    del sorted_stamps, same
+    at = order[tied]
+    order[tied] = at[np.lexsort((towers[at], users[at], stamps[at]))]
+    return order
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,15 @@
 """End-to-end runs of the command-line front end via main(argv)."""
 
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cdrhomes
 from cdrhomes.cli import load_config, main
 from cdrhomes.core import DatasetSpan
 from cdrhomes.synth import SynthConfig
@@ -245,6 +251,33 @@ def test_resume_under_other_options_is_refused(synth_dir, tmp_path, capsys):
 
     # the same options resume: every cell is kept, none recomputed
     assert main(argv + ["--resume", "--workers", "2"]) == 0
+    assert (run / "cells.jsonl").read_bytes() == cells
+
+
+def test_resume_under_other_code_is_refused(synth_dir, tmp_path):
+    run = tmp_path / "run"
+    argv = [
+        "sweep", "--records", str(synth_dir / "records.csv"),
+        "--towers", str(synth_dir / "towers.csv"), "--span", SPAN,
+        "--classes", "full", "--hdas", "MA", "--out", str(run),
+    ]
+    assert main(argv) == 0
+    cells = (run / "cells.jsonl").read_bytes()
+
+    # a copy of the package that differs from this one in one comment byte
+    pkg = tmp_path / "edited" / "cdrhomes"
+    shutil.copytree(Path(cdrhomes.__file__).parent, pkg,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    source = (pkg / "windows.py").read_text()
+    at = source.index("# grids only use") + 2
+    (pkg / "windows.py").write_text(source[:at] + "G" + source[at + 1:])
+    done = subprocess.run(
+        [sys.executable, "-m", "cdrhomes.cli", *argv, "--resume"],
+        env={**os.environ, "PYTHONPATH": str(pkg.parent)}, cwd=tmp_path,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 1, done.stderr
+    assert done.stderr.startswith("error: cannot resume")
     assert (run / "cells.jsonl").read_bytes() == cells
 
 

@@ -7,6 +7,7 @@ from datetime import date
 import numpy as np
 import pytest
 
+from cdrhomes import core
 from cdrhomes.core import (
     DatasetSpan,
     IngestError,
@@ -79,19 +80,36 @@ def _csv_writer_bytes(path, header, rows):
     return path.read_bytes()
 
 
-def test_writers_equal_csv_writer(tmp_path):
+def _records_rows(*columns):
+    return [[int(v) for v in row] for row in zip(*columns)]
+
+
+def _check_writers(tmp_path):
     u64 = np.array([2**64 - 1, 0, 7], dtype=np.uint64)
     i64 = np.array([-(2**63), -5, 2**63 - 1], dtype=np.int64)
     floats = np.array([0.1, -0.0, 5e-324], dtype=np.float64)
+    header = ["user_id", "tower_id", "timestamp"]
 
-    write_records_csv(tmp_path / "r.csv", u64, i64, i64[::-1])
-    want = _csv_writer_bytes(
-        tmp_path / "r0.csv", ["user_id", "tower_id", "timestamp"],
-        [[int(u), int(t), int(s)] for u, t, s in zip(u64, i64, i64[::-1])],
+    # digit-count boundaries, signs and both integer extremes
+    users = np.array(
+        [0, 9, 10, 99, 100, 2**64 - 1, 10**19, 10**19 - 1, 1, 2**63],
+        dtype=np.uint64,
     )
-    assert (tmp_path / "r.csv").read_bytes() == want
-    write_records_csv(tmp_path / "r.csv", u64, i64, i64, header=False)
-    assert (tmp_path / "r.csv").read_bytes().count(b"\n") == 3
+    towers = np.array(
+        [-(2**63), 2**63 - 1, -1, 0, 9, 10, -9, -10, -(10**18), 10**18],
+        dtype=np.int64,
+    )
+    for cols in (
+        (u64, i64, i64[::-1]),
+        (users, towers, towers[::-1]),
+        (users[::-1], towers // 7, np.arange(10, dtype=np.int64) - 5),
+        (users[:0], towers[:0], towers[:0]),
+    ):
+        want = _csv_writer_bytes(tmp_path / "r0.csv", header, _records_rows(*cols))
+        write_records_csv(tmp_path / "r.csv", *cols)
+        assert (tmp_path / "r.csv").read_bytes() == want
+        write_records_csv(tmp_path / "r.csv", *cols, header=False)
+        assert (tmp_path / "r.csv").read_bytes() == want.split(b"\n", 1)[1]
 
     reg = TowerRegistry(i64, floats, -floats * 1e300, np.array([0, 3, 2**62]))
     reg.write_csv(tmp_path / "t.csv")
@@ -113,6 +131,17 @@ def test_writers_equal_csv_writer(tmp_path):
     )
     assert (tmp_path / "g.csv").read_bytes() == want
     assert b",\n" in want  # an empty migration tower
+
+
+def test_writers_equal_csv_writer(tmp_path, monkeypatch):
+    _check_writers(tmp_path)
+    # again with blocks of 3 rows, so every file spans several blocks
+    monkeypatch.setattr(core, "_FORMAT_ROWS", 3)
+    monkeypatch.setattr(core, "_WRITE_ROWS", 3)
+    _check_writers(tmp_path)
+    with pytest.raises(ValueError, match="unequal"):
+        write_records_csv(tmp_path / "r.csv", np.zeros(3, dtype=np.uint64),
+                          np.zeros(2, dtype=np.int64), np.zeros(3, dtype=np.int64))
 
 
 def test_registry_csv_round_trip(tmp_path):

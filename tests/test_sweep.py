@@ -6,6 +6,7 @@ from datetime import date
 import numpy as np
 import pytest
 
+from cdrhomes import sweep as sweep_mod
 from cdrhomes.cli import main
 from cdrhomes.core import DatasetSpan, TowerRegistry
 from cdrhomes.hda import hdas_by_name
@@ -145,6 +146,44 @@ def test_sweep_resume_skips_completed_cells(tmp_path):
     cells = [json.loads(l) for l in resumed]
     assert len(cells) == sw.n_cells
     assert all(c["status"] == "ok" for c in cells)
+
+
+def _run_files(out) -> dict:
+    """{relative path: bytes} of a run directory, less the two files that
+    carry timings (manifest.json and cells.jsonl)."""
+    return {
+        str(p.relative_to(out)): p.read_bytes()
+        for p in sorted(out.rglob("*"))
+        if p.is_file() and p.name not in ("manifest.json", "cells.jsonl")
+    }
+
+
+def test_resume_after_a_kill_between_cell_files_and_record(tmp_path, monkeypatch):
+    res, parts, wins = _dataset()
+    fresh = tmp_path / "fresh"
+    run_sweep(parts, res.registry, wins, HDAS, fresh, SweepOptions())
+
+    # the run is killed while it writes the third cell's tower export
+    out = tmp_path / "run"
+    real = sweep_mod._write_tower_export
+    calls = []
+
+    def killed_on_third(*args):
+        calls.append(args[0].name)
+        if len(calls) == 3:
+            raise KeyboardInterrupt
+        real(*args)
+
+    monkeypatch.setattr(sweep_mod, "_write_tower_export", killed_on_third)
+    with pytest.raises(KeyboardInterrupt):
+        run_sweep(parts, res.registry, wins, HDAS, out, SweepOptions())
+    monkeypatch.setattr(sweep_mod, "_write_tower_export", real)
+    assert calls[-1] == "MA__14d-03.csv"
+
+    run_sweep(parts, res.registry, wins, HDAS, out, SweepOptions(resume=True))
+    files = _run_files(out)
+    assert "towers/MA__14d-03.csv" in files
+    assert files == _run_files(fresh)
 
 
 def test_resume_refuses_cells_of_other_inputs(tmp_path):

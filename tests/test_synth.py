@@ -1,5 +1,6 @@
 """Generator invariants: determinism, stream isolation, and calibrated shares."""
 
+import hashlib
 from datetime import date
 
 import numpy as np
@@ -114,6 +115,84 @@ def test_generate_canonical_record_order_and_span():
     assert res.timestamps.max() < hi
     assert set(np.unique(res.towers)) <= set(res.registry.tower_ids.tolist())
     assert res.truth.user_ids.tolist() == list(range(1, 169))
+
+
+# sha256 of the records, towers and truth CSV each config writes: they pin
+# the generator's output byte for byte (draw order, float arithmetic, record
+# order and CSV formatting). 168 subscribers (most configs) and 28 are not
+# multiples of the generator's block of subscribers; "sparse" leaves 40 of
+# its 168 subscribers without a record; "dst_change" spans the end of
+# summer time, a 25-hour day.
+PINNED_OUTPUT = {
+    "calm": (
+        "b03c1c6b0070e4607b7f7760ff3b9f78c8cf97d5198a6482b08b8187678b27f7",
+        "b91b520b8dd29d88a20c06aead69433fb569bc450a4faca049fc19e71206a943",
+        "1495499ec1438ce19a9f7b59f33cbf143c335defb92ec2dd40956ef883a10080",
+    ),
+    "migration": (
+        "b80ae6e6cbadfd63f211c5291b1e277c9aa2ca64fea12ee6865c004ba70636dd",
+        "b91b520b8dd29d88a20c06aead69433fb569bc450a4faca049fc19e71206a943",
+        "fe65c62b4dbca763690ef988c79d578db92f628857858a3b9cb0a08672d41d92",
+    ),
+    "work_pool_0": (
+        "aa38bb5a65918e60615312d8d82c0389d65ebf3ed8bfe66f5a301b07c35dce06",
+        "b91b520b8dd29d88a20c06aead69433fb569bc450a4faca049fc19e71206a943",
+        "7f4d5aaea14a1fd862e794c7824cfeaf5d0598b1e76dde4be0488859d7fdc016",
+    ),
+    "work_pool_1_no_neighbors": (
+        "68b9eb0ee0a3b36bd49c7e54b168ab26dbd8d5f7103742d566a6e47fd89964ff",
+        "b91b520b8dd29d88a20c06aead69433fb569bc450a4faca049fc19e71206a943",
+        "29d9fe8a61fab2b0c0739601f8557935024f3f5096d4cc69c04874f2d8b72ff6",
+    ),
+    "sparse": (
+        "8bae0b2b8f831be3064310729dd1071765c34ccb8156d2ca46816d7125d8a129",
+        "b91b520b8dd29d88a20c06aead69433fb569bc450a4faca049fc19e71206a943",
+        "1495499ec1438ce19a9f7b59f33cbf143c335defb92ec2dd40956ef883a10080",
+    ),
+    "no_subscribers": (
+        "7f545b30a6c5b3efc5f7d63194b8f4f62c346bb0630d97187c2f0a2182832eef",
+        "1c1070485a2da7f77cb0f4fb1ad0cc963211b844b70d2b60511f338f3b6d13ef",
+        "3c83a313b9cc6723091b26bcc5d4d711e93390a4f4937beb82d319e3f727288d",
+    ),
+    "few_subscribers": (
+        "03da2fa7031eeefe43558428778003c3fc0dcf750fd7049d93fbd09247db2185",
+        "ec935e10ebabac0c2ac8ad766eed788992902718efb4a10332473f332f4f63ac",
+        "3d4bdc74b3ac8a2b013841664b2bcfc1440163fc904582ee7241abc6d7c4c726",
+    ),
+    "dst_change": (
+        "ba38e9d3429d55effbcb3ca9bc36a21b278c5f669adb6ac9dcaa8cc110f3e619",
+        "c2bfec99e3285f64f52815f379973fafb921c15fb8c03b0ac832314fa025636d",
+        "8aed04d9909eda3f4aae362b2a4c2a623eed026f996553eac880bfd678d85610",
+    ),
+}
+
+
+def _pinned_configs():
+    return {
+        "calm": _cfg(),
+        "migration": _cfg(migration=_mig()),
+        "work_pool_0": _cfg(work_pool_size=0, migration=_mig()),
+        "work_pool_1_no_neighbors": _cfg(work_pool_size=1, neighbor_pool_size=0),
+        "sparse": _cfg(daily_event_rate=0.05),
+        "no_subscribers": _cfg(n_population=3),
+        "few_subscribers": _cfg(n_population=100, migration=_mig()),
+        "dst_change": _cfg(
+            span=DatasetSpan.parse("2007-10-20..2007-11-03"), n_population=300
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_OUTPUT))
+def test_generated_files_match_pinned_digests(name, tmp_path):
+    res = generate(_pinned_configs()[name])
+    res.write_records(tmp_path / "records.csv")
+    res.registry.write_csv(tmp_path / "towers.csv")
+    res.truth.write_csv(tmp_path / "truth.csv")
+    got = tuple(
+        hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+        for f in ("records.csv", "towers.csv", "truth.csv")
+    )
+    assert got == PINNED_OUTPUT[name]
 
 
 def test_adding_users_never_perturbs_existing_traces():
