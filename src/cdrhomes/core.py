@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import re
+import time
 from dataclasses import dataclass, field, fields
 from datetime import date
 from pathlib import Path
@@ -157,7 +158,10 @@ class UserPartition:
     window's slice count each pair's distinct days, and the flagged records
     carry each pair's earliest timestamp per day. Nothing assumes the civil
     date rises with the timestamp. The layout costs 14 bytes per record,
-    16 per pair, 8 per user and 12 per civil day (plus 8).
+    16 per pair, 8 per user and 12 per civil day (plus 8). partition_records
+    builds it with one sort by timestamp and 16-bit radix passes, whose
+    count follows the ids' value ranges (see _detection_index); any uint64
+    user id and int64 tower id is taken.
     """
 
     index: int
@@ -212,43 +216,84 @@ def partition_of(user_id: int, n_partitions: int) -> int:
     return int(_splitmix64(np.asarray([user_id], dtype=np.uint64))[0] % n_partitions)
 
 
+def _radix_argsort(column: np.ndarray, order: np.ndarray | None) -> np.ndarray:
+    """order (None: the identity), stably sorted by column[order].
+
+    numpy's stable argsort is a radix sort only for keys of 16 bits or
+    less, so the integer column's offset from its minimum is sorted one
+    16-bit digit at a time, least significant first, in as many passes as
+    its value range needs: none for a constant column, four for one that
+    spans 64 bits.
+    """
+    lo, hi = (int(column.min()), int(column.max())) if len(column) else (0, 0)
+    # the range fits the column's width, so the offset wraps to its exact
+    # value in the unsigned type of that width
+    unsigned = np.dtype(f"u{column.itemsize}")
+    base = unsigned.type(lo % 2 ** (8 * column.itemsize))
+    for shift in range(0, (hi - lo).bit_length(), 16):
+        digit = column.view(unsigned) - base
+        digit >>= unsigned.type(shift)
+        digit = digit.astype(np.uint16)
+        if order is None:
+            order = np.argsort(digit, kind="stable")
+        else:
+            order = order[np.argsort(digit[order], kind="stable")]
+    return np.arange(len(column)) if order is None else order
+
+
+def _change_flags(sorted_column: np.ndarray) -> np.ndarray:
+    """Whether each value of a sorted column differs from the one before."""
+    flags = np.empty(len(sorted_column), dtype=bool)
+    flags[:1] = True
+    np.not_equal(sorted_column[1:], sorted_column[:-1], out=flags[1:])
+    return flags
+
+
 def _detection_index(users, towers, timestamps, day_ords, week_hours):
-    """user_ids and the pair_* and index_* columns of one partition's records."""
+    """user_ids and the pair_* and index_* columns of one partition's records.
+
+    A sort by timestamp, then stable 16-bit radix passes by tower and by
+    user (_radix_argsort), put the records in (user, tower, timestamp)
+    order, where change flags and their running sums number the users and
+    the pairs. A last stable pass by civil day gives (day, pair, timestamp)
+    order; records that tie on all three are equal, so every column is a
+    function of the record multiset, not the input order. Each column is
+    gathered through the order once, and freed before the next.
+    """
     n = len(users)
-    user_ids, user_rows = np.unique(users, return_inverse=True)
-    tower_ids, tower_codes = np.unique(towers, return_inverse=True)
-    pair_keys = user_rows * len(tower_ids) + tower_codes
-    # a sort by timestamp, then stable sorts by pair and by day, give (day,
-    # pair, timestamp) order; records that tie on all three are equal, so
-    # every column is a function of the record multiset, not the input
-    # order. The day key is small and unsigned, which numpy sorts by radix
     order = np.argsort(timestamps)
-    order = order[np.argsort(pair_keys[order], kind="stable")]
-    pair_keys = pair_keys[order]
-    new_pair = np.empty(n, dtype=bool)
-    new_pair[:1] = True
-    np.not_equal(pair_keys[1:], pair_keys[:-1], out=new_pair[1:])
-    pairs = np.cumsum(new_pair, dtype=np.int64) - 1
-    pair_keys = pair_keys[new_pair]
-    pairs = pairs.astype(np.int32 if len(pair_keys) <= 2**31 else np.int64)
-    days = day_ords[order]
-    first_day, last_day = (int(days.min()), int(days.max())) if n else (0, 0)
-    by_day = np.argsort(
-        (days - first_day).astype(np.min_scalar_type(last_day - first_day)),
-        kind="stable",
+    order = _radix_argsort(towers, order)
+    order = _radix_argsort(users, order)
+    sorted_users = users[order]
+    new_user = _change_flags(sorted_users)
+    user_ids = sorted_users[new_user]
+    del sorted_users
+    sorted_towers = towers[order]
+    new_pair = _change_flags(sorted_towers)
+    new_pair |= new_user
+    pair_towers = sorted_towers[new_pair]
+    del sorted_towers
+    pair_users = np.cumsum(new_user[new_pair], dtype=np.int64)
+    pair_users -= 1
+    del new_user
+    pairs = np.cumsum(
+        new_pair, dtype=np.int32 if len(pair_towers) <= 2**31 else np.int64
     )
+    pairs -= 1
+    del new_pair
+    days = day_ords[order]
+    by_day = _radix_argsort(days, None)
+    pairs = pairs[by_day]
+    days = days[by_day]
     order = order[by_day]
-    pairs, days = pairs[by_day], days[by_day]
-    new_day = np.empty(n, dtype=bool)
-    new_day[:1] = True
-    np.not_equal(days[1:], days[:-1], out=new_day[1:])
-    day_first = new_day.copy()
+    del by_day
+    day_first = _change_flags(days)
+    day_starts = np.flatnonzero(day_first)
     day_first[1:] |= pairs[1:] != pairs[:-1]
-    day_starts = np.flatnonzero(new_day)
     return {
         "user_ids": user_ids,
-        "pair_users": pair_keys // len(tower_ids),
-        "pair_towers": tower_ids[pair_keys % len(tower_ids)],
+        "pair_users": pair_users,
+        "pair_towers": pair_towers,
         "index_days": days[day_starts],
         "index_day_starts": np.append(day_starts, n).astype(np.int64),
         "index_pairs": pairs,
@@ -292,8 +337,10 @@ def partition_records(
         keep = (timestamps >= lo) & (timestamps < hi)
         if not keep.all():
             users, towers, timestamps = users[keep], towers[keep], timestamps[keep]
-    day_ords, hours, weekdays = clock.local_fields(timestamps)
-    week_hours = weekdays * 24 + hours
+    day_ords, hours, week_hours = clock.local_fields(timestamps)
+    week_hours *= 24  # the weekday's first hour
+    week_hours += hours
+    del hours
     if span is not None:
         lo, hi = day_ordinal(span.first_day), day_ordinal(span.last_day)
         keep = (day_ords >= lo) & (day_ords <= hi)
@@ -302,14 +349,18 @@ def partition_records(
             day_ords, week_hours = day_ords[keep], week_hours[keep]
     n_out = n_in - len(users)
 
-    part_idx = _splitmix64(users) % np.uint64(n_partitions)
+    # the narrowest type: the column stays live while the indexes are built
+    part_idx = (_splitmix64(users) % np.uint64(n_partitions)).astype(
+        np.min_scalar_type(n_partitions - 1)
+    )
     parts: list[UserPartition] = []
     columns = (users, towers, timestamps, day_ords, week_hours)
     for p in range(n_partitions):
-        m = part_idx == np.uint64(p)
+        m = part_idx == p
         # a partition holding every record takes the columns as they are:
         # copying them would add their size to ingest's peak memory
         held = columns if m.all() else [c[m] for c in columns]
+        del m
         parts.append(
             UserPartition(
                 index=p, n_partitions=n_partitions, **_detection_index(*held)
@@ -323,7 +374,10 @@ class IngestReport:
     """Per-reason accounting for one ingestion pass.
 
     total_lines counts data lines (a recognized header line is flagged, not
-    counted), so accepted + the three reject columns always equals it.
+    counted), so accepted + the three reject columns always equals it. The
+    two timings (perf_counter seconds in the file parse, unknown-tower
+    filter included, and in partition_records) vary from run to run: they
+    take no part in equality and stay out of as_dict.
     """
 
     records_file: str
@@ -336,6 +390,8 @@ class IngestReport:
     distinct_users: int = 0
     n_partitions: int = 1
     sample_rejects: list[str] = field(default_factory=list)
+    parse_seconds: float = field(default=0.0, compare=False)
+    partition_seconds: float = field(default=0.0, compare=False)
 
     def check(self) -> None:
         total = (
@@ -350,11 +406,11 @@ class IngestReport:
             )
 
     def as_dict(self) -> dict:
-        """Every field but sample_rejects, in field order."""
+        """Every field but sample_rejects and the timings, in field order."""
         return {
             f.name: getattr(self, f.name)
             for f in fields(self)
-            if f.name != "sample_rejects"
+            if f.compare and f.name != "sample_rejects"
         }
 
     def as_text(self) -> str:
@@ -650,6 +706,7 @@ def ingest(
     if not path.exists():
         raise IngestError(f"records file not found: {path}")
 
+    t_start = time.perf_counter()
     report = IngestReport(records_file=str(path), n_partitions=n_partitions)
     judge = _LineJudge(report, clock)
     # ISO times more than two days outside the span are out of span; they
@@ -672,9 +729,12 @@ def ingest(
             _note_reject(report, f"tower_id={int(tid)}", "unknown_tower")
         u, t, s = u[known], t[known], s[known]
 
+    t_parsed = time.perf_counter()
     parts, n_out = partition_records(
         u, t, s, clock=clock, n_partitions=n_partitions, span=span
     )
+    report.parse_seconds = t_parsed - t_start
+    report.partition_seconds = time.perf_counter() - t_parsed
     report.rejected_out_of_span = n_out
     report.accepted = int(sum(p.n_records for p in parts))
     report.distinct_users = int(sum(p.n_users for p in parts))

@@ -24,6 +24,8 @@ import hashlib
 import json
 import multiprocessing
 import os
+import resource
+import sys
 import time
 import traceback
 from dataclasses import asdict, dataclass, field, fields
@@ -122,7 +124,13 @@ class SweepResult:
 
 @dataclass
 class RunManifest:
-    """Reproduction record for one sweep run."""
+    """Reproduction record for one sweep run.
+
+    stages holds what the run cost: the ingest parse, partition_records
+    and run_sweep seconds (perf_counter; the ingest ones only when an
+    IngestReport is given) and the peak RSS in MiB of this process and of
+    its largest worker (see _peak_rss_mb).
+    """
 
     created_utc: str
     version: str
@@ -141,6 +149,7 @@ class RunManifest:
     ingest: dict | None = None
     seeds: dict = field(default_factory=dict)
     extra: dict = field(default_factory=dict)
+    stages: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
         payload = {"tool": "cdrhomes", **asdict(self)}
@@ -198,6 +207,7 @@ def _compute_cell(state: dict, h_idx: int, w_idx: int) -> tuple:
         )
         rec = report.as_cell_dict()
         rec["status"] = "ok"
+        rec["n_tied"] = sum(int(b.tie_broken.sum()) for b in bulks)
         rec["accuracy"] = None
         if state["truth"] is not None:
             acc = score_against_truth(
@@ -331,6 +341,28 @@ def load_run(
     return result, n_bad
 
 
+def _peak_rss_mb() -> tuple[float, float]:
+    """Peak resident set sizes in MiB: this process's, and that of its
+    largest waited-for child (0 without children).
+
+    getrusage(RUSAGE_SELF) carries across exec the high-water mark of the
+    process that started this one, so this process's own figure is read
+    from VmHWM in /proc/self/status, which starts anew at exec, where that
+    file exists (Linux). ru_maxrss is in KiB on Linux, in bytes on macOS.
+    """
+    unit = 2**20 if sys.platform == "darwin" else 2**10
+    own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / unit
+    try:
+        with open("/proc/self/status") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    own = int(line.split()[1]) / 2**10
+    except OSError:
+        pass
+    children = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / unit
+    return round(own, 1), round(children, 1)
+
+
 def _tower_export_rows(registry: TowerRegistry) -> list[tuple[str, str]]:
     """Per-tower text of a tower export around its x: ("id,lon,lat,", ",y,")."""
     return [
@@ -396,7 +428,8 @@ def run_sweep(
 
     With out_dir=None nothing is written (in-memory use); otherwise the
     directory is probed for writability before any computation starts, and
-    emit_reports is invoked at the end. options.resume skips cells already
+    emit_reports is invoked at the end; run_sweep_s in the manifest's stages
+    includes it. options.resume skips cells already
     recorded in an existing cells.jsonl, and raises ValueError when any of
     them was computed under another fingerprint.
     """
@@ -527,6 +560,14 @@ def run_sweep(
     )
     if out_path is not None:
         emit_reports(result, out_path)
+    stages = manifest.stages
+    if ingest_report is not None:
+        stages["ingest_parse_s"] = round(ingest_report.parse_seconds, 4)
+        stages["partition_records_s"] = round(ingest_report.partition_seconds, 4)
+    stages["run_sweep_s"] = round(time.perf_counter() - t_start, 4)
+    # the pool's workers were waited for when it closed
+    stages["peak_rss_mb"], stages["workers_peak_rss_mb"] = _peak_rss_mb()
+    if out_path is not None:
         manifest.write(out_path)
     return result, manifest
 

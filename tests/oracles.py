@@ -1,9 +1,9 @@
 """Independent reference implementations the package must agree with.
 
 Everything here is deliberately naive: per-record Python loops, dict
-counters, stdlib zoneinfo for civil time, math.fsum for exact two-pass
-moments. No import from the package's engine modules, so an engine bug
-cannot hide in its own oracle.
+counters, numpy's general-purpose sorts, stdlib zoneinfo for civil time,
+math.fsum for exact two-pass moments. No import from the package's engine
+modules, so an engine bug cannot hide in its own oracle.
 """
 
 from __future__ import annotations
@@ -12,6 +12,8 @@ import math
 from collections import defaultdict
 from datetime import datetime
 from zoneinfo import ZoneInfo
+
+import numpy as np
 
 TZ_NAME = "Europe/Paris"
 
@@ -30,6 +32,43 @@ def records_by_user(users, towers, timestamps):
         tw.append(tower)
         st.append(ts)
     return records
+
+
+def reference_index(users, towers, timestamps, day_ords, week_hours) -> dict:
+    """The detection index columns of one partition's records, built the
+    slow, obvious way: np.unique ranks, one np.lexsort over (timestamp,
+    tower, user, civil day) and per-record Python loops. Keys and dtypes
+    are those of UserPartition's array fields.
+    """
+    users = np.asarray(users, dtype=np.uint64)
+    day_ords = np.asarray(day_ords, dtype=np.int32)
+    user_ids, user_ranks = np.unique(users, return_inverse=True)
+    tower_ids, tower_ranks = np.unique(towers, return_inverse=True)
+    order = np.lexsort((timestamps, tower_ranks, user_ranks, day_ords))
+    pairs = sorted(set(zip(user_ranks.tolist(), tower_ranks.tolist())))
+    pair_of = {pair: i for i, pair in enumerate(pairs)}
+    record_pairs = [
+        pair_of[pair]
+        for pair in zip(user_ranks[order].tolist(), tower_ranks[order].tolist())
+    ]
+    days = day_ords[order].tolist()
+    day_first = [
+        i == 0 or (days[i], record_pairs[i]) != (days[i - 1], record_pairs[i - 1])
+        for i in range(len(days))
+    ]
+    index_days = sorted(set(days))
+    day_starts = [days.index(d) for d in index_days] + [len(days)]
+    return {
+        "user_ids": user_ids.astype(np.uint64),
+        "pair_users": np.array([u for u, _ in pairs], dtype=np.int64),
+        "pair_towers": np.array([int(tower_ids[t]) for _, t in pairs], dtype=np.int64),
+        "index_days": np.array(index_days, dtype=np.int32),
+        "index_day_starts": np.array(day_starts, dtype=np.int64),
+        "index_pairs": np.array(record_pairs, dtype=np.int32),
+        "index_timestamps": np.asarray(timestamps, dtype=np.int64)[order],
+        "index_week_hours": np.asarray(week_hours, dtype=np.uint8)[order],
+        "index_day_first": np.array(day_first, dtype=bool),
+    }
 
 
 def user_fields(timestamps, tz_name: str = TZ_NAME):

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cdrhomes
@@ -222,6 +223,53 @@ def test_sweep_and_report_reemit(synth_dir, tmp_path, capsys):
     assert reemitted.keys() == live.keys()
     for name, data in live.items():
         assert reemitted[name] == data, name
+
+
+def test_sweep_manifest_records_stages(synth_dir, tmp_path, capsys):
+    run = tmp_path / "run"
+    argv = [
+        "sweep", "--records", str(synth_dir / "records.csv"),
+        "--towers", str(synth_dir / "towers.csv"), "--span", SPAN,
+        "--classes", "full", "--hdas", "MA,DD", "--workers", "2",
+        "--out", str(run),
+    ]
+    assert main(argv) == 0
+    manifest = json.loads((run / "manifest.json").read_text())
+    stages = manifest["stages"]
+    assert set(stages) == {
+        "ingest_parse_s", "partition_records_s", "run_sweep_s",
+        "peak_rss_mb", "workers_peak_rss_mb",
+    }
+    for key, value in stages.items():
+        assert isinstance(value, (int, float)) and value >= 0, key
+    assert stages["peak_rss_mb"] > 0
+    # the ingest block holds the counts alone, as ingest-check prints them
+    capsys.readouterr()
+    assert main(["ingest-check", *argv[1:7]]) == 0
+    printed = [line.split("=", 1) for line in capsys.readouterr().out.splitlines()]
+    assert {k: str(v) for k, v in manifest["ingest"].items()} == {
+        k: v for k, v in printed if k != "sample_reject"
+    }
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="no VmHWM")
+def test_sweep_peak_rss_is_its_own_not_its_launchers(synth_dir, tmp_path):
+    # getrusage(RUSAGE_SELF) in the sweep would carry this process's
+    # high-water mark, 160 MiB or more, across exec
+    held = np.ones(160 * 2**20 // 8)
+    run = tmp_path / "run"
+    done = subprocess.run(
+        [sys.executable, "-m", "cdrhomes.cli", "sweep",
+         "--records", str(synth_dir / "records.csv"),
+         "--towers", str(synth_dir / "towers.csv"), "--span", SPAN,
+         "--classes", "full", "--hdas", "MA", "--out", str(run)],
+        env={**os.environ, "PYTHONPATH": str(Path(cdrhomes.__file__).parents[1])},
+        capture_output=True, text=True, timeout=120,
+    )
+    del held
+    assert done.returncode == 0, done.stderr
+    stages = json.loads((run / "manifest.json").read_text())["stages"]
+    assert 0 < stages["peak_rss_mb"] < 120
 
 
 def test_resume_under_other_options_is_refused(synth_dir, tmp_path, capsys):

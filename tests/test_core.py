@@ -1,6 +1,7 @@
 """Records model, partitioning, and ingestion accounting."""
 
 import csv
+import tracemalloc
 from collections import Counter
 from datetime import date
 
@@ -23,6 +24,8 @@ from cdrhomes.timebase import CivilClock
 from conftest import (
     array_fields, assert_same_partitions, make_registry, random_records,
 )
+from oracles import local_fields as oracle_local_fields
+from oracles import reference_index
 
 SPAN = DatasetSpan.parse("2007-05-13..2007-10-13")
 T0 = CivilClock().midnight_epoch(date(2007, 5, 13))
@@ -296,6 +299,100 @@ def test_detection_index_holds_the_input_records_by_day():
     sl = part.day_slice(int(part.index_days[3]), int(part.index_days[5]))
     assert set(day_of[sl]) == set(part.index_days[3:6])
     assert part.day_slice(0, int(part.index_days[0]) - 1) == slice(0, 0)
+
+
+def _reference_partitions(users, towers, stamps, n_partitions):
+    """oracles.reference_index of each partition's records, with civil
+    fields from the stdlib."""
+    fields = [oracle_local_fields(ts) for ts in stamps.tolist()]
+    day_ords = np.array([d.toordinal() for d, _, _ in fields], dtype=np.int32)
+    week_hours = np.array([w * 24 + h for _, h, w in fields], dtype=np.uint8)
+    part_of = np.array(
+        [partition_of(u, n_partitions) for u in users.tolist()], dtype=np.int64
+    )
+    return [
+        reference_index(users[m], towers[m], stamps[m], day_ords[m], week_hours[m])
+        for m in (part_of == p for p in range(n_partitions))
+    ]
+
+
+def _wide_id_records(rng, n, t0, t1):
+    """n records on user ids across uint64 and tower ids across int64,
+    extremes included, plus repeats of some of them, shuffled."""
+    user_pool = np.concatenate([
+        np.array([0, 2**64 - 1, 1, 2**63, 2**63 - 1, 2**16 - 1, 2**16, 2**48],
+                 dtype=np.uint64),
+        rng.integers(0, 2**64 - 1, 24, dtype=np.uint64, endpoint=True),
+    ])
+    tower_pool = np.concatenate([
+        np.array([-(2**63), 2**63 - 1, -1, 0, 1, -(2**16), 2**16, 2**47 + 3]),
+        rng.integers(-(2**63), 2**63 - 1, 12, endpoint=True),
+    ])
+    return _with_duplicates(
+        rng,
+        user_pool[rng.integers(0, len(user_pool), n)],
+        tower_pool[rng.integers(0, len(tower_pool), n)],
+        rng.integers(t0, t1, n, dtype=np.int64),
+        n_dup=n // 10,
+    )
+
+
+def test_detection_index_equals_reference_on_any_ids():
+    rng = np.random.default_rng(17)
+    wide = _wide_id_records(rng, 400, T0, T1)
+    # civil days across 250 years: a day range beyond 16 bits
+    epochs = CivilClock().midnight_epoch
+    centuries = _wide_id_records(
+        rng, 200, epochs(date(1850, 1, 1)), epochs(date(2100, 1, 1))
+    )
+    one_pair = (
+        np.full(50, 2**64 - 1, dtype=np.uint64),
+        np.full(50, -(2**63), dtype=np.int64),
+        rng.integers(T0, T1, 50, dtype=np.int64),
+    )
+    cases = {
+        "wide ids": wide,
+        "wide ids over centuries": centuries,
+        "one pair": one_pair,
+        "one record": tuple(c[:1] for c in wide),
+        "no records": tuple(c[:0] for c in wide),
+    }
+    clock = CivilClock()
+    for name, records in cases.items():
+        for n_partitions in (1, 3):
+            parts, _ = partition_records(
+                *records, clock=clock, n_partitions=n_partitions
+            )
+            want = _reference_partitions(*records, n_partitions)
+            assert len(parts) == len(want)
+            for part, ref in zip(parts, want):
+                got = array_fields(part)
+                assert got.keys() == ref.keys()
+                for field, arr in ref.items():
+                    where = f"{name}, {n_partitions} partitions, {field}"
+                    assert got[field].dtype == arr.dtype, where
+                    assert np.array_equal(got[field], arr), where
+
+
+def test_partition_records_memory_peak():
+    # above the caller's columns, civil fields and the index build stay
+    # within 72 bytes per record (a build by np.unique and a 64-bit
+    # pair-key sort needs about 90)
+    n = 600_000
+    rng = np.random.default_rng(19)
+    users = rng.integers(1, 15_001, n).astype(np.uint64)
+    towers = rng.integers(100, 400, n)
+    stamps = rng.integers(T0, T1, n)
+    clock = CivilClock()
+    clock.local_fields(np.array([T0, T1]))  # the zone table, outside the trace
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        partition_records(users, towers, stamps, clock=clock)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - before) / n <= 72
 
 
 def test_partition_civil_fields_match_clock():

@@ -239,6 +239,47 @@ def test_assignment_dump_rows_do_not_depend_on_partition_count(tmp_path):
         assert sorted(dumps[4][name][1:]) == sorted(lines[1:]), name
 
 
+def test_cells_count_tied_users_for_any_worker_and_partition_count(
+    tmp_path, capsys
+):
+    res, _, wins = _dataset(fraction=0.3)
+    n_tied = []
+    for workers, n_parts in ((1, 1), (2, 3)):
+        parts = one_partition(
+            res.users, res.towers, res.timestamps,
+            clock=CivilClock(res.config.tz_name), n_partitions=n_parts,
+        )
+        out = tmp_path / f"w{workers}p{n_parts}"
+        run_sweep(
+            parts, res.registry, wins, HDAS, out,
+            SweepOptions(workers=workers, dump_assignments=True),
+        )
+        cells = [json.loads(l) for l in (out / "cells.jsonl").read_text().splitlines()]
+        tied = {}
+        for cell in cells:
+            dump = out / "assignments" / f"{cell['hda']}__{cell['window']}.csv"
+            rows = dump.read_text().splitlines()[1:]
+            assert cell["n_tied"] == sum(row.endswith(",1") for row in rows)
+            tied[cell["hda"], cell["window"]] = cell["n_tied"]
+        n_tied.append(tied)
+    assert n_tied[0] == n_tied[1]
+    assert len(n_tied[0]) == len(wins) * len(HDAS)
+    assert sum(n_tied[0].values()) > 0
+
+    # n_tied is in no report, and report takes records without it
+    want = _run_files(out)
+    (out / "cells.jsonl").write_text("".join(
+        json.dumps({k: v for k, v in cell.items() if k != "n_tied"}) + "\n"
+        for cell in cells
+    ))
+    for name in want:
+        if "/" not in name:
+            (out / name).unlink()
+    assert main(["report", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert _run_files(out) == want
+
+
 def test_report_after_resume_from_torn_cells_log_emits_every_cell(tmp_path, capsys):
     res, parts, wins = _dataset()
     out = tmp_path / "run"
