@@ -37,13 +37,11 @@ from .metrics import (
     compute_metric_report,
     decile_summary,
     exclusion_policy,
-    log_ratio,
     log_ratio_array,
     pearson_r,
 )
 from .sweep import RunManifest, SweepOptions, SweepResult, emit_reports, run_sweep
 from .synth import (
-    AccuracyReport,
     AccuracyRow,
     GroundTruthTable,
     MigrationConfig,
@@ -89,7 +87,6 @@ __all__ = [
     "compute_metric_report",
     "decile_summary",
     "exclusion_policy",
-    "log_ratio",
     "log_ratio_array",
     "pearson_r",
     "RunManifest",
@@ -97,7 +94,6 @@ __all__ = [
     "SweepResult",
     "emit_reports",
     "run_sweep",
-    "AccuracyReport",
     "AccuracyRow",
     "GroundTruthTable",
     "MigrationConfig",

@@ -364,8 +364,8 @@ def cmd_score(opt: Options) -> int:
         np.asarray(quals, dtype=np.int64),
         np.asarray(ties, dtype=bool),
     )
-    report = score_against_truth({hda_name: [bulk]}, truth, window, migration_range)
-    print(accuracy_csv(report.rows), end="")
+    rows = score_against_truth({hda_name: [bulk]}, truth, window, migration_range)
+    print(accuracy_csv(rows), end="")
     return 0
 
 

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .timebase import CivilClock, day_ordinal
+from .timebase import CivilClock
 
 RECORDS_HEADER = ("user_id", "tower_id", "timestamp")
 TOWERS_HEADER = ("tower_id", "lon", "lat", "population")
@@ -80,22 +80,14 @@ class TowerRegistry:
             raise ValueError("registry columns have unequal lengths")
         if np.any(self.population < 0):
             raise ValueError("negative population in tower registry")
-        order = np.argsort(self.tower_ids, kind="stable")
-        sorted_ids = self.tower_ids[order]
-        if n > 1 and np.any(sorted_ids[1:] == sorted_ids[:-1]):
-            dup = int(sorted_ids[:-1][sorted_ids[1:] == sorted_ids[:-1]][0])
-            raise ValueError(f"duplicate tower_id {dup} in registry")
-        self._sorted_ids = sorted_ids
+        order = argsort_unique(self.tower_ids, "duplicate tower_id {} in registry")
+        self._sorted_ids = self.tower_ids[order]
         self._sorted_rows = order.astype(np.int64)
         for arr in (self.tower_ids, self.lon, self.lat, self.population):
             arr.setflags(write=False)
 
     def __len__(self) -> int:
         return len(self.tower_ids)
-
-    def __contains__(self, tower_id: int) -> bool:
-        i = np.searchsorted(self._sorted_ids, tower_id)
-        return i < len(self._sorted_ids) and self._sorted_ids[i] == tower_id
 
     def contains_ids(self, tower_ids: np.ndarray) -> np.ndarray:
         """Boolean mask: which of the given ids exist in the registry."""
@@ -104,13 +96,9 @@ class TowerRegistry:
     def rows_for(self, tower_ids: np.ndarray) -> np.ndarray:
         """Registry row index per id; raises on any id not in the registry."""
         ids = np.asarray(tower_ids, dtype=np.int64)
-        i = np.searchsorted(self._sorted_ids, ids)
-        i_clip = np.minimum(i, len(self._sorted_ids) - 1)
-        ok = (i < len(self._sorted_ids)) & (self._sorted_ids[i_clip] == ids)
-        if not ok.all():
-            bad = int(ids[~ok][0])
-            raise KeyError(f"tower_id {bad} not in registry")
-        return self._sorted_rows[i_clip]
+        return self._sorted_rows[
+            find_sorted(self._sorted_ids, ids, "tower_id {} not in registry")
+        ]
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -133,14 +121,37 @@ class TowerRegistry:
                     continue
                 if len(row) != 4:
                     raise IngestError(f"bad registry row {row!r} in {path}")
-                try:
-                    ids.append(int(row[0]))
+                try:  # an integer outside the column's type overflows
+                    ids.append(np.int64(row[0]))
                     lon.append(float(row[1]))
                     lat.append(float(row[2]))
-                    pop.append(int(row[3]))
-                except ValueError as exc:
+                    pop.append(np.int64(row[3]))
+                except (ValueError, OverflowError) as exc:
                     raise IngestError(f"bad registry row {row!r} in {path}") from exc
         return cls(ids, lon, lat, pop)
+
+
+def argsort_unique(ids: np.ndarray, duplicate: str) -> np.ndarray:
+    """Stable argsort of an id column; ValueError (duplicate, formatted
+    with the id) when an id repeats."""
+    order = np.argsort(ids, kind="stable")
+    sorted_ids = ids[order]
+    repeats = sorted_ids[1:][sorted_ids[1:] == sorted_ids[:-1]]
+    if len(repeats):
+        raise ValueError(duplicate.format(int(repeats[0])))
+    return order
+
+
+def find_sorted(sorted_ids: np.ndarray, ids: np.ndarray, missing: str) -> np.ndarray:
+    """Position of each of ids in the sorted unique sorted_ids; KeyError
+    (missing, formatted with the id) when one is absent. An empty
+    sorted_ids holds no id."""
+    i = np.searchsorted(sorted_ids, ids)
+    found = i < len(sorted_ids)
+    found[found] = sorted_ids[i[found]] == ids[found]
+    if not found.all():
+        raise KeyError(missing.format(int(ids[~found][0])))
+    return i
 
 
 @dataclass
@@ -314,9 +325,11 @@ def partition_records(
 ) -> tuple[list[UserPartition], int]:
     """Split records into per-user partitions, each holding its detection index.
 
-    Derives civil fields in bulk; when a span is given, records whose civil
-    date falls outside it are dropped and counted. Returns (partitions,
-    n_out_of_span). Input order never matters (see UserPartition).
+    Each record's civil day ordinal and week hour come from
+    clock.local_fields and go into the index as they are; when a span is
+    given, records whose civil date falls outside it are dropped and
+    counted. Returns (partitions, n_out_of_span). Input order never matters
+    (see UserPartition).
     """
     if n_partitions < 1:
         raise ValueError("n_partitions must be >= 1")
@@ -337,12 +350,9 @@ def partition_records(
         keep = (timestamps >= lo) & (timestamps < hi)
         if not keep.all():
             users, towers, timestamps = users[keep], towers[keep], timestamps[keep]
-    day_ords, hours, week_hours = clock.local_fields(timestamps)
-    week_hours *= 24  # the weekday's first hour
-    week_hours += hours
-    del hours
+    day_ords, week_hours = clock.local_fields(timestamps)
     if span is not None:
-        lo, hi = day_ordinal(span.first_day), day_ordinal(span.last_day)
+        lo, hi = span.first_day.toordinal(), span.last_day.toordinal()
         keep = (day_ords >= lo) & (day_ords <= hi)
         if not keep.all():
             users, towers, timestamps = users[keep], towers[keep], timestamps[keep]

@@ -258,10 +258,8 @@ def aggregate_homes(
     """
     homes = assignments.home_towers
     assigned = homes[homes >= 0]
-    x = np.zeros(len(registry), dtype=np.int64)
-    if len(assigned):
-        rows = registry.rows_for(assigned)
-        x = np.bincount(rows, minlength=len(registry)).astype(np.int64)
+    rows = registry.rows_for(assigned)
+    x = np.bincount(rows, minlength=len(registry)).astype(np.int64)
     return TowerVectors(
         hda=assignments.hda,
         window=assignments.window,

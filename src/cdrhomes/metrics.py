@@ -2,8 +2,9 @@
 
 Per (HDA, window) cell: Pearson's r across towers between the detected-home
 vector x and the population vector y, the per-tower log ratio ln(x/y), and a
-decile profile of x over towers binned by y. Undefined values carry a reason
-instead of degrading to a silent 0 or NaN in scalar paths.
+decile profile of x over towers binned by y. An undefined r raises
+UndefinedMetric with its reason instead of degrading to a silent 0; an
+undefined log ratio (x or y is 0) is NaN, which the exports write as empty.
 """
 
 from __future__ import annotations
@@ -58,17 +59,6 @@ def pearson_r(x, y) -> float:
     return min(1.0, max(-1.0, r))
 
 
-def log_ratio(x_count: float, y_count: float) -> float:
-    """ln(x/y) for one tower; undefined (with reason) when either side is 0."""
-    if x_count < 0 or y_count < 0:
-        raise ValueError("counts must be non-negative")
-    if x_count == 0:
-        raise UndefinedMetric("no detected homes on tower (x = 0)")
-    if y_count == 0:
-        raise UndefinedMetric("no ground-truth population on tower (y = 0)")
-    return math.log(x_count / y_count)
-
-
 def log_ratio_array(x, y) -> np.ndarray:
     """Vector ln(x/y) for exports; undefined entries become NaN."""
     xa = _as_vector(x, "x")
@@ -92,10 +82,6 @@ class DecileBin:
     mean_x: float
     std_x: float
 
-    @property
-    def empty(self) -> bool:
-        return self.n == 0
-
 
 def _empty_bins() -> list[DecileBin]:
     nan = float("nan")
@@ -107,7 +93,7 @@ def decile_summary(x, y) -> list[DecileBin]:
 
     Towers are ordered by (y, x) so any permutation of the input yields the
     same bins. Fewer than 10 towers cannot form deciles; that returns the 9
-    bins flagged empty instead of failing.
+    bins with n = 0 instead of failing.
     """
     xa = _as_vector(x, "x")
     ya = _as_vector(y, "y")

@@ -40,7 +40,6 @@ from .hda import HdaSpec, detect_homes_bulk, aggregate_homes, merge_vectors
 from .metrics import MetricReport, compute_metric_report
 from .svgplot import line_chart
 from .synth import (
-    AccuracyReport,
     AccuracyRow,
     GroundTruthTable,
     accuracy_csv,
@@ -103,12 +102,6 @@ class SweepResult:
     def report_for(self, hda: str, window: str) -> MetricReport:
         return self.reports[(hda, window)]
 
-    def accuracy_report(self, window: ObservationWindow) -> AccuracyReport:
-        rows = []
-        for hda in self.hda_names:
-            rows.extend(self.accuracy.get((hda, window.label), []))
-        return AccuracyReport(window=window.label, rows=rows)
-
     def add_cell(self, rec: dict) -> None:
         """Take in one cell record: an ok cell's report and accuracy, or its error."""
         key = (rec["hda"], rec["window"])
@@ -148,7 +141,6 @@ class RunManifest:
     elapsed_seconds: float
     ingest: dict | None = None
     seeds: dict = field(default_factory=dict)
-    extra: dict = field(default_factory=dict)
     stages: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
@@ -210,10 +202,10 @@ def _compute_cell(state: dict, h_idx: int, w_idx: int) -> tuple:
         rec["n_tied"] = sum(int(b.tie_broken.sum()) for b in bulks)
         rec["accuracy"] = None
         if state["truth"] is not None:
-            acc = score_against_truth(
+            rows = score_against_truth(
                 {spec.name: bulks}, state["truth"], window, state["migration"]
             )
-            rec["accuracy"] = [[r.group, r.n_users, r.n_correct] for r in acc.rows]
+            rec["accuracy"] = [[r.group, r.n_users, r.n_correct] for r in rows]
         exports = (
             vectors.x, report.logratio, bulks if state["dump_assignments"] else None
         )
@@ -517,7 +509,8 @@ def run_sweep(
         with open(out_path / CELLS_FILE, "a") as fh:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
-    use_workers = options.workers if len(todo) > 1 else 1
+    # a fork pool starts all its workers at once: no more than there are cells
+    use_workers = min(options.workers, len(todo))
     if "fork" not in multiprocessing.get_all_start_methods():
         use_workers = 1
     if use_workers > 1:

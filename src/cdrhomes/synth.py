@@ -37,7 +37,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DatasetSpan, TowerRegistry, _grown, row_chunks, write_records_csv
+from .core import (
+    DatasetSpan, TowerRegistry, _grown, argsort_unique, find_sorted, row_chunks,
+    write_records_csv,
+)
 from .hda import BulkAssignments
 from .timebase import DEFAULT_TZ, CivilClock, iter_days
 from .windows import ObservationWindow
@@ -172,13 +175,13 @@ class SynthConfig:
 class GroundTruthTable:
     """Per-user truth: home, work, and migration destination (-1 = stays)."""
 
-    user_ids: np.ndarray  # uint64, sorted
+    user_ids: np.ndarray  # uint64, sorted unique
     home_towers: np.ndarray  # int64
     work_towers: np.ndarray  # int64
     migration_towers: np.ndarray  # int64, -1 for non-migrants
 
     def __post_init__(self):
-        order = np.argsort(self.user_ids, kind="stable")
+        order = argsort_unique(self.user_ids, "duplicate user_id {} in ground truth")
         self.user_ids = self.user_ids[order]
         self.home_towers = self.home_towers[order]
         self.work_towers = self.work_towers[order]
@@ -194,13 +197,7 @@ class GroundTruthTable:
     def rows_for_users(self, user_ids: np.ndarray) -> np.ndarray:
         """Truth row per user id; any user missing from the table is fatal."""
         uids = np.asarray(user_ids, dtype=np.uint64)
-        i = np.searchsorted(self.user_ids, uids)
-        i_clip = np.minimum(i, len(self.user_ids) - 1)
-        ok = (i < len(self.user_ids)) & (self.user_ids[i_clip] == uids)
-        if not ok.all():
-            bad = int(uids[~ok][0])
-            raise KeyError(f"user {bad} has no ground-truth row")
-        return i_clip
+        return find_sorted(self.user_ids, uids, "user {} has no ground-truth row")
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -220,10 +217,13 @@ class GroundTruthTable:
                     continue
                 if len(row) != 4:
                     raise ValueError(f"bad truth row {row!r}")
-                uids.append(int(row[0]))
-                homes.append(int(row[1]))
-                works.append(int(row[2]))
-                migs.append(int(row[3]) if row[3] != "" else -1)
+                try:  # an integer outside the column's type overflows
+                    uids.append(np.uint64(row[0]))
+                    homes.append(np.int64(row[1]))
+                    works.append(np.int64(row[2]))
+                    migs.append(np.int64(row[3]) if row[3] != "" else -1)
+                except (ValueError, OverflowError) as exc:
+                    raise ValueError(f"bad truth row {row!r}: {exc}") from None
         return cls(
             np.asarray(uids, dtype=np.uint64),
             np.asarray(homes, dtype=np.int64),
@@ -510,15 +510,6 @@ class AccuracyRow:
         return self.n_correct / self.n_users if self.n_users else None
 
 
-@dataclass
-class AccuracyReport:
-    window: str
-    rows: list[AccuracyRow]
-
-    def by_group(self, hda: str) -> dict[str, AccuracyRow]:
-        return {r.group: r for r in self.rows if r.hda == hda}
-
-
 def accuracy_csv(rows: list[AccuracyRow]) -> str:
     """Accuracy table text: a header, then one line per row in order."""
     lines = ["hda,window,group,n_users,n_correct,accuracy"]
@@ -544,8 +535,9 @@ def score_against_truth(
     truth: GroundTruthTable,
     window: ObservationWindow,
     migration: "MigrationConfig | DatasetSpan | tuple[date, date] | None" = None,
-) -> AccuracyReport:
-    """Fraction of users whose detected home matches the true home.
+) -> list[AccuracyRow]:
+    """Fraction of users whose detected home matches the true home: one
+    AccuracyRow per HDA and group (all, migrant, non_migrant), in that order.
 
     Each HDA maps to its cell's assignments, one BulkAssignments per
     partition. Truth is the pre-migration home. Users count as migrants
@@ -578,7 +570,7 @@ def score_against_truth(
                     n_correct=int((correct & mask).sum()),
                 )
             )
-    return AccuracyReport(window=window.label, rows=rows)
+    return rows
 
 
 def summer_scenario(

@@ -34,13 +34,6 @@ class CivilClock:
     def __repr__(self) -> str:
         return f"CivilClock({self.tz_name!r})"
 
-    # -- scalar path ------------------------------------------------------
-
-    def derive_local_time(self, timestamp: int) -> tuple[date, int, int]:
-        """Return (civil date, hour 0-23, weekday Mon=0..Sun=6) for one epoch."""
-        dt = datetime.fromtimestamp(int(timestamp), self._tz)
-        return dt.date(), dt.hour, dt.weekday()
-
     def utc_offset(self, timestamp: int) -> int:
         """UTC offset in whole seconds in force at the given epoch."""
         dt = datetime.fromtimestamp(int(timestamp), self._tz)
@@ -61,6 +54,7 @@ class CivilClock:
     # -- bulk path --------------------------------------------------------
 
     def _offsets_for(self, timestamps: np.ndarray) -> np.ndarray:
+        """UTC offset in force at each epoch, as a new int64 array."""
         if timestamps.size == 0:
             return np.zeros(0, dtype=np.int64)
         lo = int(timestamps.min())
@@ -69,21 +63,25 @@ class CivilClock:
         idx = np.searchsorted(starts, timestamps, side="right") - 1
         return offsets[idx]
 
-    def local_fields(
-        self, timestamps: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def local_fields(self, timestamps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized civil fields for an int64 epoch array.
 
-        Returns (day_ordinal int32, hour uint8, weekday uint8) where
-        day_ordinal matches datetime.date.toordinal() and weekday is Mon=0.
+        Returns (day_ordinal int32, week_hour uint8): day_ordinal matches
+        datetime.date.toordinal() and week_hour is weekday (Mon=0) * 24 +
+        hour, 0..167. Above its input it holds two int64 columns and the
+        week hours at a time: 17 bytes per record at peak.
         """
         ts = np.asarray(timestamps, dtype=np.int64)
-        local = ts + self._offsets_for(ts)
-        days = local // _DAY
-        day_ord = (days + _EPOCH_ORDINAL).astype(np.int32)
-        hour = ((local % _DAY) // 3600).astype(np.uint8)
-        weekday = ((days + _EPOCH_WEEKDAY) % 7).astype(np.uint8)
-        return day_ord, hour, weekday
+        local = self._offsets_for(ts)
+        local += ts
+        week = local + _EPOCH_WEEKDAY * _DAY
+        week %= 7 * _DAY
+        week //= 3600
+        week_hours = week.astype(np.uint8)
+        del week
+        local //= _DAY
+        local += _EPOCH_ORDINAL
+        return local.astype(np.int32), week_hours
 
     def epochs_from_local(self, local: np.ndarray) -> np.ndarray:
         """Vectorized parse_local: epochs of wall-clock times in this zone.
@@ -137,14 +135,6 @@ class CivilClock:
         )
         self._table = table
         return table[0], table[1]
-
-
-def day_ordinal(d: date) -> int:
-    return d.toordinal()
-
-
-def ordinal_date(ordinal: int) -> date:
-    return date.fromordinal(int(ordinal))
 
 
 def iter_days(first: date, last: date):

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from datetime import date, timedelta
 
 from .core import DatasetSpan
-from .timebase import day_ordinal
 
 DURATION_CLASSES = ("days14", "days30", "month", "full")
 # grids only use the four classes above; ad-hoc single windows are "custom"
@@ -47,14 +46,11 @@ class ObservationWindow:
 
     @property
     def first_ord(self) -> int:
-        return day_ordinal(self.first_day)
+        return self.first_day.toordinal()
 
     @property
     def last_ord(self) -> int:
-        return day_ordinal(self.last_day)
-
-    def contains(self, d: date) -> bool:
-        return self.first_day <= d <= self.last_day
+        return self.last_day.toordinal()
 
     def overlaps(self, first: date, last: date) -> bool:
         return self.first_day <= last and first <= self.last_day

@@ -365,6 +365,44 @@ def test_cli_errors_exit_1(argv, fragment, capsys):
     assert fragment in err
 
 
+TRUTH_HEADER = "user_id,home_tower,work_tower,migration_tower"
+
+
+@pytest.mark.parametrize("truth_rows,fragment", [
+    ([], "user 1 has no ground-truth row"),
+    (["-1,100,100,"], "bad truth row ['-1', '100', '100', '']"),
+    (["1,100,100,", "1,101,101,"], "duplicate user_id 1 in ground truth"),
+], ids=["header-only", "negative-id", "duplicate-id"])
+def test_score_rejects_bad_truth_table(tmp_path, truth_rows, fragment, capsys):
+    truth = tmp_path / "truth.csv"
+    truth.write_text("\n".join([TRUTH_HEADER, *truth_rows]) + "\n")
+    dump = tmp_path / "MA__w.csv"
+    dump.write_text("user_id,home_tower,qualifying_count,tie_broken\n1,100,3,0\n")
+    argv = ["score", "--assignments", str(dump), "--truth", str(truth), "--window", SPAN]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert fragment in err[0]
+
+
+@pytest.mark.parametrize("command", ["ingest-check", "detect", "sweep"])
+def test_tower_id_beyond_int64_is_a_registry_error(synth_dir, tmp_path, command, capsys):
+    towers = tmp_path / "towers.csv"
+    towers.write_text(
+        (synth_dir / "towers.csv").read_text() + "9223372036854775808,2.3,48.8,10\n"
+    )
+    argv = [command, "--records", str(synth_dir / "records.csv"),
+            "--towers", str(towers), "--span", SPAN]
+    if command == "detect":
+        argv += ["--hda", "MA", "--window", SPAN]
+    if command != "ingest-check":
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: bad registry row"), err
+    assert "9223372036854775808" in err[0]
+
+
 def test_bad_config_line_rejected(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("span\n")

@@ -48,7 +48,6 @@ def test_span_parse_and_contains():
 def test_registry_basics():
     reg = make_registry(5, populations=[10, 0, 30, 40, 50])
     assert len(reg) == 5
-    assert 102 in reg and 99 not in reg
     rows = reg.rows_for(np.array([104, 100], dtype=np.int64))
     assert rows.tolist() == [4, 0]
     with pytest.raises(KeyError):
@@ -395,6 +394,22 @@ def test_partition_records_memory_peak():
     assert (peak - before) / n <= 72
 
 
+def test_local_fields_memory_peak():
+    # two int64 columns and the week hours at a time: 17 bytes per record
+    n = 1_000_000
+    stamps = np.random.default_rng(23).integers(T0, T1, n)
+    clock = CivilClock()
+    clock.local_fields(np.array([T0, T1]))  # the zone table, outside the trace
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        clock.local_fields(stamps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - before) / n <= 28
+
+
 def test_partition_civil_fields_match_clock():
     rng = np.random.default_rng(10)
     users, towers, stamps = random_records(rng, 10, np.arange(100, 103), T0, T1)
@@ -402,7 +417,7 @@ def test_partition_civil_fields_match_clock():
     part = partition_records(users, towers, stamps, clock=clock)[0][0]
     day_of = np.repeat(part.index_days, np.diff(part.index_day_starts))
     for i in range(0, part.n_records, 31):
-        d, h, w = clock.derive_local_time(int(part.index_timestamps[i]))
+        d, h, w = oracle_local_fields(int(part.index_timestamps[i]))
         assert day_of[i] == d.toordinal()
         assert part.index_week_hours[i] == w * 24 + h
 

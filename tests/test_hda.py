@@ -24,7 +24,8 @@ from cdrhomes.windows import ObservationWindow, generate_windows
 
 from conftest import make_registry, one_partition, random_records
 from oracles import (
-    TZ_NAME, brute_force_home, event_qualifies, records_by_user, user_fields,
+    TZ_NAME, brute_force_home, event_qualifies, local_fields, records_by_user,
+    user_fields,
 )
 
 SPAN = DatasetSpan.parse("2007-05-13..2007-10-13")
@@ -280,7 +281,7 @@ def test_bulk_matches_oracle_where_civil_date_steps_back():
     # tied pair 100 sits on the later civil day
     own = [(100, switch - 30), (100, switch + 1200),
            (101, switch + 300), (101, switch + 600)]
-    days = [clock.derive_local_time(ts)[0] for _, ts in own]
+    days = [local_fields(ts, tz_name)[0] for _, ts in own]
     assert days == [date(2007, 11, 4)] + [date(2007, 11, 3)] * 3
     rng = np.random.default_rng(7)
     users, towers, stamps = random_records(

@@ -12,7 +12,6 @@ from cdrhomes.metrics import (
     compute_metric_report,
     decile_summary,
     exclusion_policy,
-    log_ratio,
     log_ratio_array,
     pearson_r,
 )
@@ -64,14 +63,11 @@ def test_pearson_undefined_inputs():
 
 
 def test_log_ratio_values_and_reasons():
-    assert abs(log_ratio(28, 100) - math.log(0.28)) < 1e-12
-    assert log_ratio(100, 100) == 0.0
-    with pytest.raises(UndefinedMetric, match="x = 0"):
-        log_ratio(0, 100)
-    with pytest.raises(UndefinedMetric, match="y = 0"):
-        log_ratio(5, 0)
-    with pytest.raises(ValueError):
-        log_ratio(-1, 10)
+    out = log_ratio_array([28, 100, 0, 5, -1], [100, 100, 100, 0, 10])
+    assert abs(out[0] - math.log(0.28)) < 1e-12
+    assert out[1] == 0.0
+    # no detected homes (x = 0), no population (y = 0) or a negative count
+    assert np.isnan(out[2:]).all()
 
 
 def test_log_ratio_array_nan_semantics():
@@ -109,7 +105,7 @@ def test_decile_summary_permutation_invariant():
 
 def test_decile_summary_small_input():
     bins = decile_summary(np.arange(9), np.arange(9))
-    assert all(b.empty for b in bins)
+    assert all(b.n == 0 for b in bins)
     assert len(bins) == 9
 
 

@@ -1,5 +1,6 @@
 """Sweep runner: persistence, resume, parallel determinism, failure isolation."""
 
+import concurrent.futures
 import json
 from datetime import date
 
@@ -54,6 +55,27 @@ def test_in_memory_sweep_covers_grid():
     assert rep.n_users == len(res.truth)
     assert manifest.n_cells == sw.n_cells
     assert json.loads(manifest.to_json())["n_failed"] == 0
+
+
+def test_sweep_forks_no_more_workers_than_cells(monkeypatch):
+    # a fork pool starts all its workers at once; a one-thread pool stands
+    # in for it (the thread sees the module's shared state) and records the
+    # pool size asked for
+    asked = []
+
+    class OneThreadPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers, mp_context=None):
+            asked.append(max_workers)
+            super().__init__(max_workers=1)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", OneThreadPool)
+    res, parts, wins = _dataset()
+    full = [w for w in wins if w.duration_class == "full"]
+    sw, _ = run_sweep(
+        parts, res.registry, full, HDAS[:2], options=SweepOptions(workers=8)
+    )
+    assert asked == [2]
+    assert sw.n_failed == 0 and len(sw.reports) == 2
 
 
 def test_sweep_writes_expected_files(tmp_path):
@@ -349,9 +371,9 @@ def test_sweep_accuracy_scoring():
         truth=res.truth, migration=res.config.migration,
     )
     full = [w for w in wins if w.duration_class == "full"][0]
-    rep = sw.accuracy_report(full)
-    assert {r.hda for r in rep.rows} == {"MA", "DD", "TC-19-9"}
-    groups = rep.by_group("MA")
+    rows = [r for (_, w), rs in sw.accuracy.items() if w == full.label for r in rs]
+    assert {r.hda for r in rows} == {"MA", "DD", "TC-19-9"}
+    groups = {r.group: r for r in rows if r.hda == "MA"}
     assert groups["all"].n_users == len(res.truth)
     assert groups["migrant"].n_users == int(res.truth.is_migrant.sum())
     assert groups["all"].n_correct == (

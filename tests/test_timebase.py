@@ -6,7 +6,7 @@ from zoneinfo import ZoneInfo
 import numpy as np
 import pytest
 
-from cdrhomes.timebase import CivilClock, day_ordinal, iter_days, ordinal_date
+from cdrhomes.timebase import CivilClock, iter_days
 
 from oracles import local_fields
 
@@ -17,39 +17,38 @@ SPRING_FORWARD = 1174784400  # 2007-03-25 02:00 UTC+1 -> 03:00 UTC+2
 FALL_BACK = 1193533200  # 2007-10-28 03:00 UTC+2 -> 02:00 UTC+1
 
 
+def _assert_local_fields_match_zoneinfo(clock, stamps):
+    day_ords, week_hours = clock.local_fields(np.asarray(stamps, dtype=np.int64))
+    assert day_ords.dtype == np.int32 and week_hours.dtype == np.uint8
+    want = [local_fields(ts, clock.tz_name) for ts in stamps]
+    assert day_ords.tolist() == [d.toordinal() for d, _, _ in want]
+    assert week_hours.tolist() == [w * 24 + h for _, h, w in want]
+
+
 def test_derive_matches_zoneinfo_at_transitions():
-    clock = CivilClock()
-    for base in (SPRING_FORWARD, FALL_BACK):
-        for delta in range(-7200, 7201, 600):
-            ts = base + delta
-            assert clock.derive_local_time(ts) == local_fields(ts)
+    stamps = [base + delta for base in (SPRING_FORWARD, FALL_BACK)
+              for delta in range(-7200, 7201, 600)]
+    _assert_local_fields_match_zoneinfo(CivilClock(), stamps)
 
 
 def test_derive_matches_zoneinfo_random_epochs():
-    clock = CivilClock()
     rng = np.random.default_rng(7)
     lo = int(datetime(2006, 12, 1, tzinfo=PARIS).timestamp())
     hi = int(datetime(2008, 2, 1, tzinfo=PARIS).timestamp())
-    for ts in rng.integers(lo, hi, size=500):
-        assert clock.derive_local_time(int(ts)) == local_fields(int(ts))
+    stamps = rng.integers(lo, hi, size=500).tolist()
+    _assert_local_fields_match_zoneinfo(CivilClock(), stamps)
 
 
 def test_local_fields_bulk_matches_scalar():
-    clock = CivilClock()
     rng = np.random.default_rng(11)
     ts = rng.integers(1178000000, 1192300000, size=2000, dtype=np.int64)
-    day_ord, hour, weekday = clock.local_fields(ts)
-    for i in range(0, len(ts), 97):
-        d, h, w = clock.derive_local_time(int(ts[i]))
-        assert day_ord[i] == d.toordinal()
-        assert hour[i] == h
-        assert weekday[i] == w
+    _assert_local_fields_match_zoneinfo(CivilClock(), ts.tolist())
 
 
 def test_local_fields_empty():
     clock = CivilClock()
-    day_ord, hour, weekday = clock.local_fields(np.zeros(0, dtype=np.int64))
-    assert len(day_ord) == len(hour) == len(weekday) == 0
+    day_ords, week_hours = clock.local_fields(np.zeros(0, dtype=np.int64))
+    assert len(day_ords) == len(week_hours) == 0
 
 
 def test_midnight_epoch_is_local_midnight():
@@ -57,7 +56,7 @@ def test_midnight_epoch_is_local_midnight():
     d = date(2007, 5, 13)
     for _ in range(160):
         ts = clock.midnight_epoch(d)
-        got_day, got_hour, got_weekday = clock.derive_local_time(ts)
+        got_day, got_hour, got_weekday = local_fields(ts)
         assert got_day == d
         assert got_hour == 0
         assert got_weekday == d.weekday()
@@ -110,11 +109,6 @@ def test_utc_offset_values():
     assert clock.utc_offset(clock.parse_local("2007-01-15T12:00:00")) == 3600
 
 
-def test_day_ordinal_round_trip():
-    assert ordinal_date(day_ordinal(date(2007, 5, 13))) == date(2007, 5, 13)
-    assert day_ordinal(date(1970, 1, 1)) == date(1970, 1, 1).toordinal()
-
-
 def test_iter_days():
     days = list(iter_days(date(2007, 5, 13), date(2007, 10, 13)))
     assert len(days) == 154
@@ -124,6 +118,7 @@ def test_iter_days():
 
 
 def test_other_timezone():
-    clock = CivilClock("UTC")
-    d, h, w = clock.derive_local_time(0)
-    assert (d, h, w) == (date(1970, 1, 1), 0, 3)
+    # 1970-01-01 was a Thursday: week hour 3 * 24
+    _assert_local_fields_match_zoneinfo(CivilClock("UTC"), [0, 3600 * 24 * 4 - 1])
+    day_ords, week_hours = CivilClock("UTC").local_fields(np.array([0]))
+    assert (day_ords[0], week_hours[0]) == (date(1970, 1, 1).toordinal(), 72)

