@@ -23,7 +23,6 @@ from .hda import (
     CANONICAL_HDAS,
     BulkAssignments,
     HdaSpec,
-    TowerVectors,
     aggregate_homes,
     canonical_hda,
     detect_homes_bulk,
@@ -75,7 +74,6 @@ __all__ = [
     "CANONICAL_HDAS",
     "BulkAssignments",
     "HdaSpec",
-    "TowerVectors",
     "aggregate_homes",
     "canonical_hda",
     "detect_homes_bulk",

@@ -253,12 +253,12 @@ def cmd_detect(opt: Options) -> int:
     bulks = [
         detect_homes_bulk(p, window, spec, min_qualifying=min_q) for p in partitions
     ]
-    vectors = merge_vectors([aggregate_homes(b, registry) for b in bulks])
+    homes = merge_vectors([aggregate_homes(b, registry) for b in bulks])
     if out:
         out_dir = Path(out)
         out_dir.mkdir(parents=True, exist_ok=True)
         lines = ["tower_id,x,y"]
-        for tid, x, y in zip(registry.tower_ids, vectors.x, registry.population):
+        for tid, x, y in zip(registry.tower_ids, homes, registry.population):
             lines.append(f"{int(tid)},{int(x)},{int(y)}")
         (out_dir / "vectors.csv").write_text("\n".join(lines) + "\n")
         if dump:
@@ -266,7 +266,7 @@ def cmd_detect(opt: Options) -> int:
         print(f"wrote {out_dir}/vectors.csv")
     print(
         f"hda={spec.name} window={window.label} users={report.distinct_users} "
-        f"assigned={vectors.n_assigned}"
+        f"assigned={int(homes.sum())}"
     )
     return 0
 
@@ -345,24 +345,27 @@ def cmd_score(opt: Options) -> int:
     if not path.exists():
         raise CliError(f"assignments file not found: {path}")
     hda_name = opt.get("hda") or path.stem.split("__")[0]
-    uids, homes, quals, ties = [], [], [], []
+    uids, cols = [], []
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
         if lineno == 1 and raw.startswith("user_id"):
             continue
         fields = raw.split(",")
         if len(fields) != 4:
             raise CliError(f"{path}:{lineno}: expected 4 columns")
-        uids.append(int(fields[0]))
-        homes.append(int(fields[1]) if fields[1] else -1)
-        quals.append(int(fields[2]))
-        ties.append(int(fields[3]))
+        try:  # an empty home_tower is no home
+            uid = int(fields[0])
+            col = [int(fields[1] or -1), int(fields[2]), int(fields[3])]
+        except ValueError as exc:
+            raise CliError(f"{path}:{lineno}: {exc}") from None
+        if not 0 <= uid < 2**64 or not all(-(2**63) <= v < 2**63 for v in col):
+            raise CliError(
+                f"{path}:{lineno}: user_id must fit uint64 and the other columns int64"
+            )
+        uids.append(uid)
+        cols.append(col)
+    homes, quals, ties = np.array(cols, dtype=np.int64).reshape(-1, 3).T
     bulk = BulkAssignments(
-        hda_name,
-        window.label,
-        np.asarray(uids, dtype=np.uint64),
-        np.asarray(homes, dtype=np.int64),
-        np.asarray(quals, dtype=np.int64),
-        np.asarray(ties, dtype=bool),
+        np.array(uids, dtype=np.uint64), homes, quals, ties.astype(bool)
     )
     rows = score_against_truth({hda_name: [bulk]}, truth, window, migration_range)
     print(accuracy_csv(rows), end="")

@@ -121,20 +121,10 @@ class BulkAssignments:
     best criterion value even when it fell below the minimum threshold.
     """
 
-    hda: str
-    window: str
     user_ids: np.ndarray  # uint64, sorted (partition user universe)
     home_towers: np.ndarray  # int64, -1 = none
     qualifying: np.ndarray  # int64
     tie_broken: np.ndarray  # bool
-
-    @property
-    def n_users(self) -> int:
-        return len(self.user_ids)
-
-    @property
-    def n_assigned(self) -> int:
-        return int((self.home_towers >= 0).sum())
 
 
 def detect_homes_bulk(
@@ -174,9 +164,7 @@ def detect_homes_bulk(
         if spec.criterion == "DD":
             pairs = first_pairs
     if len(pairs) == 0:
-        return BulkAssignments(
-            spec.name, window.label, partition.user_ids, home, qual, tieb
-        )
+        return BulkAssignments(partition.user_ids, home, qual, tieb)
 
     n_pairs = partition.n_pairs
     score = np.bincount(pairs, minlength=n_pairs)
@@ -211,71 +199,26 @@ def detect_homes_bulk(
         below = qual < min_qualifying
         home[below] = -1
         tieb[below] = False
-    return BulkAssignments(
-        spec.name, window.label, partition.user_ids, home, qual, tieb
-    )
-
-
-@dataclass
-class TowerVectors:
-    """Detected-home counts per tower, aligned to registry row order."""
-
-    hda: str
-    window: str
-    tower_ids: np.ndarray  # int64, registry order
-    x: np.ndarray  # int64 detected-home counts
-    n_users: int  # user universe the assignments covered
-    n_assigned: int  # users that received a home
-
-    def merge(self, other: "TowerVectors") -> "TowerVectors":
-        if (self.hda, self.window) != (other.hda, other.window):
-            raise ValueError(
-                f"cannot merge vectors from different cells: "
-                f"{(self.hda, self.window)} vs {(other.hda, other.window)}"
-            )
-        if len(self.tower_ids) != len(other.tower_ids) or np.any(
-            self.tower_ids != other.tower_ids
-        ):
-            raise ValueError("cannot merge vectors over different registries")
-        return TowerVectors(
-            self.hda,
-            self.window,
-            self.tower_ids,
-            self.x + other.x,
-            self.n_users + other.n_users,
-            self.n_assigned + other.n_assigned,
-        )
+    return BulkAssignments(partition.user_ids, home, qual, tieb)
 
 
 def aggregate_homes(
     assignments: BulkAssignments, registry: TowerRegistry
-) -> TowerVectors:
-    """Count detected homes per tower for one partition in one cell.
+) -> np.ndarray:
+    """Detected homes per tower (int64, registry row order) for one
+    partition in one cell.
 
-    merge_vectors folds the per-partition counts into the cell's vector. A
-    home tower missing from the registry is a fatal error, never a silent
-    drop.
+    merge_vectors sums the per-partition counts into the cell's. A home
+    tower missing from the registry is a fatal error, never a silent drop.
     """
     homes = assignments.home_towers
-    assigned = homes[homes >= 0]
-    rows = registry.rows_for(assigned)
-    x = np.bincount(rows, minlength=len(registry)).astype(np.int64)
-    return TowerVectors(
-        hda=assignments.hda,
-        window=assignments.window,
-        tower_ids=registry.tower_ids,
-        x=x,
-        n_users=assignments.n_users,
-        n_assigned=int(len(assigned)),
-    )
+    rows = registry.rows_for(homes[homes >= 0])
+    return np.bincount(rows, minlength=len(registry)).astype(np.int64)
 
 
-def merge_vectors(parts: Iterable[TowerVectors]) -> TowerVectors:
-    """Fold per-partition vectors into one; order-free by construction."""
+def merge_vectors(parts: Iterable[np.ndarray]) -> np.ndarray:
+    """Sum a cell's per-partition home counts; order-free by construction."""
     parts = list(parts)
     if not parts:
         raise ValueError("nothing to merge")
-    out = parts[0]
-    for p in parts[1:]:
-        out = out.merge(p)
-    return out
+    return np.sum(parts, axis=0)

@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hda import TowerVectors
-
 N_DECILE_BINS = 9  # top decile is excluded from the profile
 
 
@@ -138,8 +136,6 @@ def exclusion_policy(x, threshold: int) -> np.ndarray:
 class MetricReport:
     """Every agreement number reported for one (HDA, window) cell."""
 
-    hda: str
-    window: str
     window_class: str
     n_towers: int
     n_used: int
@@ -153,10 +149,9 @@ class MetricReport:
     logratio: np.ndarray | None = None  # full registry length, NaN = undefined
 
     def as_cell_dict(self) -> dict:
-        """JSON-ready cell payload (logratio lives in per-tower files)."""
+        """JSON-ready cell payload without the cell's labels (logratio lives
+        in per-tower files)."""
         return {
-            "hda": self.hda,
-            "window": self.window,
             "class": self.window_class,
             "n_towers": self.n_towers,
             "n_used": self.n_used,
@@ -175,8 +170,6 @@ class MetricReport:
     @classmethod
     def from_cell_dict(cls, d: dict) -> "MetricReport":
         return cls(
-            hda=d["hda"],
-            window=d["window"],
             window_class=d["class"],
             n_towers=d["n_towers"],
             n_used=d["n_used"],
@@ -192,22 +185,25 @@ class MetricReport:
 
 
 def compute_metric_report(
-    vectors: TowerVectors,
+    x: np.ndarray,
     population: np.ndarray,
     window_class: str,
     *,
+    n_users: int,
     exclusion_threshold: int = 0,
 ) -> MetricReport:
-    """Score one cell's tower vectors against the population vector.
+    """Score one cell's detected homes per tower, x, against the population.
+
+    n_users is the user universe the cell's assignments covered; every
+    assigned user is counted in x, so n_assigned is its sum.
 
     Correlation and deciles run over the non-excluded towers; the log-ratio
     vector always covers the full registry (undefined entries as NaN) so
     per-tower exports stay aligned to registry order.
     """
-    x = vectors.x
     y = np.asarray(population, dtype=np.int64)
     if len(x) != len(y):
-        raise ValueError("vectors and population cover different tower sets")
+        raise ValueError("home counts and population cover different tower sets")
     excluded = exclusion_policy(x, exclusion_threshold)
     used = ~excluded
     try:
@@ -217,8 +213,6 @@ def compute_metric_report(
         r = None
         note = str(exc)
     return MetricReport(
-        hda=vectors.hda,
-        window=vectors.window,
         window_class=window_class,
         n_towers=len(x),
         n_used=int(used.sum()),
@@ -226,8 +220,8 @@ def compute_metric_report(
         exclusion_threshold=exclusion_threshold,
         pearson=r,
         pearson_note=note,
-        n_users=vectors.n_users,
-        n_assigned=vectors.n_assigned,
+        n_users=n_users,
+        n_assigned=int(x.sum()),
         deciles=decile_summary(x[used], y[used]),
         logratio=log_ratio_array(x, y),
     )

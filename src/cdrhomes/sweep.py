@@ -10,7 +10,8 @@ load_run emit the same bytes. A killed run resumes by skipping cells already
 recorded there, provided they carry the run's fingerprint (a hash of the
 package source, options, grid and input arrays); cells computed under
 anything else refuse the resume. A cell is recorded only after its export
-files are written.
+files are written. A fresh (non-resume) sweep first removes every file an
+earlier sweep may have left in the directory (RUN_FILES) and nothing else.
 
 Worker processes use the fork start method and read the shared state from a
 module global set before the pool starts; where fork is unavailable the
@@ -20,6 +21,7 @@ sweep degrades to sequential execution with identical outputs.
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import hashlib
 import json
 import multiprocessing
@@ -39,19 +41,22 @@ from .core import IngestReport, TowerRegistry, UserPartition
 from .hda import HdaSpec, detect_homes_bulk, aggregate_homes, merge_vectors
 from .metrics import MetricReport, compute_metric_report
 from .svgplot import line_chart
-from .synth import (
-    AccuracyRow,
-    GroundTruthTable,
-    accuracy_csv,
-    migration_range,
-    score_against_truth,
-)
+from .synth import AccuracyRow, GroundTruthTable, accuracy_csv, score_against_truth
 from .windows import ObservationWindow, windows_table
 
 CELLS_FILE = "cells.jsonl"
 MANIFEST_FILE = "manifest.json"
 TOWERS_DIR = "towers"
 ASSIGNMENTS_DIR = "assignments"
+# every file a sweep writes into its run directory, as glob patterns: a
+# fresh sweep removes them first, so none is left from an earlier run
+RUN_FILES = (
+    CELLS_FILE, MANIFEST_FILE, "windows.csv", "metrics.csv",
+    "correlation_over_time.csv", "duration_sensitivity.csv",
+    "criteria_sensitivity.csv", "decile_summary.csv", "accuracy.csv",
+    "correlation_over_time_*.svg", "duration_sensitivity.svg",
+    "criteria_sensitivity.svg", f"{TOWERS_DIR}/*.csv", f"{ASSIGNMENTS_DIR}/*.csv",
+)
 
 
 @dataclass(frozen=True)
@@ -98,9 +103,6 @@ class SweepResult:
     @property
     def n_failed(self) -> int:
         return len(self.errors)
-
-    def report_for(self, hda: str, window: str) -> MetricReport:
-        return self.reports[(hda, window)]
 
     def add_cell(self, rec: dict) -> None:
         """Take in one cell record: an ok cell's report and accuracy, or its error."""
@@ -182,6 +184,7 @@ def _compute_cell(state: dict, h_idx: int, w_idx: int) -> tuple:
     spec: HdaSpec = state["hdas"][h_idx]
     window: ObservationWindow = state["windows"][w_idx]
     t0 = time.perf_counter()
+    rec = {"hda": spec.name, "window": window.label}
     try:
         bulks = [
             detect_homes_bulk(
@@ -190,32 +193,29 @@ def _compute_cell(state: dict, h_idx: int, w_idx: int) -> tuple:
             for part in state["partitions"]
         ]
         registry: TowerRegistry = state["registry"]
-        vectors = merge_vectors([aggregate_homes(b, registry) for b in bulks])
+        x = merge_vectors([aggregate_homes(b, registry) for b in bulks])
         report = compute_metric_report(
-            vectors,
+            x,
             registry.population,
             window.duration_class,
+            n_users=sum(len(b.user_ids) for b in bulks),
             exclusion_threshold=state["exclusion_threshold"],
         )
-        rec = report.as_cell_dict()
-        rec["status"] = "ok"
-        rec["n_tied"] = sum(int(b.tie_broken.sum()) for b in bulks)
-        rec["accuracy"] = None
+        accuracy = None
         if state["truth"] is not None:
             rows = score_against_truth(
                 {spec.name: bulks}, state["truth"], window, state["migration"]
             )
-            rec["accuracy"] = [[r.group, r.n_users, r.n_correct] for r in rows]
-        exports = (
-            vectors.x, report.logratio, bulks if state["dump_assignments"] else None
+            accuracy = [[r.group, r.n_users, r.n_correct] for r in rows]
+        rec.update(
+            report.as_cell_dict(),
+            status="ok",
+            n_tied=sum(int(b.tie_broken.sum()) for b in bulks),
+            accuracy=accuracy,
         )
+        exports = (x, report.logratio, bulks if state["dump_assignments"] else None)
     except Exception:
-        rec = {
-            "hda": spec.name,
-            "window": window.label,
-            "status": "failed",
-            "error": traceback.format_exc(limit=8),
-        }
+        rec.update(status="failed", error=traceback.format_exc(limit=8))
         exports = (None, None, None)
     rec["fingerprint"] = state["fingerprint"]
     rec["elapsed"] = round(time.perf_counter() - t0, 4)
@@ -410,7 +410,7 @@ def run_sweep(
     options: SweepOptions = SweepOptions(),
     *,
     truth: GroundTruthTable | None = None,
-    migration=None,  # MigrationConfig, DatasetSpan or (first_day, last_day)
+    migration=None,  # anything with first_day and last_day
     span: str = "",
     tz_name: str = "",
     ingest_report: IngestReport | None = None,
@@ -423,7 +423,9 @@ def run_sweep(
     emit_reports is invoked at the end; run_sweep_s in the manifest's stages
     includes it. options.resume skips cells already
     recorded in an existing cells.jsonl, and raises ValueError when any of
-    them was computed under another fingerprint.
+    them was computed under another fingerprint; without it the files of
+    RUN_FILES already in the directory are removed first, and the towers
+    and assignments directories too when that empties them.
     """
     t_start = time.perf_counter()
     hdas = list(hdas)
@@ -446,7 +448,9 @@ def run_sweep(
         "hdas": [asdict(s) for s in hdas],
         "windows": window_dicts,
         "n_partitions": len(partitions),
-        "migration": migration_range(migration),
+        "migration": None if migration is None else (
+            migration.first_day, migration.last_day
+        ),
     }
     fingerprint = _fingerprint(header, partitions, registry, truth)
     out_path: Path | None = None
@@ -464,7 +468,12 @@ def run_sweep(
                 out_path, result.windows, result.hda_names, fingerprint=fingerprint
             )
         else:
-            (out_path / CELLS_FILE).unlink(missing_ok=True)
+            for pattern in RUN_FILES:
+                for path in out_path.glob(pattern):
+                    path.unlink()
+            for name in (TOWERS_DIR, ASSIGNMENTS_DIR):
+                with contextlib.suppress(OSError):  # absent, or holds other files
+                    (out_path / name).rmdir()
         if options.per_tower_exports:
             (out_path / TOWERS_DIR).mkdir(exist_ok=True)
             tower_rows = _tower_export_rows(registry)

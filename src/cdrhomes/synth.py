@@ -521,20 +521,11 @@ def accuracy_csv(rows: list[AccuracyRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def migration_range(
-    migration: "MigrationConfig | DatasetSpan | tuple[date, date] | None",
-) -> tuple[date, date] | None:
-    """(first_day, last_day) of a MigrationConfig, a DatasetSpan or a pair."""
-    if migration is None or isinstance(migration, tuple):
-        return migration
-    return migration.first_day, migration.last_day
-
-
 def score_against_truth(
     assignments_by_hda: dict[str, list[BulkAssignments]],
     truth: GroundTruthTable,
     window: ObservationWindow,
-    migration: "MigrationConfig | DatasetSpan | tuple[date, date] | None" = None,
+    migration: "MigrationConfig | DatasetSpan | None" = None,
 ) -> list[AccuracyRow]:
     """Fraction of users whose detected home matches the true home: one
     AccuracyRow per HDA and group (all, migrant, non_migrant), in that order.
@@ -543,12 +534,13 @@ def score_against_truth(
     partition. Truth is the pre-migration home. Users count as migrants
     only when they have a destination AND the window overlaps the migration
     range (which the truth table alone cannot date, hence the explicit
-    argument: a MigrationConfig, a DatasetSpan or a bare (first_day,
-    last_day) pair). An unassigned user is simply wrong, never dropped from
-    the denominator.
+    argument: anything with first_day and last_day, such as a
+    MigrationConfig or a DatasetSpan). An unassigned user is simply wrong,
+    never dropped from the denominator.
     """
-    mig = migration_range(migration)
-    overlap = mig is not None and window.overlaps(*mig)
+    overlap = migration is not None and window.overlaps(
+        migration.first_day, migration.last_day
+    )
     rows: list[AccuracyRow] = []
     for hda_name, bulks in assignments_by_hda.items():
         uids = np.concatenate([b.user_ids for b in bulks])

@@ -184,7 +184,7 @@ def summer_runs():
             hit = w.last_day >= mig.first_day and w.first_day <= mig.last_day
             (overlapping if hit else clean).append(w.label)
         r = {
-            (spec.name, w.label): sweep.report_for(spec.name, w.label).pearson
+            (spec.name, w.label): sweep.reports[(spec.name, w.label)].pearson
             for spec in CANONICAL_HDAS
             for w in wins
         }
@@ -269,7 +269,7 @@ def test_single_hda_throughput_over_ten_million_records():
     bulk = detect_homes_bulk(parts[0], window, canonical_hda("TC-19-9"))
     elapsed = time.perf_counter() - started
 
-    assert bulk.n_assigned == 5000
+    assert (bulk.home_towers >= 0).sum() == 5000
     verdict = "PASS" if elapsed < 60.0 else "MISS"
     log(
         f"{verdict} throughput (tracked): TC-19-9 over {n:,} records in "

@@ -385,6 +385,26 @@ def test_score_rejects_bad_truth_table(tmp_path, truth_rows, fragment, capsys):
     assert fragment in err[0]
 
 
+@pytest.mark.parametrize("row", [
+    "-1,100,3,0",
+    "18446744073709551616,100,3,0",
+    "1,99999999999999999999,3,0",
+    "1,100,-9223372036854775809,0",
+    "1,100,3,9223372036854775808",
+    "1,100,three,0",
+], ids=["negative-user", "user-beyond-uint64", "home-beyond-int64",
+        "count-below-int64", "tie-beyond-int64", "not-an-integer"])
+def test_score_rejects_bad_dump_row_with_its_line(tmp_path, row, capsys):
+    truth = tmp_path / "truth.csv"
+    truth.write_text(TRUTH_HEADER + "\n1,100,100,\n")
+    dump = tmp_path / "MA__w.csv"
+    dump.write_text(f"user_id,home_tower,qualifying_count,tie_broken\n1,100,3,0\n{row}\n")
+    argv = ["score", "--assignments", str(dump), "--truth", str(truth), "--window", SPAN]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {dump}:3: "), err
+
+
 @pytest.mark.parametrize("command", ["ingest-check", "detect", "sweep"])
 def test_tower_id_beyond_int64_is_a_registry_error(synth_dir, tmp_path, command, capsys):
     towers = tmp_path / "towers.csv"

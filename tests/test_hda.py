@@ -83,11 +83,11 @@ def _detect(name, *pairs, min_qualifying=1):
     return _row(bulk, 0)
 
 
-def _bulk(hda, homes):
+def _bulk(homes):
     """BulkAssignments of users 1..n with the given homes (-1 = none)."""
     n = len(homes)
     return BulkAssignments(
-        hda, "w", np.arange(1, n + 1, dtype=np.uint64),
+        np.arange(1, n + 1, dtype=np.uint64),
         np.asarray(homes, dtype=np.int64), np.ones(n, dtype=np.int64),
         np.zeros(n, dtype=bool),
     )
@@ -267,7 +267,7 @@ def test_bulk_matches_oracle_on_whole_grid(n_partitions):
                     part, bulk, spec, window, records, min_q, fields=fields
                 )
                 if window.label in ("before", "after"):
-                    assert bulk.n_assigned == 0 and not bulk.qualifying.any()
+                    assert (bulk.home_towers == -1).all() and not bulk.qualifying.any()
 
 
 def test_bulk_matches_oracle_where_civil_date_steps_back():
@@ -319,7 +319,6 @@ def test_bulk_empty_window():
     )[0]
     window = ObservationWindow("later", date(2007, 9, 1), date(2007, 9, 14), "custom")
     bulk = detect_homes_bulk(part, window, canonical_hda("MA"))
-    assert bulk.n_assigned == 0
     assert (bulk.home_towers == -1).all()
     assert (bulk.qualifying == 0).all()
 
@@ -331,38 +330,28 @@ def test_aggregate_and_merge_partition_invariance():
     single = one_partition(users, towers, stamps)[0]
     split = one_partition(users, towers, stamps, n_partitions=4)
     spec = canonical_hda("MA")
-    want = aggregate_homes(detect_homes_bulk(single, FULL, spec), reg)
+    bulk = detect_homes_bulk(single, FULL, spec)
+    want = aggregate_homes(bulk, reg)
     got = merge_vectors(
         aggregate_homes(detect_homes_bulk(p, FULL, spec), reg) for p in split
     )
-    assert np.array_equal(got.x, want.x)
-    assert got.n_users == want.n_users == 50
-    assert got.n_assigned == want.n_assigned
-    assert int(want.x.sum()) == want.n_assigned
+    assert got.dtype == want.dtype == np.int64
+    assert np.array_equal(got, want)
+    assert int(want.sum()) == (bulk.home_towers >= 0).sum()
+    with pytest.raises(ValueError):
+        merge_vectors([])
 
 
 def test_aggregate_from_bulk_assignments():
     reg = make_registry(3)
-    v = aggregate_homes(_bulk("MA", [100, 100, 102, -1]), reg)
-    assert (v.hda, v.window) == ("MA", "w")
-    assert v.x.tolist() == [2, 0, 1]
-    assert v.n_users == 4
-    assert v.n_assigned == 3
+    x = aggregate_homes(_bulk([100, 100, 102, -1]), reg)
+    assert x.dtype == np.int64
+    assert x.tolist() == [2, 0, 1]
 
 
 def test_aggregate_rejects_unknown_towers():
     with pytest.raises(KeyError):
-        aggregate_homes(_bulk("MA", [100, 999]), make_registry(3))
-
-
-def test_merge_rejects_mismatched_cells():
-    reg = make_registry(3)
-    a = aggregate_homes(_bulk("MA", [100]), reg)
-    b = aggregate_homes(_bulk("DD", [100]), reg)
-    with pytest.raises(ValueError):
-        a.merge(b)
-    with pytest.raises(ValueError):
-        merge_vectors([])
+        aggregate_homes(_bulk([100, 999]), make_registry(3))
 
 
 def test_bulk_over_canonical_grid_smoke():
@@ -371,4 +360,4 @@ def test_bulk_over_canonical_grid_smoke():
     part = one_partition(users, towers, stamps)[0]
     for window in generate_windows(SPAN):
         bulk = detect_homes_bulk(part, window, canonical_hda("DD"))
-        assert bulk.n_users == 10
+        assert len(bulk.user_ids) == 10

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from cdrhomes.hda import TowerVectors
 from cdrhomes.metrics import (
     MetricReport,
     UndefinedMetric,
@@ -117,15 +116,10 @@ def test_exclusion_policy():
         exclusion_policy(x, -1)
 
 
-def _vectors(x):
+def _report(x, y, window_class, **kwargs):
     x = np.asarray(x, dtype=np.int64)
-    return TowerVectors(
-        hda="MA",
-        window="full",
-        tower_ids=np.arange(100, 100 + len(x), dtype=np.int64),
-        x=x,
-        n_users=int(x.sum()) + 2,
-        n_assigned=int(x.sum()),
+    return compute_metric_report(
+        x, y, window_class, n_users=int(x.sum()) + 2, **kwargs
     )
 
 
@@ -133,8 +127,9 @@ def test_compute_metric_report():
     rng = np.random.default_rng(41)
     y = rng.integers(1, 400, size=30)
     x = y // 3 + rng.integers(0, 10, size=30)
-    rep = compute_metric_report(_vectors(x), y, "full")
+    rep = _report(x, y, "full")
     assert rep.n_towers == 30
+    assert rep.n_users == int(x.sum()) + 2 and rep.n_assigned == int(x.sum())
     assert rep.n_used == 30 and rep.n_excluded == 0
     assert abs(rep.pearson - two_pass_pearson(x, y)) < 1e-12
     assert rep.pearson_note == ""
@@ -144,7 +139,7 @@ def test_compute_metric_report():
     # exclusion shrinks the used set and is reported, never silent
     x2 = x.copy()
     x2[:4] = 0
-    rep2 = compute_metric_report(_vectors(x2), y, "full", exclusion_threshold=1)
+    rep2 = _report(x2, y, "full", exclusion_threshold=1)
     assert rep2.n_excluded == 4
     assert rep2.n_used == 26
     used = x2 >= 1
@@ -153,7 +148,7 @@ def test_compute_metric_report():
 
 def test_compute_metric_report_undefined_pearson():
     y = np.arange(1, 13)
-    rep = compute_metric_report(_vectors(np.full(12, 3)), y, "full")
+    rep = _report(np.full(12, 3), y, "full")
     assert rep.pearson is None
     assert "constant" in rep.pearson_note
 
@@ -162,7 +157,7 @@ def test_metric_report_cell_dict_round_trip():
     rng = np.random.default_rng(43)
     y = rng.integers(1, 400, size=25)
     x = y // 2 + rng.integers(0, 5, size=25)
-    rep = compute_metric_report(_vectors(x), y, "days30", exclusion_threshold=2)
+    rep = _report(x, y, "days30", exclusion_threshold=2)
     back = MetricReport.from_cell_dict(rep.as_cell_dict())
     assert back.pearson == rep.pearson
     assert back.deciles == rep.deciles

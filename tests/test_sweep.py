@@ -1,6 +1,7 @@
 """Sweep runner: persistence, resume, parallel determinism, failure isolation."""
 
 import concurrent.futures
+import fnmatch
 import json
 from datetime import date
 
@@ -51,8 +52,9 @@ def test_in_memory_sweep_covers_grid():
     assert sw.n_cells == len(wins) * len(HDAS)
     assert len(sw.reports) == sw.n_cells
     assert sw.n_failed == 0
-    rep = sw.report_for("MA", "full")
+    rep = sw.reports[("MA", "full")]
     assert rep.n_users == len(res.truth)
+    assert 0 < rep.n_assigned <= rep.n_users
     assert manifest.n_cells == sw.n_cells
     assert json.loads(manifest.to_json())["n_failed"] == 0
 
@@ -339,6 +341,39 @@ def test_sweep_without_resume_restarts_cells_log(tmp_path):
         sw, _ = run_sweep(parts, res.registry, wins, HDAS, out, SweepOptions())
     lines = (out / "cells.jsonl").read_text().splitlines()
     assert len(lines) == sw.n_cells  # not doubled
+
+
+def _files(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in root.rglob("*") if p.is_file()}
+
+
+def test_fresh_sweep_leaves_no_file_of_an_earlier_run(tmp_path):
+    res, parts, wins = _dataset(fraction=0.3)
+    out = tmp_path / "run"
+    run_sweep(
+        parts, res.registry, wins, HDAS, out, SweepOptions(dump_assignments=True),
+        truth=res.truth, migration=res.config.migration,
+    )
+    # RUN_FILES names every file a sweep writes
+    assert all(
+        any(fnmatch.fnmatch(name, pattern) for pattern in sweep_mod.RUN_FILES)
+        for name in _files(out)
+    )
+    (out / "notes.txt").write_text("kept\n")
+    (out / "towers" / "notes.txt").write_text("kept\n")
+    narrow = ([w for w in wins if w.duration_class == "full"], HDAS[:1])
+    run_sweep(parts, res.registry, *narrow, out, SweepOptions())
+    fresh = tmp_path / "fresh"
+    run_sweep(parts, res.registry, *narrow, fresh, SweepOptions())
+
+    got, want = _files(out), _files(fresh)
+    assert got.pop("notes.txt") == got.pop("towers/notes.txt") == b"kept\n"
+    for name in ("cells.jsonl", "manifest.json"):
+        assert len(got.pop(name)) > 0 and len(want.pop(name)) > 0
+    assert got == want
+    assert "accuracy.csv" not in got and "towers/MA__full.csv" in got
+    assert not (out / "assignments").exists()
 
 
 def test_sweep_isolates_cell_failures(tmp_path):

@@ -307,7 +307,7 @@ def test_score_against_truth_grouping():
     )
     assignments = {
         "MA": [BulkAssignments(
-            "MA", "w", truth.user_ids,
+            truth.user_ids,
             np.array([100, 999, 102, -1], dtype=np.int64),
             np.full(4, 3, dtype=np.int64), np.zeros(4, dtype=bool),
         )]
@@ -315,10 +315,8 @@ def test_score_against_truth_grouping():
     overlap_win = ObservationWindow(
         "w", date(2007, 6, 1), date(2007, 6, 14), "custom"
     )
-    rows = score_against_truth(
-        assignments, truth, overlap_win,
-        (date(2007, 6, 10), date(2007, 8, 31)),
-    )
+    migration = DatasetSpan(date(2007, 6, 10), date(2007, 8, 31))
+    rows = score_against_truth(assignments, truth, overlap_win, migration)
     groups = {r.group: r for r in rows if r.hda == "MA"}
     assert groups["all"].n_users == 4 and groups["all"].n_correct == 2
     assert groups["migrant"].n_users == 2 and groups["migrant"].n_correct == 0
@@ -328,9 +326,7 @@ def test_score_against_truth_grouping():
 
     # window before the range: nobody counts as a migrant there
     clean_win = ObservationWindow("w", date(2007, 5, 1), date(2007, 5, 14), "custom")
-    rows2 = score_against_truth(
-        assignments, truth, clean_win, (date(2007, 6, 10), date(2007, 8, 31))
-    )
+    rows2 = score_against_truth(assignments, truth, clean_win, migration)
     migrant = {r.group: r for r in rows2 if r.hda == "MA"}["migrant"]
     assert migrant.n_users == 0
     assert migrant.accuracy is None
