@@ -30,8 +30,6 @@ from .hda import (
     merge_vectors,
 )
 from .metrics import (
-    DecileBin,
-    MetricReport,
     UndefinedMetric,
     compute_metric_report,
     decile_summary,
@@ -41,7 +39,6 @@ from .metrics import (
 )
 from .sweep import RunManifest, SweepOptions, SweepResult, emit_reports, run_sweep
 from .synth import (
-    AccuracyRow,
     GroundTruthTable,
     MigrationConfig,
     SynthConfig,
@@ -79,8 +76,6 @@ __all__ = [
     "detect_homes_bulk",
     "hdas_by_name",
     "merge_vectors",
-    "DecileBin",
-    "MetricReport",
     "UndefinedMetric",
     "compute_metric_report",
     "decile_summary",
@@ -92,7 +87,6 @@ __all__ = [
     "SweepResult",
     "emit_reports",
     "run_sweep",
-    "AccuracyRow",
     "GroundTruthTable",
     "MigrationConfig",
     "SynthConfig",

@@ -345,7 +345,7 @@ def cmd_score(opt: Options) -> int:
     if not path.exists():
         raise CliError(f"assignments file not found: {path}")
     hda_name = opt.get("hda") or path.stem.split("__")[0]
-    uids, cols = [], []
+    cols: dict[int, list[int]] = {}  # user id -> row, in file order
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
         if lineno == 1 and raw.startswith("user_id"):
             continue
@@ -361,11 +361,12 @@ def cmd_score(opt: Options) -> int:
             raise CliError(
                 f"{path}:{lineno}: user_id must fit uint64 and the other columns int64"
             )
-        uids.append(uid)
-        cols.append(col)
-    homes, quals, ties = np.array(cols, dtype=np.int64).reshape(-1, 3).T
+        if uid in cols:
+            raise CliError(f"{path}:{lineno}: duplicate user_id {uid}")
+        cols[uid] = col
+    homes, quals, ties = np.array(list(cols.values()), dtype=np.int64).reshape(-1, 3).T
     bulk = BulkAssignments(
-        np.array(uids, dtype=np.uint64), homes, quals, ties.astype(bool)
+        np.array(list(cols), dtype=np.uint64), homes, quals, ties.astype(bool)
     )
     rows = score_against_truth({hda_name: [bulk]}, truth, window, migration_range)
     print(accuracy_csv(rows), end="")

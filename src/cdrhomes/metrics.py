@@ -10,7 +10,6 @@ undefined log ratio (x or y is 0) is NaN, which the exports write as empty.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -69,29 +68,13 @@ def log_ratio_array(x, y) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class DecileBin:
-    """Summary of x over the towers whose y falls in one population decile."""
-
-    index: int  # 1..9, ascending population
-    n: int
-    y_lo: float
-    y_hi: float
-    mean_x: float
-    std_x: float
-
-
-def _empty_bins() -> list[DecileBin]:
-    nan = float("nan")
-    return [DecileBin(i + 1, 0, nan, nan, nan, nan) for i in range(N_DECILE_BINS)]
-
-
-def decile_summary(x, y) -> list[DecileBin]:
-    """Mean and population-std of x per ascending y-decile, top decile dropped.
+def decile_summary(x, y) -> list[list]:
+    """Mean and population-std of x per ascending y-decile, top decile
+    dropped: 9 rows [index 1..9, n, y_lo, y_hi, mean_x, std_x].
 
     Towers are ordered by (y, x) so any permutation of the input yields the
-    same bins. Fewer than 10 towers cannot form deciles; that returns the 9
-    bins with n = 0 instead of failing.
+    same rows. Fewer than 10 towers cannot form deciles; that returns the 9
+    rows with n = 0 and NaN for the rest instead of failing.
     """
     xa = _as_vector(x, "x")
     ya = _as_vector(y, "y")
@@ -99,25 +82,19 @@ def decile_summary(x, y) -> list[DecileBin]:
         raise ValueError(f"length mismatch: {xa.shape} vs {ya.shape}")
     n = len(xa)
     if n < 10:
-        return _empty_bins()
+        return [[i + 1, 0] + [float("nan")] * 4 for i in range(N_DECILE_BINS)]
     order = np.lexsort((xa, ya))
     xs, ys = xa[order], ya[order]
-    bins = []
+    rows = []
     for i in range(N_DECILE_BINS):
         lo = i * n // 10
         hi = (i + 1) * n // 10
         seg = xs[lo:hi]
-        bins.append(
-            DecileBin(
-                index=i + 1,
-                n=hi - lo,
-                y_lo=float(ys[lo]),
-                y_hi=float(ys[hi - 1]),
-                mean_x=float(seg.mean()),
-                std_x=float(seg.std()),  # population std (ddof=0)
-            )
-        )
-    return bins
+        rows.append([  # std is the population std (ddof=0)
+            i + 1, hi - lo, float(ys[lo]), float(ys[hi - 1]),
+            float(seg.mean()), float(seg.std()),
+        ])
+    return rows
 
 
 def exclusion_policy(x, threshold: int) -> np.ndarray:
@@ -132,58 +109,6 @@ def exclusion_policy(x, threshold: int) -> np.ndarray:
     return xa < threshold
 
 
-@dataclass
-class MetricReport:
-    """Every agreement number reported for one (HDA, window) cell."""
-
-    window_class: str
-    n_towers: int
-    n_used: int
-    n_excluded: int
-    exclusion_threshold: int
-    pearson: float | None
-    pearson_note: str
-    n_users: int
-    n_assigned: int
-    deciles: list[DecileBin] = field(default_factory=list)
-    logratio: np.ndarray | None = None  # full registry length, NaN = undefined
-
-    def as_cell_dict(self) -> dict:
-        """JSON-ready cell payload without the cell's labels (logratio lives
-        in per-tower files)."""
-        return {
-            "class": self.window_class,
-            "n_towers": self.n_towers,
-            "n_used": self.n_used,
-            "n_excluded": self.n_excluded,
-            "exclusion_threshold": self.exclusion_threshold,
-            "pearson": self.pearson,
-            "pearson_note": self.pearson_note,
-            "n_users": self.n_users,
-            "n_assigned": self.n_assigned,
-            "deciles": [
-                [b.index, b.n, b.y_lo, b.y_hi, b.mean_x, b.std_x]
-                for b in self.deciles
-            ],
-        }
-
-    @classmethod
-    def from_cell_dict(cls, d: dict) -> "MetricReport":
-        return cls(
-            window_class=d["class"],
-            n_towers=d["n_towers"],
-            n_used=d["n_used"],
-            n_excluded=d["n_excluded"],
-            exclusion_threshold=d["exclusion_threshold"],
-            pearson=d["pearson"],
-            pearson_note=d["pearson_note"],
-            n_users=d["n_users"],
-            n_assigned=d["n_assigned"],
-            deciles=[DecileBin(*row) for row in d["deciles"]],
-            logratio=None,
-        )
-
-
 def compute_metric_report(
     x: np.ndarray,
     population: np.ndarray,
@@ -191,15 +116,14 @@ def compute_metric_report(
     *,
     n_users: int,
     exclusion_threshold: int = 0,
-) -> MetricReport:
-    """Score one cell's detected homes per tower, x, against the population.
+) -> dict:
+    """Score one cell's detected homes per tower, x, against the population:
+    the metric fields of the cell's cells.jsonl record.
 
     n_users is the user universe the cell's assignments covered; every
-    assigned user is counted in x, so n_assigned is its sum.
-
-    Correlation and deciles run over the non-excluded towers; the log-ratio
-    vector always covers the full registry (undefined entries as NaN) so
-    per-tower exports stay aligned to registry order.
+    assigned user is counted in x, so n_assigned is its sum. Correlation
+    and deciles (decile_summary's rows) run over the non-excluded towers;
+    pearson is None when r is undefined, and pearson_note then says why.
     """
     y = np.asarray(population, dtype=np.int64)
     if len(x) != len(y):
@@ -212,16 +136,15 @@ def compute_metric_report(
     except UndefinedMetric as exc:
         r = None
         note = str(exc)
-    return MetricReport(
-        window_class=window_class,
-        n_towers=len(x),
-        n_used=int(used.sum()),
-        n_excluded=int(excluded.sum()),
-        exclusion_threshold=exclusion_threshold,
-        pearson=r,
-        pearson_note=note,
-        n_users=n_users,
-        n_assigned=int(x.sum()),
-        deciles=decile_summary(x[used], y[used]),
-        logratio=log_ratio_array(x, y),
-    )
+    return {
+        "class": window_class,
+        "n_towers": len(x),
+        "n_used": int(used.sum()),
+        "n_excluded": int(excluded.sum()),
+        "exclusion_threshold": exclusion_threshold,
+        "pearson": r,
+        "pearson_note": note,
+        "n_users": n_users,
+        "n_assigned": int(x.sum()),
+        "deciles": decile_summary(x[used], y[used]),
+    }

@@ -3,10 +3,10 @@
 Cells are independent, so parallelism is cell-level: each cell is computed
 wholly inside one process and pure numpy makes its numbers bitwise
 reproducible, which keeps final report files byte-identical for any worker
-count. A cell's result is its cells.jsonl record: computing a cell yields
-that record, SweepResult.add_cell takes it in, and the reports are built
-from what add_cell kept, so a live sweep and a run directory read back by
-load_run emit the same bytes. A killed run resumes by skipping cells already
+count. A cell's result is its cells.jsonl record, in memory as on disk:
+computing a cell yields that record, SweepResult.add_cell keeps it, and the
+reports read the kept records, so a live sweep and a run directory read back
+by load_run emit the same bytes. A killed run resumes by skipping cells already
 recorded there, provided they carry the run's fingerprint (a hash of the
 package source, options, grid and input arrays); cells computed under
 anything else refuse the resume. A cell is recorded only after its export
@@ -39,9 +39,9 @@ import numpy as np
 from . import __version__
 from .core import IngestReport, TowerRegistry, UserPartition
 from .hda import HdaSpec, detect_homes_bulk, aggregate_homes, merge_vectors
-from .metrics import MetricReport, compute_metric_report
+from .metrics import compute_metric_report, log_ratio_array
 from .svgplot import line_chart
-from .synth import AccuracyRow, GroundTruthTable, accuracy_csv, score_against_truth
+from .synth import GroundTruthTable, accuracy_csv, score_against_truth
 from .windows import ObservationWindow, windows_table
 
 CELLS_FILE = "cells.jsonl"
@@ -84,16 +84,12 @@ class SweepOptions:
 
 @dataclass
 class SweepResult:
-    """Everything a finished sweep knows, keyed by (hda, window) labels.
-
-    Reports are rebuilt from the cells' records, so they carry no per-tower
-    log-ratios (those live in the tower exports).
-    """
+    """Everything a finished sweep knows, keyed by (hda, window) labels:
+    each ok cell's cells.jsonl record, and each failed cell's error."""
 
     windows: list[ObservationWindow]
     hda_names: list[str]
-    reports: dict[tuple[str, str], MetricReport] = field(default_factory=dict)
-    accuracy: dict[tuple[str, str], list[AccuracyRow]] = field(default_factory=dict)
+    reports: dict[tuple[str, str], dict] = field(default_factory=dict)
     errors: dict[tuple[str, str], str] = field(default_factory=dict)
 
     @property
@@ -105,16 +101,34 @@ class SweepResult:
         return len(self.errors)
 
     def add_cell(self, rec: dict) -> None:
-        """Take in one cell record: an ok cell's report and accuracy, or its error."""
+        """Take in one cell record: an ok record itself, or a failed one's error."""
         key = (rec["hda"], rec["window"])
-        if rec["status"] != "ok":
+        if rec["status"] == "ok":
+            self.reports[key] = rec
+        else:
             self.errors[key] = rec["error"]
-            return
-        self.reports[key] = MetricReport.from_cell_dict(rec)
-        if rec.get("accuracy") is not None:
-            self.accuracy[key] = [
-                AccuracyRow(*key, g, n, c) for g, n, c in rec["accuracy"]
-            ]
+
+
+def _readable(rec: dict) -> bool:
+    """Whether the reports can read an "ok" record: every field they use is
+    there, with its type (numbers as json.loads gives them, never bool)."""
+
+    def num(v) -> bool:
+        return type(v) in (int, float)
+
+    try:
+        return (
+            all(type(rec[k]) is str for k in ("hda", "window", "class"))
+            and (rec["pearson"] is None or num(rec["pearson"]))
+            and type(rec["n_used"]) is type(rec["n_excluded"]) is int
+            and all(len(row) == 6 and all(map(num, row)) for row in rec["deciles"])
+            and all(
+                type(g) is str and type(n) is type(c) is int
+                for g, n, c in rec["accuracy"] or ()
+            )
+        )
+    except (KeyError, TypeError, ValueError):  # absent, or not rows of the length
+        return False
 
 
 @dataclass
@@ -194,26 +208,26 @@ def _compute_cell(state: dict, h_idx: int, w_idx: int) -> tuple:
         ]
         registry: TowerRegistry = state["registry"]
         x = merge_vectors([aggregate_homes(b, registry) for b in bulks])
-        report = compute_metric_report(
-            x,
-            registry.population,
-            window.duration_class,
-            n_users=sum(len(b.user_ids) for b in bulks),
-            exclusion_threshold=state["exclusion_threshold"],
-        )
         accuracy = None
         if state["truth"] is not None:
             rows = score_against_truth(
                 {spec.name: bulks}, state["truth"], window, state["migration"]
             )
-            accuracy = [[r.group, r.n_users, r.n_correct] for r in rows]
+            accuracy = [[g, n, c] for _, _, g, n, c in rows]
         rec.update(
-            report.as_cell_dict(),
+            compute_metric_report(
+                x,
+                registry.population,
+                window.duration_class,
+                n_users=sum(len(b.user_ids) for b in bulks),
+                exclusion_threshold=state["exclusion_threshold"],
+            ),
             status="ok",
             n_tied=sum(int(b.tie_broken.sum()) for b in bulks),
             accuracy=accuracy,
         )
-        exports = (x, report.logratio, bulks if state["dump_assignments"] else None)
+        logratio = log_ratio_array(x, registry.population)
+        exports = (x, logratio, bulks if state["dump_assignments"] else None)
     except Exception:
         rec.update(status="failed", error=traceback.format_exc(limit=8))
         exports = (None, None, None)
@@ -270,7 +284,9 @@ def load_run(
     given (a killed run has not written its manifest). Every grid cell
     recorded "ok" is restored through SweepResult.add_cell; failed cells
     are left out, so a resume computes them again. Returns the result and
-    the number of lines that are not JSON objects.
+    the number of unparseable lines: those that are not JSON objects, and
+    "ok" records the reports cannot read (see _readable), whose cells a
+    resume computes again too.
 
     A resume passes the run's fingerprint: an "ok" record with another
     fingerprint, or none, raises ValueError (it was computed under other
@@ -317,6 +333,9 @@ def load_run(
             n_bad += 1
             continue
         if rec.get("status") != "ok":
+            continue
+        if not _readable(rec):
+            n_bad += 1
             continue
         if fingerprint is not None and rec.get("fingerprint") != fingerprint:
             raise ValueError(
@@ -499,24 +518,32 @@ def run_sweep(
         for w_idx, window in enumerate(result.windows)
         if (hda, window.label) not in result.reports
     ]
+    n_before = result.n_cells - len(todo)  # recorded by an earlier run
+
+    show_progress = sys.stderr.isatty()
+    t_cells = time.perf_counter()
 
     def take(cell: tuple) -> None:
         rec, x, logratio, bulks = cell
         result.add_cell(rec)
-        if out_path is None:
-            return
-        # the cell's files come before its record: a resume skips every
-        # recorded cell, so a run killed in between must leave it unrecorded
-        if rec["status"] == "ok":
-            name = f"{rec['hda']}__{rec['window']}.csv"
-            if options.per_tower_exports:
-                _write_tower_export(
-                    out_path / TOWERS_DIR / name, x, logratio, tower_rows
-                )
-            if options.dump_assignments:
-                _write_assignment_dump(out_path / ASSIGNMENTS_DIR / name, bulks)
-        with open(out_path / CELLS_FILE, "a") as fh:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+        if out_path is not None:
+            # the cell's files come before its record: a resume skips every
+            # recorded cell, so a run killed in between must leave it unrecorded
+            if rec["status"] == "ok":
+                name = f"{rec['hda']}__{rec['window']}.csv"
+                if options.per_tower_exports:
+                    _write_tower_export(
+                        out_path / TOWERS_DIR / name, x, logratio, tower_rows
+                    )
+                if options.dump_assignments:
+                    _write_assignment_dump(out_path / ASSIGNMENTS_DIR / name, bulks)
+            with open(out_path / CELLS_FILE, "a") as fh:
+                fh.write(json.dumps(rec, sort_keys=True) + "\n")
+        if show_progress:  # cells done, the total, and an ETA at this run's rate
+            done, total = len(result.reports) + result.n_failed, result.n_cells
+            eta = (time.perf_counter() - t_cells) / (done - n_before) * (total - done)
+            print(f"\rcells {done}/{total}, ETA {eta:.0f} s", file=sys.stderr,
+                  end="\n" if done == total else "", flush=True)
 
     # a fork pool starts all its workers at once: no more than there are cells
     use_workers = min(options.workers, len(todo))
@@ -613,22 +640,22 @@ def emit_reports(result: SweepResult, out_dir) -> list[Path]:
     ]
     r_by_hda = {hda: [] for hda in result.hda_names}
     r_by_window = {w.label: [] for w in result.windows}
-    for hda, w, rep in cells:
-        if rep.pearson is not None:
-            r_by_hda[hda].append((w, rep.pearson))
-            r_by_window[w.label].append(rep.pearson)
+    for hda, w, rec in cells:
+        if rec["pearson"] is not None:
+            r_by_hda[hda].append((w, rec["pearson"]))
+            r_by_window[w.label].append(rec["pearson"])
     classes = list(dict.fromkeys(w.duration_class for w in result.windows))
 
     emit("windows.csv", windows_table(result.windows))
     emit("metrics.csv", _csv("hda,window,class,pearson_r,n_used,excluded", (
         f"{hda},{w.label},{w.duration_class},"
-        f"{_ffmt(rep.pearson)},{rep.n_used},{rep.n_excluded}"
-        for hda, w, rep in cells
+        f"{_ffmt(rec['pearson'])},{rec['n_used']},{rec['n_excluded']}"
+        for hda, w, rec in cells
     )))
     emit("correlation_over_time.csv", _csv("hda,window,class,midpoint,pearson_r", (
         f"{hda},{w.label},{w.duration_class},"
-        f"{w.midpoint.isoformat()},{_ffmt(rep.pearson)}"
-        for hda, w, rep in cells
+        f"{w.midpoint.isoformat()},{_ffmt(rec['pearson'])}"
+        for hda, w, rec in cells
     )))
     # r spread per HDA per duration class
     rows = []
@@ -650,16 +677,16 @@ def emit_reports(result: SweepResult, out_dir) -> list[Path]:
         ),
     ))
     emit("decile_summary.csv", _csv("hda,window,bin,n,y_lo,y_hi,mean_x,std_x", (
-        f"{hda},{w.label},{b.index},{b.n},"
-        f"{_ffmt(b.y_lo)},{_ffmt(b.y_hi)},{_ffmt(b.mean_x)},{_ffmt(b.std_x)}"
-        for hda, w, rep in cells
-        for b in rep.deciles
+        f"{hda},{w.label},{index},{n},{','.join(_ffmt(v) for v in stats)}"
+        for hda, w, rec in cells
+        for index, n, *stats in rec["deciles"]
     )))
     # accuracy.csv only when the sweep was truth-scored
-    if result.accuracy:
-        emit("accuracy.csv", accuracy_csv([
-            r for hda, w, _ in cells for r in result.accuracy.get((hda, w.label), [])
-        ]))
+    accuracy = [
+        (hda, w.label, *row) for hda, w, rec in cells for row in rec["accuracy"] or ()
+    ]
+    if accuracy:
+        emit("accuracy.csv", accuracy_csv(accuracy))
 
     for cls in classes:
         chart(

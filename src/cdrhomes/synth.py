@@ -495,29 +495,13 @@ def _time_order(users, towers, stamps) -> np.ndarray:
     return order
 
 
-@dataclass(frozen=True)
-class AccuracyRow:
-    """Detection accuracy for one HDA and one user subgroup."""
-
-    hda: str
-    window: str
-    group: str  # all | migrant | non_migrant
-    n_users: int
-    n_correct: int
-
-    @property
-    def accuracy(self) -> float | None:
-        return self.n_correct / self.n_users if self.n_users else None
-
-
-def accuracy_csv(rows: list[AccuracyRow]) -> str:
-    """Accuracy table text: a header, then one line per row in order."""
+def accuracy_csv(rows) -> str:
+    """Accuracy table text: a header, then one line per
+    (hda, window, group, n_users, n_correct) row, in order."""
     lines = ["hda,window,group,n_users,n_correct,accuracy"]
-    for r in rows:
-        acc = "" if r.accuracy is None else repr(r.accuracy)
-        lines.append(
-            f"{r.hda},{r.window},{r.group},{r.n_users},{r.n_correct},{acc}"
-        )
+    for hda, window, group, n_users, n_correct in rows:
+        acc = repr(n_correct / n_users) if n_users else ""
+        lines.append(f"{hda},{window},{group},{n_users},{n_correct},{acc}")
     return "\n".join(lines) + "\n"
 
 
@@ -526,9 +510,10 @@ def score_against_truth(
     truth: GroundTruthTable,
     window: ObservationWindow,
     migration: "MigrationConfig | DatasetSpan | None" = None,
-) -> list[AccuracyRow]:
-    """Fraction of users whose detected home matches the true home: one
-    AccuracyRow per HDA and group (all, migrant, non_migrant), in that order.
+) -> list[tuple]:
+    """How many users' detected home matches the true home: one
+    (hda, window, group, n_users, n_correct) row per HDA and group (all,
+    migrant, non_migrant), in that order.
 
     Each HDA maps to its cell's assignments, one BulkAssignments per
     partition. Truth is the pre-migration home. Users count as migrants
@@ -541,7 +526,7 @@ def score_against_truth(
     overlap = migration is not None and window.overlaps(
         migration.first_day, migration.last_day
     )
-    rows: list[AccuracyRow] = []
+    rows = []
     for hda_name, bulks in assignments_by_hda.items():
         uids = np.concatenate([b.user_ids for b in bulks])
         homes = np.concatenate([b.home_towers for b in bulks])
@@ -553,15 +538,10 @@ def score_against_truth(
             ("migrant", migrant),
             ("non_migrant", ~migrant),
         ):
-            rows.append(
-                AccuracyRow(
-                    hda=hda_name,
-                    window=window.label,
-                    group=group,
-                    n_users=int(mask.sum()),
-                    n_correct=int((correct & mask).sum()),
-                )
-            )
+            rows.append((
+                hda_name, window.label, group,
+                int(mask.sum()), int((correct & mask).sum()),
+            ))
     return rows
 
 

@@ -405,6 +405,19 @@ def test_score_rejects_bad_dump_row_with_its_line(tmp_path, row, capsys):
     assert len(err) == 1 and err[0].startswith(f"error: {dump}:3: "), err
 
 
+def test_score_rejects_a_repeated_user_with_its_line(tmp_path, capsys):
+    truth = tmp_path / "truth.csv"
+    truth.write_text(TRUTH_HEADER + "\n1,100,100,\n2,100,100,\n")
+    dump = tmp_path / "MA__w.csv"
+    dump.write_text("user_id,home_tower,qualifying_count,tie_broken\n"
+                    "1,100,3,0\n2,100,3,0\n1,101,2,0\n")
+    argv = ["score", "--assignments", str(dump), "--truth", str(truth), "--window", SPAN]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {dump}:4: duplicate user_id 1"]
+
+
 @pytest.mark.parametrize("command", ["ingest-check", "detect", "sweep"])
 def test_tower_id_beyond_int64_is_a_registry_error(synth_dir, tmp_path, command, capsys):
     towers = tmp_path / "towers.csv"

@@ -1,12 +1,12 @@
 """Correlation, log-ratio, and decile profiles against naive oracles."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
 from cdrhomes.metrics import (
-    MetricReport,
     UndefinedMetric,
     compute_metric_report,
     decile_summary,
@@ -84,13 +84,15 @@ def test_decile_summary_matches_oracle():
         got = decile_summary(x, y)
         want = decile_bins(x.tolist(), y.tolist())
         assert len(got) == 9
+        assert [g[0] for g in got] == list(range(1, 10))
         for g, (wn, wlo, whi, wmean, wstd) in zip(got, want):
-            assert g.n == wn
-            assert g.y_lo == wlo and g.y_hi == whi
-            assert abs(g.mean_x - wmean) < 1e-9
-            assert abs(g.std_x - wstd) < 1e-9
+            _, gn, glo, ghi, gmean, gstd = g
+            assert gn == wn
+            assert glo == wlo and ghi == whi
+            assert abs(gmean - wmean) < 1e-9
+            assert abs(gstd - wstd) < 1e-9
         # deciles partition all but the top tenth
-        assert sum(g.n for g in got) == 9 * n // 10
+        assert sum(g[1] for g in got) == 9 * n // 10
 
 
 def test_decile_summary_permutation_invariant():
@@ -104,7 +106,7 @@ def test_decile_summary_permutation_invariant():
 
 def test_decile_summary_small_input():
     bins = decile_summary(np.arange(9), np.arange(9))
-    assert all(b.n == 0 for b in bins)
+    assert all(b[1] == 0 and all(map(math.isnan, b[2:])) for b in bins)
     assert len(bins) == 9
 
 
@@ -128,38 +130,35 @@ def test_compute_metric_report():
     y = rng.integers(1, 400, size=30)
     x = y // 3 + rng.integers(0, 10, size=30)
     rep = _report(x, y, "full")
-    assert rep.n_towers == 30
-    assert rep.n_users == int(x.sum()) + 2 and rep.n_assigned == int(x.sum())
-    assert rep.n_used == 30 and rep.n_excluded == 0
-    assert abs(rep.pearson - two_pass_pearson(x, y)) < 1e-12
-    assert rep.pearson_note == ""
-    assert len(rep.deciles) == 9
-    assert rep.logratio is not None and len(rep.logratio) == 30
+    assert rep["class"] == "full" and rep["n_towers"] == 30
+    assert rep["n_users"] == int(x.sum()) + 2 and rep["n_assigned"] == int(x.sum())
+    assert rep["n_used"] == 30 and rep["n_excluded"] == 0
+    assert abs(rep["pearson"] - two_pass_pearson(x, y)) < 1e-12
+    assert rep["pearson_note"] == ""
+    assert rep["deciles"] == decile_summary(x, y)
 
     # exclusion shrinks the used set and is reported, never silent
     x2 = x.copy()
     x2[:4] = 0
     rep2 = _report(x2, y, "full", exclusion_threshold=1)
-    assert rep2.n_excluded == 4
-    assert rep2.n_used == 26
+    assert rep2["n_excluded"] == 4 and rep2["exclusion_threshold"] == 1
+    assert rep2["n_used"] == 26
     used = x2 >= 1
-    assert abs(rep2.pearson - two_pass_pearson(x2[used], y[used])) < 1e-12
+    assert abs(rep2["pearson"] - two_pass_pearson(x2[used], y[used])) < 1e-12
 
 
 def test_compute_metric_report_undefined_pearson():
     y = np.arange(1, 13)
     rep = _report(np.full(12, 3), y, "full")
-    assert rep.pearson is None
-    assert "constant" in rep.pearson_note
+    assert rep["pearson"] is None
+    assert "constant" in rep["pearson_note"]
 
 
-def test_metric_report_cell_dict_round_trip():
+def test_metric_report_survives_json_round_trip():
+    # the report is the cell record's metric fields: written to cells.jsonl
+    # and read back, it is the same dict
     rng = np.random.default_rng(43)
     y = rng.integers(1, 400, size=25)
     x = y // 2 + rng.integers(0, 5, size=25)
     rep = _report(x, y, "days30", exclusion_threshold=2)
-    back = MetricReport.from_cell_dict(rep.as_cell_dict())
-    assert back.pearson == rep.pearson
-    assert back.deciles == rep.deciles
-    assert back.window_class == "days30"
-    assert back.logratio is None  # lives in per-tower files only
+    assert json.loads(json.dumps(rep)) == rep

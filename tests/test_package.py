@@ -1,10 +1,13 @@
 """The package's public names, and those the benchmark's tracer rebinds."""
 
+import collections
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
 import cdrhomes
+from cdrhomes import cli
 
 
 def test_every_exported_name_resolves():
@@ -13,15 +16,20 @@ def test_every_exported_name_resolves():
     assert len(set(cdrhomes.__all__)) == len(cdrhomes.__all__)
 
 
-def test_every_name_the_benchmark_tracer_rebinds_exists(monkeypatch):
-    # perfbench/traced_sweep.py rebinds these names for --trace runs; a name
-    # deleted here would break the trace without failing any other test
+def _traced_sweep(monkeypatch):
+    """perfbench/traced_sweep.py, imported; it prepends to sys.path."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "traced_sweep.py"
-    monkeypatch.setattr(sys, "path", list(sys.path))  # the module prepends to it
+    monkeypatch.setattr(sys, "path", list(sys.path))
     spec = importlib.util.spec_from_file_location("traced_sweep", path)
     traced = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(traced)
-    targets = traced.layer_targets()
+    return traced
+
+
+def test_every_name_the_benchmark_tracer_rebinds_exists(monkeypatch):
+    # perfbench/traced_sweep.py rebinds these names for --trace runs; a name
+    # deleted here would break the trace without failing any other test
+    targets = _traced_sweep(monkeypatch).layer_targets()
     assert targets
     missing = [
         f"{getattr(owner, '__name__', owner)}.{attr}"
@@ -29,3 +37,35 @@ def test_every_name_the_benchmark_tracer_rebinds_exists(monkeypatch):
         if not callable(getattr(owner, attr, None))
     ]
     assert missing == []
+
+
+def test_traced_sweep_runs_and_records_a_span_per_layer(monkeypatch, tmp_path):
+    # the tracer's span callbacks take the rebound functions' arguments, so
+    # a changed call signature breaks a traced run: run one, small
+    traced = _traced_sweep(monkeypatch)
+    data = tmp_path / "data"
+    span = "2007-06-01..2007-06-28"
+    assert cli.main([
+        "synth", "--out", str(data), "--seed", "5", "--span", span,
+        "--n-towers", "12", "--n-population", "400", "--daily-event-rate", "3",
+    ]) == 0
+    rc = traced.main([
+        str(tmp_path / "spans"), "--records", str(data / "records.csv"),
+        "--towers", str(data / "towers.csv"), "--span", span,
+        "--truth", str(data / "truth.csv"), "--out", str(tmp_path / "run"),
+        "--hdas", "MA,DD", "--classes", "full", "--partitions", "2",
+    ])
+    assert rc == 0
+    spans = [
+        json.loads(line)
+        for path in (tmp_path / "spans").glob("spans-*.jsonl")
+        for line in path.read_text().splitlines()
+    ]
+    count = collections.Counter(s["name"] for s in spans)
+    assert count["sweep.cell"] == 2
+    assert count["hda.detect_homes_bulk"] == 4  # per cell and partition
+    assert count["metrics.compute_metric_report"] == 2
+    assert count["synth.score_against_truth"] == 2
+    assert {s["cell"] for s in spans if s["name"] == "synth.score_against_truth"} == {
+        "MA|full", "DD|full"
+    }

@@ -3,6 +3,8 @@
 import concurrent.futures
 import fnmatch
 import json
+import re
+import sys
 from datetime import date
 
 import numpy as np
@@ -53,10 +55,26 @@ def test_in_memory_sweep_covers_grid():
     assert len(sw.reports) == sw.n_cells
     assert sw.n_failed == 0
     rep = sw.reports[("MA", "full")]
-    assert rep.n_users == len(res.truth)
-    assert 0 < rep.n_assigned <= rep.n_users
+    assert rep["n_users"] == len(res.truth)
+    assert 0 < rep["n_assigned"] <= rep["n_users"]
     assert manifest.n_cells == sw.n_cells
     assert json.loads(manifest.to_json())["n_failed"] == 0
+
+
+def test_progress_goes_to_stderr_only_when_it_is_a_terminal(monkeypatch, capsys):
+    res, parts, wins = _dataset()
+    full = [w for w in wins if w.duration_class == "full"]
+    run_sweep(parts, res.registry, full, HDAS)
+    assert capsys.readouterr().err == ""
+
+    monkeypatch.setattr(sys.stderr, "isatty", lambda: True)
+    run_sweep(parts, res.registry, full, HDAS)
+    err = capsys.readouterr().err
+    assert err.endswith("\n") and err.count("\n") == 1
+    lines = err.rstrip("\n").split("\r")[1:]  # each update overwrites the last
+    assert [line.split(",")[0] for line in lines] == [f"cells {i}/3" for i in (1, 2, 3)]
+    assert all(re.fullmatch(r"cells \d/3, ETA \d+ s", line) for line in lines)
+    assert lines[-1] == "cells 3/3, ETA 0 s"
 
 
 def test_sweep_forks_no_more_workers_than_cells(monkeypatch):
@@ -170,6 +188,51 @@ def test_sweep_resume_skips_completed_cells(tmp_path):
     cells = [json.loads(l) for l in resumed]
     assert len(cells) == sw.n_cells
     assert all(c["status"] == "ok" for c in cells)
+
+
+DAMAGE = {
+    "no-class": lambda rec: rec.pop("class"),
+    "no-pearson": lambda rec: rec.pop("pearson"),
+    "pearson-text": lambda rec: rec.update(pearson="0.5"),
+    "n-used-text": lambda rec: rec.update(n_used="12"),
+    "n-excluded-float": lambda rec: rec.update(n_excluded=0.0),
+    "no-n-excluded": lambda rec: rec.pop("n_excluded"),
+    "deciles-number": lambda rec: rec.update(deciles=5),
+    "decile-row-short": lambda rec: rec["deciles"][0].pop(),
+    "decile-value-text": lambda rec: rec["deciles"][0].__setitem__(2, "x"),
+    "no-accuracy": lambda rec: rec.pop("accuracy"),
+    "accuracy-number": lambda rec: rec.update(accuracy=5),
+    "accuracy-row-long": lambda rec: rec["accuracy"][0].append(1),
+    "accuracy-count-text": lambda rec: rec["accuracy"][0].__setitem__(1, "9"),
+}
+
+
+@pytest.mark.parametrize("damage", DAMAGE.values(), ids=DAMAGE.keys())
+def test_unreadable_ok_record_is_skipped_by_report_and_recomputed_by_resume(
+    tmp_path, capsys, damage
+):
+    res, parts, wins = _dataset(fraction=0.3)
+    out = tmp_path / "run"
+    scored = {"truth": res.truth, "migration": res.config.migration}
+    run_sweep(parts, res.registry, wins, HDAS, out, SweepOptions(), **scored)
+    want = _run_files(out)
+    lines = (out / "cells.jsonl").read_text().splitlines()
+    rec = json.loads(lines[2])
+    damage(rec)
+    lines[2] = json.dumps(rec)
+    (out / "cells.jsonl").write_text("\n".join(lines) + "\n")
+
+    assert main(["report", "--out", str(out)]) == 0
+    assert "skipped 1 unparseable line(s)" in capsys.readouterr().err
+    metrics = (out / "metrics.csv").read_text().splitlines()
+    assert len(metrics) == len(lines)  # the header, and every other cell
+    assert not any(m.startswith(f"{rec['hda']},{rec['window']},") for m in metrics)
+
+    sw, _ = run_sweep(
+        parts, res.registry, wins, HDAS, out, SweepOptions(resume=True), **scored
+    )
+    assert sw.n_failed == 0 and len(sw.reports) == sw.n_cells
+    assert _run_files(out) == want
 
 
 def _run_files(out) -> dict:
@@ -406,14 +469,12 @@ def test_sweep_accuracy_scoring():
         truth=res.truth, migration=res.config.migration,
     )
     full = [w for w in wins if w.duration_class == "full"][0]
-    rows = [r for (_, w), rs in sw.accuracy.items() if w == full.label for r in rs]
-    assert {r.hda for r in rows} == {"MA", "DD", "TC-19-9"}
-    groups = {r.group: r for r in rows if r.hda == "MA"}
-    assert groups["all"].n_users == len(res.truth)
-    assert groups["migrant"].n_users == int(res.truth.is_migrant.sum())
-    assert groups["all"].n_correct == (
-        groups["migrant"].n_correct + groups["non_migrant"].n_correct
-    )
+    assert {h for h, w in sw.reports if w == full.label} == {"MA", "DD", "TC-19-9"}
+    groups = {g: (n, c) for g, n, c in sw.reports[("MA", full.label)]["accuracy"]}
+    assert list(groups) == ["all", "migrant", "non_migrant"]
+    assert groups["all"][0] == len(res.truth)
+    assert groups["migrant"][0] == int(res.truth.is_migrant.sum())
+    assert groups["all"][1] == groups["migrant"][1] + groups["non_migrant"][1]
 
 
 def test_sweep_no_tower_exports_option(tmp_path):
