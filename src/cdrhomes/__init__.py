@@ -37,7 +37,7 @@ from .metrics import (
     log_ratio_array,
     pearson_r,
 )
-from .sweep import RunManifest, SweepOptions, SweepResult, emit_reports, run_sweep
+from .sweep import SweepOptions, SweepResult, emit_reports, run_sweep
 from .synth import (
     GroundTruthTable,
     MigrationConfig,
@@ -82,7 +82,6 @@ __all__ = [
     "exclusion_policy",
     "log_ratio_array",
     "pearson_r",
-    "RunManifest",
     "SweepOptions",
     "SweepResult",
     "emit_reports",

@@ -27,9 +27,11 @@ from .hda import (
     hdas_by_name,
     merge_vectors,
 )
-from .sweep import CELLS_FILE, SweepOptions, _write_assignment_dump, load_run
+from .sweep import (
+    CELLS_FILE, SweepOptions, _write_assignment_dump, load_run, run_sweep,
+    warn_unparseable,
+)
 from .sweep import emit_reports as _emit_reports
-from .sweep import run_sweep
 from .synth import (
     GroundTruthTable,
     MigrationConfig,
@@ -311,10 +313,10 @@ def cmd_sweep(opt: Options) -> int:
     )
     print(
         f"cells={result.n_cells} failed={result.n_failed} "
-        f"elapsed={manifest.elapsed_seconds:.2f}s out={out_dir}"
+        f"elapsed={manifest['elapsed_seconds']:.2f}s out={out_dir}"
     )
     if result.n_failed:
-        for key in manifest.failed_cells:
+        for key in manifest["failed_cells"]:
             print(f"failed: {key}", file=sys.stderr)
         return 2
     return 0
@@ -325,11 +327,7 @@ def cmd_report(opt: Options) -> int:
     result, n_bad = load_run(out_dir)
     if not (out_dir / CELLS_FILE).exists():
         raise CliError(f"no {CELLS_FILE} in {out_dir}; nothing to report")
-    if n_bad:
-        print(
-            f"warning: skipped {n_bad} unparseable line(s) in {out_dir / CELLS_FILE}",
-            file=sys.stderr,
-        )
+    warn_unparseable(n_bad, out_dir / CELLS_FILE)
     written = _emit_reports(result, out_dir)
     for path in written:
         print(f"wrote {path}")

@@ -6,12 +6,13 @@ reproducible, which keeps final report files byte-identical for any worker
 count. A cell's result is its cells.jsonl record, in memory as on disk:
 computing a cell yields that record, SweepResult.add_cell keeps it, and the
 reports read the kept records, so a live sweep and a run directory read back
-by load_run emit the same bytes. A killed run resumes by skipping cells already
-recorded there, provided they carry the run's fingerprint (a hash of the
-package source, options, grid and input arrays); cells computed under
-anything else refuse the resume. A cell is recorded only after its export
-files are written. A fresh (non-resume) sweep first removes every file an
-earlier sweep may have left in the directory (RUN_FILES) and nothing else.
+by load_run emit the same bytes. The process computing a cell writes its
+files, and the cell is recorded only after it returns. A killed run resumes
+by skipping cells already recorded there, provided they carry the run's
+fingerprint (a hash of the package source, options, grid and input arrays);
+cells computed under anything else refuse the resume. A fresh (non-resume)
+sweep first removes every file an earlier sweep may have left in the
+directory (RUN_FILES) and nothing else.
 
 Worker processes use the fork start method and read the shared state from a
 module global set before the pool starts; where fork is unavailable the
@@ -78,9 +79,6 @@ class SweepOptions:
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class SweepResult:
@@ -131,44 +129,11 @@ def _readable(rec: dict) -> bool:
         return False
 
 
-@dataclass
-class RunManifest:
-    """Reproduction record for one sweep run.
-
-    stages holds what the run cost: the ingest parse, partition_records
-    and run_sweep seconds (perf_counter; the ingest ones only when an
-    IngestReport is given) and the peak RSS in MiB of this process and of
-    its largest worker (see _peak_rss_mb).
-    """
-
-    created_utc: str
-    version: str
-    span: str
-    tz_name: str
-    n_partitions: int
-    options: dict
-    hdas: list[str]
-    windows: list[dict]
-    fingerprint: str
-    n_cells: int
-    n_failed: int
-    failed_cells: list[str]
-    cell_status: dict
-    elapsed_seconds: float
-    ingest: dict | None = None
-    seeds: dict = field(default_factory=dict)
-    stages: dict = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        payload = {"tool": "cdrhomes", **asdict(self)}
-        payload["tz"] = payload.pop("tz_name")
-        payload["elapsed_seconds"] = round(self.elapsed_seconds, 3)
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-    def write(self, out_dir) -> Path:
-        path = Path(out_dir) / MANIFEST_FILE
-        _atomic_write(path, self.to_json())
-        return path
+def warn_unparseable(n_bad: int, path: Path) -> None:
+    """Say on stderr how many lines of a cells.jsonl were skipped, if any."""
+    if n_bad:
+        print(f"warning: skipped {n_bad} unparseable line(s) in {path}",
+              file=sys.stderr)
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -192,9 +157,9 @@ def _ffmt(v) -> str:
 _STATE: dict | None = None
 
 
-def _compute_cell(state: dict, h_idx: int, w_idx: int) -> tuple:
-    """(record, x, logratio, bulks): the cell's cells.jsonl record, "ok" or
-    "failed", and what its export files need (None for a failed cell)."""
+def _compute_cell(state: dict, h_idx: int, w_idx: int) -> dict:
+    """The cell's cells.jsonl record, "ok" or "failed". An ok cell first
+    writes its files; a write error aborts the sweep, it fails no cell."""
     spec: HdaSpec = state["hdas"][h_idx]
     window: ObservationWindow = state["windows"][w_idx]
     t0 = time.perf_counter()
@@ -226,17 +191,21 @@ def _compute_cell(state: dict, h_idx: int, w_idx: int) -> tuple:
             n_tied=sum(int(b.tie_broken.sum()) for b in bulks),
             accuracy=accuracy,
         )
-        logratio = log_ratio_array(x, registry.population)
-        exports = (x, logratio, bulks if state["dump_assignments"] else None)
     except Exception:
         rec.update(status="failed", error=traceback.format_exc(limit=8))
-        exports = (None, None, None)
+    else:
+        name = f"{spec.name}__{window.label}.csv"
+        if state["towers_dir"] is not None:
+            lr = log_ratio_array(x, registry.population)
+            _write_tower_export(state["towers_dir"] / name, x, lr, state["tower_rows"])
+        if state["assignments_dir"] is not None:
+            _write_assignment_dump(state["assignments_dir"] / name, bulks)
     rec["fingerprint"] = state["fingerprint"]
     rec["elapsed"] = round(time.perf_counter() - t0, 4)
-    return (rec, *exports)
+    return rec
 
 
-def _cell_entry(h_idx: int, w_idx: int) -> tuple:
+def _cell_entry(h_idx: int, w_idx: int) -> dict:
     assert _STATE is not None, "worker state missing (fork expected)"
     return _compute_cell(_STATE, h_idx, w_idx)
 
@@ -288,10 +257,10 @@ def load_run(
     "ok" records the reports cannot read (see _readable), whose cells a
     resume computes again too.
 
-    A resume passes the run's fingerprint: an "ok" record with another
-    fingerprint, or none, raises ValueError (it was computed under other
-    inputs or options), and a torn last line left by a killed run is cut
-    off the file, so the next appended cell starts a line of its own.
+    The manifest is checked in one place: one that is not JSON, or records
+    no grid, raises ValueError naming the file. A resume passes the run's
+    fingerprint: an "ok" record with another fingerprint, or none, raises
+    ValueError (it was computed under other inputs or options).
     """
     out_path = Path(out_dir)
     if windows is None:
@@ -300,29 +269,33 @@ def load_run(
             raise FileNotFoundError(
                 f"no {MANIFEST_FILE} in {out_path}; run sweep first"
             )
-        manifest = json.loads(manifest_path.read_text())
-        windows = [
-            ObservationWindow(
-                w["label"],
-                date.fromisoformat(w["first_day"]),
-                date.fromisoformat(w["last_day"]),
-                w["class"],
-            )
-            for w in manifest["windows"]
-        ]
-        hda_names = manifest["hdas"]
+        try:
+            manifest = json.loads(manifest_path.read_text())
+            windows = [
+                ObservationWindow(
+                    w["label"],
+                    date.fromisoformat(w["first_day"]),
+                    date.fromisoformat(w["last_day"]),
+                    w["class"],
+                )
+                for w in manifest["windows"]
+            ]
+            hda_names = manifest["hdas"]
+            if type(hda_names) is not list or not all(
+                type(v) is str for v in [*hda_names, *(w.label for w in windows)]
+            ):
+                raise TypeError("hdas and window labels must be lists of text")
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(
+                f"{manifest_path}: not a sweep manifest ({type(exc).__name__}: {exc})"
+            ) from None
     result = SweepResult(windows=list(windows), hda_names=list(hda_names))
     path = out_path / CELLS_FILE
     if not path.exists():
         return result, 0
-    data = path.read_bytes()
-    end = data.rfind(b"\n") + 1
-    torn = fingerprint is not None and end < len(data)
-    if torn:
-        data = data[:end]
     grid = {(h, w.label) for h in result.hda_names for w in result.windows}
     n_bad = 0
-    for line in data.decode().splitlines():
+    for line in path.read_bytes().decode().splitlines():
         if not line.strip():
             continue
         try:
@@ -346,9 +319,6 @@ def load_run(
             )
         if (rec.get("hda"), rec.get("window")) in grid:
             result.add_cell(rec)
-    if torn:
-        with open(path, "r+b") as fh:
-            fh.truncate(end)
     return result, n_bad
 
 
@@ -433,18 +403,20 @@ def run_sweep(
     span: str = "",
     tz_name: str = "",
     ingest_report: IngestReport | None = None,
-    seeds: dict | None = None,
-) -> tuple[SweepResult, RunManifest]:
-    """Compute the full grid, persisting each cell as it completes.
+) -> tuple[SweepResult, dict]:
+    """Compute the full grid, persisting each cell as it completes; returns
+    the result and the manifest.json dict.
 
     With out_dir=None nothing is written (in-memory use); otherwise the
-    directory is probed for writability before any computation starts, and
-    emit_reports is invoked at the end; run_sweep_s in the manifest's stages
-    includes it. options.resume skips cells already
-    recorded in an existing cells.jsonl, and raises ValueError when any of
-    them was computed under another fingerprint; without it the files of
-    RUN_FILES already in the directory are removed first, and the towers
-    and assignments directories too when that empties them.
+    directory is probed for writability first, and emit_reports is invoked
+    at the end. options.resume keeps the records of an existing cells.jsonl
+    (ValueError if any has another fingerprint) and rewrites the file with
+    them alone, warning of the unparseable lines dropped; without it the
+    RUN_FILES in the directory are removed first, and the towers and
+    assignments directories too when that empties them. The manifest's
+    stages hold the ingest parse, partition_records and run_sweep seconds
+    (perf_counter; the first two from ingest_report) and the peak RSS in MiB
+    of this process and of its largest worker (see _peak_rss_mb).
     """
     t_start = time.perf_counter()
     hdas = list(hdas)
@@ -458,7 +430,7 @@ def run_sweep(
         }
         for w in result.windows
     ]
-    options_used = options.as_dict()
+    options_used = asdict(options)
     del options_used["workers"], options_used["resume"]  # neither changes a record
     header = {
         "options": options_used,
@@ -472,6 +444,19 @@ def run_sweep(
         ),
     }
     fingerprint = _fingerprint(header, partitions, registry, truth)
+    state = {
+        "partitions": partitions,
+        "registry": registry,
+        "windows": result.windows,
+        "hdas": hdas,
+        "min_qualifying": options.min_qualifying,
+        "exclusion_threshold": options.exclusion_threshold,
+        "truth": truth,
+        "migration": migration,
+        "fingerprint": fingerprint,
+        "towers_dir": None,
+        "assignments_dir": None,
+    }
     out_path: Path | None = None
     if out_dir is not None:
         out_path = Path(out_dir)
@@ -483,9 +468,13 @@ def run_sweep(
         except OSError as exc:
             raise OSError(f"output directory not writable: {out_path}") from exc
         if options.resume:
-            result, _ = load_run(
+            result, n_bad = load_run(
                 out_path, result.windows, result.hda_names, fingerprint=fingerprint
             )
+            warn_unparseable(n_bad, out_path / CELLS_FILE)
+            _atomic_write(out_path / CELLS_FILE, "".join(
+                json.dumps(r, sort_keys=True) + "\n" for r in result.reports.values()
+            ))  # one record per kept cell: no unparseable, failed or torn line
         else:
             for pattern in RUN_FILES:
                 for path in out_path.glob(pattern):
@@ -494,23 +483,12 @@ def run_sweep(
                 with contextlib.suppress(OSError):  # absent, or holds other files
                     (out_path / name).rmdir()
         if options.per_tower_exports:
-            (out_path / TOWERS_DIR).mkdir(exist_ok=True)
-            tower_rows = _tower_export_rows(registry)
+            state["towers_dir"] = out_path / TOWERS_DIR
+            state["towers_dir"].mkdir(exist_ok=True)
+            state["tower_rows"] = _tower_export_rows(registry)
         if options.dump_assignments:
-            (out_path / ASSIGNMENTS_DIR).mkdir(exist_ok=True)
-
-    state = {
-        "partitions": partitions,
-        "registry": registry,
-        "windows": result.windows,
-        "hdas": hdas,
-        "min_qualifying": options.min_qualifying,
-        "exclusion_threshold": options.exclusion_threshold,
-        "truth": truth,
-        "migration": migration,
-        "dump_assignments": options.dump_assignments,
-        "fingerprint": fingerprint,
-    }
+            state["assignments_dir"] = out_path / ASSIGNMENTS_DIR
+            state["assignments_dir"].mkdir(exist_ok=True)
 
     todo = [
         (h_idx, w_idx)
@@ -523,20 +501,11 @@ def run_sweep(
     show_progress = sys.stderr.isatty()
     t_cells = time.perf_counter()
 
-    def take(cell: tuple) -> None:
-        rec, x, logratio, bulks = cell
+    def take(rec: dict) -> None:
         result.add_cell(rec)
         if out_path is not None:
-            # the cell's files come before its record: a resume skips every
-            # recorded cell, so a run killed in between must leave it unrecorded
-            if rec["status"] == "ok":
-                name = f"{rec['hda']}__{rec['window']}.csv"
-                if options.per_tower_exports:
-                    _write_tower_export(
-                        out_path / TOWERS_DIR / name, x, logratio, tower_rows
-                    )
-                if options.dump_assignments:
-                    _write_assignment_dump(out_path / ASSIGNMENTS_DIR / name, bulks)
+            # the cell wrote its files before it returned: a resume skips
+            # every recorded cell, so a run killed in between leaves it unrecorded
             with open(out_path / CELLS_FILE, "a") as fh:
                 fh.write(json.dumps(rec, sort_keys=True) + "\n")
         if show_progress:  # cells done, the total, and an ETA at this run's rate
@@ -565,39 +534,42 @@ def run_sweep(
         for h, w in todo:
             take(_compute_cell(state, h, w))
 
-    manifest = RunManifest(
-        created_utc=datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
-        version=__version__,
-        span=span,
-        tz_name=tz_name,
-        n_partitions=len(partitions),
-        options=options.as_dict(),
-        hdas=list(result.hda_names),
-        windows=window_dicts,
-        fingerprint=fingerprint,
-        n_cells=result.n_cells,
-        n_failed=result.n_failed,
-        failed_cells=sorted(f"{h}|{w}" for h, w in result.errors),
-        cell_status={
-            f"{h}|{w.label}": "failed" if (h, w.label) in result.errors else "ok"
-            for h in result.hda_names
-            for w in result.windows
-        },
-        elapsed_seconds=time.perf_counter() - t_start,
-        ingest=ingest_report.as_dict() if ingest_report else None,
-        seeds=dict(seeds or {}),
-    )
+    elapsed = round(time.perf_counter() - t_start, 3)
     if out_path is not None:
         emit_reports(result, out_path)
-    stages = manifest.stages
+    stages = {}
     if ingest_report is not None:
         stages["ingest_parse_s"] = round(ingest_report.parse_seconds, 4)
         stages["partition_records_s"] = round(ingest_report.partition_seconds, 4)
     stages["run_sweep_s"] = round(time.perf_counter() - t_start, 4)
     # the pool's workers were waited for when it closed
     stages["peak_rss_mb"], stages["workers_peak_rss_mb"] = _peak_rss_mb()
+    manifest = {
+        "tool": "cdrhomes",
+        "created_utc": datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
+        "version": __version__,
+        "span": span,
+        "tz": tz_name,
+        "n_partitions": len(partitions),
+        "options": asdict(options),
+        "hdas": list(result.hda_names),
+        "windows": window_dicts,
+        "fingerprint": fingerprint,
+        "n_cells": result.n_cells,
+        "n_failed": result.n_failed,
+        "failed_cells": sorted(f"{h}|{w}" for h, w in result.errors),
+        "cell_status": {
+            f"{h}|{w.label}": "failed" if (h, w.label) in result.errors else "ok"
+            for h in result.hda_names
+            for w in result.windows
+        },
+        "elapsed_seconds": elapsed,
+        "ingest": ingest_report.as_dict() if ingest_report else None,
+        "stages": stages,
+    }
     if out_path is not None:
-        manifest.write(out_path)
+        text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+        _atomic_write(out_path / MANIFEST_FILE, text)
     return result, manifest
 
 

@@ -235,6 +235,11 @@ def test_sweep_manifest_records_stages(synth_dir, tmp_path, capsys):
     ]
     assert main(argv) == 0
     manifest = json.loads((run / "manifest.json").read_text())
+    assert set(manifest) == {
+        "tool", "created_utc", "version", "span", "tz", "n_partitions", "options",
+        "hdas", "windows", "fingerprint", "n_cells", "n_failed", "failed_cells",
+        "cell_status", "elapsed_seconds", "ingest", "stages",
+    }
     stages = manifest["stages"]
     assert set(stages) == {
         "ingest_parse_s", "partition_records_s", "run_sweep_s",
@@ -250,6 +255,35 @@ def test_sweep_manifest_records_stages(synth_dir, tmp_path, capsys):
     assert {k: str(v) for k, v in manifest["ingest"].items()} == {
         k: v for k, v in printed if k != "sample_reject"
     }
+
+
+NO_GRID = {
+    "not-an-object": lambda m: [],
+    "empty-object": lambda m: {},
+    "window-without-first-day": lambda m: {
+        **m, "windows": [{k: v for k, v in w.items() if k != "first_day"}
+                         for w in m["windows"]],
+    },
+}
+
+
+@pytest.mark.parametrize("damage", NO_GRID.values(), ids=NO_GRID.keys())
+def test_report_on_a_manifest_without_a_grid_names_the_file(
+    synth_dir, tmp_path, capsys, damage
+):
+    run = tmp_path / "run"
+    assert main([
+        "sweep", "--records", str(synth_dir / "records.csv"),
+        "--towers", str(synth_dir / "towers.csv"), "--span", SPAN,
+        "--classes", "full", "--hdas", "MA", "--out", str(run),
+    ]) == 0
+    path = run / "manifest.json"
+    path.write_text(json.dumps(damage(json.loads(path.read_text()))))
+    capsys.readouterr()
+    assert main(["report", "--out", str(run)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: not a sweep manifest")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="no VmHWM")

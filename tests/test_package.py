@@ -6,6 +6,8 @@ import json
 import sys
 from pathlib import Path
 
+import pytest
+
 import cdrhomes
 from cdrhomes import cli
 
@@ -39,7 +41,11 @@ def test_every_name_the_benchmark_tracer_rebinds_exists(monkeypatch):
     assert missing == []
 
 
-def test_traced_sweep_runs_and_records_a_span_per_layer(monkeypatch, tmp_path):
+@pytest.mark.parametrize("extra", [
+    [],
+    ["--workers", "2", "--dump-assignments", "true"],  # forked workers write files
+], ids=["sequential", "forked"])
+def test_traced_sweep_runs_and_records_a_span_per_layer(monkeypatch, tmp_path, extra):
     # the tracer's span callbacks take the rebound functions' arguments, so
     # a changed call signature breaks a traced run: run one, small
     traced = _traced_sweep(monkeypatch)
@@ -53,7 +59,7 @@ def test_traced_sweep_runs_and_records_a_span_per_layer(monkeypatch, tmp_path):
         str(tmp_path / "spans"), "--records", str(data / "records.csv"),
         "--towers", str(data / "towers.csv"), "--span", span,
         "--truth", str(data / "truth.csv"), "--out", str(tmp_path / "run"),
-        "--hdas", "MA,DD", "--classes", "full", "--partitions", "2",
+        "--hdas", "MA,DD", "--classes", "full", "--partitions", "2", *extra,
     ])
     assert rc == 0
     spans = [
@@ -61,6 +67,8 @@ def test_traced_sweep_runs_and_records_a_span_per_layer(monkeypatch, tmp_path):
         for path in (tmp_path / "spans").glob("spans-*.jsonl")
         for line in path.read_text().splitlines()
     ]
+    n_pids = len({s["pid"] for s in spans})
+    assert n_pids > 1 if extra else n_pids == 1
     count = collections.Counter(s["name"] for s in spans)
     assert count["sweep.cell"] == 2
     assert count["hda.detect_homes_bulk"] == 4  # per cell and partition

@@ -57,8 +57,9 @@ def test_in_memory_sweep_covers_grid():
     rep = sw.reports[("MA", "full")]
     assert rep["n_users"] == len(res.truth)
     assert 0 < rep["n_assigned"] <= rep["n_users"]
-    assert manifest.n_cells == sw.n_cells
-    assert json.loads(manifest.to_json())["n_failed"] == 0
+    assert manifest["n_cells"] == sw.n_cells
+    assert manifest["n_failed"] == 0
+    assert json.loads(json.dumps(manifest)) == manifest
 
 
 def test_progress_goes_to_stderr_only_when_it_is_a_terminal(monkeypatch, capsys):
@@ -101,12 +102,11 @@ def test_sweep_forks_no_more_workers_than_cells(monkeypatch):
 def test_sweep_writes_expected_files(tmp_path):
     res, parts, wins = _dataset(fraction=0.3)
     out = tmp_path / "run"
-    sw, _ = run_sweep(
+    sw, returned = run_sweep(
         parts, res.registry, wins, HDAS, out,
         SweepOptions(dump_assignments=True),
         truth=res.truth, migration=res.config.migration,
         span=str(SPAN), tz_name=res.config.tz_name,
-        seeds={"dataset": res.config.seed},
     )
     for name in (
         "manifest.json", "cells.jsonl", "windows.csv", "metrics.csv",
@@ -138,7 +138,7 @@ def test_sweep_writes_expected_files(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["tool"] == "cdrhomes"
     assert manifest["n_partitions"] == 2
-    assert manifest["seeds"] == {"dataset": 9}
+    assert manifest == returned
     assert set(manifest["cell_status"].values()) == {"ok"}
 
     acc = (out / "accuracy.csv").read_text().strip().split("\n")
@@ -183,7 +183,7 @@ def test_sweep_resume_skips_completed_cells(tmp_path):
     assert sw.n_failed == 0
     assert (out / "metrics.csv").read_bytes() == want
     resumed = (out / "cells.jsonl").read_text().splitlines()
-    # 4 kept + recomputed remainder; the torn line was cut off before appending
+    # 4 kept + recomputed remainder; the resume's rewrite dropped the torn line
     assert resumed[:4] == all_lines[:4]
     cells = [json.loads(l) for l in resumed]
     assert len(cells) == sw.n_cells
@@ -245,27 +245,31 @@ def _run_files(out) -> dict:
     }
 
 
-def test_resume_after_a_kill_between_cell_files_and_record(tmp_path, monkeypatch):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_resume_after_a_kill_between_cell_files_and_record(
+    tmp_path, monkeypatch, workers
+):
     res, parts, wins = _dataset()
     fresh = tmp_path / "fresh"
     run_sweep(parts, res.registry, wins, HDAS, fresh, SweepOptions())
 
-    # the run is killed while it writes the third cell's tower export
+    # writing one cell's tower export fails, in the process that computes
+    # the cell: the sweep aborts, and the cell is not recorded
     out = tmp_path / "run"
     real = sweep_mod._write_tower_export
-    calls = []
 
-    def killed_on_third(*args):
-        calls.append(args[0].name)
-        if len(calls) == 3:
-            raise KeyboardInterrupt
-        real(*args)
+    def fails_on_one_cell(path, *args):
+        if path.name == "MA__14d-03.csv":
+            raise OSError(f"cannot write {path}")
+        real(path, *args)
 
-    monkeypatch.setattr(sweep_mod, "_write_tower_export", killed_on_third)
-    with pytest.raises(KeyboardInterrupt):
-        run_sweep(parts, res.registry, wins, HDAS, out, SweepOptions())
+    monkeypatch.setattr(sweep_mod, "_write_tower_export", fails_on_one_cell)
+    with pytest.raises(OSError, match="MA__14d-03"):
+        run_sweep(parts, res.registry, wins, HDAS, out, SweepOptions(workers=workers))
     monkeypatch.setattr(sweep_mod, "_write_tower_export", real)
-    assert calls[-1] == "MA__14d-03.csv"
+    log = out / "cells.jsonl"
+    recorded = [json.loads(l) for l in log.read_text().splitlines()] if log.exists() else []
+    assert ("MA", "14d-03") not in {(r["hda"], r["window"]) for r in recorded}
 
     run_sweep(parts, res.registry, wins, HDAS, out, SweepOptions(resume=True))
     files = _run_files(out)
@@ -379,10 +383,30 @@ def test_report_after_resume_from_torn_cells_log_emits_every_cell(tmp_path, caps
     assert "skipped 1 unparseable line(s)" in capsys.readouterr().err
 
     run_sweep(parts, res.registry, wins, HDAS, out, SweepOptions(resume=True))
+    assert "skipped 1 unparseable line(s)" in capsys.readouterr().err  # the torn line
     (out / "metrics.csv").unlink()
     assert main(["report", "--out", str(out)]) == 0
     assert capsys.readouterr().err == ""
     assert (out / "metrics.csv").read_bytes() == want
+
+
+def test_resume_rewrites_cells_log_without_the_lines_it_dropped(tmp_path, capsys):
+    res, parts, wins = _dataset()
+    grid = (res.registry, [w for w in wins if w.duration_class == "full"], HDAS[:2])
+    out = tmp_path / "run"
+    run_sweep(parts, *grid, out, SweepOptions())
+    lines = (out / "cells.jsonl").read_text().splitlines()
+    rec = json.loads(lines[0])
+    rec["deciles"] = 5
+    (out / "cells.jsonl").write_text("\n".join([json.dumps(rec), lines[1]]) + "\n")
+
+    run_sweep(parts, *grid, out, SweepOptions(resume=True))
+    assert "skipped 1 unparseable line(s)" in capsys.readouterr().err
+    resumed = (out / "cells.jsonl").read_text().splitlines()
+    assert resumed[0] == lines[1] and len(resumed) == 2
+    assert json.loads(resumed[1])["deciles"] != 5
+    assert main(["report", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_load_run_counts_lines_that_are_not_cell_objects(tmp_path):
@@ -454,8 +478,8 @@ def test_sweep_isolates_cell_failures(tmp_path):
     assert not sw.reports
     key = next(iter(sw.errors))
     assert "not in registry" in sw.errors[key]
-    assert set(manifest.cell_status.values()) == {"failed"}
-    assert manifest.failed_cells
+    assert set(manifest["cell_status"].values()) == {"failed"}
+    assert manifest["failed_cells"]
     cells = [json.loads(l) for l in (out / "cells.jsonl").read_text().splitlines()]
     assert all(c["status"] == "failed" for c in cells)
     # report files still exist with headers
