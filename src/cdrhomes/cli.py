@@ -1,17 +1,22 @@
 """Command-line front end.
 
 Subcommands: ingest-check, windows, synth, detect, sweep, report, score.
-Every flag can also come from a key=value config file (--config); explicit
-flags win over the file, the file wins over built-in defaults. Exit codes:
-0 success, 1 fatal error, 2 sweep finished with failed cells or a command
-line that cannot be carried out as given (argparse usage errors, detect
---dump-assignments without --out).
+Each option's flag, type, default and required-ness is declared once, in
+_COMMANDS; a boolean flag takes --x, --x true and --x false. A --config
+file's `key = value` lines (key: a flag name without --) become --key=value
+flags placed before the explicit ones, which so win over the file. A key
+no subcommand declares is an error; one only other subcommands declare is
+skipped. Exit codes: 0 success, 1 fatal error (a missing option or a value
+its type refuses included), 2 sweep finished with failed cells or a command
+line that cannot be carried out as given (other argparse usage errors,
+detect --dump-assignments without --out).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -72,159 +77,109 @@ def load_config(path) -> dict[str, str]:
     return cfg
 
 
+# -- option types: each raises ValueError on a value it refuses -------------
+
+
 def _parse_bool(text: str) -> bool:
     t = text.strip().lower()
     if t in ("1", "true", "yes", "on"):
         return True
     if t in ("0", "false", "no", "off"):
         return False
-    raise CliError(f"not a boolean: {text!r}")
+    raise ValueError(f"not a boolean: {text!r}")
 
 
-class Options:
-    """Merged view over parsed flags and the config file."""
-
-    def __init__(self, args: argparse.Namespace):
-        self.args = args
-        self.cfg = load_config(args.config) if getattr(args, "config", None) else {}
-
-    def get(self, key: str, default=None, convert=None):
-        """Flag, else config value, else default; text goes through convert."""
-        v = getattr(self.args, key.replace("-", "_"), None)
-        if v is None:
-            v = self.cfg.get(key)
-        if v is None:
-            return default
-        if convert is not None and isinstance(v, str):
-            try:
-                v = convert(v)
-            except (ValueError, TypeError) as exc:
-                raise CliError(f"bad value {key}={v!r}: {exc}") from exc
-        return v
-
-    def require(self, key: str, convert=None):
-        v = self.get(key, None, convert)
-        if v is None:
-            raise CliError(f"missing required option --{key} (or config key {key})")
-        return v
-
-
-def _span(opt: Options) -> DatasetSpan:
-    return DatasetSpan.parse(opt.require("span"))
-
-def _clock(opt: Options) -> CivilClock:
-    return CivilClock(opt.get("tz", DEFAULT_TZ))
-
-
-def _classes(opt: Options) -> tuple[str, ...]:
-    raw = opt.get("classes", ",".join(DURATION_CLASSES))
-    out = tuple(c.strip() for c in raw.split(",") if c.strip())
+def _classes(text: str) -> tuple[str, ...]:
+    out = tuple(c.strip() for c in text.split(",") if c.strip())
     for c in out:
         if c not in DURATION_CLASSES:
-            raise CliError(
+            raise ValueError(
                 f"unknown window class {c!r}; choose from {','.join(DURATION_CLASSES)}"
             )
     return out
 
 
-def _hda_names(opt: Options) -> list[str]:
-    raw = opt.get("hdas", ",".join(CANONICAL_HDA_NAMES))
-    names = [n.strip() for n in raw.split(",") if n.strip()]
+def _hdas(text: str) -> list:
+    names = [n.strip() for n in text.split(",") if n.strip()]
     for i, n in enumerate(names):
-        canonical_hda(n)  # raises on unknown names
         if n in names[:i]:
-            raise CliError(f"duplicate HDA {n!r}")
-    return names
+            raise ValueError(f"duplicate HDA {n!r}")
+    return hdas_by_name(names)  # raises on unknown names
 
 
-def _custom_window(text: str) -> ObservationWindow:
+def _window(text: str) -> ObservationWindow:
     dates = DatasetSpan.parse(text)
     return ObservationWindow(text, dates.first_day, dates.last_day, "custom")
 
 
-def _read_registry(opt: Options) -> TowerRegistry:
-    return TowerRegistry.read_csv(opt.require("towers"))
+def _skip_or_fail(text: str) -> str:
+    if text not in ("skip", "fail"):
+        raise ValueError("expected skip or fail")
+    return text
 
 
-def _do_ingest(opt: Options, registry: TowerRegistry):
-    span = _span(opt)
-    return ingest(
-        opt.require("records"),
-        registry,
-        span,
-        n_partitions=opt.get("partitions", 1, int),
-        unknown_tower=opt.get("unknown-tower", "skip"),
-        clock=_clock(opt),
-    )
+def _checked(flag: str, convert):
+    """convert, raising CliError that names the flag on a value it refuses."""
+    def parse(text: str):
+        try:
+            return convert(text)
+        except (ValueError, TypeError) as exc:
+            raise CliError(f"bad value --{flag}={text!r}: {exc}") from None
+    return parse
+
+
+def _need(args: argparse.Namespace, *flags: str) -> None:
+    for flag in flags:
+        if getattr(args, flag.replace("-", "_")) is None:
+            raise CliError(f"missing required option --{flag}")
+
+
+def _ingest(args: argparse.Namespace, registry: TowerRegistry):
+    return ingest(args.records, registry, args.span, n_partitions=args.partitions,
+                  unknown_tower=args.unknown_tower, clock=CivilClock(args.tz))
 
 
 # -- subcommands -----------------------------------------------------------
 
 
-def cmd_ingest_check(opt: Options) -> int:
-    registry = _read_registry(opt)
-    _, report = _do_ingest(opt, registry)
+def cmd_ingest_check(args: argparse.Namespace) -> int:
+    _, report = _ingest(args, TowerRegistry.read_csv(args.towers))
     print(report.as_text())
     return 0
 
 
-def cmd_windows(opt: Options) -> int:
-    span = _span(opt)
-    table = windows_table(generate_windows(span, _classes(opt)))
-    out = opt.get("out")
-    if out:
-        Path(out).write_text(table)
-        print(f"wrote {out}")
+def cmd_windows(args: argparse.Namespace) -> int:
+    table = windows_table(generate_windows(args.span, args.classes))
+    if args.out:
+        Path(args.out).write_text(table)
+        print(f"wrote {args.out}")
     else:
         print(table, end="")
     return 0
 
 
-def _given(opt: Options, **converts) -> dict:
-    """{name: value} of the names whose flag (the name with '-' for '_') or
-    config key is given, so the callee's defaults hold for the rest."""
-    given = {k: opt.get(k.replace("_", "-"), None, c) for k, c in converts.items()}
-    return {k: v for k, v in given.items() if v is not None}
-
-
-def cmd_synth(opt: Options) -> int:
-    out_dir = Path(opt.require("out"))
+def cmd_synth(args: argparse.Namespace) -> int:
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    seed = opt.require("seed", int)
-    n_towers = opt.require("n-towers", int)
-    n_population = opt.require("n-population", int)
-    span = _span(opt)
-
     migration = None
-    fraction = opt.get("migration-fraction", 0.0, float)
-    if fraction > 0:
-        dates = DatasetSpan.parse(opt.require("migration-range"))
-        tour_raw = opt.require("touristic-towers")
+    if args.migration_fraction > 0:
+        _need(args, "migration-range", "touristic-towers")
+        tour_raw = args.touristic_towers
         if tour_raw.startswith("lowest:"):
             k = int(tour_raw.split(":", 1)[1])
-            registry = build_registry(seed, n_towers, n_population)
+            registry = build_registry(args.seed, args.n_towers, args.n_population)
             touristic = pick_touristic_towers(registry, k)
         else:
             touristic = tuple(int(t) for t in tour_raw.split(",") if t.strip())
+        dates = args.migration_range
         migration = MigrationConfig(
-            dates.first_day, dates.last_day, fraction, touristic,
-            **_given(opt, min_stay_days=int),
+            dates.first_day, dates.last_day, args.migration_fraction, touristic,
+            min_stay_days=args.min_stay_days,
         )
-
-    tunables = _given(
-        opt, market_share=float, daily_event_rate=float, home_call_share_night=float,
-        work_call_share_day=float, home_call_share_day=float, work_pool_size=int,
-        neighbor_pool_size=int, tz=str,
-    )
-    if "tz" in tunables:
-        tunables["tz_name"] = tunables.pop("tz")
     config = SynthConfig(
-        seed=seed,
-        n_towers=n_towers,
-        n_population=n_population,
-        span=span,
-        migration=migration,
-        **tunables,
+        seed=args.seed, n_towers=args.n_towers, n_population=args.n_population,
+        span=args.span, migration=migration, tz_name=args.tz,
+        **{f.name: getattr(args, f.name) for f in _TUNABLES},
     )
     result = generate(config)
     result.registry.write_csv(out_dir / "towers.csv")
@@ -234,36 +189,33 @@ def cmd_synth(opt: Options) -> int:
     echo["n_records"] = str(result.n_records)
     manifest = "".join(f"{k}={v}\n" for k, v in echo.items())
     (out_dir / "synth_manifest.txt").write_text(manifest)
-    print(f"towers={n_towers} subscribers={config.n_subscribers} "
+    print(f"towers={args.n_towers} subscribers={config.n_subscribers} "
           f"records={result.n_records}")
     print(f"wrote {out_dir}/towers.csv, truth.csv, records.csv, synth_manifest.txt")
     return 0
 
 
-def cmd_detect(opt: Options) -> int:
-    out = opt.get("out")
-    dump = opt.get("dump-assignments", False, _parse_bool)
-    if dump and not out:
+def cmd_detect(args: argparse.Namespace) -> int:
+    if args.dump_assignments and not args.out:
         print("error: --dump-assignments needs --out (the dump is written there)",
               file=sys.stderr)
         return 2
-    registry = _read_registry(opt)
-    partitions, report = _do_ingest(opt, registry)
-    window = _custom_window(opt.require("window"))
-    spec = canonical_hda(opt.require("hda"))
-    min_q = opt.get("min-qualifying", 1, int)
+    registry = TowerRegistry.read_csv(args.towers)
+    partitions, report = _ingest(args, registry)
+    window, spec = args.window, args.hda
     bulks = [
-        detect_homes_bulk(p, window, spec, min_qualifying=min_q) for p in partitions
+        detect_homes_bulk(p, window, spec, min_qualifying=args.min_qualifying)
+        for p in partitions
     ]
     homes = merge_vectors([aggregate_homes(b, registry) for b in bulks])
-    if out:
-        out_dir = Path(out)
+    if args.out:
+        out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         lines = ["tower_id,x,y"]
         for tid, x, y in zip(registry.tower_ids, homes, registry.population):
             lines.append(f"{int(tid)},{int(x)},{int(y)}")
         (out_dir / "vectors.csv").write_text("\n".join(lines) + "\n")
-        if dump:
+        if args.dump_assignments:
             _write_assignment_dump(out_dir / "assignments.csv", bulks)
         print(f"wrote {out_dir}/vectors.csv")
     print(
@@ -273,47 +225,20 @@ def cmd_detect(opt: Options) -> int:
     return 0
 
 
-def cmd_sweep(opt: Options) -> int:
-    registry = _read_registry(opt)
-    partitions, report = _do_ingest(opt, registry)
-    span = _span(opt)
-    windows = generate_windows(span, _classes(opt))
-    hdas = hdas_by_name(_hda_names(opt))
-    out_dir = opt.require("out")
-
-    truth = None
-    migration_range = None
-    truth_path = opt.get("truth")
-    if truth_path:
-        truth = GroundTruthTable.read_csv(truth_path)
-        mr = opt.get("migration-range")
-        if mr:
-            migration_range = DatasetSpan.parse(mr)
-
-    options = SweepOptions(
-        exclusion_threshold=opt.get("exclusion-threshold", 0, int),
-        min_qualifying=opt.get("min-qualifying", 1, int),
-        workers=opt.get("workers", 1, int),
-        per_tower_exports=opt.get("per-tower-exports", True, _parse_bool),
-        dump_assignments=opt.get("dump-assignments", False, _parse_bool),
-        resume=opt.get("resume", False, _parse_bool),
-    )
+def cmd_sweep(args: argparse.Namespace) -> int:
+    registry = TowerRegistry.read_csv(args.towers)
+    partitions, report = _ingest(args, registry)
+    truth = GroundTruthTable.read_csv(args.truth) if args.truth else None
     result, manifest = run_sweep(
-        partitions,
-        registry,
-        windows,
-        hdas,
-        out_dir,
-        options,
-        truth=truth,
-        migration=migration_range,
-        span=str(span),
-        tz_name=opt.get("tz", DEFAULT_TZ),
-        ingest_report=report,
+        partitions, registry, generate_windows(args.span, args.classes), args.hdas,
+        args.out,
+        SweepOptions(**{f.name: getattr(args, f.name) for f in fields(SweepOptions)}),
+        truth=truth, migration=args.migration_range if truth else None,
+        span=str(args.span), tz_name=args.tz, ingest_report=report,
     )
     print(
         f"cells={result.n_cells} failed={result.n_failed} "
-        f"elapsed={manifest['elapsed_seconds']:.2f}s out={out_dir}"
+        f"elapsed={manifest['elapsed_seconds']:.2f}s out={args.out}"
     )
     if result.n_failed:
         for key in manifest["failed_cells"]:
@@ -322,8 +247,8 @@ def cmd_sweep(opt: Options) -> int:
     return 0
 
 
-def cmd_report(opt: Options) -> int:
-    out_dir = Path(opt.require("out"))
+def cmd_report(args: argparse.Namespace) -> int:
+    out_dir = Path(args.out)
     result, n_bad = load_run(out_dir)
     if not (out_dir / CELLS_FILE).exists():
         raise CliError(f"no {CELLS_FILE} in {out_dir}; nothing to report")
@@ -334,25 +259,22 @@ def cmd_report(opt: Options) -> int:
     return 0
 
 
-def cmd_score(opt: Options) -> int:
-    truth = GroundTruthTable.read_csv(opt.require("truth"))
-    window = _custom_window(opt.require("window"))
-    mr = opt.get("migration-range")
-    migration_range = DatasetSpan.parse(mr) if mr else None
-    path = Path(opt.require("assignments"))
+def cmd_score(args: argparse.Namespace) -> int:
+    truth = GroundTruthTable.read_csv(args.truth)
+    path = Path(args.assignments)
     if not path.exists():
         raise CliError(f"assignments file not found: {path}")
-    hda_name = opt.get("hda") or path.stem.split("__")[0]
+    hda_name = args.hda or path.stem.split("__")[0]
     cols: dict[int, list[int]] = {}  # user id -> row, in file order
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
         if lineno == 1 and raw.startswith("user_id"):
             continue
-        fields = raw.split(",")
-        if len(fields) != 4:
+        values = raw.split(",")
+        if len(values) != 4:
             raise CliError(f"{path}:{lineno}: expected 4 columns")
         try:  # an empty home_tower is no home
-            uid = int(fields[0])
-            col = [int(fields[1] or -1), int(fields[2]), int(fields[3])]
+            uid = int(values[0])
+            col = [int(values[1] or -1), int(values[2]), int(values[3])]
         except ValueError as exc:
             raise CliError(f"{path}:{lineno}: {exc}") from None
         if not 0 <= uid < 2**64 or not all(-(2**63) <= v < 2**63 for v in col):
@@ -366,12 +288,117 @@ def cmd_score(opt: Options) -> int:
     bulk = BulkAssignments(
         np.array(list(cols), dtype=np.uint64), homes, quals, ties.astype(bool)
     )
-    rows = score_against_truth({hda_name: [bulk]}, truth, window, migration_range)
+    rows = score_against_truth(
+        {hda_name: [bulk]}, truth, args.window, args.migration_range
+    )
     print(accuracy_csv(rows), end="")
     return 0
 
 
-# -- parser ----------------------------------------------------------------
+# -- options and parser ----------------------------------------------------
+
+
+def _bool(default: bool, help_text: str) -> dict:
+    """A boolean flag: --x and --x true give True, --x false gives False."""
+    return {"type": _parse_bool, "nargs": "?", "const": True, "default": default,
+            "metavar": "BOOL", "help": f"{help_text} (default %(default)s)"}
+
+
+# SynthConfig's numeric generator parameters, each a synth flag
+_TUNABLES = [f for f in fields(SynthConfig) if type(f.default) in (int, float)]
+
+_SPAN = ("span", {"type": DatasetSpan.parse, "required": True,
+                  "help": "dataset span FIRST..LAST"})
+_TZ = ("tz", {"default": DEFAULT_TZ, "help": "IANA zone (default %(default)s)"})
+_CLASSES = ("classes", {"type": _classes, "default": ",".join(DURATION_CLASSES),
+                        "help": "comma list of window classes (default %(default)s)"})
+_WINDOW = ("window", {"type": _window, "required": True, "help": "window FIRST..LAST"})
+_MIGRATION_RANGE = ("migration-range", {"type": DatasetSpan.parse,
+                                        "help": "migration dates FIRST..LAST"})
+_MIN_QUALIFYING = ("min-qualifying", {"type": int, "help": "evidence threshold",
+                                       "default": SweepOptions.min_qualifying})
+_DUMP = ("dump-assignments", _bool(SweepOptions.dump_assignments,
+                                   "also dump per-user assignments"))
+_INPUT = [
+    ("records", {"required": True, "help": "records CSV: user_id,tower_id,timestamp"}),
+    ("towers", {"required": True, "help": "tower registry CSV"}),
+    _SPAN,
+    _TZ,
+    ("partitions", {"type": int, "default": 1, "help": "user partition count"}),
+    ("unknown-tower", {"type": _skip_or_fail, "default": "skip",
+                       "help": "records on unknown towers: skip or fail "
+                               "(default %(default)s)"}),
+]
+
+# command -> (function, help, [(flag without --, add_argument keywords)]);
+# "required": True is checked after the config file is read (exit 1)
+_COMMANDS = {
+    "ingest-check": (cmd_ingest_check,
+                     "read records, print the reject-accounting report", _INPUT),
+    "windows": (cmd_windows, "print the observation-window grid for a span", [
+        _SPAN,
+        _CLASSES,
+        ("out", {"help": "write the table here instead of stdout"}),
+    ]),
+    "synth": (cmd_synth, "generate a synthetic dataset with ground truth", [
+        ("out", {"required": True, "help": "output directory"}),
+        ("seed", {"type": int, "required": True, "help": "generator seed"}),
+        _SPAN,
+        _TZ,
+        ("n-towers", {"type": int, "required": True, "help": "tower count"}),
+        ("n-population", {"type": int, "required": True,
+                          "help": "ground-truth population"}),
+        *((f.name.replace("_", "-"), {
+            "type": type(f.default), "default": f.default,
+            "help": f"SynthConfig.{f.name} (default %(default)s)",
+        }) for f in _TUNABLES),
+        ("migration-fraction", {"type": float, "default": 0.0,
+                                "help": "share of users migrating"}),
+        _MIGRATION_RANGE,
+        ("min-stay-days", {"type": int, "default": MigrationConfig.min_stay_days,
+                           "help": "shortest personal stay (default %(default)s)"}),
+        ("touristic-towers", {"help": "ids 'a,b,c' or 'lowest:K'"}),
+    ]),
+    "detect": (cmd_detect, "run one HDA over one window, dump per-tower vectors", [
+        *_INPUT,
+        ("hda", {"type": canonical_hda, "required": True,
+                 "help": "HDA name, one of " + ",".join(CANONICAL_HDA_NAMES)}),
+        _WINDOW,
+        _MIN_QUALIFYING,
+        ("out", {"help": "output directory"}),
+        _DUMP,
+    ]),
+    "sweep": (cmd_sweep, "run the full (HDA x window) grid and emit reports", [
+        *_INPUT,
+        _CLASSES,
+        ("hdas", {"type": _hdas, "default": ",".join(CANONICAL_HDA_NAMES),
+                  "help": "comma list of HDA names (default: all 9)"}),
+        ("out", {"required": True, "help": "run directory"}),
+        ("workers", {"type": int, "default": SweepOptions.workers,
+                     "help": "parallel worker processes (default %(default)s)"}),
+        ("exclusion-threshold", {"type": int,
+                                 "default": SweepOptions.exclusion_threshold,
+                                 "help": "exclude towers with x below this"}),
+        _MIN_QUALIFYING,
+        ("resume", _bool(SweepOptions.resume, "skip cells already in cells.jsonl")),
+        ("per-tower-exports", _bool(SweepOptions.per_tower_exports,
+                                    "write towers/*.csv")),
+        _DUMP,
+        ("truth", {"help": "ground-truth CSV to score against"}),
+        _MIGRATION_RANGE,
+    ]),
+    "report": (cmd_report, "re-emit final report files from a run directory", [
+        ("out", {"required": True,
+                 "help": "run directory with cells.jsonl + manifest.json"}),
+    ]),
+    "score": (cmd_score, "score an assignments dump against ground truth", [
+        ("assignments", {"required": True, "help": "assignments CSV from detect/sweep"}),
+        ("truth", {"required": True, "help": "ground-truth CSV"}),
+        _WINDOW,
+        _MIGRATION_RANGE,
+        ("hda", {"help": "HDA name (default: from the file name)"}),
+    ]),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -381,107 +408,42 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"cdrhomes {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_text: str, flags: list[tuple]):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", help="key=value config file with defaults")
-        for args, kwargs in flags:
-            p.add_argument(*args, **kwargs)
-        return p
-
-    io_flags = [
-        (("--records",), {"help": "records CSV: user_id,tower_id,timestamp"}),
-        (("--towers",), {"help": "tower registry CSV"}),
-        (("--span",), {"help": "dataset span FIRST..LAST"}),
-        (("--tz",), {"help": f"IANA zone (default {DEFAULT_TZ})"}),
-        (("--partitions",), {"type": int, "help": "user partition count"}),
-        (("--unknown-tower",), {"choices": ["skip", "fail"],
-                                "help": "policy for records on unknown towers"}),
-    ]
-
-    add("ingest-check", "read records, print the reject-accounting report", io_flags)
-
-    add("windows", "print the observation-window grid for a span", [
-        (("--span",), {"help": "dataset span FIRST..LAST"}),
-        (("--classes",), {"help": "comma list of " + ",".join(DURATION_CLASSES)}),
-        (("--out",), {"help": "write the table here instead of stdout"}),
-    ])
-
-    add("synth", "generate a synthetic dataset with ground truth", [
-        (("--out",), {"help": "output directory"}),
-        (("--seed",), {"type": int, "help": "generator seed"}),
-        (("--span",), {"help": "dataset span FIRST..LAST"}),
-        (("--tz",), {"help": f"IANA zone (default {DEFAULT_TZ})"}),
-        (("--n-towers",), {"type": int, "help": "tower count"}),
-        (("--n-population",), {"type": int, "help": "ground-truth population"}),
-        (("--market-share",), {"type": float, "help": "subscriber share (default 0.28)"}),
-        (("--daily-event-rate",), {"type": float, "help": "mean events/user/day"}),
-        (("--home-call-share-night",), {"type": float}),
-        (("--work-call-share-day",), {"type": float}),
-        (("--home-call-share-day",), {"type": float}),
-        (("--work-pool-size",), {"type": int}),
-        (("--neighbor-pool-size",), {"type": int}),
-        (("--migration-fraction",), {"type": float, "help": "share of users migrating"}),
-        (("--migration-range",), {"help": "migration dates FIRST..LAST"}),
-        (("--min-stay-days",), {"type": int, "help": "shortest personal stay"}),
-        (("--touristic-towers",), {"help": "ids 'a,b,c' or 'lowest:K'"}),
-    ])
-
-    add("detect", "run one HDA over one window, dump per-tower vectors", io_flags + [
-        (("--hda",), {"help": "HDA name, one of " + ",".join(CANONICAL_HDA_NAMES)}),
-        (("--window",), {"help": "window FIRST..LAST"}),
-        (("--min-qualifying",), {"type": int, "help": "evidence threshold"}),
-        (("--out",), {"help": "output directory"}),
-        (("--dump-assignments",), {"action": "store_const", "const": True,
-                                   "help": "also dump per-user assignments"}),
-    ])
-
-    add("sweep", "run the full (HDA x window) grid and emit reports", io_flags + [
-        (("--classes",), {"help": "comma list of " + ",".join(DURATION_CLASSES)}),
-        (("--hdas",), {"help": "comma list of HDA names (default: all 9)"}),
-        (("--out",), {"help": "run directory"}),
-        (("--workers",), {"type": int, "help": "parallel worker processes"}),
-        (("--exclusion-threshold",), {"type": int,
-                                      "help": "exclude towers with x below this"}),
-        (("--min-qualifying",), {"type": int, "help": "evidence threshold"}),
-        (("--resume",), {"action": "store_const", "const": True,
-                         "help": "skip cells already in cells.jsonl"}),
-        (("--per-tower-exports",), {"help": "true|false (default true)"}),
-        (("--dump-assignments",), {"help": "true|false (default false)"}),
-        (("--truth",), {"help": "ground-truth CSV to score against"}),
-        (("--migration-range",), {"help": "migration dates FIRST..LAST for scoring"}),
-    ])
-
-    add("report", "re-emit final report files from a run directory", [
-        (("--out",), {"help": "run directory with cells.jsonl + manifest.json"}),
-    ])
-
-    add("score", "score an assignments dump against ground truth", [
-        (("--assignments",), {"help": "assignments CSV from detect/sweep"}),
-        (("--truth",), {"help": "ground-truth CSV"}),
-        (("--window",), {"help": "window FIRST..LAST the assignments cover"}),
-        (("--migration-range",), {"help": "migration dates FIRST..LAST"}),
-        (("--hda",), {"help": "HDA name (default: from the file name)"}),
-    ])
+    for command, (_, help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("--config", help="file of 'key = value' lines, "
+                                        "each key a flag name without --")
+        for flag, kw in flags:
+            kw = {k: v for k, v in kw.items() if k != "required"}
+            if "type" in kw:
+                kw["type"] = _checked(flag, kw["type"])
+            p.add_argument(f"--{flag}", **kw)
     return parser
 
 
-_COMMANDS = {
-    "ingest-check": cmd_ingest_check,
-    "windows": cmd_windows,
-    "synth": cmd_synth,
-    "detect": cmd_detect,
-    "sweep": cmd_sweep,
-    "report": cmd_report,
-    "score": cmd_score,
-}
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse a command line and its --config file, and check that every
+    required option has a value."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    flags = dict(_COMMANDS[args.command][2])
+    if args.config:
+        cfg = load_config(args.config)
+        everywhere = {flag for _, _, fl in _COMMANDS.values() for flag, _ in fl}
+        for key in cfg:
+            if key not in everywhere:
+                raise CliError(f"{args.config}: no command takes the key {key!r}")
+        at = argv.index(args.command) + 1
+        from_file = [f"--{k}={v}" for k, v in cfg.items() if k in flags]
+        args = parser.parse_args(argv[:at] + from_file + argv[at:])
+    _need(args, *(flag for flag, kw in flags.items() if kw.get("required")))
+    return args
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        opt = Options(args)
-        return _COMMANDS[args.command](opt)
+        args = parse_args(argv)
+        return _COMMANDS[args.command][0](args)
     except (CliError, IngestError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

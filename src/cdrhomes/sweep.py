@@ -253,7 +253,7 @@ def load_run(
     given (a killed run has not written its manifest). Every grid cell
     recorded "ok" is restored through SweepResult.add_cell; failed cells
     are left out, so a resume computes them again. Returns the result and
-    the number of unparseable lines: those that are not JSON objects, and
+    the number of unparseable lines: those that are not UTF-8 JSON objects, and
     "ok" records the reports cannot read (see _readable), whose cells a
     resume computes again too.
 
@@ -295,12 +295,12 @@ def load_run(
         return result, 0
     grid = {(h, w.label) for h in result.hda_names for w in result.windows}
     n_bad = 0
-    for line in path.read_bytes().decode().splitlines():
+    for line in path.read_bytes().split(b"\n"):  # decoded line by line
         if not line.strip():
             continue
         try:
-            rec = json.loads(line)
-        except json.JSONDecodeError:
+            rec = json.loads(line.decode())
+        except ValueError:  # UnicodeDecodeError or JSONDecodeError
             rec = None
         if not isinstance(rec, dict):
             n_bad += 1
@@ -526,8 +526,12 @@ def run_sweep(
                 max_workers=use_workers, mp_context=multiprocessing.get_context("fork")
             ) as pool:
                 futures = [pool.submit(_cell_entry, h, w) for h, w in todo]
-                for fut in concurrent.futures.as_completed(futures):
-                    take(fut.result())
+                try:
+                    for fut in concurrent.futures.as_completed(futures):
+                        take(fut.result())
+                except BaseException:  # run none of the cells still queued
+                    pool.shutdown(cancel_futures=True)
+                    raise
         finally:
             _STATE = None
     else:

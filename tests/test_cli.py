@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import cdrhomes
+from cdrhomes import cli
 from cdrhomes.cli import load_config, main
 from cdrhomes.core import DatasetSpan
 from cdrhomes.synth import SynthConfig
@@ -391,6 +392,7 @@ def test_config_file_defaults_and_precedence(synth_dir, tmp_path, capsys):
     (["windows", "--span", SPAN, "--config", "/nonexistent.cfg"], "config file not found"),
     (["score", "--truth", "/missing.csv", "--window", SPAN,
       "--assignments", "/missing.csv"], ""),
+    (["sweep", "--workers", "x"], "bad value --workers='x'"),
 ])
 def test_cli_errors_exit_1(argv, fragment, capsys):
     assert main(argv) == 1
@@ -468,6 +470,129 @@ def test_tower_id_beyond_int64_is_a_registry_error(synth_dir, tmp_path, command,
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: bad registry row"), err
     assert "9223372036854775808" in err[0]
+
+
+# two values for every flag of every command, the first not its default
+FLAG_VALUES = {
+    "records": ("r1.csv", "r2.csv"),
+    "towers": ("t1.csv", "t2.csv"),
+    "span": (SPAN, "2007-06-01..2007-07-14"),
+    "tz": ("UTC", "Europe/Lisbon"),
+    "partitions": ("3", "4"),
+    "unknown-tower": ("fail", "skip"),
+    "classes": ("full", "days14,month"),
+    "out": ("o1", "o2"),
+    "seed": ("4", "5"),
+    "n-towers": ("5", "6"),
+    "n-population": ("60", "70"),
+    "market-share": ("0.5", "0.25"),
+    "daily-event-rate": ("2.5", "3"),
+    "home-call-share-night": ("0.7", "0.8"),
+    "work-call-share-day": ("0.5", "0.4"),
+    "home-call-share-day": ("0.2", "0.1"),
+    "work-pool-size": ("3", "4"),
+    "neighbor-pool-size": ("2", "5"),
+    "migration-fraction": ("0.2", "0.1"),
+    "migration-range": ("2007-06-08..2007-06-24", "2007-06-10..2007-06-20"),
+    "min-stay-days": ("7", "9"),
+    "touristic-towers": ("lowest:2", "1,2"),
+    "hda": ("DD", "MA"),
+    "window": (SPAN, "2007-06-01..2007-06-14"),
+    "min-qualifying": ("3", "2"),
+    "dump-assignments": ("true", "false"),
+    "hdas": ("MA,DD", "TC-19-9"),
+    "workers": ("2", "3"),
+    "exclusion-threshold": ("5", "6"),
+    "resume": ("true", "false"),
+    "per-tower-exports": ("false", "true"),
+    "truth": ("truth1.csv", "truth2.csv"),
+    "assignments": ("a1.csv", "a2.csv"),
+}
+FLAGS = [(command, flag) for command, (_, _, flags) in cli._COMMANDS.items()
+         for flag, _ in flags]
+
+
+def _required_except(command, flag):
+    return [f"--{other}={FLAG_VALUES[other][0]}"
+            for other, kw in cli._COMMANDS[command][2]
+            if kw.get("required") and other != flag]
+
+
+def _options(argv):
+    return {k: v for k, v in vars(cli.parse_args(argv)).items() if k != "config"}
+
+
+@pytest.mark.parametrize("command,flag", FLAGS, ids=[f"{c}--{f}" for c, f in FLAGS])
+def test_flag_and_config_line_give_the_same_options(tmp_path, command, flag):
+    base = [command, *_required_except(command, flag)]
+    value, other = FLAG_VALUES[flag]
+    given = _options(base + [f"--{flag}={value}"])
+    default = vars(cli.build_parser().parse_args(base))  # None when required
+    dest = flag.replace("-", "_")
+    assert given[dest] != default[dest]
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{flag} = {value}\n")
+    assert _options(base + ["--config", str(cfg)]) == given
+    # an explicit flag beats the file, wherever it stands
+    assert _options(base + [f"--{flag}={other}", "--config", str(cfg)]) == _options(
+        base + [f"--{flag}={other}"]
+    )
+
+
+BOOLEAN_FLAGS = [("detect", "dump-assignments"), ("sweep", "resume"),
+                 ("sweep", "per-tower-exports"), ("sweep", "dump-assignments")]
+
+
+@pytest.mark.parametrize("command,flag", BOOLEAN_FLAGS,
+                         ids=[f"{c}--{f}" for c, f in BOOLEAN_FLAGS])
+def test_boolean_flag_takes_three_forms(command, flag):
+    base = [command, *_required_except(command, flag)]
+    forms = [[f"--{flag}"], [f"--{flag}", "true"], [f"--{flag}", "false"]]
+    dest = flag.replace("-", "_")
+    assert [_options(base + form)[dest] for form in forms] == [True, True, False]
+
+
+@pytest.mark.parametrize("line", ["min_qualifying = 3", "clases = full"])
+def test_config_key_no_command_declares_is_refused(synth_dir, tmp_path, line, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{line}\n")
+    argv = (["detect", "--records", str(synth_dir / "records.csv"),
+             "--towers", str(synth_dir / "towers.csv"), "--span", SPAN,
+             "--hda", "MA", "--window", SPAN]
+            if line.startswith("min") else ["windows", "--span", SPAN])
+    assert main(argv + ["--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    key = line.split(" =")[0]
+    assert captured.err == f"error: {cfg}: no command takes the key {key!r}\n"
+
+
+def test_config_key_of_another_command_is_skipped(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("workers = 4\n")
+    assert main(["windows", "--span", SPAN]) == 0
+    table = capsys.readouterr().out
+    assert main(["windows", "--span", SPAN, "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out == table
+
+
+def test_config_value_its_type_refuses_names_the_option(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("workers = x\n")
+    assert main(["sweep", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: bad value --workers='x'"), err
+
+
+@pytest.mark.parametrize("command", [
+    "ingest-check", "windows", "synth", "detect", "sweep", "report", "score",
+])
+def test_help_of_every_command(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: cdrhomes {command} ")
 
 
 def test_bad_config_line_rejected(tmp_path, capsys):

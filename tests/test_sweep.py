@@ -3,8 +3,10 @@
 import concurrent.futures
 import fnmatch
 import json
+import os
 import re
 import sys
+import time
 from datetime import date
 
 import numpy as np
@@ -275,6 +277,53 @@ def test_resume_after_a_kill_between_cell_files_and_record(
     files = _run_files(out)
     assert "towers/MA__14d-03.csv" in files
     assert files == _run_files(fresh)
+
+
+def test_a_raising_cell_cancels_the_cells_still_queued(tmp_path, monkeypatch):
+    # the first cell's tower export fails at once; every other cell sleeps in
+    # its forked worker, so the failure surfaces while all but the pool's
+    # running and pre-queued cells are still waiting
+    res, parts, wins = _dataset()
+    assert len(wins) * len(HDAS) == 12
+    out = tmp_path / "run"
+    real, parent = sweep_mod._write_tower_export, os.getpid()
+    first = f"{HDAS[0].name}__{wins[0].label}.csv"
+
+    def fails_first_and_sleeps(path, *args):
+        if path.name == first:
+            raise OSError(f"cannot write {path}")
+        if os.getpid() != parent:
+            time.sleep(0.5)
+        real(path, *args)
+
+    monkeypatch.setattr(sweep_mod, "_write_tower_export", fails_first_and_sleeps)
+    workers = 2
+    with pytest.raises(OSError, match=first):
+        run_sweep(parts, res.registry, wins, HDAS, out, SweepOptions(workers=workers))
+    written = list((out / "towers").iterdir())
+    assert len(written) <= 2 * workers + 1, sorted(p.name for p in written)
+
+
+def test_undecodable_cells_line_is_skipped_by_report_and_dropped_by_resume(
+    tmp_path, capsys
+):
+    res, parts, wins = _dataset()
+    out = tmp_path / "run"
+    run_sweep(parts, res.registry, wins, HDAS, out, SweepOptions())
+    want = _run_files(out)
+    cells = (out / "cells.jsonl").read_bytes()
+    (out / "cells.jsonl").write_bytes(cells + b"\xff\xfe junk\n")
+    for path in out.glob("*.csv"):
+        path.unlink()
+
+    assert main(["report", "--out", str(out)]) == 0
+    assert "skipped 1 unparseable line(s)" in capsys.readouterr().err
+    assert _run_files(out) == want
+
+    run_sweep(parts, res.registry, wins, HDAS, out, SweepOptions(resume=True))
+    assert "skipped 1 unparseable line(s)" in capsys.readouterr().err
+    assert (out / "cells.jsonl").read_bytes() == cells
+    assert _run_files(out) == want
 
 
 def test_resume_refuses_cells_of_other_inputs(tmp_path):
