@@ -1,15 +1,16 @@
-"""Command-line front end.
+"""Command-line front end: argument handling only.
 
-Subcommands: ingest-check, windows, synth, detect, sweep, report, score.
-Each option's flag, type, default and required-ness is declared once, in
-_COMMANDS; a boolean flag takes --x, --x true and --x false. A --config
-file's `key = value` lines (key: a flag name without --) become --key=value
-flags placed before the explicit ones, which so win over the file. A key
-no subcommand declares is an error; one only other subcommands declare is
-skipped. Exit codes: 0 success, 1 fatal error (a missing option or a value
-its type refuses included), 2 sweep finished with failed cells or a command
-line that cannot be carried out as given (other argparse usage errors,
-detect --dump-assignments without --out).
+Subcommands: ingest-check, windows, synth, detect (a one-cell sweep), sweep,
+report, score. Each option's flag, type, default and required-ness is
+declared once, in _COMMANDS; a boolean flag takes --x, --x true and --x
+false. A --config file's `key = value` lines (key: a flag name without --)
+become --key=value flags placed before the explicit ones, which so win over
+the file. A key no subcommand declares is an error; one only other
+subcommands declare is skipped. Exit codes: 0 success, 1 fatal error (a
+missing option or a value its type refuses included; option values are
+checked before the records file is read), 2 a run that finished with failed
+cells or a command line that cannot be carried out as given (other argparse
+usage errors, detect --dump-assignments without --out).
 """
 
 from __future__ import annotations
@@ -19,21 +20,11 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .core import DatasetSpan, IngestError, TowerRegistry, ingest
-from .hda import (
-    CANONICAL_HDA_NAMES,
-    BulkAssignments,
-    aggregate_homes,
-    canonical_hda,
-    detect_homes_bulk,
-    hdas_by_name,
-    merge_vectors,
-)
+from .hda import CANONICAL_HDA_NAMES, canonical_hda, hdas_by_name
 from .sweep import (
-    CELLS_FILE, SweepOptions, _write_assignment_dump, load_run, run_sweep,
+    CELLS_FILE, SweepOptions, load_run, read_assignment_dump, run_sweep,
     warn_unparseable,
 )
 from .sweep import emit_reports as _emit_reports
@@ -200,51 +191,45 @@ def cmd_detect(args: argparse.Namespace) -> int:
         print("error: --dump-assignments needs --out (the dump is written there)",
               file=sys.stderr)
         return 2
+    options = SweepOptions(min_qualifying=args.min_qualifying,
+                           dump_assignments=args.dump_assignments)
     registry = TowerRegistry.read_csv(args.towers)
     partitions, report = _ingest(args, registry)
-    window, spec = args.window, args.hda
-    bulks = [
-        detect_homes_bulk(p, window, spec, min_qualifying=args.min_qualifying)
-        for p in partitions
-    ]
-    homes = merge_vectors([aggregate_homes(b, registry) for b in bulks])
-    if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        lines = ["tower_id,x,y"]
-        for tid, x, y in zip(registry.tower_ids, homes, registry.population):
-            lines.append(f"{int(tid)},{int(x)},{int(y)}")
-        (out_dir / "vectors.csv").write_text("\n".join(lines) + "\n")
-        if args.dump_assignments:
-            _write_assignment_dump(out_dir / "assignments.csv", bulks)
-        print(f"wrote {out_dir}/vectors.csv")
-    print(
-        f"hda={spec.name} window={window.label} users={report.distinct_users} "
-        f"assigned={int(homes.sum())}"
+    result, manifest = run_sweep(
+        partitions, registry, [args.window], [args.hda], args.out, options,
+        span=str(args.span), tz_name=args.tz, ingest_report=report,
     )
-    return 0
+    for rec in result.reports.values():  # the one cell, unless it failed
+        print(f"hda={rec['hda']} window={rec['window']} users={rec['n_users']} "
+              f"assigned={rec['n_assigned']}")
+    return _failed(manifest)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    options = SweepOptions(
+        **{f.name: getattr(args, f.name) for f in fields(SweepOptions)}
+    )
     registry = TowerRegistry.read_csv(args.towers)
     partitions, report = _ingest(args, registry)
     truth = GroundTruthTable.read_csv(args.truth) if args.truth else None
     result, manifest = run_sweep(
         partitions, registry, generate_windows(args.span, args.classes), args.hdas,
-        args.out,
-        SweepOptions(**{f.name: getattr(args, f.name) for f in fields(SweepOptions)}),
-        truth=truth, migration=args.migration_range if truth else None,
+        args.out, options, truth=truth,
+        migration=args.migration_range if truth else None,
         span=str(args.span), tz_name=args.tz, ingest_report=report,
     )
     print(
         f"cells={result.n_cells} failed={result.n_failed} "
         f"elapsed={manifest['elapsed_seconds']:.2f}s out={args.out}"
     )
-    if result.n_failed:
-        for key in manifest["failed_cells"]:
-            print(f"failed: {key}", file=sys.stderr)
-        return 2
-    return 0
+    return _failed(manifest)
+
+
+def _failed(manifest: dict) -> int:
+    """Name each failed cell on stderr; exit code 2 if there is one, else 0."""
+    for key in manifest["failed_cells"]:
+        print(f"failed: {key}", file=sys.stderr)
+    return 2 if manifest["failed_cells"] else 0
 
 
 def cmd_report(args: argparse.Namespace) -> int:
@@ -261,35 +246,10 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 def cmd_score(args: argparse.Namespace) -> int:
     truth = GroundTruthTable.read_csv(args.truth)
-    path = Path(args.assignments)
-    if not path.exists():
-        raise CliError(f"assignments file not found: {path}")
-    hda_name = args.hda or path.stem.split("__")[0]
-    cols: dict[int, list[int]] = {}  # user id -> row, in file order
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        if lineno == 1 and raw.startswith("user_id"):
-            continue
-        values = raw.split(",")
-        if len(values) != 4:
-            raise CliError(f"{path}:{lineno}: expected 4 columns")
-        try:  # an empty home_tower is no home
-            uid = int(values[0])
-            col = [int(values[1] or -1), int(values[2]), int(values[3])]
-        except ValueError as exc:
-            raise CliError(f"{path}:{lineno}: {exc}") from None
-        if not 0 <= uid < 2**64 or not all(-(2**63) <= v < 2**63 for v in col):
-            raise CliError(
-                f"{path}:{lineno}: user_id must fit uint64 and the other columns int64"
-            )
-        if uid in cols:
-            raise CliError(f"{path}:{lineno}: duplicate user_id {uid}")
-        cols[uid] = col
-    homes, quals, ties = np.array(list(cols.values()), dtype=np.int64).reshape(-1, 3).T
-    bulk = BulkAssignments(
-        np.array(list(cols), dtype=np.uint64), homes, quals, ties.astype(bool)
-    )
+    hda_name = args.hda or Path(args.assignments).stem.split("__")[0]
     rows = score_against_truth(
-        {hda_name: [bulk]}, truth, args.window, args.migration_range
+        {hda_name: [read_assignment_dump(args.assignments)]}, truth, args.window,
+        args.migration_range,
     )
     print(accuracy_csv(rows), end="")
     return 0
@@ -359,7 +319,7 @@ _COMMANDS = {
                            "help": "shortest personal stay (default %(default)s)"}),
         ("touristic-towers", {"help": "ids 'a,b,c' or 'lowest:K'"}),
     ]),
-    "detect": (cmd_detect, "run one HDA over one window, dump per-tower vectors", [
+    "detect": (cmd_detect, "run one HDA over one window: a one-cell sweep", [
         *_INPUT,
         ("hda", {"type": canonical_hda, "required": True,
                  "help": "HDA name, one of " + ",".join(CANONICAL_HDA_NAMES)}),

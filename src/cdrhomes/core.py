@@ -13,7 +13,6 @@ shapes and a per-line parser judges every other line, in file order.
 
 from __future__ import annotations
 
-import csv
 import re
 import time
 from dataclasses import dataclass, field, fields
@@ -108,27 +107,40 @@ class TowerRegistry:
 
     @classmethod
     def read_csv(cls, path) -> "TowerRegistry":
-        path = Path(path)
-        if not path.exists():
-            raise IngestError(f"tower registry not found: {path}")
-        ids, lon, lat, pop = [], [], [], []
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            for row in reader:
-                if not row:
-                    continue
-                if row[0] == TOWERS_HEADER[0]:
-                    continue
-                if len(row) != 4:
-                    raise IngestError(f"bad registry row {row!r} in {path}")
-                try:  # an integer outside the column's type overflows
-                    ids.append(np.int64(row[0]))
-                    lon.append(float(row[1]))
-                    lat.append(float(row[2]))
-                    pop.append(np.int64(row[3]))
-                except (ValueError, OverflowError) as exc:
-                    raise IngestError(f"bad registry row {row!r} in {path}") from exc
-        return cls(ids, lon, lat, pop)
+        return cls(*read_table(
+            path, TOWERS_HEADER, (np.int64, np.float64, np.float64, np.int64)
+        ))
+
+
+def read_table(path, header, types, blank=()) -> list[np.ndarray]:
+    """A comma-separated table's columns, one array per header name.
+
+    Line 1 is skipped if it starts with header[0], and so is a blank line.
+    Every other line has one field per header name, parsed by its column's
+    type (a numpy integer type refuses a value outside its range); an empty
+    field reads -1 in the columns named in blank. The first column's values
+    must be unique. A bad line raises ValueError starting 'FILE:LINE:'.
+    """
+    path = Path(path)
+    columns: list[list] = [[] for _ in header]
+    seen = set()
+    for lineno, raw in enumerate(path.read_bytes().splitlines(), start=1):
+        at = f"{path}:{lineno}:"
+        line = raw.decode(errors="replace")  # an undecodable byte fails its field
+        if not line.strip() or (lineno == 1 and line.startswith(header[0])):
+            continue
+        values = line.split(",")
+        if len(values) != len(header):
+            raise ValueError(f"{at} expected {len(header)} fields, got {len(values)}")
+        for name, kind, text, column in zip(header, types, values, columns):
+            try:  # numpy's overflow message leaves the value out
+                column.append(-1 if text == "" and name in blank else kind(text))
+            except (ValueError, OverflowError) as exc:
+                raise ValueError(f"{at} bad {name} {text!r}: {exc}") from None
+        if columns[0][-1] in seen:
+            raise ValueError(f"{at} duplicate {header[0]} {values[0]}")
+        seen.add(columns[0][-1])
+    return [np.array(c, dtype=kind) for c, kind in zip(columns, types)]
 
 
 def argsort_unique(ids: np.ndarray, duplicate: str) -> np.ndarray:
@@ -711,6 +723,8 @@ def ingest(
     """
     if unknown_tower not in ("skip", "fail"):
         raise ValueError(f"unknown_tower must be skip|fail, got {unknown_tower!r}")
+    if n_partitions < 1:
+        raise ValueError("n_partitions must be >= 1")
     clock = clock or CivilClock()
     path = Path(records_path)
     if not path.exists():

@@ -38,8 +38,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import IngestReport, TowerRegistry, UserPartition
-from .hda import HdaSpec, detect_homes_bulk, aggregate_homes, merge_vectors
+from .core import IngestReport, TowerRegistry, UserPartition, read_table
+from .hda import (
+    BulkAssignments, HdaSpec, aggregate_homes, detect_homes_bulk, merge_vectors,
+)
 from .metrics import compute_metric_report, log_ratio_array
 from .svgplot import line_chart
 from .synth import GroundTruthTable, accuracy_csv, score_against_truth
@@ -49,6 +51,7 @@ CELLS_FILE = "cells.jsonl"
 MANIFEST_FILE = "manifest.json"
 TOWERS_DIR = "towers"
 ASSIGNMENTS_DIR = "assignments"
+ASSIGNMENTS_HEADER = ("user_id", "home_tower", "qualifying_count", "tie_broken")
 # every file a sweep writes into its run directory, as glob patterns: a
 # fresh sweep removes them first, so none is left from an earlier run
 RUN_FILES = (
@@ -217,8 +220,8 @@ def _fingerprint(
     truth: GroundTruthTable | None,
 ) -> str:
     """sha256 of what a cell's record depends on: the package's own source,
-    the header, then every partition, registry and truth array (name, dtype,
-    shape and bytes)."""
+    the header (numpy's version included), then every partition, registry
+    and truth array (name, dtype, shape and bytes)."""
     arrays = [
         (f"partition{p.index}.{f.name}", getattr(p, f.name))
         for p in partitions
@@ -376,7 +379,7 @@ def _write_assignment_dump(path: Path, bulks) -> None:
     partition, so the row order (not the rows) depends on the partition
     count; an unassigned user has an empty home_tower.
     """
-    lines = ["user_id,home_tower,qualifying_count,tie_broken"]
+    lines = [",".join(ASSIGNMENTS_HEADER)]
     for b in bulks:
         lines += [
             f"{uid},{'' if home < 0 else home},{q},{int(t)}"
@@ -388,6 +391,16 @@ def _write_assignment_dump(path: Path, bulks) -> None:
             )
         ]
     _atomic_write(path, "\n".join(lines) + "\n")
+
+
+def read_assignment_dump(path) -> BulkAssignments:
+    """The BulkAssignments of a file _write_assignment_dump wrote (rows in
+    file order); ValueError naming the file and line of a bad row."""
+    uids, homes, quals, ties = read_table(
+        path, ASSIGNMENTS_HEADER, (np.uint64, np.int64, np.int64, np.int64),
+        blank=("home_tower",),
+    )
+    return BulkAssignments(uids, homes, quals, ties.astype(bool))
 
 
 def run_sweep(
@@ -433,6 +446,7 @@ def run_sweep(
     options_used = asdict(options)
     del options_used["workers"], options_used["resume"]  # neither changes a record
     header = {
+        "numpy": np.__version__,  # np.log and np.std may differ between versions
         "options": options_used,
         "span": span,
         "tz": tz_name,

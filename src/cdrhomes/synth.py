@@ -29,7 +29,6 @@ evidence against home evidence at the same rate.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, fields
 from datetime import date
@@ -38,12 +37,14 @@ from pathlib import Path
 import numpy as np
 
 from .core import (
-    DatasetSpan, TowerRegistry, _grown, argsort_unique, find_sorted, row_chunks,
-    write_records_csv,
+    DatasetSpan, TowerRegistry, _grown, argsort_unique, find_sorted, read_table,
+    row_chunks, write_records_csv,
 )
 from .hda import BulkAssignments
 from .timebase import DEFAULT_TZ, CivilClock, iter_days
 from .windows import ObservationWindow
+
+TRUTH_HEADER = ("user_id", "home_tower", "work_tower", "migration_tower")
 
 NIGHT_START_HOUR = 20
 NIGHT_END_HOUR = 8
@@ -201,7 +202,7 @@ class GroundTruthTable:
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
-            fh.write("user_id,home_tower,work_tower,migration_tower\n")
+            fh.write(",".join(TRUTH_HEADER) + "\n")
             for rows in row_chunks(
                 self.user_ids, self.home_towers, self.work_towers, self.migration_towers
             ):
@@ -210,26 +211,10 @@ class GroundTruthTable:
 
     @classmethod
     def read_csv(cls, path) -> "GroundTruthTable":
-        uids, homes, works, migs = [], [], [], []
-        with open(path, newline="") as fh:
-            for row in csv.reader(fh):
-                if not row or row[0] == "user_id":
-                    continue
-                if len(row) != 4:
-                    raise ValueError(f"bad truth row {row!r}")
-                try:  # an integer outside the column's type overflows
-                    uids.append(np.uint64(row[0]))
-                    homes.append(np.int64(row[1]))
-                    works.append(np.int64(row[2]))
-                    migs.append(np.int64(row[3]) if row[3] != "" else -1)
-                except (ValueError, OverflowError) as exc:
-                    raise ValueError(f"bad truth row {row!r}: {exc}") from None
-        return cls(
-            np.asarray(uids, dtype=np.uint64),
-            np.asarray(homes, dtype=np.int64),
-            np.asarray(works, dtype=np.int64),
-            np.asarray(migs, dtype=np.int64),
-        )
+        return cls(*read_table(
+            path, TRUTH_HEADER, (np.uint64, np.int64, np.int64, np.int64),
+            blank=("migration_tower",),
+        ))
 
 
 @dataclass
@@ -329,14 +314,13 @@ def generate(config: SynthConfig) -> SynthResult:
     # work pool slot 0 is the home tower itself: dispersing day activity over
     # the pool hands home an extra 1/pool_size of the work share, keeping it
     # the long-run modal business-hour tower
-    if config.work_pool_size >= 1:
-        near = _nearest_pools(registry.lon, registry.lat, config.work_pool_size - 1)
-        self_col = np.arange(len(registry), dtype=np.int64)[:, None]
-        work_pools = np.concatenate([self_col, near], axis=1)
-    else:
-        work_pools = np.zeros((len(registry), 0), dtype=np.int64)
+    self_col = np.arange(len(registry), dtype=np.int64)[:, None]
+    near = _nearest_pools(registry.lon, registry.lat, config.work_pool_size - 1)
+    work_pools = np.concatenate([self_col, near], axis=1)
     work_k = work_pools.shape[1]
     nb_pools = _nearest_pools(registry.lon, registry.lat, config.neighbor_pool_size)
+    if not nb_pools.shape[1]:
+        nb_pools = self_col
     nb_k = nb_pools.shape[1]
 
     mig = config.migration
@@ -391,10 +375,7 @@ def generate(config: SynthConfig) -> SynthResult:
         home_row = np.minimum(
             np.searchsorted(home_cdf, u_home, side="right"), len(pop) - 1
         )
-        if work_k:
-            work_row = work_pools[home_row, (u_work * work_k).astype(np.int64)]
-        else:
-            work_row = home_row
+        work_row = work_pools[home_row, (u_work * work_k).astype(np.int64)]
         t_home[b0:b0 + m] = registry.tower_ids[home_row]
         t_work[b0:b0 + m] = registry.tower_ids[work_row]
 
@@ -426,20 +407,14 @@ def generate(config: SynthConfig) -> SynthResult:
             a0[~migrant] = stay[~migrant] = 0  # away on no day
             away = (d_idx >= a0[sub]) & (d_idx < (a0 + stay)[sub])
             base_home = np.where(away, dest_row[sub], home)
-        if nb_k > 0:
-            wander = nb_pools[base_home, (pick * nb_k).astype(np.int64)]
-        else:
-            wander = base_home
+        wander = nb_pools[base_home, (pick * nb_k).astype(np.int64)]
         # Business-hour activity disperses over the whole work pool (slot 0
         # of which is the home tower), so no single work site outweighs the
         # home tower once enough days accumulate. Tourists neither commute
         # nor disperse: away-day work-share events stay at the destination,
         # which makes a long stay flip daytime criteria sooner than night
         # ones.
-        if work_k:
-            work_scatter = work_pools[home, (pick * work_k).astype(np.int64)]
-        else:
-            work_scatter = home
+        work_scatter = work_pools[home, (pick * work_k).astype(np.int64)]
         day_work_rows = np.where(away, base_home, work_scatter)
         day_rows = np.where(
             branch < config.work_call_share_day,

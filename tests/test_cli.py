@@ -1,5 +1,6 @@
 """End-to-end runs of the command-line front end via main(argv)."""
 
+import fnmatch
 import json
 import os
 import shutil
@@ -12,8 +13,10 @@ import pytest
 
 import cdrhomes
 from cdrhomes import cli
+from cdrhomes import sweep as sweep_mod
 from cdrhomes.cli import load_config, main
 from cdrhomes.core import DatasetSpan
+from cdrhomes.sweep import RUN_FILES
 from cdrhomes.synth import SynthConfig
 
 SPAN = "2007-06-01..2007-06-28"
@@ -111,14 +114,14 @@ def test_detect_and_score(synth_dir, tmp_path, capsys):
     assert rc == 0
     said = capsys.readouterr().out
     assert "hda=MA" in said and "users=112" in said
-    vectors = (out / "vectors.csv").read_text().strip().split("\n")
-    assert vectors[0] == "tower_id,x,y"
-    assert len(vectors) == 1 + 12
-    assigned = sum(int(l.split(",")[1]) for l in vectors[1:])
+    towers = (out / "towers" / f"MA__{SPAN}.csv").read_text().strip().split("\n")
+    assert towers[0] == "tower_id,lon,lat,x,y,logratio"
+    assert len(towers) == 1 + 12
+    assigned = sum(int(l.split(",")[3]) for l in towers[1:])
     assert f"assigned={assigned}" in said
 
     rc = main([
-        "score", "--assignments", str(out / "assignments.csv"),
+        "score", "--assignments", str(out / "assignments" / f"MA__{SPAN}.csv"),
         "--truth", str(synth_dir / "truth.csv"), "--window", SPAN,
         "--migration-range", "2007-06-08..2007-06-24", "--hda", "MA",
     ])
@@ -130,23 +133,62 @@ def test_detect_and_score(synth_dir, tmp_path, capsys):
     assert int(by_group["migrant"][3]) + int(by_group["non_migrant"][3]) == 112
 
 
-def test_detect_dump_equals_sweep_dump(synth_dir, tmp_path):
+def test_detect_dump_equals_sweep_dump(synth_dir, tmp_path, capsys):
     inputs = [
         "--records", str(synth_dir / "records.csv"),
         "--towers", str(synth_dir / "towers.csv"), "--span", SPAN,
         "--partitions", "2",
     ]
+    detect, sweep = tmp_path / "detect", tmp_path / "sweep"
     assert main([
         "detect", *inputs, "--hda", "DD", "--window", SPAN,
-        "--out", str(tmp_path / "detect"), "--dump-assignments",
+        "--out", str(detect), "--dump-assignments",
     ]) == 0
     assert main([
         "sweep", *inputs, "--hdas", "DD", "--classes", "full",
-        "--out", str(tmp_path / "sweep"), "--dump-assignments", "true",
+        "--out", str(sweep), "--dump-assignments", "true",
     ]) == 0
-    dump = (tmp_path / "detect" / "assignments.csv").read_bytes()
-    assert dump == (tmp_path / "sweep" / "assignments" / "DD__full.csv").read_bytes()
-    assert dump.count(b"\n") == 1 + 112
+    for kind in ("towers", "assignments"):
+        got = (detect / kind / f"DD__{SPAN}.csv").read_bytes()
+        assert got == (sweep / kind / "DD__full.csv").read_bytes(), kind
+    assert got.count(b"\n") == 1 + 112
+    # the cell's r, and its tower counts, as in the sweep's metrics.csv
+    (_, swept), (_, row) = (
+        (run / "metrics.csv").read_text().splitlines() for run in (sweep, detect)
+    )
+    assert row.split(",")[:3] == ["DD", SPAN, "custom"]
+    assert row.split(",")[3:] == swept.split(",")[3:]
+
+    # a one-cell run directory, whose report files `report` re-emits
+    files = {p.relative_to(detect).as_posix(): p.read_bytes()
+             for p in detect.rglob("*") if p.is_file()}
+    assert all(
+        any(fnmatch.fnmatch(name, pattern) for pattern in RUN_FILES)
+        for name in files
+    )
+    assert "correlation_over_time_custom.svg" in files
+    for name in files:
+        if "/" not in name and name not in ("cells.jsonl", "manifest.json"):
+            (detect / name).unlink()
+    capsys.readouterr()
+    assert main(["report", "--out", str(detect)]) == 0
+    assert {p.relative_to(detect).as_posix(): p.read_bytes()
+            for p in detect.rglob("*") if p.is_file()} == files
+
+
+def test_detect_failed_cell_exits_2(synth_dir, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise RuntimeError("detection failed")
+
+    monkeypatch.setattr(sweep_mod, "detect_homes_bulk", fail)
+    assert main([
+        "detect", "--records", str(synth_dir / "records.csv"),
+        "--towers", str(synth_dir / "towers.csv"), "--span", SPAN,
+        "--hda", "MA", "--window", SPAN,
+    ]) == 2
+    said = capsys.readouterr()
+    assert said.out == ""
+    assert said.err.splitlines() == [f"failed: MA|{SPAN}"]
 
 
 def test_detect_dump_without_out_is_refused(synth_dir, tmp_path, monkeypatch, capsys):
@@ -163,7 +205,33 @@ def test_detect_dump_without_out_is_refused(synth_dir, tmp_path, monkeypatch, ca
         said = capsys.readouterr()
         assert "--out" in said.err
         assert said.out == ""
+    assert main(inputs) == 0  # without --out nothing is written
+    assert capsys.readouterr().out.startswith(f"hda=MA window={SPAN} users=112 ")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["dump.cfg"]
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("sweep", "--workers=0"),
+    ("sweep", "--exclusion-threshold=-1"),
+    ("sweep", "--min-qualifying=0"),
+    ("sweep", "--partitions=0"),
+    ("detect", "--min-qualifying=0"),
+    ("detect", "--partitions=0"),
+    ("ingest-check", "--partitions=0"),
+])
+def test_option_values_are_checked_before_the_records_are_read(
+    synth_dir, tmp_path, command, flag, capsys
+):
+    argv = [command, "--records", str(tmp_path / "missing.csv"),
+            "--towers", str(synth_dir / "towers.csv"), "--span", SPAN, flag]
+    if command == "detect":
+        argv += ["--hda", "MA", "--window", SPAN]
+    if command == "sweep":
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and flag[2:].split("=")[0].replace("-", "_") in err[0], err
+    assert not (tmp_path / "out").exists()
 
 
 def test_sweep_boolean_flags_take_false(synth_dir, tmp_path, capsys):
@@ -406,8 +474,8 @@ TRUTH_HEADER = "user_id,home_tower,work_tower,migration_tower"
 
 @pytest.mark.parametrize("truth_rows,fragment", [
     ([], "user 1 has no ground-truth row"),
-    (["-1,100,100,"], "bad truth row ['-1', '100', '100', '']"),
-    (["1,100,100,", "1,101,101,"], "duplicate user_id 1 in ground truth"),
+    (["-1,100,100,"], "truth.csv:2: bad user_id '-1'"),
+    (["1,100,100,", "1,101,101,"], "truth.csv:3: duplicate user_id 1"),
 ], ids=["header-only", "negative-id", "duplicate-id"])
 def test_score_rejects_bad_truth_table(tmp_path, truth_rows, fragment, capsys):
     truth = tmp_path / "truth.csv"
@@ -421,24 +489,53 @@ def test_score_rejects_bad_truth_table(tmp_path, truth_rows, fragment, capsys):
     assert fragment in err[0]
 
 
-@pytest.mark.parametrize("row", [
-    "-1,100,3,0",
-    "18446744073709551616,100,3,0",
-    "1,99999999999999999999,3,0",
-    "1,100,-9223372036854775809,0",
-    "1,100,3,9223372036854775808",
-    "1,100,three,0",
-], ids=["negative-user", "user-beyond-uint64", "home-beyond-int64",
-        "count-below-int64", "tie-beyond-int64", "not-an-integer"])
-def test_score_rejects_bad_dump_row_with_its_line(tmp_path, row, capsys):
-    truth = tmp_path / "truth.csv"
-    truth.write_text(TRUTH_HEADER + "\n1,100,100,\n")
-    dump = tmp_path / "MA__w.csv"
-    dump.write_text(f"user_id,home_tower,qualifying_count,tie_broken\n1,100,3,0\n{row}\n")
-    argv = ["score", "--assignments", str(dump), "--truth", str(truth), "--window", SPAN]
+DUMP_HEADER = "user_id,home_tower,qualifying_count,tie_broken"
+TOWERS_HEADER = "tower_id,lon,lat,population"
+# each table's header and a good row
+GOOD_ROW = {
+    "dump": (DUMP_HEADER, "1,100,3,0"),
+    "truth": (TRUTH_HEADER, "1,100,100,"),
+    "registry": (TOWERS_HEADER, "100,2.3,48.8,10"),
+}
+BAD_TABLES = {  # id: (table, its lines after the header, the last one bad)
+    "negative-user": ("dump", ["1,100,3,0", "-1,100,3,0"]),
+    "user-beyond-uint64": ("dump", ["1,100,3,0", "18446744073709551616,100,3,0"]),
+    "home-beyond-int64": ("dump", ["1,100,3,0", "1,99999999999999999999,3,0"]),
+    "count-below-int64": ("dump", ["1,100,3,0", "1,100,-9223372036854775809,0"]),
+    "tie-beyond-int64": ("dump", ["1,100,3,0", "1,100,3,9223372036854775808"]),
+    "not-an-integer": ("dump", ["1,100,3,0", "1,100,three,0"]),
+    "dump-field-count": ("dump", ["1,100,3"]),
+    "dump-empty-field": ("dump", [",100,3,0"]),
+    "dump-repeated-id": ("dump", ["1,100,3,0", "1,101,2,0"]),
+    "dump-header-on-line-2": ("dump", [DUMP_HEADER]),
+    "truth-field-count": ("truth", ["1,100,100"]),
+    "truth-empty-field": ("truth", ["1,,100,"]),
+    "truth-repeated-id": ("truth", ["1,100,100,", "1,101,101,"]),
+    "truth-header-on-line-2": ("truth", [TRUTH_HEADER]),
+    "registry-field-count": ("registry", ["100,2.3,48.8"]),
+    "registry-empty-field": ("registry", ["100,,48.8,10"]),
+    "registry-repeated-id": ("registry", ["100,2.3,48.8,10", "100,2.4,48.9,11"]),
+    "registry-header-on-line-2": ("registry", [TOWERS_HEADER]),
+}
+
+
+@pytest.mark.parametrize("table,rows", BAD_TABLES.values(), ids=BAD_TABLES.keys())
+def test_score_rejects_bad_dump_row_with_its_line(tmp_path, table, rows, capsys):
+    # a bad line of the dump, truth or registry: one error naming file and line
+    paths = {name: tmp_path / f"{name}.csv" for name in GOOD_ROW}
+    for name, (header, good) in GOOD_ROW.items():
+        lines = [header, *(rows if name == table else [good])]
+        paths[name].write_text("\n".join(lines) + "\n")
+    if table == "registry":
+        argv = ["ingest-check", "--records", str(tmp_path / "records.csv"),
+                "--towers", str(paths["registry"]), "--span", SPAN]
+    else:
+        argv = ["score", "--assignments", str(paths["dump"]),
+                "--truth", str(paths["truth"]), "--window", SPAN]
     assert main(argv) == 1
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith(f"error: {dump}:3: "), err
+    bad_line = f"{paths[table]}:{1 + len(rows)}: "
+    assert len(err) == 1 and err[0].startswith(f"error: {bad_line}"), err
 
 
 def test_score_rejects_a_repeated_user_with_its_line(tmp_path, capsys):
@@ -457,9 +554,8 @@ def test_score_rejects_a_repeated_user_with_its_line(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["ingest-check", "detect", "sweep"])
 def test_tower_id_beyond_int64_is_a_registry_error(synth_dir, tmp_path, command, capsys):
     towers = tmp_path / "towers.csv"
-    towers.write_text(
-        (synth_dir / "towers.csv").read_text() + "9223372036854775808,2.3,48.8,10\n"
-    )
+    good = (synth_dir / "towers.csv").read_text()
+    towers.write_text(good + "9223372036854775808,2.3,48.8,10\n")
     argv = [command, "--records", str(synth_dir / "records.csv"),
             "--towers", str(towers), "--span", SPAN]
     if command == "detect":
@@ -468,8 +564,9 @@ def test_tower_id_beyond_int64_is_a_registry_error(synth_dir, tmp_path, command,
         argv += ["--out", str(tmp_path / "out")]
     assert main(argv) == 1
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: bad registry row"), err
-    assert "9223372036854775808" in err[0]
+    lineno = len(good.splitlines()) + 1
+    bad_line = f"{towers}:{lineno}: bad tower_id '9223372036854775808'"
+    assert len(err) == 1 and err[0].startswith(f"error: {bad_line}"), err
 
 
 # two values for every flag of every command, the first not its default
