@@ -10,12 +10,10 @@ __version__ = "0.1.0"
 
 from .core import (
     DatasetSpan,
-    IngestError,
     IngestReport,
     TowerRegistry,
     UserPartition,
     ingest,
-    partition_of,
     partition_records,
 )
 from .hda import (
@@ -26,14 +24,12 @@ from .hda import (
     aggregate_homes,
     canonical_hda,
     detect_homes_bulk,
-    hdas_by_name,
     merge_vectors,
 )
 from .metrics import (
     UndefinedMetric,
     compute_metric_report,
     decile_summary,
-    exclusion_policy,
     log_ratio_array,
     pearson_r,
 )
@@ -60,12 +56,10 @@ from .windows import (
 __all__ = [
     "__version__",
     "DatasetSpan",
-    "IngestError",
     "IngestReport",
     "TowerRegistry",
     "UserPartition",
     "ingest",
-    "partition_of",
     "partition_records",
     "CANONICAL_HDA_NAMES",
     "CANONICAL_HDAS",
@@ -74,12 +68,10 @@ __all__ = [
     "aggregate_homes",
     "canonical_hda",
     "detect_homes_bulk",
-    "hdas_by_name",
     "merge_vectors",
     "UndefinedMetric",
     "compute_metric_report",
     "decile_summary",
-    "exclusion_policy",
     "log_ratio_array",
     "pearson_r",
     "SweepOptions",

@@ -21,8 +21,8 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
-from .core import DatasetSpan, IngestError, TowerRegistry, ingest
-from .hda import CANONICAL_HDA_NAMES, canonical_hda, hdas_by_name
+from .core import DatasetSpan, TowerRegistry, ingest, write_records_csv
+from .hda import CANONICAL_HDA_NAMES, canonical_hda
 from .sweep import (
     CELLS_FILE, SweepOptions, load_run, read_assignment_dump, run_sweep,
     warn_unparseable,
@@ -95,18 +95,12 @@ def _hdas(text: str) -> list:
     for i, n in enumerate(names):
         if n in names[:i]:
             raise ValueError(f"duplicate HDA {n!r}")
-    return hdas_by_name(names)  # raises on unknown names
+    return [canonical_hda(n) for n in names]  # raises on unknown names
 
 
 def _window(text: str) -> ObservationWindow:
     dates = DatasetSpan.parse(text)
     return ObservationWindow(text, dates.first_day, dates.last_day, "custom")
-
-
-def _skip_or_fail(text: str) -> str:
-    if text not in ("skip", "fail"):
-        raise ValueError("expected skip or fail")
-    return text
 
 
 def _checked(flag: str, convert):
@@ -127,7 +121,7 @@ def _need(args: argparse.Namespace, *flags: str) -> None:
 
 def _ingest(args: argparse.Namespace, registry: TowerRegistry):
     return ingest(args.records, registry, args.span, n_partitions=args.partitions,
-                  unknown_tower=args.unknown_tower, clock=CivilClock(args.tz))
+                  clock=CivilClock(args.tz))
 
 
 # -- subcommands -----------------------------------------------------------
@@ -175,7 +169,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
     result = generate(config)
     result.registry.write_csv(out_dir / "towers.csv")
     result.truth.write_csv(out_dir / "truth.csv")
-    result.write_records(out_dir / "records.csv")
+    write_records_csv(out_dir / "records.csv", result.users, result.towers,
+                      result.timestamps)
     echo = config.echo()
     echo["n_records"] = str(result.n_records)
     manifest = "".join(f"{k}={v}\n" for k, v in echo.items())
@@ -285,9 +280,6 @@ _INPUT = [
     _SPAN,
     _TZ,
     ("partitions", {"type": int, "default": 1, "help": "user partition count"}),
-    ("unknown-tower", {"type": _skip_or_fail, "default": "skip",
-                       "help": "records on unknown towers: skip or fail "
-                               "(default %(default)s)"}),
 ]
 
 # command -> (function, help, [(flag without --, add_argument keywords)]);
@@ -404,7 +396,7 @@ def main(argv=None) -> int:
     try:
         args = parse_args(argv)
         return _COMMANDS[args.command][0](args)
-    except (CliError, IngestError, ValueError, KeyError, OSError) as exc:
+    except (CliError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

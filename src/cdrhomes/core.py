@@ -31,10 +31,6 @@ _I64_MIN, _I64_MAX = -(2**63), 2**63 - 1
 _DAY = 86400
 
 
-class IngestError(ValueError):
-    """Fatal ingestion failure (missing file, unknown tower under fail policy)."""
-
-
 @dataclass(frozen=True)
 class DatasetSpan:
     """Closed interval of civil dates the dataset covers."""
@@ -77,8 +73,8 @@ class TowerRegistry:
         n = len(self.tower_ids)
         if not (len(self.lon) == len(self.lat) == len(self.population) == n):
             raise ValueError("registry columns have unequal lengths")
-        if np.any(self.population < 0):
-            raise ValueError("negative population in tower registry")
+        if np.any(self.tower_ids < 0) or np.any(self.population < 0):
+            raise ValueError("negative tower_id or population in tower registry")
         order = argsort_unique(self.tower_ids, "duplicate tower_id {} in registry")
         self._sorted_ids = self.tower_ids[order]
         self._sorted_rows = order.astype(np.int64)
@@ -117,9 +113,10 @@ def read_table(path, header, types, blank=()) -> list[np.ndarray]:
 
     Line 1 is skipped if it starts with header[0], and so is a blank line.
     Every other line has one field per header name, parsed by its column's
-    type (a numpy integer type refuses a value outside its range); an empty
-    field reads -1 in the columns named in blank. The first column's values
-    must be unique. A bad line raises ValueError starting 'FILE:LINE:'.
+    type (a numpy integer type refuses a value outside its range). An
+    integer field must be non-negative; an empty one reads -1 (none) in the
+    columns named in blank. The first column's values must be unique. A bad
+    line raises ValueError starting 'FILE:LINE:'.
     """
     path = Path(path)
     columns: list[list] = [[] for _ in header]
@@ -134,9 +131,12 @@ def read_table(path, header, types, blank=()) -> list[np.ndarray]:
             raise ValueError(f"{at} expected {len(header)} fields, got {len(values)}")
         for name, kind, text, column in zip(header, types, values, columns):
             try:  # numpy's overflow message leaves the value out
-                column.append(-1 if text == "" and name in blank else kind(text))
+                value = -1 if text == "" and name in blank else kind(text)
+                if isinstance(value, np.integer) and value < 0:
+                    raise ValueError("negative")
             except (ValueError, OverflowError) as exc:
                 raise ValueError(f"{at} bad {name} {text!r}: {exc}") from None
+            column.append(value)
         if columns[0][-1] in seen:
             raise ValueError(f"{at} duplicate {header[0]} {values[0]}")
         seen.add(columns[0][-1])
@@ -183,8 +183,8 @@ class UserPartition:
     date rises with the timestamp. The layout costs 14 bytes per record,
     16 per pair, 8 per user and 12 per civil day (plus 8). partition_records
     builds it with one sort by timestamp and 16-bit radix passes, whose
-    count follows the ids' value ranges (see _detection_index); any uint64
-    user id and int64 tower id is taken.
+    count follows the ids' value ranges (see _detection_index). Tower ids
+    are non-negative; a home of -1 means no tower.
     """
 
     index: int
@@ -232,11 +232,6 @@ def _splitmix64(x: np.ndarray) -> np.ndarray:
         z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
         z = z ^ (z >> np.uint64(31))
     return z
-
-
-def partition_of(user_id: int, n_partitions: int) -> int:
-    """Partition index a user id maps to; stable across runs and machines."""
-    return int(_splitmix64(np.asarray([user_id], dtype=np.uint64))[0] % n_partitions)
 
 
 def _radix_argsort(column: np.ndarray, order: np.ndarray | None) -> np.ndarray:
@@ -710,25 +705,22 @@ def ingest(
     span: DatasetSpan,
     *,
     n_partitions: int = 1,
-    unknown_tower: str = "skip",
     clock: CivilClock | None = None,
 ) -> tuple[list[UserPartition], IngestReport]:
     """Read a delimited records file into partitions with full reject accounting.
 
     Columns: user_id, tower_id, timestamp (epoch seconds, or local ISO
-    'YYYY-MM-DDTHH:MM:SS'). unknown_tower is 'skip' (count and drop) or
-    'fail' (raise on first occurrence). The file is UTF-8 text whose lines
-    end at LF, CR LF or a lone CR; a line that is not a valid record (one
-    with an undecodable byte included) counts as malformed.
+    'YYYY-MM-DDTHH:MM:SS'). The file is UTF-8 text whose lines end at LF,
+    CR LF or a lone CR; a line that is not a valid record (one with an
+    undecodable byte included) counts as malformed, and a record on a tower
+    the registry lacks as unknown_tower.
     """
-    if unknown_tower not in ("skip", "fail"):
-        raise ValueError(f"unknown_tower must be skip|fail, got {unknown_tower!r}")
     if n_partitions < 1:
         raise ValueError("n_partitions must be >= 1")
     clock = clock or CivilClock()
     path = Path(records_path)
     if not path.exists():
-        raise IngestError(f"records file not found: {path}")
+        raise FileNotFoundError(f"records file not found: {path}")
 
     t_start = time.perf_counter()
     report = IngestReport(records_file=str(path), n_partitions=n_partitions)
@@ -745,9 +737,6 @@ def ingest(
     known = registry.contains_ids(t)
     n_unknown = int((~known).sum())
     if n_unknown:
-        if unknown_tower == "fail":
-            bad = int(t[~known][0])
-            raise IngestError(f"record references unknown tower_id {bad}")
         report.rejected_unknown_tower = n_unknown
         for tid in t[~known][:_MAX_SAMPLE_REJECTS]:
             _note_reject(report, f"tower_id={int(tid)}", "unknown_tower")

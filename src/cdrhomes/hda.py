@@ -89,10 +89,6 @@ def canonical_hda(name: str) -> HdaSpec:
         raise ValueError(f"unknown HDA {name!r}; canonical set: {known}") from None
 
 
-def hdas_by_name(names: Iterable[str]) -> list[HdaSpec]:
-    return [canonical_hda(n) for n in names]
-
-
 def hour_in_interval(hour: int, start: int, end: int) -> bool:
     """Membership in the half-open hour interval [start, end), wrapping at 24."""
     if start < end:

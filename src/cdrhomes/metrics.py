@@ -97,18 +97,6 @@ def decile_summary(x, y) -> list[list]:
     return rows
 
 
-def exclusion_policy(x, threshold: int) -> np.ndarray:
-    """Mask of towers to exclude: detected-home count below the threshold.
-
-    threshold 0 excludes nothing (the default reporting mode); the mask is
-    returned rather than applied so reports can state what was dropped.
-    """
-    if threshold < 0:
-        raise ValueError("threshold must be >= 0")
-    xa = np.asarray(x)
-    return xa < threshold
-
-
 def compute_metric_report(
     x: np.ndarray,
     population: np.ndarray,
@@ -122,13 +110,16 @@ def compute_metric_report(
 
     n_users is the user universe the cell's assignments covered; every
     assigned user is counted in x, so n_assigned is its sum. Correlation
-    and deciles (decile_summary's rows) run over the non-excluded towers;
-    pearson is None when r is undefined, and pearson_note then says why.
+    and deciles (decile_summary's rows) run over the towers whose x is not
+    below exclusion_threshold; pearson is None when r is undefined, and
+    pearson_note then says why.
     """
     y = np.asarray(population, dtype=np.int64)
     if len(x) != len(y):
         raise ValueError("home counts and population cover different tower sets")
-    excluded = exclusion_policy(x, exclusion_threshold)
+    if exclusion_threshold < 0:
+        raise ValueError("exclusion_threshold must be >= 0")
+    excluded = x < exclusion_threshold
     used = ~excluded
     try:
         r = pearson_r(x[used], y[used])

@@ -12,7 +12,7 @@ by skipping cells already recorded there, provided they carry the run's
 fingerprint (a hash of the package source, options, grid and input arrays);
 cells computed under anything else refuse the resume. A fresh (non-resume)
 sweep first removes every file an earlier sweep may have left in the
-directory (RUN_FILES) and nothing else.
+directory (RUN_FILES, and their .tmp forms) and nothing else.
 
 Worker processes use the fork start method and read the shared state from a
 module global set before the pool starts; where fork is unavailable the
@@ -53,7 +53,8 @@ TOWERS_DIR = "towers"
 ASSIGNMENTS_DIR = "assignments"
 ASSIGNMENTS_HEADER = ("user_id", "home_tower", "qualifying_count", "tie_broken")
 # every file a sweep writes into its run directory, as glob patterns: a
-# fresh sweep removes them first, so none is left from an earlier run
+# fresh sweep removes them and their .tmp forms (see _atomic_write) first,
+# so none is left from an earlier run
 RUN_FILES = (
     CELLS_FILE, MANIFEST_FILE, "windows.csv", "metrics.csv",
     "correlation_over_time.csv", "duration_sensitivity.csv",
@@ -425,11 +426,11 @@ def run_sweep(
     at the end. options.resume keeps the records of an existing cells.jsonl
     (ValueError if any has another fingerprint) and rewrites the file with
     them alone, warning of the unparseable lines dropped; without it the
-    RUN_FILES in the directory are removed first, and the towers and
-    assignments directories too when that empties them. The manifest's
-    stages hold the ingest parse, partition_records and run_sweep seconds
-    (perf_counter; the first two from ingest_report) and the peak RSS in MiB
-    of this process and of its largest worker (see _peak_rss_mb).
+    RUN_FILES in the directory and their .tmp forms are removed first, and
+    the towers and assignments directories too when that empties them. The
+    manifest's stages hold the ingest parse, partition_records and run_sweep
+    seconds (perf_counter; the first two from ingest_report) and the peak
+    RSS in MiB of this process and of its largest worker (see _peak_rss_mb).
     """
     t_start = time.perf_counter()
     hdas = list(hdas)
@@ -490,7 +491,7 @@ def run_sweep(
                 json.dumps(r, sort_keys=True) + "\n" for r in result.reports.values()
             ))  # one record per kept cell: no unparseable, failed or torn line
         else:
-            for pattern in RUN_FILES:
+            for pattern in (*RUN_FILES, *(p + ".tmp" for p in RUN_FILES)):
                 for path in out_path.glob(pattern):
                     path.unlink()
             for name in (TOWERS_DIR, ASSIGNMENTS_DIR):
@@ -576,11 +577,6 @@ def run_sweep(
         "n_cells": result.n_cells,
         "n_failed": result.n_failed,
         "failed_cells": sorted(f"{h}|{w}" for h, w in result.errors),
-        "cell_status": {
-            f"{h}|{w.label}": "failed" if (h, w.label) in result.errors else "ok"
-            for h in result.hda_names
-            for w in result.windows
-        },
         "elapsed_seconds": elapsed,
         "ingest": ingest_report.as_dict() if ingest_report else None,
         "stages": stages,

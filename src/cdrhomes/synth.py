@@ -38,7 +38,7 @@ import numpy as np
 
 from .core import (
     DatasetSpan, TowerRegistry, _grown, argsort_unique, find_sorted, read_table,
-    row_chunks, write_records_csv,
+    row_chunks,
 )
 from .hda import BulkAssignments
 from .timebase import DEFAULT_TZ, CivilClock, iter_days
@@ -232,9 +232,6 @@ class SynthResult:
     def n_records(self) -> int:
         return len(self.users)
 
-    def write_records(self, path) -> None:
-        write_records_csv(path, self.users, self.towers, self.timestamps)
-
 
 def build_registry(seed: int, n_towers: int, n_population: int) -> TowerRegistry:
     """Tower layout and population, reproducible from the three arguments.
@@ -315,10 +312,14 @@ def generate(config: SynthConfig) -> SynthResult:
     # the pool hands home an extra 1/pool_size of the work share, keeping it
     # the long-run modal business-hour tower
     self_col = np.arange(len(registry), dtype=np.int64)[:, None]
-    near = _nearest_pools(registry.lon, registry.lat, config.work_pool_size - 1)
-    work_pools = np.concatenate([self_col, near], axis=1)
+    # one sort serves both pools: it is stable, so the k nearest are its first k
+    n_near = max(config.work_pool_size - 1, 0)
+    near = _nearest_pools(
+        registry.lon, registry.lat, max(n_near, config.neighbor_pool_size)
+    )
+    work_pools = np.concatenate([self_col, near[:, :n_near]], axis=1)
     work_k = work_pools.shape[1]
-    nb_pools = _nearest_pools(registry.lon, registry.lat, config.neighbor_pool_size)
+    nb_pools = near[:, :config.neighbor_pool_size]
     if not nb_pools.shape[1]:
         nb_pools = self_col
     nb_k = nb_pools.shape[1]
@@ -495,8 +496,8 @@ def score_against_truth(
     only when they have a destination AND the window overlaps the migration
     range (which the truth table alone cannot date, hence the explicit
     argument: anything with first_day and last_day, such as a
-    MigrationConfig or a DatasetSpan). An unassigned user is simply wrong,
-    never dropped from the denominator.
+    MigrationConfig or a DatasetSpan). An unassigned user is simply wrong
+    (never dropped from the denominator), even against a truth home of -1.
     """
     overlap = migration is not None and window.overlaps(
         migration.first_day, migration.last_day
@@ -506,7 +507,7 @@ def score_against_truth(
         uids = np.concatenate([b.user_ids for b in bulks])
         homes = np.concatenate([b.home_towers for b in bulks])
         tr = truth.rows_for_users(uids)
-        correct = homes == truth.home_towers[tr]
+        correct = (homes >= 0) & (homes == truth.home_towers[tr])
         migrant = truth.is_migrant[tr] & overlap
         for group, mask in (
             ("all", np.ones(len(uids), dtype=bool)),

@@ -18,6 +18,16 @@ import numpy as np
 TZ_NAME = "Europe/Paris"
 
 
+def partition_of(user_id: int, n_partitions: int) -> int:
+    """The partition a user id lands in: the splitmix64 finalizer of the id,
+    in Python integers, modulo the partition count."""
+    mask = 2**64 - 1
+    z = (user_id + 0x9E3779B97F4A7C15) & mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return (z ^ (z >> 31)) % n_partitions
+
+
 def local_fields(ts: int, tz_name: str = TZ_NAME):
     """(civil date, hour, weekday Mon=0) of an epoch second."""
     dt = datetime.fromtimestamp(int(ts), tz=ZoneInfo(tz_name))

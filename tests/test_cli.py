@@ -307,7 +307,7 @@ def test_sweep_manifest_records_stages(synth_dir, tmp_path, capsys):
     assert set(manifest) == {
         "tool", "created_utc", "version", "span", "tz", "n_partitions", "options",
         "hdas", "windows", "fingerprint", "n_cells", "n_failed", "failed_cells",
-        "cell_status", "elapsed_seconds", "ingest", "stages",
+        "elapsed_seconds", "ingest", "stages",
     }
     stages = manifest["stages"]
     assert set(stages) == {
@@ -507,14 +507,20 @@ BAD_TABLES = {  # id: (table, its lines after the header, the last one bad)
     "dump-field-count": ("dump", ["1,100,3"]),
     "dump-empty-field": ("dump", [",100,3,0"]),
     "dump-repeated-id": ("dump", ["1,100,3,0", "1,101,2,0"]),
+    "dump-negative-home": ("dump", ["1,100,3,0", "2,-1,3,0"]),
     "dump-header-on-line-2": ("dump", [DUMP_HEADER]),
     "truth-field-count": ("truth", ["1,100,100"]),
     "truth-empty-field": ("truth", ["1,,100,"]),
     "truth-repeated-id": ("truth", ["1,100,100,", "1,101,101,"]),
+    "truth-negative-home": ("truth", ["1,-1,100,"]),
+    "truth-negative-work": ("truth", ["1,100,-3,"]),
+    "truth-negative-migration": ("truth", ["1,100,100,-1"]),
     "truth-header-on-line-2": ("truth", [TRUTH_HEADER]),
     "registry-field-count": ("registry", ["100,2.3,48.8"]),
     "registry-empty-field": ("registry", ["100,,48.8,10"]),
     "registry-repeated-id": ("registry", ["100,2.3,48.8,10", "100,2.4,48.9,11"]),
+    "registry-negative-id": ("registry", ["-5,0.0,0.0,10"]),
+    "registry-negative-population": ("registry", ["1,2.0,3.0,-5"]),
     "registry-header-on-line-2": ("registry", [TOWERS_HEADER]),
 }
 
@@ -536,6 +542,22 @@ def test_score_rejects_bad_dump_row_with_its_line(tmp_path, table, rows, capsys)
     err = capsys.readouterr().err.splitlines()
     bad_line = f"{paths[table]}:{1 + len(rows)}: "
     assert len(err) == 1 and err[0].startswith(f"error: {bad_line}"), err
+
+
+def test_a_negative_registry_tower_id_stops_the_sweep(tmp_path, capsys):
+    # -1 reads as "no home": user 1's three records at tower -5 once gave
+    # tower -5 an x of 0 and dumped user 1 as unassigned, and exit 0
+    towers = tmp_path / "towers.csv"
+    towers.write_text(f"{TOWERS_HEADER}\n-5,0.0,0.0,10\n")
+    records = tmp_path / "records.csv"
+    records.write_text("".join(f"1,-5,2007-06-0{d}T21:00:00\n" for d in (4, 5, 6)))
+    run = tmp_path / "run"
+    assert main(["sweep", "--records", str(records), "--towers", str(towers),
+                 "--span", SPAN, "--classes", "full", "--hdas", "MA",
+                 "--out", str(run), "--dump-assignments"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not run.exists()
+    assert captured.err == f"error: {towers}:2: bad tower_id '-5': negative\n"
 
 
 def test_score_rejects_a_repeated_user_with_its_line(tmp_path, capsys):
@@ -576,7 +598,6 @@ FLAG_VALUES = {
     "span": (SPAN, "2007-06-01..2007-07-14"),
     "tz": ("UTC", "Europe/Lisbon"),
     "partitions": ("3", "4"),
-    "unknown-tower": ("fail", "skip"),
     "classes": ("full", "days14,month"),
     "out": ("o1", "o2"),
     "seed": ("4", "5"),
@@ -650,7 +671,10 @@ def test_boolean_flag_takes_three_forms(command, flag):
     assert [_options(base + form)[dest] for form in forms] == [True, True, False]
 
 
-@pytest.mark.parametrize("line", ["min_qualifying = 3", "clases = full"])
+# unknown-tower: records on unknown towers are always counted rejects
+@pytest.mark.parametrize(
+    "line", ["min_qualifying = 3", "clases = full", "unknown-tower = fail"]
+)
 def test_config_key_no_command_declares_is_refused(synth_dir, tmp_path, line, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"{line}\n")

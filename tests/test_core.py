@@ -11,10 +11,8 @@ import pytest
 from cdrhomes import core
 from cdrhomes.core import (
     DatasetSpan,
-    IngestError,
     TowerRegistry,
     ingest,
-    partition_of,
     partition_records,
     write_records_csv,
 )
@@ -25,7 +23,7 @@ from conftest import (
     array_fields, assert_same_partitions, make_registry, random_records,
 )
 from oracles import local_fields as oracle_local_fields
-from oracles import reference_index
+from oracles import partition_of, reference_index
 
 SPAN = DatasetSpan.parse("2007-05-13..2007-10-13")
 T0 = CivilClock().midnight_epoch(date(2007, 5, 13))
@@ -71,6 +69,13 @@ def test_registry_rejects_duplicates_and_negative_population():
             lat=np.zeros(2),
             population=np.array([1, -2]),
         )
+    with pytest.raises(ValueError, match="negative tower_id or population"):
+        TowerRegistry(
+            tower_ids=np.array([1, -5]),
+            lon=np.zeros(2),
+            lat=np.zeros(2),
+            population=np.array([1, 2]),
+        )
 
 
 def _csv_writer_bytes(path, header, rows):
@@ -113,7 +118,10 @@ def _check_writers(tmp_path):
         write_records_csv(tmp_path / "r.csv", *cols, header=False)
         assert (tmp_path / "r.csv").read_bytes() == want.split(b"\n", 1)[1]
 
-    reg = TowerRegistry(i64, floats, -floats * 1e300, np.array([0, 3, 2**62]))
+    reg = TowerRegistry(  # tower ids are non-negative
+        np.array([0, 10**18, 2**63 - 1]), floats, -floats * 1e300,
+        np.array([0, 3, 2**62]),
+    )
     reg.write_csv(tmp_path / "t.csv")
     want = _csv_writer_bytes(
         tmp_path / "t0.csv", ["tower_id", "lon", "lat", "population"],
@@ -502,16 +510,8 @@ def test_ingest_counts_far_off_timestamps_out_of_span(tmp_path):
     assert parts[0].index_timestamps.tolist() == [T0 + 50]
 
 
-def test_ingest_unknown_tower_fail(tmp_path):
-    reg = make_registry(2)
-    path = tmp_path / "records.csv"
-    _write_lines(path, [f"1,999,{T0 + 50}"])
-    with pytest.raises(IngestError, match="999"):
-        ingest(path, reg, SPAN, unknown_tower="fail")
-
-
 def test_ingest_missing_file(tmp_path):
-    with pytest.raises(IngestError):
+    with pytest.raises(FileNotFoundError, match="records file not found: .*nope.csv"):
         ingest(tmp_path / "nope.csv", make_registry(1), SPAN)
 
 

@@ -15,7 +15,6 @@ from cdrhomes.hda import (
     aggregate_homes,
     canonical_hda,
     detect_homes_bulk,
-    hdas_by_name,
     hour_in_interval,
     merge_vectors,
 )
@@ -102,7 +101,6 @@ def test_canonical_set():
     assert canonical_hda("TC-WE").tc_start_hour is None
     assert canonical_hda("TC-WE").day_filter == "weekend_only"
     assert canonical_hda("TC-9-19-WK").day_filter == "weekday_only"
-    assert [s.name for s in hdas_by_name(["DD", "MA"])] == ["DD", "MA"]
     with pytest.raises(ValueError, match="canonical"):
         canonical_hda("TC-0-0")
 

@@ -10,7 +10,6 @@ from cdrhomes.metrics import (
     UndefinedMetric,
     compute_metric_report,
     decile_summary,
-    exclusion_policy,
     log_ratio_array,
     pearson_r,
 )
@@ -111,11 +110,15 @@ def test_decile_summary_small_input():
 
 
 def test_exclusion_policy():
-    x = np.array([0, 1, 5, 10])
-    assert exclusion_policy(x, 0).tolist() == [False, False, False, False]
-    assert exclusion_policy(x, 2).tolist() == [True, True, False, False]
+    # towers with fewer detected homes than the threshold are excluded
+    x, y = np.array([0, 1, 5, 10]), np.array([1, 2, 3, 4])
+    kept = compute_metric_report(x, y, "full", n_users=16, exclusion_threshold=0)
+    assert (kept["n_used"], kept["n_excluded"]) == (4, 0)
+    cut = compute_metric_report(x, y, "full", n_users=16, exclusion_threshold=2)
+    assert (cut["n_used"], cut["n_excluded"]) == (2, 2)
+    assert cut["pearson"] == pytest.approx(two_pass_pearson([5, 10], [3, 4]))
     with pytest.raises(ValueError):
-        exclusion_policy(x, -1)
+        compute_metric_report(x, y, "full", n_users=16, exclusion_threshold=-1)
 
 
 def _report(x, y, window_class, **kwargs):

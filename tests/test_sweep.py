@@ -15,7 +15,7 @@ import pytest
 from cdrhomes import sweep as sweep_mod
 from cdrhomes.cli import main
 from cdrhomes.core import DatasetSpan, TowerRegistry
-from cdrhomes.hda import hdas_by_name
+from cdrhomes.hda import canonical_hda
 from cdrhomes.sweep import SweepOptions, emit_reports, load_run, run_sweep
 from cdrhomes.synth import SynthConfig, MigrationConfig, generate
 from cdrhomes.timebase import CivilClock
@@ -24,7 +24,7 @@ from cdrhomes.windows import generate_windows
 from conftest import one_partition
 
 SPAN = DatasetSpan.parse("2007-06-01..2007-07-14")
-HDAS = hdas_by_name(["MA", "DD", "TC-19-9"])
+HDAS = [canonical_hda(name) for name in ("MA", "DD", "TC-19-9")]
 
 
 def _dataset(seed=9, fraction=0.0):
@@ -141,7 +141,7 @@ def test_sweep_writes_expected_files(tmp_path):
     assert manifest["tool"] == "cdrhomes"
     assert manifest["n_partitions"] == 2
     assert manifest == returned
-    assert set(manifest["cell_status"].values()) == {"ok"}
+    assert manifest["failed_cells"] == []
 
     acc = (out / "accuracy.csv").read_text().strip().split("\n")
     assert acc[0] == "hda,window,group,n_users,n_correct,accuracy"
@@ -503,6 +503,10 @@ def test_fresh_sweep_leaves_no_file_of_an_earlier_run(tmp_path):
     )
     (out / "notes.txt").write_text("kept\n")
     (out / "towers" / "notes.txt").write_text("kept\n")
+    # and the temp files of writes killed before their rename
+    for name in ("metrics.csv.tmp", "towers/TC-19-9__full.csv.tmp",
+                 "assignments/MA__full.csv.tmp", "notes.txt.tmp"):
+        (out / name).write_text("partial\n")
     narrow = ([w for w in wins if w.duration_class == "full"], HDAS[:1])
     run_sweep(parts, res.registry, *narrow, out, SweepOptions())
     fresh = tmp_path / "fresh"
@@ -510,6 +514,7 @@ def test_fresh_sweep_leaves_no_file_of_an_earlier_run(tmp_path):
 
     got, want = _files(out), _files(fresh)
     assert got.pop("notes.txt") == got.pop("towers/notes.txt") == b"kept\n"
+    assert got.pop("notes.txt.tmp") == b"partial\n"
     for name in ("cells.jsonl", "manifest.json"):
         assert len(got.pop(name)) > 0 and len(want.pop(name)) > 0
     assert got == want
@@ -532,8 +537,8 @@ def test_sweep_isolates_cell_failures(tmp_path):
     assert not sw.reports
     key = next(iter(sw.errors))
     assert "not in registry" in sw.errors[key]
-    assert set(manifest["cell_status"].values()) == {"failed"}
-    assert manifest["failed_cells"]
+    assert manifest["failed_cells"] == sorted(f"{h}|{w}" for h, w in sw.errors)
+    assert len(manifest["failed_cells"]) == sw.n_cells
     cells = [json.loads(l) for l in (out / "cells.jsonl").read_text().splitlines()]
     assert all(c["status"] == "failed" for c in cells)
     # report files still exist with headers

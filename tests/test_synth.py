@@ -6,7 +6,7 @@ from datetime import date
 import numpy as np
 import pytest
 
-from cdrhomes.core import DatasetSpan
+from cdrhomes.core import DatasetSpan, write_records_csv
 from cdrhomes.hda import BulkAssignments, canonical_hda, detect_homes_bulk
 from cdrhomes.synth import (
     GroundTruthTable,
@@ -185,7 +185,7 @@ def _pinned_configs():
 @pytest.mark.parametrize("name", sorted(PINNED_OUTPUT))
 def test_generated_files_match_pinned_digests(name, tmp_path):
     res = generate(_pinned_configs()[name])
-    res.write_records(tmp_path / "records.csv")
+    write_records_csv(tmp_path / "records.csv", res.users, res.towers, res.timestamps)
     res.registry.write_csv(tmp_path / "towers.csv")
     res.truth.write_csv(tmp_path / "truth.csv")
     got = tuple(
@@ -333,6 +333,22 @@ def test_score_against_truth_grouping():
         "MA,w,migrant,0,0,\n"
         "MA,w,non_migrant,4,2,0.5\n"
     )
+
+
+def test_an_unassigned_user_never_matches_a_truth_home_of_minus_one():
+    truth = GroundTruthTable(
+        user_ids=np.array([1, 2], dtype=np.uint64),
+        home_towers=np.array([-1, 100], dtype=np.int64),
+        work_towers=np.array([100, 100], dtype=np.int64),
+        migration_towers=np.array([-1, -1], dtype=np.int64),
+    )
+    unassigned_first = BulkAssignments(
+        truth.user_ids, np.array([-1, 100], dtype=np.int64),
+        np.array([0, 3], dtype=np.int64), np.zeros(2, dtype=bool),
+    )
+    window = ObservationWindow("w", date(2007, 6, 1), date(2007, 6, 14), "custom")
+    rows = score_against_truth({"MA": [unassigned_first]}, truth, window)
+    assert rows[0] == ("MA", "w", "all", 2, 1)
 
 
 def test_detection_on_calm_data_is_accurate():
