@@ -11,14 +11,23 @@ missing option or a value its type refuses included; option values are
 checked before the records file is read), 2 a run that finished with failed
 cells or a command line that cannot be carried out as given (other argparse
 usage errors, detect --dump-assignments without --out).
+
+OpenBLAS gets one thread unless OPENBLAS_NUM_THREADS is already set: the
+only BLAS call is Pearson's dot product over towers, and a sweep runs in
+parallel by forking processes, so a pool of BLAS threads would only idle.
+The variable is read when numpy loads, so it is set before anything here
+imports numpy (importing the cdrhomes package loads none of it).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import fields
 from pathlib import Path
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import __version__
 from .core import DatasetSpan, TowerRegistry, ingest, write_records_csv

@@ -336,7 +336,7 @@ def partition_records(
     clock.local_fields and go into the index as they are; when a span is
     given, records whose civil date falls outside it are dropped and
     counted. Returns (partitions, n_out_of_span). Input order never matters
-    (see UserPartition).
+    (see UserPartition). A negative tower id raises ValueError.
     """
     if n_partitions < 1:
         raise ValueError("n_partitions must be >= 1")
@@ -345,6 +345,9 @@ def partition_records(
     timestamps = np.asarray(timestamps, dtype=np.int64)
     if not (len(users) == len(towers) == len(timestamps)):
         raise ValueError("record columns have unequal lengths")
+    # a negative home means "no tower" to every consumer of detection
+    if len(towers) and towers.min() < 0:
+        raise ValueError(f"negative tower id {int(towers.min())} in records")
 
     n_in = len(users)
     if span is not None:
@@ -779,8 +782,9 @@ _POWERS_OF_TEN = [np.uint64(10**p) for p in range(20)]  # all of uint64's
 _TEN = _POWERS_OF_TEN[1]
 
 
-def _format_rows(columns: list[np.ndarray]) -> bytes:
-    """The CSV lines of integer columns, as csv.writer writes Python ints.
+def _format_rows(columns: list[np.ndarray], blank: tuple[int, ...] = ()) -> bytes:
+    """The CSV lines of integer columns, as csv.writer writes Python ints;
+    in the columns numbered in blank, a negative value is an empty field.
 
     Each value takes a field of a sign byte and its column's largest digit
     count in an (n rows, line width) byte matrix, filled by repeated
@@ -788,27 +792,34 @@ def _format_rows(columns: list[np.ndarray]) -> bytes:
     padding in one compress.
     """
     specs = []
-    for column in columns:
+    for i, column in enumerate(columns):
+        empty = None
         if column.dtype.kind == "u":
             negative = None
             magnitude = column.astype(np.uint64)
+        elif i in blank:
+            negative, empty = None, column < 0
+            magnitude = np.where(empty, 0, column).astype(np.uint64)
         else:
             negative = column < 0
             magnitude = column.astype(np.int64).astype(np.uint64)
             # negating in uint64 wraps, so the magnitude of int64 min is exact
             np.negative(magnitude, out=magnitude, where=negative)
-        specs.append((negative, magnitude, len(str(int(magnitude.max())))))
-    width = sum(2 + digits for _, _, digits in specs)
+        specs.append((negative, empty, magnitude, len(str(int(magnitude.max())))))
+    width = sum(2 + digits for *_, digits in specs)
     text = np.empty((len(columns[0]), width), dtype=np.uint8)
     keep = np.ones(text.shape, dtype=bool)
+    ends = b"," * (len(columns) - 1) + b"\n"
     at = 0
-    for (negative, magnitude, digits), end in zip(specs, b",,\n"):
+    for (negative, empty, magnitude, digits), end in zip(specs, ends):
         text[:, at] = ord("-")
         keep[:, at] = False if negative is None else negative
         rest = magnitude
         for p, col in enumerate(range(at + digits, at, -1)):
-            if p:  # the last digit always shows, 0 included
+            if p:
                 keep[:, col] = magnitude >= _POWERS_OF_TEN[p]
+            elif empty is not None:  # otherwise the last digit shows, 0 included
+                np.logical_not(empty, out=keep[:, col])
             quotient = rest // _TEN  # a // by a scalar is several times
             text[:, col] = rest - quotient * _TEN  # faster than np.divmod
             rest = quotient
@@ -818,11 +829,17 @@ def _format_rows(columns: list[np.ndarray]) -> bytes:
     return text[keep].tobytes()
 
 
+def format_blocks(columns: list[np.ndarray], blank: tuple[int, ...] = ()):
+    """_format_rows of the columns' rows, _FORMAT_ROWS at a time."""
+    for lo in range(0, len(columns[0]), _FORMAT_ROWS):
+        yield _format_rows([c[lo:lo + _FORMAT_ROWS] for c in columns], blank)
+
+
 def write_records_csv(path, users, towers, timestamps, header: bool = True) -> None:
     """Write integer records as user_id,tower_id,timestamp rows.
 
     The bytes are those of csv.writer given the values as Python ints;
-    numpy formats them _FORMAT_ROWS rows at a time (see _format_rows).
+    numpy formats them _FORMAT_ROWS rows at a time (see format_blocks).
     """
     columns = [np.asarray(c) for c in (users, towers, timestamps)]
     if any(c.dtype.kind not in "iu" for c in columns):
@@ -832,5 +849,4 @@ def write_records_csv(path, users, towers, timestamps, header: bool = True) -> N
     with open(path, "wb") as fh:
         if header:
             fh.write((",".join(RECORDS_HEADER) + "\n").encode())
-        for lo in range(0, len(columns[0]), _FORMAT_ROWS):
-            fh.write(_format_rows([c[lo:lo + _FORMAT_ROWS] for c in columns]))
+        fh.writelines(format_blocks(columns))

@@ -13,6 +13,7 @@ the top value was shared by more than one tower.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -96,8 +97,10 @@ def hour_in_interval(hour: int, start: int, end: int) -> bool:
     return hour >= start or hour < end
 
 
+@functools.cache
 def _week_hour_lut(spec: HdaSpec) -> np.ndarray:
-    """Qualifying mask over the index's week hours, weekday * 24 + hour."""
+    """Qualifying mask over the index's week hours, weekday * 24 + hour;
+    built once per spec, read-only."""
     lut = np.ones((7, 24), dtype=bool)
     if spec.has_hour_filter:
         for h in range(24):
@@ -106,7 +109,9 @@ def _week_hour_lut(spec: HdaSpec) -> np.ndarray:
         lut[:_SATURDAY] = False
     elif spec.day_filter == "weekday_only":
         lut[_SATURDAY:] = False
-    return lut.ravel()
+    lut = lut.ravel()
+    lut.setflags(write=False)
+    return lut
 
 
 @dataclass

@@ -85,16 +85,24 @@ def decile_summary(x, y) -> list[list]:
         return [[i + 1, 0] + [float("nan")] * 4 for i in range(N_DECILE_BINS)]
     order = np.lexsort((xa, ya))
     xs, ys = xa[order], ya[order]
-    rows = []
-    for i in range(N_DECILE_BINS):
-        lo = i * n // 10
-        hi = (i + 1) * n // 10
-        seg = xs[lo:hi]
-        rows.append([  # std is the population std (ddof=0)
-            i + 1, hi - lo, float(ys[lo]), float(ys[hi - 1]),
-            float(seg.mean()), float(seg.std()),
-        ])
-    return rows
+    bounds = [i * n // 10 for i in range(N_DECILE_BINS + 1)]
+    starts = np.array(bounds[:-1])
+    sizes = np.diff(bounds)
+    mean, std = np.empty(N_DECILE_BINS), np.empty(N_DECILE_BINS)
+    # bins hold n // 10 or n // 10 + 1 towers: the bins of one size are
+    # the rows of one matrix, and a row's mean and std are seg.mean() and
+    # seg.std() bit for bit (the same pairwise sums along a contiguous row)
+    for size in set(sizes.tolist()):
+        bins = np.flatnonzero(sizes == size)
+        segs = xs[starts[bins, None] + np.arange(size)]
+        mean[bins] = segs.mean(axis=1)
+        std[bins] = segs.std(axis=1)  # the population std (ddof=0)
+    return [
+        [i + 1, hi - lo, float(ys[lo]), float(ys[hi - 1]), m, s]
+        for i, (lo, hi, m, s) in enumerate(
+            zip(bounds, bounds[1:], mean.tolist(), std.tolist())
+        )
+    ]
 
 
 def compute_metric_report(

@@ -38,7 +38,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import IngestReport, TowerRegistry, UserPartition, read_table
+from .core import (
+    IngestReport, TowerRegistry, UserPartition, format_blocks, read_table,
+)
 from .hda import (
     BulkAssignments, HdaSpec, aggregate_homes, detect_homes_bulk, merge_vectors,
 )
@@ -140,10 +142,9 @@ def warn_unparseable(n_bad: int, path: Path) -> None:
               file=sys.stderr)
 
 
-def _atomic_write(path: Path, text: str) -> None:
+def _atomic_write(path: Path, data: str | bytes) -> None:
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", newline="") as fh:
-        fh.write(text)
+    tmp.write_bytes(data.encode() if isinstance(data, str) else data)
     os.replace(tmp, path)
 
 
@@ -378,20 +379,16 @@ def _write_assignment_dump(path: Path, bulks) -> None:
 
     Rows come partition by partition, by ascending user id within each
     partition, so the row order (not the rows) depends on the partition
-    count; an unassigned user has an empty home_tower.
+    count; an unassigned user has an empty home_tower. numpy formats the
+    rows, as write_records_csv's (see core.format_blocks).
     """
-    lines = [",".join(ASSIGNMENTS_HEADER)]
-    for b in bulks:
-        lines += [
-            f"{uid},{'' if home < 0 else home},{q},{int(t)}"
-            for uid, home, q, t in zip(
-                b.user_ids.tolist(),
-                b.home_towers.tolist(),
-                b.qualifying.tolist(),
-                b.tie_broken.tolist(),
-            )
-        ]
-    _atomic_write(path, "\n".join(lines) + "\n")
+    columns = [
+        np.concatenate([getattr(b, name) for b in bulks])
+        for name in ("user_ids", "home_towers", "qualifying", "tie_broken")
+    ]
+    columns[3] = columns[3].view(np.uint8)  # bool as 0 / 1
+    header = (",".join(ASSIGNMENTS_HEADER) + "\n").encode()
+    _atomic_write(path, b"".join([header, *format_blocks(columns, blank=(1,))]))
 
 
 def read_assignment_dump(path) -> BulkAssignments:
@@ -518,11 +515,12 @@ def run_sweep(
 
     def take(rec: dict) -> None:
         result.add_cell(rec)
-        if out_path is not None:
+        if cells is not None:
             # the cell wrote its files before it returned: a resume skips
-            # every recorded cell, so a run killed in between leaves it unrecorded
-            with open(out_path / CELLS_FILE, "a") as fh:
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
+            # every recorded cell, so a run killed in between leaves it
+            # unrecorded; each line is flushed whole, so a kill tears one at most
+            cells.write(json.dumps(rec, sort_keys=True) + "\n")
+            cells.flush()
         if show_progress:  # cells done, the total, and an ETA at this run's rate
             done, total = len(result.reports) + result.n_failed, result.n_cells
             eta = (time.perf_counter() - t_cells) / (done - n_before) * (total - done)
@@ -533,25 +531,30 @@ def run_sweep(
     use_workers = min(options.workers, len(todo))
     if "fork" not in multiprocessing.get_all_start_methods():
         use_workers = 1
-    if use_workers > 1:
-        global _STATE
-        _STATE = state
-        try:
-            with concurrent.futures.ProcessPoolExecutor(
-                max_workers=use_workers, mp_context=multiprocessing.get_context("fork")
-            ) as pool:
-                futures = [pool.submit(_cell_entry, h, w) for h, w in todo]
-                try:
-                    for fut in concurrent.futures.as_completed(futures):
-                        take(fut.result())
-                except BaseException:  # run none of the cells still queued
-                    pool.shutdown(cancel_futures=True)
-                    raise
-        finally:
-            _STATE = None
-    else:
-        for h, w in todo:
-            take(_compute_cell(state, h, w))
+    with (
+        contextlib.nullcontext() if out_path is None
+        else open(out_path / CELLS_FILE, "a")
+    ) as cells:
+        if use_workers > 1:
+            global _STATE
+            _STATE = state
+            try:
+                with concurrent.futures.ProcessPoolExecutor(
+                    max_workers=use_workers,
+                    mp_context=multiprocessing.get_context("fork"),
+                ) as pool:
+                    futures = [pool.submit(_cell_entry, h, w) for h, w in todo]
+                    try:
+                        for fut in concurrent.futures.as_completed(futures):
+                            take(fut.result())
+                    except BaseException:  # run none of the cells still queued
+                        pool.shutdown(cancel_futures=True)
+                        raise
+            finally:
+                _STATE = None
+        else:
+            for h, w in todo:
+                take(_compute_cell(state, h, w))
 
     elapsed = round(time.perf_counter() - t_start, 3)
     if out_path is not None:

@@ -250,6 +250,19 @@ def test_partition_span_filter_counts():
     assert parts[0].n_records == 2
 
 
+def test_partition_records_refuses_a_negative_tower_id():
+    # detection would report tower -5 as user 1's home, which every
+    # consumer reads as "no home"
+    users = np.array([1, 1, 1, 1], dtype=np.uint64)
+    towers = np.array([-5, -5, -5, 7], dtype=np.int64)
+    stamps = T0 + 3600 * np.arange(4, dtype=np.int64)
+    with pytest.raises(ValueError, match="negative tower id -5"):
+        partition_records(users, towers, stamps, clock=CivilClock())
+    parts, _ = partition_records(users, towers[3:].repeat(4), stamps,
+                                 clock=CivilClock())
+    assert parts[0].pair_towers.tolist() == [7]
+
+
 def test_partition_arrays_read_only():
     rng = np.random.default_rng(9)
     users, towers, stamps = random_records(rng, 5, np.arange(100, 103), T0, T1)
@@ -324,16 +337,17 @@ def _reference_partitions(users, towers, stamps, n_partitions):
 
 
 def _wide_id_records(rng, n, t0, t1):
-    """n records on user ids across uint64 and tower ids across int64,
-    extremes included, plus repeats of some of them, shuffled."""
+    """n records on user ids across uint64 and tower ids across int64's
+    non-negative range, extremes included, plus repeats of some of them,
+    shuffled."""
     user_pool = np.concatenate([
         np.array([0, 2**64 - 1, 1, 2**63, 2**63 - 1, 2**16 - 1, 2**16, 2**48],
                  dtype=np.uint64),
         rng.integers(0, 2**64 - 1, 24, dtype=np.uint64, endpoint=True),
     ])
     tower_pool = np.concatenate([
-        np.array([-(2**63), 2**63 - 1, -1, 0, 1, -(2**16), 2**16, 2**47 + 3]),
-        rng.integers(-(2**63), 2**63 - 1, 12, endpoint=True),
+        np.array([0, 2**63 - 1, 1, 2**16 - 1, 2**16, 2**32, 2**47 + 3, 2**62]),
+        rng.integers(0, 2**63 - 1, 12, endpoint=True),
     ])
     return _with_duplicates(
         rng,
@@ -354,7 +368,7 @@ def test_detection_index_equals_reference_on_any_ids():
     )
     one_pair = (
         np.full(50, 2**64 - 1, dtype=np.uint64),
-        np.full(50, -(2**63), dtype=np.int64),
+        np.full(50, 2**63 - 1, dtype=np.int64),
         rng.integers(T0, T1, 50, dtype=np.int64),
     )
     cases = {

@@ -141,6 +141,14 @@ def test_tc_filter_matches_oracle_on_all_cells():
                 ), (spec.name, hour, weekday)
 
 
+def test_week_hour_lut_is_built_once_per_spec_and_read_only():
+    for spec in CANONICAL_HDAS:
+        lut = _week_hour_lut(spec)
+        assert _week_hour_lut(HdaSpec(**vars(spec))) is lut  # an equal spec
+        with pytest.raises(ValueError, match="read-only"):
+            lut[0] = not lut[0]
+
+
 def test_ma_counts_events_dd_counts_days():
     # 5 events one day at tower 100; one event on each of 3 days at tower 200
     day = "2007-06-0{}T12:00:00"

@@ -94,6 +94,28 @@ def test_decile_summary_matches_oracle():
         assert sum(g[1] for g in got) == 9 * n // 10
 
 
+def test_decile_summary_is_bitwise_the_per_bin_mean_and_std():
+    # bins of one length are reduced as the rows of one matrix; each row's
+    # mean and std equal the bin's own seg.mean() and seg.std()
+    rng = np.random.default_rng(43)
+    for n in (10, 11, 19, 23, 99, 101, 1003, 2017, 9999):
+        x = rng.integers(0, 500, n) * rng.choice([1.0, 0.37, 1e9])
+        y = rng.integers(0, 10 * n, n)
+        order = np.lexsort((x, y))
+        xs = x[order]
+        want = [
+            [xs[i * n // 10:(i + 1) * n // 10].mean(),
+             xs[i * n // 10:(i + 1) * n // 10].std()]
+            for i in range(9)
+        ]
+        got = [row[4:] for row in decile_summary(x, y)]
+        assert np.array_equal(got, want), n  # bit for bit, no tolerance
+    for n in range(10):
+        rows = decile_summary(np.arange(n), np.arange(n))
+        assert [row[:2] for row in rows] == [[i, 0] for i in range(1, 10)]
+        assert all(math.isnan(v) for row in rows for v in row[2:])
+
+
 def test_decile_summary_permutation_invariant():
     rng = np.random.default_rng(37)
     y = rng.integers(0, 50, size=40)  # heavy ties

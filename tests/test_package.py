@@ -1,8 +1,11 @@
-"""The package's public names, and those the benchmark's tracer rebinds."""
+"""The package's public names, those the benchmark's tracer rebinds, and
+what importing the package and the CLI loads and starts."""
 
 import collections
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -77,3 +80,52 @@ def test_traced_sweep_runs_and_records_a_span_per_layer(monkeypatch, tmp_path, e
     assert {s["cell"] for s in spans if s["name"] == "synth.score_against_truth"} == {
         "MA|full", "DD|full"
     }
+
+
+def _fresh_python(code: str, **env: str) -> str:
+    """stdout of code run by a new interpreter that imports cdrhomes from
+    this checkout, OPENBLAS_NUM_THREADS unset unless given in env."""
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    src = str(Path(cdrhomes.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code], env={**base, "PYTHONPATH": src, **env},
+        capture_output=True, text=True, check=True,
+    )
+    return done.stdout
+
+
+def test_importing_the_package_loads_no_numpy_and_sets_nothing():
+    out = _fresh_python(
+        "import os, sys, cdrhomes\n"
+        "print('numpy' in sys.modules, os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+        "cdrhomes.run_sweep\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    assert out.split() == ["False", "None", "True"]
+
+
+def _threads_after_importing_the_cli(**env: str) -> tuple[int, bool]:
+    """The thread count of a new process that imported cdrhomes.cli, and
+    whether numpy's BLAS there is OpenBLAS."""
+    out = _fresh_python(
+        "import os, cdrhomes.cli\n"
+        "maps = open('/proc/self/maps').read()\n"
+        "print(len(os.listdir('/proc/self/task')), 'openblas' in maps.lower())\n",
+        **env,
+    )
+    count, openblas = out.split()
+    return int(count), openblas == "True"
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux") or (os.cpu_count() or 1) < 2,
+    reason="counts the threads in /proc/self/task of a multi-core Linux host",
+)
+def test_the_cli_starts_no_blas_thread_pool_unless_asked():
+    count, openblas = _threads_after_importing_the_cli()
+    if not openblas:
+        pytest.skip("numpy's BLAS is not OpenBLAS")
+    assert count == 1
+    # a value already set wins over the CLI's pin: main thread and one more
+    count, _ = _threads_after_importing_the_cli(OPENBLAS_NUM_THREADS="2")
+    assert count == 2

@@ -12,10 +12,11 @@ from datetime import date
 import numpy as np
 import pytest
 
+from cdrhomes import core
 from cdrhomes import sweep as sweep_mod
 from cdrhomes.cli import main
 from cdrhomes.core import DatasetSpan, TowerRegistry
-from cdrhomes.hda import canonical_hda
+from cdrhomes.hda import BulkAssignments, canonical_hda
 from cdrhomes.sweep import SweepOptions, emit_reports, load_run, run_sweep
 from cdrhomes.synth import SynthConfig, MigrationConfig, generate
 from cdrhomes.timebase import CivilClock
@@ -382,6 +383,56 @@ def test_assignment_dump_rows_do_not_depend_on_partition_count(tmp_path):
         assert [int(l.split(",")[0]) for l in lines[1:]] == sorted(res.truth.user_ids)
         assert dumps[4][name][0] == lines[0]
         assert sorted(dumps[4][name][1:]) == sorted(lines[1:]), name
+
+
+def _f_string_dump(bulks) -> str:
+    """A cell's assignment dump as the row-by-row f-string writer made it."""
+    lines = ["user_id,home_tower,qualifying_count,tie_broken"]
+    for b in bulks:
+        lines += [
+            f"{uid},{'' if home < 0 else home},{q},{int(t)}"
+            for uid, home, q, t in zip(
+                b.user_ids.tolist(), b.home_towers.tolist(),
+                b.qualifying.tolist(), b.tie_broken.tolist(),
+            )
+        ]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("rows_per_block", [1 << 14, 2])
+def test_assignment_dump_equals_the_f_string_rows_at_the_extremes(
+    tmp_path, monkeypatch, rows_per_block
+):
+    monkeypatch.setattr(core, "_FORMAT_ROWS", rows_per_block)
+
+    def bulk(users, homes, quals, ties):
+        return BulkAssignments(
+            np.array(users, dtype=np.uint64), np.array(homes, dtype=np.int64),
+            np.array(quals, dtype=np.int64), np.array(ties, dtype=bool),
+        )
+
+    extremes = bulk(
+        [0, 9, 10, 2**64 - 1, 10**19], [-1, 0, 2**63 - 1, 10, -1],
+        [0, 2**63 - 1, 1, 10, 0], [False, True, True, False, False],
+    )
+    unassigned = bulk([3, 4], [-1, -1], [0, 0], [False, False])
+    empty = bulk([], [], [], [])
+    rng = np.random.default_rng(4)
+    homes = rng.integers(-1, 400, 50)
+    drawn = bulk(np.sort(rng.integers(0, 2**64 - 1, 50, dtype=np.uint64)),
+                 homes, rng.integers(0, 90, 50) * (homes >= 0),
+                 rng.random(50) < 0.2)
+    cases = {
+        "one partition": [extremes],
+        "all unassigned": [unassigned],
+        "empty": [empty],
+        "four partitions": [extremes, empty, unassigned, drawn],
+    }
+    for name, bulks in cases.items():
+        path = tmp_path / f"{name}.csv"
+        sweep_mod._write_assignment_dump(path, bulks)
+        assert path.read_bytes() == _f_string_dump(bulks).encode(), name
+        assert not path.with_name(path.name + ".tmp").exists()
 
 
 def test_cells_count_tied_users_for_any_worker_and_partition_count(
