@@ -137,7 +137,8 @@ def _ingest(args: argparse.Namespace, registry: TowerRegistry):
 
 
 def cmd_ingest_check(args: argparse.Namespace) -> int:
-    _, report = _ingest(args, TowerRegistry.read_csv(args.towers))
+    registry = TowerRegistry.read_csv(args.towers)
+    _, report = ingest(args.records, registry, args.span, clock=CivilClock(args.tz))
     print(report.as_text())
     return 0
 
@@ -252,7 +253,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     truth = GroundTruthTable.read_csv(args.truth)
     hda_name = args.hda or Path(args.assignments).stem.split("__")[0]
     rows = score_against_truth(
-        {hda_name: [read_assignment_dump(args.assignments)]}, truth, args.window,
+        {hda_name: read_assignment_dump(args.assignments)}, truth, args.window,
         args.migration_range,
     )
     print(accuracy_csv(rows), end="")
@@ -288,8 +289,9 @@ _INPUT = [
     ("towers", {"required": True, "help": "tower registry CSV"}),
     _SPAN,
     _TZ,
-    ("partitions", {"type": int, "default": 1, "help": "user partition count"}),
 ]
+_PARTITIONS = ("partitions", {"type": int, "default": 1,
+                              "help": "user partition count"})
 
 # command -> (function, help, [(flag without --, add_argument keywords)]);
 # "required": True is checked after the config file is read (exit 1)
@@ -322,6 +324,7 @@ _COMMANDS = {
     ]),
     "detect": (cmd_detect, "run one HDA over one window: a one-cell sweep", [
         *_INPUT,
+        _PARTITIONS,
         ("hda", {"type": canonical_hda, "required": True,
                  "help": "HDA name, one of " + ",".join(CANONICAL_HDA_NAMES)}),
         _WINDOW,
@@ -331,6 +334,7 @@ _COMMANDS = {
     ]),
     "sweep": (cmd_sweep, "run the full (HDA x window) grid and emit reports", [
         *_INPUT,
+        _PARTITIONS,
         _CLASSES,
         ("hdas", {"type": _hdas, "default": ",".join(CANONICAL_HDA_NAMES),
                   "help": "comma list of HDA names (default: all 9)"}),
@@ -406,7 +410,9 @@ def main(argv=None) -> int:
         args = parse_args(argv)
         return _COMMANDS[args.command][0](args)
     except (CliError, ValueError, KeyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError quotes its message
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return 1
 
 

@@ -51,12 +51,14 @@ class DatasetSpan:
 
     @classmethod
     def parse(cls, text: str) -> "DatasetSpan":
-        """Parse 'YYYY-MM-DD..YYYY-MM-DD'."""
+        """Parse 'YYYY-MM-DD..YYYY-MM-DD'; a range that ends before it
+        starts keeps its own message."""
         try:
             a, b = text.split("..")
-            return cls(date.fromisoformat(a), date.fromisoformat(b))
+            first, last = date.fromisoformat(a), date.fromisoformat(b)
         except ValueError as exc:
             raise ValueError(f"bad span {text!r}: expected FIRST..LAST dates") from exc
+        return cls(first, last)
 
     def __str__(self) -> str:
         return f"{self.first_day.isoformat()}..{self.last_day.isoformat()}"
@@ -96,10 +98,14 @@ class TowerRegistry:
         ]
 
     def write_csv(self, path) -> None:
+        """One line per tower: ids and counts as str(), coordinates as
+        repr(), as csv.writer writes Python ints and floats."""
+        rows = zip(self.tower_ids.tolist(), self.lon.tolist(), self.lat.tolist(),
+                   self.population.tolist())
+        lines = [",".join(TOWERS_HEADER)]
+        lines += [f"{t},{lo!r},{la!r},{p}" for t, lo, la, p in rows]
         with open(path, "w", newline="") as fh:
-            fh.write(",".join(TOWERS_HEADER) + "\n")
-            for rows in row_chunks(self.tower_ids, self.lon, self.lat, self.population):
-                fh.write("".join([f"{t},{lo!r},{la!r},{p}\n" for t, lo, la, p in rows]))
+            fh.write("\n".join(lines) + "\n")
 
     @classmethod
     def read_csv(cls, path) -> "TowerRegistry":
@@ -187,8 +193,6 @@ class UserPartition:
     are non-negative; a home of -1 means no tower.
     """
 
-    index: int
-    n_partitions: int
     user_ids: np.ndarray  # uint64, sorted unique
     pair_users: np.ndarray  # int64 row in user_ids, per pair
     pair_towers: np.ndarray  # int64 tower id, per pair
@@ -381,11 +385,7 @@ def partition_records(
         # copying them would add their size to ingest's peak memory
         held = columns if m.all() else [c[m] for c in columns]
         del m
-        parts.append(
-            UserPartition(
-                index=p, n_partitions=n_partitions, **_detection_index(*held)
-            )
-        )
+        parts.append(UserPartition(**_detection_index(*held)))
     return parts, n_out
 
 
@@ -408,7 +408,6 @@ class IngestReport:
     rejected_unknown_tower: int = 0
     rejected_out_of_span: int = 0
     distinct_users: int = 0
-    n_partitions: int = 1
     sample_rejects: list[str] = field(default_factory=list)
     parse_seconds: float = field(default=0.0, compare=False)
     partition_seconds: float = field(default=0.0, compare=False)
@@ -726,7 +725,7 @@ def ingest(
         raise FileNotFoundError(f"records file not found: {path}")
 
     t_start = time.perf_counter()
-    report = IngestReport(records_file=str(path), n_partitions=n_partitions)
+    report = IngestReport(records_file=str(path))
     judge = _LineJudge(report, clock)
     # ISO times more than two days outside the span are out of span; they
     # take the per-line path, which keeps the zone's transition table short
@@ -756,23 +755,6 @@ def ingest(
     report.distinct_users = int(sum(p.n_users for p in parts))
     report.check()
     return parts, report
-
-
-# rows per chunk of the registry and truth writers: larger chunks are no
-# faster, and their Python objects would raise the writing process's peak
-# memory
-_WRITE_ROWS = 1 << 10
-
-
-def row_chunks(*columns):
-    """The columns' rows as tuples of Python scalars, _WRITE_ROWS at a time.
-
-    The CSV writers format these with f-strings, which give each value's
-    str (or repr) as csv.writer does, at a fraction of its cost.
-    """
-    columns = [np.asarray(c) for c in columns]
-    for lo in range(0, len(columns[0]), _WRITE_ROWS):
-        yield zip(*(c[lo:lo + _WRITE_ROWS].tolist() for c in columns))
 
 
 # rows per block of write_records_csv: each block's text matrix is a few

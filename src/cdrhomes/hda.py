@@ -116,13 +116,14 @@ def _week_hour_lut(spec: HdaSpec) -> np.ndarray:
 
 @dataclass
 class BulkAssignments:
-    """Columnar assignments for every user of one partition in one cell.
+    """Columnar assignments in one cell: for every user of one partition
+    (detect_homes_bulk), or of every partition in turn (a sweep's cell).
 
     home_towers uses -1 for "no home assigned"; qualifying_count keeps the
     best criterion value even when it fell below the minimum threshold.
     """
 
-    user_ids: np.ndarray  # uint64, sorted (partition user universe)
+    user_ids: np.ndarray  # uint64, sorted within each partition
     home_towers: np.ndarray  # int64, -1 = none
     qualifying: np.ndarray  # int64
     tie_broken: np.ndarray  # bool
@@ -206,11 +207,9 @@ def detect_homes_bulk(
 def aggregate_homes(
     assignments: BulkAssignments, registry: TowerRegistry
 ) -> np.ndarray:
-    """Detected homes per tower (int64, registry row order) for one
-    partition in one cell.
-
-    merge_vectors sums the per-partition counts into the cell's. A home
-    tower missing from the registry is a fatal error, never a silent drop.
+    """Detected homes per tower (int64, registry row order) of the
+    assignments. A home tower missing from the registry is a fatal error,
+    never a silent drop.
     """
     homes = assignments.home_towers
     rows = registry.rows_for(homes[homes >= 0])
@@ -218,7 +217,8 @@ def aggregate_homes(
 
 
 def merge_vectors(parts: Iterable[np.ndarray]) -> np.ndarray:
-    """Sum a cell's per-partition home counts; order-free by construction."""
+    """Sum per-partition home counts; order-free by construction. No
+    caller in the package: a sweep aggregates a cell's one BulkAssignments."""
     parts = list(parts)
     if not parts:
         raise ValueError("nothing to merge")

@@ -42,7 +42,8 @@ from .core import (
     IngestReport, TowerRegistry, UserPartition, format_blocks, read_table,
 )
 from .hda import (
-    BulkAssignments, HdaSpec, aggregate_homes, detect_homes_bulk, merge_vectors,
+    BulkAssignments, HdaSpec, aggregate_homes, detect_homes_bulk,
+    merge_vectors,  # no caller: perfbench/traced_sweep.py rebinds this name
 )
 from .metrics import compute_metric_report, log_ratio_array
 from .svgplot import line_chart
@@ -176,12 +177,18 @@ def _compute_cell(state: dict, h_idx: int, w_idx: int) -> dict:
             )
             for part in state["partitions"]
         ]
+        # the cell's one result: its users partition by partition, the
+        # order its dump writes
+        bulk = BulkAssignments(*(
+            np.concatenate([getattr(b, f.name) for b in bulks])
+            for f in fields(BulkAssignments)
+        ))
         registry: TowerRegistry = state["registry"]
-        x = merge_vectors([aggregate_homes(b, registry) for b in bulks])
+        x = aggregate_homes(bulk, registry)
         accuracy = None
         if state["truth"] is not None:
             rows = score_against_truth(
-                {spec.name: bulks}, state["truth"], window, state["migration"]
+                {spec.name: bulk}, state["truth"], window, state["migration"]
             )
             accuracy = [[g, n, c] for _, _, g, n, c in rows]
         rec.update(
@@ -189,11 +196,11 @@ def _compute_cell(state: dict, h_idx: int, w_idx: int) -> dict:
                 x,
                 registry.population,
                 window.duration_class,
-                n_users=sum(len(b.user_ids) for b in bulks),
+                n_users=len(bulk.user_ids),
                 exclusion_threshold=state["exclusion_threshold"],
             ),
             status="ok",
-            n_tied=sum(int(b.tie_broken.sum()) for b in bulks),
+            n_tied=int(bulk.tie_broken.sum()),
             accuracy=accuracy,
         )
     except Exception:
@@ -204,7 +211,7 @@ def _compute_cell(state: dict, h_idx: int, w_idx: int) -> dict:
             lr = log_ratio_array(x, registry.population)
             _write_tower_export(state["towers_dir"] / name, x, lr, state["tower_rows"])
         if state["assignments_dir"] is not None:
-            _write_assignment_dump(state["assignments_dir"] / name, bulks)
+            _write_assignment_dump(state["assignments_dir"] / name, bulk)
     rec["fingerprint"] = state["fingerprint"]
     rec["elapsed"] = round(time.perf_counter() - t0, 4)
     return rec
@@ -225,8 +232,8 @@ def _fingerprint(
     the header (numpy's version included), then every partition, registry
     and truth array (name, dtype, shape and bytes)."""
     arrays = [
-        (f"partition{p.index}.{f.name}", getattr(p, f.name))
-        for p in partitions
+        (f"partition{i}.{f.name}", getattr(p, f.name))
+        for i, p in enumerate(partitions)
         for f in fields(p)
         if isinstance(getattr(p, f.name), np.ndarray)
     ]
@@ -374,19 +381,16 @@ def _write_tower_export(
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
-def _write_assignment_dump(path: Path, bulks) -> None:
-    """Per-user CSV of a cell's BulkAssignments, one per partition.
+def _write_assignment_dump(path: Path, bulk: BulkAssignments) -> None:
+    """Per-user CSV of a cell's BulkAssignments, rows in its user order.
 
-    Rows come partition by partition, by ascending user id within each
-    partition, so the row order (not the rows) depends on the partition
-    count; an unassigned user has an empty home_tower. numpy formats the
-    rows, as write_records_csv's (see core.format_blocks).
+    _compute_cell puts the users partition by partition, by ascending user
+    id within each partition, so the row order (not the rows) depends on
+    the partition count; an unassigned user has an empty home_tower. numpy
+    formats the rows, as write_records_csv's (see core.format_blocks).
     """
-    columns = [
-        np.concatenate([getattr(b, name) for b in bulks])
-        for name in ("user_ids", "home_towers", "qualifying", "tie_broken")
-    ]
-    columns[3] = columns[3].view(np.uint8)  # bool as 0 / 1
+    columns = [bulk.user_ids, bulk.home_towers, bulk.qualifying,
+               bulk.tie_broken.view(np.uint8)]  # bool as 0 / 1
     header = (",".join(ASSIGNMENTS_HEADER) + "\n").encode()
     _atomic_write(path, b"".join([header, *format_blocks(columns, blank=(1,))]))
 

@@ -37,8 +37,8 @@ from pathlib import Path
 import numpy as np
 
 from .core import (
-    DatasetSpan, TowerRegistry, _grown, argsort_unique, find_sorted, read_table,
-    row_chunks,
+    DatasetSpan, TowerRegistry, _grown, argsort_unique, find_sorted, format_blocks,
+    read_table,
 )
 from .hda import BulkAssignments
 from .timebase import DEFAULT_TZ, CivilClock, iter_days
@@ -201,13 +201,13 @@ class GroundTruthTable:
         return find_sorted(self.user_ids, uids, "user {} has no ground-truth row")
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(TRUTH_HEADER) + "\n")
-            for rows in row_chunks(
-                self.user_ids, self.home_towers, self.work_towers, self.migration_towers
-            ):
-                fh.write("".join([f"{u},{h},{w},{'' if m < 0 else m}\n"
-                                  for u, h, w, m in rows]))
+        """numpy formats the rows (see core.format_blocks); a non-migrant's
+        migration_tower is an empty field."""
+        columns = [self.user_ids, self.home_towers, self.work_towers,
+                   self.migration_towers]
+        with open(path, "wb") as fh:
+            fh.write((",".join(TRUTH_HEADER) + "\n").encode())
+            fh.writelines(format_blocks(columns, blank=(3,)))
 
     @classmethod
     def read_csv(cls, path) -> "GroundTruthTable":
@@ -482,7 +482,7 @@ def accuracy_csv(rows) -> str:
 
 
 def score_against_truth(
-    assignments_by_hda: dict[str, list[BulkAssignments]],
+    assignments_by_hda: dict[str, BulkAssignments],
     truth: GroundTruthTable,
     window: ObservationWindow,
     migration: "MigrationConfig | DatasetSpan | None" = None,
@@ -491,26 +491,25 @@ def score_against_truth(
     (hda, window, group, n_users, n_correct) row per HDA and group (all,
     migrant, non_migrant), in that order.
 
-    Each HDA maps to its cell's assignments, one BulkAssignments per
-    partition. Truth is the pre-migration home. Users count as migrants
-    only when they have a destination AND the window overlaps the migration
-    range (which the truth table alone cannot date, hence the explicit
-    argument: anything with first_day and last_day, such as a
-    MigrationConfig or a DatasetSpan). An unassigned user is simply wrong
-    (never dropped from the denominator), even against a truth home of -1.
+    Each HDA maps to its cell's assignments. Truth is the pre-migration
+    home. Users count as migrants only when they have a destination AND the
+    window overlaps the migration range (which the truth table alone cannot
+    date, hence the explicit argument: anything with first_day and
+    last_day, such as a MigrationConfig or a DatasetSpan). An unassigned
+    user is simply wrong (never dropped from the denominator), even against
+    a truth home of -1.
     """
     overlap = migration is not None and window.overlaps(
         migration.first_day, migration.last_day
     )
     rows = []
-    for hda_name, bulks in assignments_by_hda.items():
-        uids = np.concatenate([b.user_ids for b in bulks])
-        homes = np.concatenate([b.home_towers for b in bulks])
-        tr = truth.rows_for_users(uids)
+    for hda_name, bulk in assignments_by_hda.items():
+        homes = bulk.home_towers
+        tr = truth.rows_for_users(bulk.user_ids)
         correct = (homes >= 0) & (homes == truth.home_towers[tr])
         migrant = truth.is_migrant[tr] & overlap
         for group, mask in (
-            ("all", np.ones(len(uids), dtype=bool)),
+            ("all", np.ones(len(homes), dtype=bool)),
             ("migrant", migrant),
             ("non_migrant", ~migrant),
         ):

@@ -150,13 +150,12 @@ def test_noise_free_generator_is_exactly_recoverable():
         work_call_share_day=0.0,
     )
     res = generate(cfg)
-    parts = _parts(res)
+    part = _parts(res, 1)[0]
     window = generate_windows(cfg.span, classes=("full",))[0]
     accs = {}
     for name in ("MA", "DD"):
-        spec = canonical_hda(name)
-        bulks = [detect_homes_bulk(p, window, spec) for p in parts]
-        rows = score_against_truth({name: bulks}, res.truth, window)
+        bulk = detect_homes_bulk(part, window, canonical_hda(name))
+        rows = score_against_truth({name: bulk}, res.truth, window)
         _, _, group, n_users, n_correct = rows[0]  # the "all" group comes first
         assert group == "all"
         accs[name] = n_correct / n_users

@@ -217,7 +217,6 @@ def test_detect_dump_without_out_is_refused(synth_dir, tmp_path, monkeypatch, ca
     ("sweep", "--partitions=0"),
     ("detect", "--min-qualifying=0"),
     ("detect", "--partitions=0"),
-    ("ingest-check", "--partitions=0"),
 ])
 def test_option_values_are_checked_before_the_records_are_read(
     synth_dir, tmp_path, command, flag, capsys
@@ -232,6 +231,21 @@ def test_option_values_are_checked_before_the_records_are_read(
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and flag[2:].split("=")[0].replace("-", "_") in err[0], err
     assert not (tmp_path / "out").exists()
+
+
+def test_ingest_check_takes_no_partitions(synth_dir, tmp_path, capsys):
+    # it never detects, so the count changed nothing it prints
+    argv = ["ingest-check", "--records", str(synth_dir / "records.csv"),
+            "--towers", str(synth_dir / "towers.csv"), "--span", SPAN]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--partitions", "2"])
+    assert exc.value.code == 2
+    assert "--partitions" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("partitions = 2\n")  # a key detect and sweep take
+    assert main(argv + ["--config", str(cfg)]) == 0
+    out = capsys.readouterr().out
+    assert "distinct_users=112" in out and "partitions" not in out
 
 
 def test_sweep_boolean_flags_take_false(synth_dir, tmp_path, capsys):
@@ -487,6 +501,33 @@ def test_score_rejects_bad_truth_table(tmp_path, truth_rows, fragment, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:"), err
     assert fragment in err[0]
+
+
+def test_a_user_missing_from_the_truth_is_named_without_quotes(tmp_path, capsys):
+    # main printed str(KeyError), which quotes the message
+    truth = tmp_path / "truth.csv"
+    truth.write_text(TRUTH_HEADER + "\n1,100,100,\n")
+    dump = tmp_path / "MA__w.csv"
+    dump.write_text("user_id,home_tower,qualifying_count,tie_broken\n"
+                    "1,100,3,0\n99999,100,3,0\n")
+    argv = ["score", "--assignments", str(dump), "--truth", str(truth), "--window", SPAN]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: user 99999 has no ground-truth row\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["windows", "--span", "2007-06-28..2007-06-01"],
+    ["score", "--assignments", "a.csv", "--truth", "t.csv",
+     "--window", "2007-06-28..2007-06-01"],
+    ["score", "--assignments", "a.csv", "--truth", "t.csv", "--window", SPAN,
+     "--migration-range", "2007-06-28..2007-06-01"],
+], ids=["span", "window", "migration-range"])
+def test_a_reversed_date_range_says_it_ends_before_it_starts(argv, capsys):
+    # DatasetSpan.parse once replaced this reason with the format message
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "ends before it starts" in err[0], err
+    assert "expected FIRST..LAST" not in err[0]
 
 
 DUMP_HEADER = "user_id,home_tower,qualifying_count,tie_broken"

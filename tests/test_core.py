@@ -147,7 +147,6 @@ def test_writers_equal_csv_writer(tmp_path, monkeypatch):
     _check_writers(tmp_path)
     # again with blocks of 3 rows, so every file spans several blocks
     monkeypatch.setattr(core, "_FORMAT_ROWS", 3)
-    monkeypatch.setattr(core, "_WRITE_ROWS", 3)
     _check_writers(tmp_path)
     with pytest.raises(ValueError, match="unequal"):
         write_records_csv(tmp_path / "r.csv", np.zeros(3, dtype=np.uint64),
@@ -228,9 +227,9 @@ def test_partition_assignment_stable_and_complete():
         users, towers, stamps, clock=CivilClock(), n_partitions=4
     )
     assert sum(p.n_records for p in parts) == len(users)
-    for p in parts:
+    for index, p in enumerate(parts):
         for uid in p.user_ids:
-            assert partition_of(int(uid), 4) == p.index
+            assert partition_of(int(uid), 4) == index
     # the same users never split across partitions
     seen = np.concatenate([p.user_ids for p in parts])
     assert len(np.unique(seen)) == len(seen)

@@ -51,11 +51,10 @@ def _assert_matches_oracle(
 ):
     """Every user of the bulk equals brute_force_home over the user's input
     records (records_by_user), and the partition holds exactly those
-    records; fields caches user_fields per user id across calls."""
+    users and records; fields caches user_fields per user id across calls."""
     fields = {} if fields is None else fields
     assert np.array_equal(bulk.user_ids, part.user_ids)
-    if part.n_partitions == 1:
-        assert part.user_ids.tolist() == sorted(records)
+    assert part.user_ids.tolist() == sorted(records)
     assert part.n_records == sum(len(records[int(u)][1]) for u in part.user_ids)
     for i, uid in enumerate(part.user_ids.tolist()):
         tw, ts = records[uid]
@@ -264,13 +263,15 @@ def test_bulk_matches_oracle_on_whole_grid(n_partitions):
     records = records_by_user(users, towers, stamps)
     held = np.concatenate([p.user_ids for p in parts])
     assert sorted(held.tolist()) == sorted(records)
+    # each partition's users' records
+    own = [{u: records[u] for u in p.user_ids.tolist()} for p in parts]
     fields = {}
     for window in windows:
         for spec, min_q in thresholds:
-            for part in parts:
+            for part, part_records in zip(parts, own):
                 bulk = detect_homes_bulk(part, window, spec, min_qualifying=min_q)
                 _assert_matches_oracle(
-                    part, bulk, spec, window, records, min_q, fields=fields
+                    part, bulk, spec, window, part_records, min_q, fields=fields
                 )
                 if window.label in ("before", "after"):
                     assert (bulk.home_towers == -1).all() and not bulk.qualifying.any()

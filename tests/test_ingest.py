@@ -31,7 +31,6 @@ def _reference_ingest(path, registry, span, clock, n_partitions):
     )
     report = IngestReport(
         records_file=str(path),
-        n_partitions=n_partitions,
         accepted=sum(p.n_records for p in parts),
         rejected_out_of_span=n_out,
         distinct_users=sum(p.n_users for p in parts),

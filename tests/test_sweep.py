@@ -23,6 +23,7 @@ from cdrhomes.timebase import CivilClock
 from cdrhomes.windows import generate_windows
 
 from conftest import one_partition
+from oracles import partition_of
 
 SPAN = DatasetSpan.parse("2007-06-01..2007-07-14")
 HDAS = [canonical_hda(name) for name in ("MA", "DD", "TC-19-9")]
@@ -385,17 +386,34 @@ def test_assignment_dump_rows_do_not_depend_on_partition_count(tmp_path):
         assert sorted(dumps[4][name][1:]) == sorted(lines[1:]), name
 
 
-def _f_string_dump(bulks) -> str:
+def test_assignment_dump_rows_come_in_partition_order(tmp_path):
+    # the order perfbench's parallel-dump digests pin at 4 partitions:
+    # partition by partition, each by ascending user id
+    res, _, wins = _dataset()
+    parts = one_partition(
+        res.users, res.towers, res.timestamps,
+        clock=CivilClock(res.config.tz_name), n_partitions=4,
+    )
+    run_sweep(parts, res.registry, wins, HDAS, tmp_path,
+              SweepOptions(dump_assignments=True))
+    want = sorted(res.truth.user_ids.tolist(), key=lambda u: (partition_of(u, 4), u))
+    dumps = sorted((tmp_path / "assignments").glob("*.csv"))
+    assert len(dumps) == len(wins) * len(HDAS)
+    for path in dumps:
+        rows = path.read_text().splitlines()[1:]
+        assert [int(row.split(",")[0]) for row in rows] == want, path.name
+
+
+def _f_string_dump(bulk) -> str:
     """A cell's assignment dump as the row-by-row f-string writer made it."""
     lines = ["user_id,home_tower,qualifying_count,tie_broken"]
-    for b in bulks:
-        lines += [
-            f"{uid},{'' if home < 0 else home},{q},{int(t)}"
-            for uid, home, q, t in zip(
-                b.user_ids.tolist(), b.home_towers.tolist(),
-                b.qualifying.tolist(), b.tie_broken.tolist(),
-            )
-        ]
+    lines += [
+        f"{uid},{'' if home < 0 else home},{q},{int(t)}"
+        for uid, home, q, t in zip(
+            bulk.user_ids.tolist(), bulk.home_towers.tolist(),
+            bulk.qualifying.tolist(), bulk.tie_broken.tolist(),
+        )
+    ]
     return "\n".join(lines) + "\n"
 
 
@@ -423,15 +441,15 @@ def test_assignment_dump_equals_the_f_string_rows_at_the_extremes(
                  homes, rng.integers(0, 90, 50) * (homes >= 0),
                  rng.random(50) < 0.2)
     cases = {
-        "one partition": [extremes],
-        "all unassigned": [unassigned],
-        "empty": [empty],
-        "four partitions": [extremes, empty, unassigned, drawn],
+        "extremes": extremes,
+        "all unassigned": unassigned,
+        "empty": empty,
+        "drawn": drawn,
     }
-    for name, bulks in cases.items():
+    for name, bulk in cases.items():
         path = tmp_path / f"{name}.csv"
-        sweep_mod._write_assignment_dump(path, bulks)
-        assert path.read_bytes() == _f_string_dump(bulks).encode(), name
+        sweep_mod._write_assignment_dump(path, bulk)
+        assert path.read_bytes() == _f_string_dump(bulk).encode(), name
         assert not path.with_name(path.name + ".tmp").exists()
 
 

@@ -306,11 +306,11 @@ def test_score_against_truth_grouping():
         migration_towers=np.array([-1, 110, -1, 111], dtype=np.int64),
     )
     assignments = {
-        "MA": [BulkAssignments(
+        "MA": BulkAssignments(
             truth.user_ids,
             np.array([100, 999, 102, -1], dtype=np.int64),
             np.full(4, 3, dtype=np.int64), np.zeros(4, dtype=bool),
-        )]
+        )
     }
     overlap_win = ObservationWindow(
         "w", date(2007, 6, 1), date(2007, 6, 14), "custom"
@@ -347,7 +347,7 @@ def test_an_unassigned_user_never_matches_a_truth_home_of_minus_one():
         np.array([0, 3], dtype=np.int64), np.zeros(2, dtype=bool),
     )
     window = ObservationWindow("w", date(2007, 6, 1), date(2007, 6, 14), "custom")
-    rows = score_against_truth({"MA": [unassigned_first]}, truth, window)
+    rows = score_against_truth({"MA": unassigned_first}, truth, window)
     assert rows[0] == ("MA", "w", "all", 2, 1)
 
 
@@ -359,7 +359,7 @@ def test_detection_on_calm_data_is_accurate():
     window = ObservationWindow("full", SPAN30.first_day, SPAN30.last_day, "full")
     for name in ("MA", "DD", "TC-19-9"):
         bulk = detect_homes_bulk(part, window, canonical_hda(name))
-        rows = score_against_truth({name: [bulk]}, res.truth, window)
+        rows = score_against_truth({name: bulk}, res.truth, window)
         _, _, group, n_users, n_correct = rows[0]
         assert group == "all" and n_correct / n_users > 0.9, (name, rows[0])
 
