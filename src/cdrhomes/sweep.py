@@ -21,11 +21,9 @@ sweep degrades to sequential execution with identical outputs.
 
 from __future__ import annotations
 
-import concurrent.futures
 import contextlib
 import hashlib
 import json
-import multiprocessing
 import os
 import resource
 import sys
@@ -209,7 +207,10 @@ def _compute_cell(state: dict, h_idx: int, w_idx: int) -> dict:
         name = f"{spec.name}__{window.label}.csv"
         if state["towers_dir"] is not None:
             lr = log_ratio_array(x, registry.population)
-            _write_tower_export(state["towers_dir"] / name, x, lr, state["tower_rows"])
+            _write_tower_export(
+                state["towers_dir"] / name, x, lr,
+                state["tower_rows"], state["tower_lines"],
+            )
         if state["assignments_dir"] is not None:
             _write_assignment_dump(state["assignments_dir"] / name, bulk)
     rec["fingerprint"] = state["fingerprint"]
@@ -369,16 +370,37 @@ def _tower_export_rows(registry: TowerRegistry) -> list[tuple[str, str]]:
     ]
 
 
+# most lines a sweep process keeps in its tower-export memo; a full memo is
+# emptied, so its memory never grows with towers x cells
+_EXPORT_MEMO_LINES = 1 << 15
+
+
 def _write_tower_export(
-    path: Path, x: np.ndarray, logratio: np.ndarray, rows: list[tuple[str, str]]
+    path: Path,
+    x: np.ndarray,
+    logratio: np.ndarray,
+    rows: list[tuple[str, str]],
+    memo: dict[int, str],
 ) -> None:
-    """One cell's per-tower CSV; rows come from _tower_export_rows."""
-    lr = ["" if v != v else repr(v) for v in logratio.tolist()]  # NaN
-    lines = ["tower_id,lon,lat,x,y,logratio"]
-    lines += [
-        f"{head}{xi}{mid}{v}" for (head, mid), xi, v in zip(rows, x.tolist(), lr)
-    ]
-    _atomic_write(path, "\n".join(lines) + "\n")
+    """One cell's per-tower CSV; rows come from _tower_export_rows.
+
+    A line depends only on its registry row and x (the log ratio is ln(x/y)
+    element by element), so memo maps row + x * len(rows) to finished line
+    text, and a cell formats only the lines no earlier cell of this sweep
+    process wrote. Each sweep, and each of its workers, has its own memo.
+    """
+    keys = (x * len(rows) + np.arange(len(rows))).tolist()
+    lines = [memo.get(k) for k in keys]
+    if None in lines:
+        xs, lr = x.tolist(), logratio.tolist()
+        for i, line in enumerate(lines):
+            if line is None:
+                head, mid = rows[i]
+                v = "" if lr[i] != lr[i] else repr(lr[i])  # NaN
+                if len(memo) >= _EXPORT_MEMO_LINES:
+                    memo.clear()
+                lines[i] = memo[keys[i]] = f"{head}{xs[i]}{mid}{v}"
+    _atomic_write(path, "\n".join(["tower_id,lon,lat,x,y,logratio", *lines]) + "\n")
 
 
 def _write_assignment_dump(path: Path, bulk: BulkAssignments) -> None:
@@ -502,6 +524,7 @@ def run_sweep(
             state["towers_dir"] = out_path / TOWERS_DIR
             state["towers_dir"].mkdir(exist_ok=True)
             state["tower_rows"] = _tower_export_rows(registry)
+            state["tower_lines"] = {}  # the memo of _write_tower_export
         if options.dump_assignments:
             state["assignments_dir"] = out_path / ASSIGNMENTS_DIR
             state["assignments_dir"].mkdir(exist_ok=True)
@@ -533,8 +556,13 @@ def run_sweep(
 
     # a fork pool starts all its workers at once: no more than there are cells
     use_workers = min(options.workers, len(todo))
-    if "fork" not in multiprocessing.get_all_start_methods():
-        use_workers = 1
+    if use_workers > 1:
+        # imported here, so that a one-worker sweep does not pay for them
+        import concurrent.futures
+        import multiprocessing
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            use_workers = 1
     with (
         contextlib.nullcontext() if out_path is None
         else open(out_path / CELLS_FILE, "a")

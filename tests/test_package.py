@@ -129,3 +129,22 @@ def test_the_cli_starts_no_blas_thread_pool_unless_asked():
     # a value already set wins over the CLI's pin: main thread and one more
     count, _ = _threads_after_importing_the_cli(OPENBLAS_NUM_THREADS="2")
     assert count == 2
+
+
+def test_a_one_worker_sweep_imports_no_process_pool(tmp_path):
+    # only a sweep that forks pays for importing the pool's modules
+    data, run = tmp_path / "data", tmp_path / "run"
+    out = _fresh_python(
+        "import sys\n"
+        "from cdrhomes.cli import main\n"
+        f"assert main(['synth', '--out', {str(data)!r}, '--seed', '5',\n"
+        "    '--span', '2007-06-01..2007-06-14', '--n-towers', '12',\n"
+        "    '--n-population', '400']) == 0\n"
+        f"assert main(['sweep', '--records', {str(data / 'records.csv')!r},\n"
+        f"    '--towers', {str(data / 'towers.csv')!r},\n"
+        "    '--span', '2007-06-01..2007-06-14', '--classes', 'full',\n"
+        f"    '--out', {str(run)!r}, '--workers', '1']) == 0\n"
+        "print(*(m in sys.modules for m in ('multiprocessing', 'concurrent.futures')))\n"
+    )
+    assert out.splitlines()[-1].split() == ["False", "False"]
+    assert len(list((run / "towers").iterdir())) == 9  # every criterion ran

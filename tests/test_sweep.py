@@ -16,7 +16,10 @@ from cdrhomes import core
 from cdrhomes import sweep as sweep_mod
 from cdrhomes.cli import main
 from cdrhomes.core import DatasetSpan, TowerRegistry
-from cdrhomes.hda import BulkAssignments, canonical_hda
+from cdrhomes.hda import (
+    BulkAssignments, aggregate_homes, canonical_hda, detect_homes_bulk,
+)
+from cdrhomes.metrics import log_ratio_array
 from cdrhomes.sweep import SweepOptions, emit_reports, load_run, run_sweep
 from cdrhomes.synth import SynthConfig, MigrationConfig, generate
 from cdrhomes.timebase import CivilClock
@@ -304,6 +307,75 @@ def test_a_raising_cell_cancels_the_cells_still_queued(tmp_path, monkeypatch):
         run_sweep(parts, res.registry, wins, HDAS, out, SweepOptions(workers=workers))
     written = list((out / "towers").iterdir())
     assert len(written) <= 2 * workers + 1, sorted(p.name for p in written)
+
+
+def _tower_export_text(registry, parts, window, spec) -> str:
+    """A cell's tower export as a sweep alone writes it: formatted line by
+    line, without a memo, from the registry and the cell's x."""
+    x = sum(
+        aggregate_homes(detect_homes_bulk(part, window, spec), registry)
+        for part in parts
+    )
+    lr = log_ratio_array(x, registry.population)
+    lines = ["tower_id,lon,lat,x,y,logratio"] + [
+        f"{tid},{lon!r},{lat!r},{xi},{y},{'' if v != v else repr(v)}"
+        for tid, lon, lat, xi, y, v in zip(
+            registry.tower_ids.tolist(), registry.lon.tolist(),
+            registry.lat.tolist(), x.tolist(), registry.population.tolist(),
+            lr.tolist(),
+        )
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def test_tower_export_memo_belongs_to_one_sweep(tmp_path):
+    # two sweeps in one process over the same records and tower ids: every
+    # cell has the same x in both, so the same memo keys, but each sweep's
+    # lines must come from its own registry's lon, lat and population
+    res, parts, wins = _dataset()
+    reg = res.registry
+    ids = np.append(reg.tower_ids, reg.tower_ids.max() + 1)  # no record: x = 0
+    first = TowerRegistry(
+        ids, np.append(reg.lon, 5.0), np.append(reg.lat, 45.0),
+        np.append(reg.population, 7),
+    )
+    second = TowerRegistry(
+        ids, first.lon + 0.5, first.lat - 0.25,
+        np.append(0, first.population[1:] * 3),  # y = 0 at the first tower
+    )
+    runs = [(first, tmp_path / "first"), (second, tmp_path / "second")]
+    for registry, out in runs:
+        run_sweep(parts, registry, wins, HDAS, out, SweepOptions())
+    for registry, out in runs:
+        assert len(list((out / "towers").iterdir())) == len(HDAS) * len(wins)
+        for spec in HDAS:
+            for w in wins:
+                text = (out / "towers" / f"{spec.name}__{w.label}.csv").read_text()
+                assert text == _tower_export_text(registry, parts, w, spec)
+                rows = [line.split(",") for line in text.splitlines()[1:]]
+                assert rows[-1][3] == "0" and rows[-1][5] == ""  # x = 0
+                if registry is second:
+                    assert rows[0][4] == "0" and rows[0][5] == ""  # y = 0
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_tower_export_memo_bound_keeps_every_byte(tmp_path, monkeypatch, workers):
+    res, parts, wins = _dataset()
+    unbounded = tmp_path / "unbounded"
+    run_sweep(parts, res.registry, wins, HDAS, unbounded, SweepOptions(workers=workers))
+
+    # a bound far below one cell's 15 lines: the memo is emptied within cells
+    bound, real = 4, sweep_mod._write_tower_export
+    monkeypatch.setattr(sweep_mod, "_EXPORT_MEMO_LINES", bound)
+
+    def checks_the_bound(path, x, logratio, rows, memo):
+        real(path, x, logratio, rows, memo)
+        assert 0 < len(memo) <= bound  # in a worker, this fails the sweep
+
+    monkeypatch.setattr(sweep_mod, "_write_tower_export", checks_the_bound)
+    bounded = tmp_path / "bounded"
+    run_sweep(parts, res.registry, wins, HDAS, bounded, SweepOptions(workers=workers))
+    assert _run_files(bounded) == _run_files(unbounded)
 
 
 def test_undecodable_cells_line_is_skipped_by_report_and_dropped_by_resume(
