@@ -24,7 +24,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
@@ -128,11 +128,6 @@ def _need(args: argparse.Namespace, *flags: str) -> None:
             raise CliError(f"missing required option --{flag}")
 
 
-def _ingest(args: argparse.Namespace, registry: TowerRegistry):
-    return ingest(args.records, registry, args.span, n_partitions=args.partitions,
-                  clock=CivilClock(args.tz))
-
-
 # -- subcommands -----------------------------------------------------------
 
 
@@ -199,7 +194,8 @@ def cmd_detect(args: argparse.Namespace) -> int:
     options = SweepOptions(min_qualifying=args.min_qualifying,
                            dump_assignments=args.dump_assignments)
     registry = TowerRegistry.read_csv(args.towers)
-    partitions, report = _ingest(args, registry)
+    partitions, report = ingest(args.records, registry, args.span,
+                                clock=CivilClock(args.tz))
     result, manifest = run_sweep(
         partitions, registry, [args.window], [args.hda], args.out, options,
         span=str(args.span), tz_name=args.tz, ingest_report=report,
@@ -215,7 +211,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         **{f.name: getattr(args, f.name) for f in fields(SweepOptions)}
     )
     registry = TowerRegistry.read_csv(args.towers)
-    partitions, report = _ingest(args, registry)
+    partitions, report = ingest(args.records, registry, args.span,
+                                n_partitions=args.partitions, clock=CivilClock(args.tz))
     truth = GroundTruthTable.read_csv(args.truth) if args.truth else None
     result, manifest = run_sweep(
         partitions, registry, generate_windows(args.span, args.classes), args.hdas,
@@ -251,10 +248,12 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 def cmd_score(args: argparse.Namespace) -> int:
     truth = GroundTruthTable.read_csv(args.truth)
-    hda_name = args.hda or Path(args.assignments).stem.split("__")[0]
+    # a dump is named HDA__LABEL.csv: its rows take the cell's window label
+    hda_name, _, label = Path(args.assignments).stem.partition("__")
+    window = replace(args.window, label=label) if label else args.window
     rows = score_against_truth(
-        {hda_name: read_assignment_dump(args.assignments)}, truth, args.window,
-        args.migration_range,
+        {args.hda or hda_name: read_assignment_dump(args.assignments)}, truth,
+        window, args.migration_range,
     )
     print(accuracy_csv(rows), end="")
     return 0
@@ -290,8 +289,6 @@ _INPUT = [
     _SPAN,
     _TZ,
 ]
-_PARTITIONS = ("partitions", {"type": int, "default": 1,
-                              "help": "user partition count"})
 
 # command -> (function, help, [(flag without --, add_argument keywords)]);
 # "required": True is checked after the config file is read (exit 1)
@@ -324,7 +321,6 @@ _COMMANDS = {
     ]),
     "detect": (cmd_detect, "run one HDA over one window: a one-cell sweep", [
         *_INPUT,
-        _PARTITIONS,
         ("hda", {"type": canonical_hda, "required": True,
                  "help": "HDA name, one of " + ",".join(CANONICAL_HDA_NAMES)}),
         _WINDOW,
@@ -334,7 +330,7 @@ _COMMANDS = {
     ]),
     "sweep": (cmd_sweep, "run the full (HDA x window) grid and emit reports", [
         *_INPUT,
-        _PARTITIONS,
+        ("partitions", {"type": int, "default": 1, "help": "user partition count"}),
         _CLASSES,
         ("hdas", {"type": _hdas, "default": ",".join(CANONICAL_HDA_NAMES),
                   "help": "comma list of HDA names (default: all 9)"}),

@@ -13,7 +13,6 @@ shapes and a per-line parser judges every other line, in file order.
 
 from __future__ import annotations
 
-import re
 import time
 from dataclasses import dataclass, field, fields
 from datetime import date
@@ -456,7 +455,6 @@ _ISO_RUNS = np.array([4, 2, 2, 2, 2, 2])
 _ISO_WIDTH = 19  # YYYY-MM-DDTHH:MM:SS
 _MAX_FAST_DIGITS = 18  # any 18-digit number fits user, tower and timestamp
 _NL_TO_COMMA = bytes.maketrans(b"\n", b",")
-_LINE_END = re.compile(rb"\r\n|\r|\n")
 _KIND_SLOW, _KIND_INT, _KIND_ISO = 0, 1, 2
 
 
@@ -478,12 +476,10 @@ class _LineJudge:
         self.first = True
 
     def records(self, text: bytes) -> list[tuple[int, int, int]]:
-        """Records of the lines in text, which end at CR LF, a lone CR or LF."""
-        lines = _LINE_END.split(text)
-        if lines[-1] == b"":
-            lines.pop()  # text is empty or ends with a line end
+        """Records of the lines in text, which end at CR LF, a lone CR or LF
+        (bytes.splitlines() ends lines at those alone)."""
         out = []
-        for raw in lines:
+        for raw in text.splitlines():
             # an undecodable byte becomes a \xNN escape, which no field
             # parses: the line counts as malformed (or as the header)
             record = self.judge(raw.decode("utf-8", "backslashreplace"))

@@ -47,7 +47,8 @@ def line_chart(
     x_date_ticks: bool = False,
     scatter: bool = False,
 ) -> str:
-    """Render labeled (x, y) series as one SVG document string.
+    """Render labeled (x, y) series, at least one point in all, as one SVG
+    document string.
 
     x values are plain floats; pass date.toordinal() values together with
     x_date_ticks=True to get ISO dates on the axis.
@@ -62,14 +63,6 @@ def line_chart(
         f'<text x="{_W // 2}" y="24" text-anchor="middle" '
         f'font-family="sans-serif" font-size="15">{_esc(title)}</text>',
     ]
-    if not pts:
-        out.append(
-            f'<text x="{_W // 2}" y="{_H // 2}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="13" fill="#777">no data</text>'
-        )
-        out.append("</svg>")
-        return "\n".join(out) + "\n"
-
     x0 = min(p[0] for p in pts)
     x1 = max(p[0] for p in pts)
     y0 = min(p[1] for p in pts)

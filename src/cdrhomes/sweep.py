@@ -206,9 +206,8 @@ def _compute_cell(state: dict, h_idx: int, w_idx: int) -> dict:
     else:
         name = f"{spec.name}__{window.label}.csv"
         if state["towers_dir"] is not None:
-            lr = log_ratio_array(x, registry.population)
             _write_tower_export(
-                state["towers_dir"] / name, x, lr,
+                state["towers_dir"] / name, x, registry.population,
                 state["tower_rows"], state["tower_lines"],
             )
         if state["assignments_dir"] is not None:
@@ -378,7 +377,7 @@ _EXPORT_MEMO_LINES = 1 << 15
 def _write_tower_export(
     path: Path,
     x: np.ndarray,
-    logratio: np.ndarray,
+    population: np.ndarray,
     rows: list[tuple[str, str]],
     memo: dict[int, str],
 ) -> None:
@@ -387,12 +386,13 @@ def _write_tower_export(
     A line depends only on its registry row and x (the log ratio is ln(x/y)
     element by element), so memo maps row + x * len(rows) to finished line
     text, and a cell formats only the lines no earlier cell of this sweep
-    process wrote. Each sweep, and each of its workers, has its own memo.
+    process wrote; a cell whose every line is in the memo takes no log
+    ratio. Each sweep, and each of its workers, has its own memo.
     """
     keys = (x * len(rows) + np.arange(len(rows))).tolist()
     lines = [memo.get(k) for k in keys]
     if None in lines:
-        xs, lr = x.tolist(), logratio.tolist()
+        xs, lr = x.tolist(), log_ratio_array(x, population).tolist()
         for i, line in enumerate(lines):
             if line is None:
                 head, mid = rows[i]

@@ -137,7 +137,6 @@ def test_detect_dump_equals_sweep_dump(synth_dir, tmp_path, capsys):
     inputs = [
         "--records", str(synth_dir / "records.csv"),
         "--towers", str(synth_dir / "towers.csv"), "--span", SPAN,
-        "--partitions", "2",
     ]
     detect, sweep = tmp_path / "detect", tmp_path / "sweep"
     assert main([
@@ -216,7 +215,6 @@ def test_detect_dump_without_out_is_refused(synth_dir, tmp_path, monkeypatch, ca
     ("sweep", "--min-qualifying=0"),
     ("sweep", "--partitions=0"),
     ("detect", "--min-qualifying=0"),
-    ("detect", "--partitions=0"),
 ])
 def test_option_values_are_checked_before_the_records_are_read(
     synth_dir, tmp_path, command, flag, capsys
@@ -233,19 +231,23 @@ def test_option_values_are_checked_before_the_records_are_read(
     assert not (tmp_path / "out").exists()
 
 
-def test_ingest_check_takes_no_partitions(synth_dir, tmp_path, capsys):
-    # it never detects, so the count changed nothing it prints
-    argv = ["ingest-check", "--records", str(synth_dir / "records.csv"),
+@pytest.mark.parametrize("command", ["ingest-check", "detect"])
+def test_only_sweep_takes_partitions(synth_dir, tmp_path, command, capsys):
+    # ingest-check never detects, and detect's one cell always runs at one
+    # partition, so its dump rows come in user-id order
+    argv = [command, "--records", str(synth_dir / "records.csv"),
             "--towers", str(synth_dir / "towers.csv"), "--span", SPAN]
+    if command == "detect":
+        argv += ["--hda", "MA", "--window", SPAN]
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--partitions", "2"])
     assert exc.value.code == 2
     assert "--partitions" in capsys.readouterr().err
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("partitions = 2\n")  # a key detect and sweep take
+    cfg.write_text("partitions = 2\n")  # a key only sweep takes
     assert main(argv + ["--config", str(cfg)]) == 0
     out = capsys.readouterr().out
-    assert "distinct_users=112" in out and "partitions" not in out
+    assert "users=112" in out and "partitions" not in out
 
 
 def test_sweep_boolean_flags_take_false(synth_dir, tmp_path, capsys):
@@ -501,6 +503,36 @@ def test_score_rejects_bad_truth_table(tmp_path, truth_rows, fragment, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:"), err
     assert fragment in err[0]
+
+
+def test_score_of_a_sweep_dump_prints_that_cells_accuracy_rows(
+    synth_dir, tmp_path, capsys
+):
+    # score's rows join accuracy.csv on (hda, window): it takes the window
+    # label from the dump's name, HDA__LABEL.csv, not from --window
+    run, migration = tmp_path / "run", "2007-06-08..2007-06-24"
+    assert main([
+        "sweep", "--records", str(synth_dir / "records.csv"),
+        "--towers", str(synth_dir / "towers.csv"), "--span", SPAN,
+        "--hdas", "MA,TC-9-19-WK", "--classes", "days14,full", "--out", str(run),
+        "--dump-assignments", "--truth", str(synth_dir / "truth.csv"),
+        "--migration-range", migration,
+    ]) == 0
+    accuracy = (run / "accuracy.csv").read_text().splitlines()
+    windows = [line.split(",") for line in
+               (run / "windows.csv").read_text().splitlines()[1:]]
+    assert len(windows) == 3
+    capsys.readouterr()
+    for hda in ("MA", "TC-9-19-WK"):
+        for label, first, last, _ in windows:
+            assert main([
+                "score", "--assignments", str(run / "assignments" / f"{hda}__{label}.csv"),
+                "--truth", str(synth_dir / "truth.csv"), "--window", f"{first}..{last}",
+                "--migration-range", migration,
+            ]) == 0
+            want = [line for line in accuracy if line.startswith(f"{hda},{label},")]
+            assert len(want) == 3
+            assert capsys.readouterr().out.splitlines() == [accuracy[0], *want]
 
 
 def test_a_user_missing_from_the_truth_is_named_without_quotes(tmp_path, capsys):

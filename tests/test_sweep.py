@@ -368,8 +368,8 @@ def test_tower_export_memo_bound_keeps_every_byte(tmp_path, monkeypatch, workers
     bound, real = 4, sweep_mod._write_tower_export
     monkeypatch.setattr(sweep_mod, "_EXPORT_MEMO_LINES", bound)
 
-    def checks_the_bound(path, x, logratio, rows, memo):
-        real(path, x, logratio, rows, memo)
+    def checks_the_bound(path, x, population, rows, memo):
+        real(path, x, population, rows, memo)
         assert 0 < len(memo) <= bound  # in a worker, this fails the sweep
 
     monkeypatch.setattr(sweep_mod, "_write_tower_export", checks_the_bound)
