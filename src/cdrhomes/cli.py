@@ -91,6 +91,8 @@ def _parse_bool(text: str) -> bool:
 
 def _classes(text: str) -> tuple[str, ...]:
     out = tuple(c.strip() for c in text.split(",") if c.strip())
+    if not out:
+        raise ValueError("no window class given")
     for c in out:
         if c not in DURATION_CLASSES:
             raise ValueError(
@@ -101,6 +103,8 @@ def _classes(text: str) -> tuple[str, ...]:
 
 def _hdas(text: str) -> list:
     names = [n.strip() for n in text.split(",") if n.strip()]
+    if not names:
+        raise ValueError("no HDA given")
     for i, n in enumerate(names):
         if n in names[:i]:
             raise ValueError(f"duplicate HDA {n!r}")

@@ -116,12 +116,13 @@ class TowerRegistry:
 def read_table(path, header, types, blank=()) -> list[np.ndarray]:
     """A comma-separated table's columns, one array per header name.
 
-    Line 1 is skipped if it starts with header[0], and so is a blank line.
-    Every other line has one field per header name, parsed by its column's
-    type (a numpy integer type refuses a value outside its range). An
-    integer field must be non-negative; an empty one reads -1 (none) in the
-    columns named in blank. The first column's values must be unique. A bad
-    line raises ValueError starting 'FILE:LINE:'.
+    Line 1 is skipped if it starts with header[0] (ingest's rule for line 1
+    of the records file too), and so is a blank line. Every other line has
+    one field per header name, parsed by its column's type (a numpy integer
+    type refuses a value outside its range). An integer field must be
+    non-negative; an empty one reads -1 (none) in the columns named in
+    blank. The first column's values must be unique. A bad line raises
+    ValueError starting 'FILE:LINE:'.
     """
     path = Path(path)
     columns: list[list] = [[] for _ in header]
@@ -439,6 +440,7 @@ class IngestReport:
 
 
 _MAX_SAMPLE_REJECTS = 5
+_HEADER_START = RECORDS_HEADER[0].encode()  # how a header line 1 starts
 
 # bytes read per block of the records file; each block is cut after its
 # last whole line, so ingest's transient memory is a few times this
@@ -466,14 +468,14 @@ def _note_reject(report: IngestReport, line: str, reason: str) -> None:
 class _LineJudge:
     """The per-line parser, for the lines neither fast shape takes.
 
-    Lines reach it in file order; the first line of the file always does,
-    as it may be a header.
+    Lines reach it in file order. No fast shape fits a header line, so the
+    first line it gets is the header when report.header_line says so.
     """
 
     def __init__(self, report: IngestReport, clock: CivilClock):
         self.report = report
         self.clock = clock
-        self.first = True
+        self.header = report.header_line  # drop the first line, uncounted
 
     def records(self, text: bytes) -> list[tuple[int, int, int]]:
         """Records of the lines in text, which end at CR LF, a lone CR or LF
@@ -481,7 +483,7 @@ class _LineJudge:
         out = []
         for raw in text.splitlines():
             # an undecodable byte becomes a \xNN escape, which no field
-            # parses: the line counts as malformed (or as the header)
+            # parses: the line counts as malformed
             record = self.judge(raw.decode("utf-8", "backslashreplace"))
             if record is not None:
                 out.append(record)
@@ -489,15 +491,10 @@ class _LineJudge:
 
     def judge(self, line: str) -> tuple[int, int, int] | None:
         report = self.report
+        if self.header:
+            self.header = False
+            return None
         line = line.strip()
-        if self.first:
-            self.first = False
-            head = line.split(",")[0].strip()
-            try:
-                int(head)
-            except ValueError:
-                report.header_line = True
-                return None
         report.total_lines += 1
         fields = line.split(",")
         if len(fields) != 3:
@@ -567,8 +564,8 @@ def _parse_block(
     ended by LF or CR LF: all-integer 'U,T,S' with S also 1-18 digits, and
     ISO local time 'U,T,YYYY-MM-DDTHH:MM:SS' with a valid time whose wall
     clock lies in iso_range (seconds since 1970, half-open). Every other
-    line goes to judge, in file order, and so does what follows buf's last
-    LF: lines ended by a lone CR or by the end of the file.
+    line, a header included, goes to judge in file order, and so does what
+    follows buf's last LF: lines ended by a lone CR or by the end of file.
     """
     end = buf.rfind(b"\n") + 1
     a = np.frombuffer(buf, dtype=np.uint8, count=end)
@@ -579,8 +576,6 @@ def _parse_block(
     head = np.concatenate(([-1], nl))[:-1] + 1  # in p, each line's first non-digit
     cr = (nl > head) & (k[nl - 1] == _CR) & (runs[nl] == 0)
     width = nl - cr - head  # non-digits before the line end
-    if judge.first and len(nl):
-        width[0] = -1  # the first line of the file may be a header
 
     ids = (k == _COMMA) & _fast_digits(runs)  # commas after 1-18 digit ids
     kind = np.zeros(len(nl), dtype=np.uint8)
@@ -709,9 +704,9 @@ def ingest(
 
     Columns: user_id, tower_id, timestamp (epoch seconds, or local ISO
     'YYYY-MM-DDTHH:MM:SS'). The file is UTF-8 text whose lines end at LF,
-    CR LF or a lone CR; a line that is not a valid record (one with an
-    undecodable byte included) counts as malformed, and a record on a tower
-    the registry lacks as unknown_tower.
+    CR LF or a lone CR. Line 1 is a header if it starts with user_id, as in
+    read_table; any other line that is not a valid record counts as
+    malformed, and a record on a tower the registry lacks as unknown_tower.
     """
     if n_partitions < 1:
         raise ValueError("n_partitions must be >= 1")
@@ -722,6 +717,8 @@ def ingest(
 
     t_start = time.perf_counter()
     report = IngestReport(records_file=str(path))
+    with open(path, "rb") as fh:
+        report.header_line = fh.read(len(_HEADER_START)) == _HEADER_START
     judge = _LineJudge(report, clock)
     # ISO times more than two days outside the span are out of span; they
     # take the per-line path, which keeps the zone's transition table short
@@ -813,7 +810,7 @@ def format_blocks(columns: list[np.ndarray], blank: tuple[int, ...] = ()):
         yield _format_rows([c[lo:lo + _FORMAT_ROWS] for c in columns], blank)
 
 
-def write_records_csv(path, users, towers, timestamps, header: bool = True) -> None:
+def write_records_csv(path, users, towers, timestamps) -> None:
     """Write integer records as user_id,tower_id,timestamp rows.
 
     The bytes are those of csv.writer given the values as Python ints;
@@ -825,6 +822,5 @@ def write_records_csv(path, users, towers, timestamps, header: bool = True) -> N
     if not len(columns[0]) == len(columns[1]) == len(columns[2]):
         raise ValueError("record columns have unequal lengths")
     with open(path, "wb") as fh:
-        if header:
-            fh.write((",".join(RECORDS_HEADER) + "\n").encode())
+        fh.write((",".join(RECORDS_HEADER) + "\n").encode())
         fh.writelines(format_blocks(columns))

@@ -19,7 +19,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import TowerRegistry, UserPartition
+from .core import TowerRegistry, UserPartition, _change_flags
 from .windows import ObservationWindow
 
 CRITERIA = ("MA", "DD", "TC")
@@ -181,9 +181,7 @@ def detect_homes_bulk(
     live = np.flatnonzero(score)
     users = partition.pair_users[live]
     score, earliest = score[live], earliest[live]
-    new_user = np.empty(len(live), dtype=bool)
-    new_user[0] = True
-    np.not_equal(users[1:], users[:-1], out=new_user[1:])
+    new_user = _change_flags(users)
     starts = np.flatnonzero(new_user)
     group = np.cumsum(new_user) - 1
 

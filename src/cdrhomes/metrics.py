@@ -29,6 +29,15 @@ def _as_vector(a, name: str) -> np.ndarray:
     return arr
 
 
+def _vectors(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """x and y as float vectors of one length."""
+    xa = _as_vector(x, "x")
+    ya = _as_vector(y, "y")
+    if xa.shape != ya.shape:
+        raise ValueError(f"length mismatch: {xa.shape} vs {ya.shape}")
+    return xa, ya
+
+
 def pearson_r(x, y) -> float:
     """Pearson correlation by the centred two-pass formula.
 
@@ -36,10 +45,7 @@ def pearson_r(x, y) -> float:
     so large offsets cause no catastrophic cancellation. Result is clamped
     to [-1, 1]; constant input raises UndefinedMetric rather than returning 0.
     """
-    xa = _as_vector(x, "x")
-    ya = _as_vector(y, "y")
-    if xa.shape != ya.shape:
-        raise ValueError(f"length mismatch: {xa.shape} vs {ya.shape}")
+    xa, ya = _vectors(x, y)
     n = len(xa)
     if n < 2:
         raise UndefinedMetric(f"need at least 2 points, got {n}")
@@ -58,10 +64,7 @@ def pearson_r(x, y) -> float:
 
 def log_ratio_array(x, y) -> np.ndarray:
     """Vector ln(x/y) for exports; undefined entries become NaN."""
-    xa = _as_vector(x, "x")
-    ya = _as_vector(y, "y")
-    if xa.shape != ya.shape:
-        raise ValueError(f"length mismatch: {xa.shape} vs {ya.shape}")
+    xa, ya = _vectors(x, y)
     out = np.full(len(xa), np.nan)
     ok = (xa > 0) & (ya > 0)
     out[ok] = np.log(xa[ok] / ya[ok])
@@ -76,10 +79,7 @@ def decile_summary(x, y) -> list[list]:
     same rows. Fewer than 10 towers cannot form deciles; that returns the 9
     rows with n = 0 and NaN for the rest instead of failing.
     """
-    xa = _as_vector(x, "x")
-    ya = _as_vector(y, "y")
-    if xa.shape != ya.shape:
-        raise ValueError(f"length mismatch: {xa.shape} vs {ya.shape}")
+    xa, ya = _vectors(x, y)
     n = len(xa)
     if n < 10:
         return [[i + 1, 0] + [float("nan")] * 4 for i in range(N_DECILE_BINS)]

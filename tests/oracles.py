@@ -191,7 +191,8 @@ def reference_records(path, registry_ids, tz_name: str = TZ_NAME):
     """Per-line reference for the records-file reader, in file order.
 
     The line loop is the reader as it was before block parsing, reading
-    UTF-8 with undecodable bytes escaped. Returns (counts, users, towers,
+    UTF-8 with undecodable bytes escaped; line 1 is the header if it starts
+    with user_id, and every other line counts. Returns (counts, users, towers,
     timestamps): counts holds header_line, total_lines, rejected_malformed,
     rejected_unknown_tower and sample_rejects; the columns hold the records
     on known towers, for partitioning and the span filter.
@@ -208,17 +209,11 @@ def reference_records(path, registry_ids, tz_name: str = TZ_NAME):
 
     records = []
     with open(path, newline="", encoding="utf-8", errors="backslashreplace") as fh:
-        first = True
-        for raw in fh:
+        for lineno, raw in enumerate(fh, start=1):
+            if lineno == 1 and raw.startswith("user_id"):
+                counts["header_line"] = True
+                continue
             line = raw.strip()
-            if first:
-                first = False
-                head = line.split(",")[0].strip()
-                try:
-                    int(head)
-                except ValueError:
-                    counts["header_line"] = True
-                    continue
             counts["total_lines"] += 1
             fields = line.split(",")
             if len(fields) != 3:

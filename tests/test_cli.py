@@ -93,6 +93,26 @@ def test_ingest_check_counts_undecodable_line(synth_dir, tmp_path, capsys):
     assert "sample_reject=malformed: 1,2,\\xff3" in text
 
 
+def test_ingest_check_counts_a_corrupt_first_line(tmp_path, capsys):
+    # line 1 is a header only if it starts with user_id: a corrupt line 1
+    # was once taken for the header and dropped uncounted
+    towers = tmp_path / "towers.csv"
+    towers.write_text(f"{TOWERS_HEADER}\n5,0.0,0.0,10\n")
+    records = tmp_path / "records.csv"
+    argv = ["ingest-check", "--records", str(records), "--towers", str(towers),
+            "--span", "2007-05-13..2007-10-13"]
+    lines = "1a,5,1180000000\n2,5,1180000000\n"
+    for header, text in ((False, lines), (True, "user_id,tower_id,timestamp\n" + lines)):
+        records.write_text(text)
+        assert main(argv) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            f"header_line={header}", "total_lines=2", "accepted=1",
+            "rejected_malformed=1", "rejected_unknown_tower=0",
+            "rejected_out_of_span=0", "distinct_users=1",
+            "sample_reject=malformed: 1a,5,1180000000",
+        ]
+
+
 def test_windows_table(capsys):
     rc = main(["windows", "--span", "2007-05-13..2007-10-13"])
     assert rc == 0
@@ -214,6 +234,8 @@ def test_detect_dump_without_out_is_refused(synth_dir, tmp_path, monkeypatch, ca
     ("sweep", "--exclusion-threshold=-1"),
     ("sweep", "--min-qualifying=0"),
     ("sweep", "--partitions=0"),
+    ("sweep", "--hdas="),
+    ("sweep", "--classes=,"),
     ("detect", "--min-qualifying=0"),
 ])
 def test_option_values_are_checked_before_the_records_are_read(

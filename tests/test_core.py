@@ -115,8 +115,6 @@ def _check_writers(tmp_path):
         want = _csv_writer_bytes(tmp_path / "r0.csv", header, _records_rows(*cols))
         write_records_csv(tmp_path / "r.csv", *cols)
         assert (tmp_path / "r.csv").read_bytes() == want
-        write_records_csv(tmp_path / "r.csv", *cols, header=False)
-        assert (tmp_path / "r.csv").read_bytes() == want.split(b"\n", 1)[1]
 
     reg = TowerRegistry(  # tower ids are non-negative
         np.array([0, 10**18, 2**63 - 1]), floats, -floats * 1e300,

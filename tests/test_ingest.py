@@ -176,18 +176,33 @@ def test_edge_lines_match_reference(tmp_path, block_bytes):
 
 
 def test_header_and_first_line_rules(tmp_path, block_bytes):
-    # the first line is a header unless its first field parses as an int
+    # line 1 is a header if it starts with user_id, as in read_table; any
+    # other line 1 is judged like every line, so a bad one counts as malformed
     reg = make_registry(3)
-    for first in ("user_id,tower_id,timestamp", f"1,100,{T0 + 5}",
-                  "2007-05-13T00:00:00", f" 7,100,{T0}", "", "\ufeff1,100,5"):
+    for first, header, malformed in (
+        ("user_id,tower_id,timestamp", True, 0),
+        ("user_id", True, 0),
+        ("user_id\ttower_id\ttimestamp", True, 0),
+        (f"1,100,{T0 + 5}", False, 0),
+        (f" 7,100,{T0}", False, 0),
+        ("2007-05-13T00:00:00", False, 1),
+        ("1a,100,1180000000", False, 1),
+        (f"1\t100\t{T0}", False, 1),
+        (" user_id,tower_id,timestamp", False, 1),
+        ("", False, 1),
+        ("\ufeffuser_id,tower_id,timestamp", False, 1),
+        ("\ufeff1,100,5", False, 1),
+    ):
         path = tmp_path / "records.csv"
         path.write_text(f"{first}\n2,101,{T0 + 9}\n", encoding="utf-8")
-        _assert_matches_reference(path, reg, SPAN)
+        report = _assert_matches_reference(path, reg, SPAN)
+        assert (report.header_line, report.total_lines, report.rejected_malformed) \
+            == (header, 2 - header, malformed), first
 
 
-# line-splitting files, with the counts the per-line reader gave before
-# block parsing: it ends lines at '\n', '\r\n' and a lone '\r', and nowhere
-# else (not at the other characters str.splitlines splits at)
+# line-splitting files, with (header_line, total, accepted, malformed): the
+# reader ends lines at '\n', '\r\n' and a lone '\r', and nowhere else (not
+# at the other characters str.splitlines splits at)
 SPLIT_CASES = {
     "mixed": (
         b"user_id,tower_id,timestamp\r\n"
@@ -207,9 +222,9 @@ SPLIT_CASES = {
         + f"1,100,{T0 + 50}\r2,101,{T0 + 60}\r\r3,102,{T0 + 70}\r".encode(),
         (True, 4, 3, 1),
     ),
-    "empty_first_line": (f"\n1,100,{T0 + 50}\n".encode(), (True, 1, 1, 0)),
+    "empty_first_line": (f"\n1,100,{T0 + 50}\n".encode(), (False, 2, 1, 1)),
     "empty_file": (b"", (False, 0, 0, 0)),
-    "line_ends_only": (b"\n\n\r\n\r", (True, 3, 0, 3)),
+    "line_ends_only": (b"\n\n\r\n\r", (False, 4, 0, 4)),
 }
 
 
