@@ -191,6 +191,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_detect(args: argparse.Namespace) -> int:
+    span = args.span
+    if not args.window.overlaps(span.first_day, span.last_day):
+        # ingest drops every record outside the span: no one could be placed
+        raise CliError(f"--window {args.window.label} shares no day with --span {span}")
     if args.dump_assignments and not args.out:
         print("error: --dump-assignments needs --out (the dump is written there)",
               file=sys.stderr)

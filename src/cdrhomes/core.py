@@ -393,11 +393,12 @@ def partition_records(
 class IngestReport:
     """Per-reason accounting for one ingestion pass.
 
-    total_lines counts data lines (a recognized header line is flagged, not
-    counted), so accepted + the three reject columns always equals it. The
-    two timings (perf_counter seconds in the file parse, unknown-tower
-    filter included, and in partition_records) vary from run to run: they
-    take no part in equality and stay out of as_dict.
+    total_lines = parsed records + malformed lines: a recognized header is
+    flagged, never counted, and every other line is one or the other. So
+    accepted + the three reject columns always equals it. The two timings
+    (perf_counter seconds in the file parse, unknown-tower filter included,
+    and in partition_records) vary from run to run: they take no part in
+    equality and stay out of as_dict.
     """
 
     records_file: str
@@ -469,54 +470,44 @@ class _LineJudge:
     """The per-line parser, for the lines neither fast shape takes.
 
     Lines reach it in file order. No fast shape fits a header line, so the
-    first line it gets is the header when report.header_line says so.
+    first line it gets is the header when report.header_line says so; it
+    drops that line uncounted. Every other line yields a record or counts
+    as malformed, so total_lines is the records plus the malformed lines.
     """
 
     def __init__(self, report: IngestReport, clock: CivilClock):
         self.report = report
         self.clock = clock
-        self.header = report.header_line  # drop the first line, uncounted
+        self.header = report.header_line
 
-    def records(self, text: bytes) -> list[tuple[int, int, int]]:
+    def __call__(self, text: bytes) -> list[tuple[int, int, int]]:
         """Records of the lines in text, which end at CR LF, a lone CR or LF
         (bytes.splitlines() ends lines at those alone)."""
         out = []
         for raw in text.splitlines():
+            if self.header:
+                self.header = False
+                continue
             # an undecodable byte becomes a \xNN escape, which no field
             # parses: the line counts as malformed
-            record = self.judge(raw.decode("utf-8", "backslashreplace"))
-            if record is not None:
-                out.append(record)
-        return out
-
-    def judge(self, line: str) -> tuple[int, int, int] | None:
-        report = self.report
-        if self.header:
-            self.header = False
-            return None
-        line = line.strip()
-        report.total_lines += 1
-        fields = line.split(",")
-        if len(fields) != 3:
-            report.rejected_malformed += 1
-            _note_reject(report, line, "malformed")
-            return None
-        try:
-            uid = int(fields[0])
-            tid = int(fields[1])
-            if not (0 <= uid <= _U64_MAX) or not (_I64_MIN <= tid <= _I64_MAX):
-                raise ValueError("id out of range")
+            line = raw.decode("utf-8", "backslashreplace").strip()
             try:
-                ts = int(fields[2])
+                user, tower, stamp = line.split(",")
+                uid, tid = int(user), int(tower)
+                if not (0 <= uid <= _U64_MAX) or not (_I64_MIN <= tid <= _I64_MAX):
+                    raise ValueError("id out of range")
+                try:
+                    ts = int(stamp)
+                except ValueError:
+                    ts = self.clock.parse_local(stamp.strip())
+                if not (_I64_MIN <= ts <= _I64_MAX):
+                    raise ValueError("timestamp out of range")
             except ValueError:
-                ts = self.clock.parse_local(fields[2].strip())
-            if not (_I64_MIN <= ts <= _I64_MAX):
-                raise ValueError("timestamp out of range")
-        except ValueError:
-            report.rejected_malformed += 1
-            _note_reject(report, line, "malformed")
-            return None
-        return uid, tid, ts
+                self.report.rejected_malformed += 1
+                _note_reject(self.report, line, "malformed")
+                continue
+            out.append((uid, tid, ts))
+        return out
 
 
 def _fast_digits(run: np.ndarray) -> np.ndarray:
@@ -566,6 +557,8 @@ def _parse_block(
     clock lies in iso_range (seconds since 1970, half-open). Every other
     line, a header included, goes to judge in file order, and so does what
     follows buf's last LF: lines ended by a lone CR or by the end of file.
+    It reads and writes no IngestReport: judge counts the malformed lines,
+    and ingest derives total_lines from the records and those.
     """
     end = buf.rfind(b"\n") + 1
     a = np.frombuffer(buf, dtype=np.uint8, count=end)
@@ -610,7 +603,6 @@ def _parse_block(
         text.translate(_NL_TO_COMMA, b"\0\r"), dtype=np.int64, sep=","
     )
     fast = np.flatnonzero(kind)
-    judge.report.total_lines += len(fast)
     is_iso = kind[fast] == _KIND_ISO
     n_values = np.where(is_iso, 2, 3)
     if len(values) != n_values.sum():
@@ -622,31 +614,21 @@ def _parse_block(
     stamps[is_iso] = iso_stamps
 
     # the judged lines' records, placed among the fast ones in file order
-    records: list[tuple[int, int, int]] = []
-    record_rows: list[int] = []
+    judged: list[tuple[int, int, int]] = []
+    rows: list[int] = []
     for row, lo, hi in zip(slow.tolist(), line_start[slow].tolist(),
                            (p[nl[slow]] + 1).tolist()):
-        got = judge.records(buf[lo:hi])
-        records += got
-        record_rows += [row] * len(got)
-    got = judge.records(buf[end:])
-    records += got
-    record_rows += [len(nl)] * len(got)
-    if not records:
+        got = judge(buf[lo:hi])
+        judged += got
+        rows += [row] * len(got)
+    got = judge(buf[end:])
+    judged += got
+    rows += [len(nl)] * len(got)
+    if not judged:
         return users, towers, stamps
-    record_rows = np.asarray(record_rows, dtype=np.int64)
-    fast_at = np.arange(len(fast)) + np.searchsorted(record_rows, fast)
-    slow_at = np.searchsorted(fast, record_rows) + np.arange(len(records))
-    n = len(fast) + len(records)
-    columns = []
-    for dtype, fast_column, slow_column in zip(
-        (np.uint64, np.int64, np.int64), (users, towers, stamps), zip(*records)
-    ):
-        column = np.empty(n, dtype=dtype)
-        column[fast_at] = fast_column
-        column[slow_at] = np.asarray(slow_column, dtype=dtype)
-        columns.append(column)
-    return tuple(columns)
+    at = np.searchsorted(fast, rows)
+    return tuple(np.insert(column, at, values)
+                 for column, values in zip((users, towers, stamps), zip(*judged)))
 
 
 def _read_records(
@@ -705,8 +687,9 @@ def ingest(
     Columns: user_id, tower_id, timestamp (epoch seconds, or local ISO
     'YYYY-MM-DDTHH:MM:SS'). The file is UTF-8 text whose lines end at LF,
     CR LF or a lone CR. Line 1 is a header if it starts with user_id, as in
-    read_table; any other line that is not a valid record counts as
-    malformed, and a record on a tower the registry lacks as unknown_tower.
+    read_table and is never counted; any other line that is not a valid
+    record counts as malformed, so total_lines = parsed records + malformed
+    lines. A record on a tower the registry lacks counts as unknown_tower.
     """
     if n_partitions < 1:
         raise ValueError("n_partitions must be >= 1")
@@ -728,6 +711,7 @@ def ingest(
         ((span.last_day - epoch).days + 3) * _DAY,
     )
     u, t, s = _read_records(path, judge, clock, iso_range)
+    report.total_lines = len(u) + report.rejected_malformed
 
     known = registry.contains_ids(t)
     n_unknown = int((~known).sum())

@@ -446,16 +446,21 @@ def run_sweep(
 
     With out_dir=None nothing is written (in-memory use); otherwise the
     directory is probed for writability first, and emit_reports is invoked
-    at the end. options.resume keeps the records of an existing cells.jsonl
-    (ValueError if any has another fingerprint) and rewrites the file with
-    them alone, warning of the unparseable lines dropped; without it the
-    RUN_FILES in the directory and their .tmp forms are removed first, and
-    the towers and assignments directories too when that empties them. The
+    at the end. A user of the partitions whom truth lacks raises KeyError
+    before anything is written. options.resume keeps the records of an
+    existing cells.jsonl (ValueError if any has another fingerprint) and
+    rewrites the file with them alone, warning of the unparseable lines
+    dropped; without it the RUN_FILES in the directory and their .tmp forms
+    are removed first, and the towers and assignments directories too when
+    that empties them. The
     manifest's stages hold the ingest parse, partition_records and run_sweep
     seconds (perf_counter; the first two from ingest_report) and the peak
     RSS in MiB of this process and of its largest worker (see _peak_rss_mb).
     """
     t_start = time.perf_counter()
+    if truth is not None:
+        for part in partitions:  # a user without a truth row fails every cell
+            truth.rows_for_users(part.user_ids)
     hdas = list(hdas)
     result = SweepResult(windows=list(windows), hda_names=[s.name for s in hdas])
     window_dicts = [

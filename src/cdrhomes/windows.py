@@ -84,10 +84,9 @@ def _month_windows(span: DatasetSpan) -> list[ObservationWindow]:
         month_last = next_first - timedelta(days=1)
         first = max(month_first, span.first_day)
         last = min(month_last, span.last_day)
-        if first <= last:
-            out.append(
-                ObservationWindow(f"month-{year:04d}-{month:02d}", first, last, "month")
-            )
+        out.append(
+            ObservationWindow(f"month-{year:04d}-{month:02d}", first, last, "month")
+        )
         year, month = next_first.year, next_first.month
     return out
 

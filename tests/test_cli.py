@@ -569,6 +569,45 @@ def test_a_user_missing_from_the_truth_is_named_without_quotes(tmp_path, capsys)
     assert capsys.readouterr().err == "error: user 99999 has no ground-truth row\n"
 
 
+def test_a_truth_table_that_lacks_a_user_stops_the_sweep_before_any_cell(
+    synth_dir, tmp_path, capsys
+):
+    # every cell failed with the same KeyError, and --resume retried them all
+    lines = (synth_dir / "truth.csv").read_text().splitlines(keepends=True)
+    assert lines[1].startswith("1,")
+    truth = tmp_path / "truth.csv"
+    truth.write_text(lines[0] + "".join(lines[2:]))
+    run = tmp_path / "run"
+    assert main([
+        "sweep", "--records", str(synth_dir / "records.csv"),
+        "--towers", str(synth_dir / "towers.csv"), "--span", SPAN,
+        "--out", str(run), "--truth", str(truth),
+        "--migration-range", "2007-06-08..2007-06-24",
+    ]) == 1
+    said = capsys.readouterr()
+    assert said.err == "error: user 1 has no ground-truth row\n"
+    assert said.out == ""
+    assert not (run / "cells.jsonl").exists()
+
+
+def test_detect_refuses_a_window_that_shares_no_day_with_the_span(
+    synth_dir, tmp_path, capsys
+):
+    # ingest drops the records outside the span, so such a window placed no
+    # one and exited 0; the refusal comes before the records file is read
+    argv = ["detect", "--records", str(tmp_path / "missing.csv"),
+            "--towers", str(synth_dir / "towers.csv"), "--span", SPAN,
+            "--hda", "MA", "--window", "2008-01-01..2008-01-10"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "--window" in err[0], err
+    # a window that shares some days with the span runs
+    argv[2] = str(synth_dir / "records.csv")
+    argv[-1] = "2007-06-20..2007-07-10"
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith("hda=MA window=2007-06-20..2007-07-10 ")
+
+
 @pytest.mark.parametrize("argv", [
     ["windows", "--span", "2007-06-28..2007-06-01"],
     ["score", "--assignments", "a.csv", "--truth", "t.csv",
