@@ -26,6 +26,7 @@ import os
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
+from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
@@ -111,6 +112,21 @@ def _hdas(text: str) -> list:
     return [canonical_hda(n) for n in names]  # raises on unknown names
 
 
+def _zone(name: str) -> str:
+    try:
+        ZoneInfo(name)
+    except ZoneInfoNotFoundError as exc:  # a KeyError
+        raise ValueError(exc.args[0]) from None
+    return name
+
+
+def _touristic(text: str) -> int | tuple[int, ...]:
+    """'lowest:K' gives K, resolved against the registry; 'a,b,c' the ids."""
+    if text.startswith("lowest:"):
+        return int(text.split(":", 1)[1])
+    return tuple(int(t) for t in text.split(",") if t.strip())
+
+
 def _window(text: str) -> ObservationWindow:
     dates = DatasetSpan.parse(text)
     return ObservationWindow(text, dates.first_day, dates.last_day, "custom")
@@ -153,18 +169,13 @@ def cmd_windows(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     migration = None
     if args.migration_fraction > 0:
         _need(args, "migration-range", "touristic-towers")
-        tour_raw = args.touristic_towers
-        if tour_raw.startswith("lowest:"):
-            k = int(tour_raw.split(":", 1)[1])
+        touristic = args.touristic_towers
+        if isinstance(touristic, int):  # lowest:K
             registry = build_registry(args.seed, args.n_towers, args.n_population)
-            touristic = pick_touristic_towers(registry, k)
-        else:
-            touristic = tuple(int(t) for t in tour_raw.split(",") if t.strip())
+            touristic = pick_touristic_towers(registry, touristic)
         dates = args.migration_range
         migration = MigrationConfig(
             dates.first_day, dates.last_day, args.migration_fraction, touristic,
@@ -176,6 +187,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
         **{f.name: getattr(args, f.name) for f in _TUNABLES},
     )
     result = generate(config)
+    out_dir = Path(args.out)  # made only now: a refused option leaves none
+    out_dir.mkdir(parents=True, exist_ok=True)
     result.registry.write_csv(out_dir / "towers.csv")
     result.truth.write_csv(out_dir / "truth.csv")
     write_records_csv(out_dir / "records.csv", result.users, result.towers,
@@ -281,7 +294,8 @@ _TUNABLES = [f for f in fields(SynthConfig) if type(f.default) in (int, float)]
 
 _SPAN = ("span", {"type": DatasetSpan.parse, "required": True,
                   "help": "dataset span FIRST..LAST"})
-_TZ = ("tz", {"default": DEFAULT_TZ, "help": "IANA zone (default %(default)s)"})
+_TZ = ("tz", {"type": _zone, "default": DEFAULT_TZ,
+              "help": "IANA zone (default %(default)s)"})
 _CLASSES = ("classes", {"type": _classes, "default": ",".join(DURATION_CLASSES),
                         "help": "comma list of window classes (default %(default)s)"})
 _WINDOW = ("window", {"type": _window, "required": True, "help": "window FIRST..LAST"})
@@ -325,7 +339,7 @@ _COMMANDS = {
         _MIGRATION_RANGE,
         ("min-stay-days", {"type": int, "default": MigrationConfig.min_stay_days,
                            "help": "shortest personal stay (default %(default)s)"}),
-        ("touristic-towers", {"help": "ids 'a,b,c' or 'lowest:K'"}),
+        ("touristic-towers", {"type": _touristic, "help": "ids 'a,b,c' or 'lowest:K'"}),
     ]),
     "detect": (cmd_detect, "run one HDA over one window: a one-cell sweep", [
         *_INPUT,

@@ -325,6 +325,14 @@ def _detection_index(users, towers, timestamps, day_ords, week_hours):
     }
 
 
+def _span_band(span: DatasetSpan) -> tuple[int, int]:
+    """[lo, hi) seconds since 1970: the span's days and two days either side.
+    A UTC offset is under a day, so this holds every instant whose civil
+    date is in the span, and every wall-clock time on one of its dates."""
+    first = (span.first_day - date(1970, 1, 1)).days
+    return (first - 2) * _DAY, (first + span.n_days + 2) * _DAY
+
+
 def partition_records(
     users,
     towers,
@@ -355,12 +363,9 @@ def partition_records(
 
     n_in = len(users)
     if span is not None:
-        # a civil date is within a day of the UTC date: records two days
-        # outside the span's midnights are out of span, and dropping them
-        # before civil-time derivation keeps the zone's transition table
-        # (and datetime's year range) to the span
-        lo = clock.midnight_epoch(span.first_day) - 2 * _DAY
-        hi = clock.midnight_epoch(span.last_day) + 3 * _DAY
+        # dropping records outside the band before civil-time derivation
+        # keeps the zone's transition table (and datetime's range) to the span
+        lo, hi = _span_band(span)
         keep = (timestamps >= lo) & (timestamps < hi)
         if not keep.all():
             users, towers, timestamps = users[keep], towers[keep], timestamps[keep]
@@ -703,14 +708,9 @@ def ingest(
     with open(path, "rb") as fh:
         report.header_line = fh.read(len(_HEADER_START)) == _HEADER_START
     judge = _LineJudge(report, clock)
-    # ISO times more than two days outside the span are out of span; they
-    # take the per-line path, which keeps the zone's transition table short
-    epoch = date(1970, 1, 1)
-    iso_range = (
-        ((span.first_day - epoch).days - 2) * _DAY,
-        ((span.last_day - epoch).days + 3) * _DAY,
-    )
-    u, t, s = _read_records(path, judge, clock, iso_range)
+    # ISO times outside the span's band take the per-line path, which keeps
+    # the zone's transition table short
+    u, t, s = _read_records(path, judge, clock, _span_band(span))
     report.total_lines = len(u) + report.rejected_malformed
 
     known = registry.contains_ids(t)

@@ -617,6 +617,9 @@ def run_sweep(
         "n_cells": result.n_cells,
         "n_failed": result.n_failed,
         "failed_cells": sorted(f"{h}|{w}" for h, w in result.errors),
+        # the dates that split accuracy.csv's migrant rows
+        "migration_range": None if truth is None or migration is None
+        else f"{migration.first_day}..{migration.last_day}",
         "elapsed_seconds": elapsed,
         "ingest": ingest_report.as_dict() if ingest_report else None,
         "stages": stages,

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from datetime import date
+from datetime import date, timedelta
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +41,7 @@ from .core import (
     read_table,
 )
 from .hda import BulkAssignments
-from .timebase import DEFAULT_TZ, CivilClock, iter_days
+from .timebase import DEFAULT_TZ, CivilClock
 from .windows import ObservationWindow
 
 TRUTH_HEADER = ("user_id", "home_tower", "work_tower", "migration_tower")
@@ -299,13 +299,11 @@ def generate(config: SynthConfig) -> SynthResult:
     if n_subs > 0 and pop.sum() <= 0:
         raise ValueError("population is all zeros; cannot draw home towers")
 
-    days = list(iter_days(config.span.first_day, config.span.last_day))
-    n_days = len(days)
-    boundaries = [clock.midnight_epoch(d) for d in days]
-    after_last = date.fromordinal(config.span.last_day.toordinal() + 1)
-    boundaries.append(clock.midnight_epoch(after_last))
-    midnights = np.asarray(boundaries[:-1], dtype=np.int64)
-    day_len = np.diff(np.asarray(boundaries, dtype=np.int64))  # DST days differ
+    first, n_days = config.span.first_day, config.span.n_days
+    days = [first + timedelta(days=i) for i in range(n_days + 1)]
+    boundaries = np.array([clock.midnight_epoch(d) for d in days], dtype=np.int64)
+    midnights = boundaries[:-1]
+    day_len = np.diff(boundaries)  # DST days differ
 
     home_cdf = np.cumsum(pop / pop.sum()) if pop.sum() > 0 else np.ones(len(pop))
     # work pool slot 0 is the home tower itself: dispersing day activity over

@@ -8,7 +8,7 @@ UTC-offset transitions and applying it with a binary search.
 
 from __future__ import annotations
 
-from datetime import date, datetime, timedelta
+from datetime import date, datetime
 from zoneinfo import ZoneInfo
 
 import numpy as np
@@ -135,12 +135,3 @@ class CivilClock:
         )
         self._table = table
         return table[0], table[1]
-
-
-def iter_days(first: date, last: date):
-    """Yield every date from first through last inclusive."""
-    d = first
-    one = timedelta(days=1)
-    while d <= last:
-        yield d
-        d += one

@@ -8,6 +8,7 @@ across the grid and stable for a given span.
 
 from __future__ import annotations
 
+import calendar
 from dataclasses import dataclass
 from datetime import date, timedelta
 
@@ -72,23 +73,15 @@ def _fixed_windows(span: DatasetSpan, duration_class: str) -> list[ObservationWi
 
 def _month_windows(span: DatasetSpan) -> list[ObservationWindow]:
     out = []
-    year, month = span.first_day.year, span.first_day.month
+    first = span.first_day
     while True:
-        month_first = date(year, month, 1)
-        if month_first > span.last_day:
-            break
-        if month == 12:
-            next_first = date(year + 1, 1, 1)
-        else:
-            next_first = date(year, month + 1, 1)
-        month_last = next_first - timedelta(days=1)
-        first = max(month_first, span.first_day)
-        last = min(month_last, span.last_day)
-        out.append(
-            ObservationWindow(f"month-{year:04d}-{month:02d}", first, last, "month")
-        )
-        year, month = next_first.year, next_first.month
-    return out
+        n = calendar.monthrange(first.year, first.month)[1]
+        last = min(first.replace(day=n), span.last_day)
+        label = f"month-{first.year:04d}-{first.month:02d}"
+        out.append(ObservationWindow(label, first, last, "month"))
+        if last == span.last_day:
+            return out
+        first = last + timedelta(days=1)
 
 
 def generate_windows(

@@ -67,6 +67,34 @@ def test_synth_without_tunables_writes_the_generator_defaults(tmp_path, capsys):
     assert lines[:-1] == [f"{k}={v}" for k, v in config.echo().items()]
 
 
+SYNTH_REFUSALS = {  # extra flags -> what the one-line error must say
+    "n-towers": (["--n-towers", "0"], "at least one tower"),
+    "tz": (["--tz", "Bad/Zone"], "--tz='Bad/Zone'"),
+    "touristic-towers": (
+        ["--migration-fraction", "0.25", "--migration-range", "2007-06-08..2007-06-24",
+         "--touristic-towers", "lowest:x"], "--touristic-towers='lowest:x'",
+    ),
+    "migration-range": (
+        ["--migration-fraction", "0.25", "--migration-range", "2007-05-01..2007-06-10",
+         "--touristic-towers", "lowest:2"], "not inside span",
+    ),
+}
+
+
+@pytest.mark.parametrize("refused,said", SYNTH_REFUSALS.values(),
+                         ids=SYNTH_REFUSALS.keys())
+def test_synth_that_refuses_its_options_makes_no_directory(
+    tmp_path, refused, said, capsys
+):
+    out = tmp_path / "synth"
+    argv = ["synth", "--out", str(out), "--seed", "3", "--span", SPAN,
+            "--n-towers", "5", "--n-population", "60"]
+    assert main(argv + refused) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and said in err[0], err
+    assert not out.exists()
+
+
 def test_ingest_check(synth_dir, capsys):
     rc = main([
         "ingest-check", "--records", str(synth_dir / "records.csv"),
@@ -237,6 +265,9 @@ def test_detect_dump_without_out_is_refused(synth_dir, tmp_path, monkeypatch, ca
     ("sweep", "--hdas="),
     ("sweep", "--classes=,"),
     ("detect", "--min-qualifying=0"),
+    ("ingest-check", "--tz=Bad/Zone"),
+    ("detect", "--tz=Bad/Zone"),
+    ("sweep", "--tz=Bad/Zone"),
 ])
 def test_option_values_are_checked_before_the_records_are_read(
     synth_dir, tmp_path, command, flag, capsys
@@ -303,6 +334,8 @@ def test_sweep_and_report_reemit(synth_dir, tmp_path, capsys):
     rc = main(argv)
     assert rc == 0
     assert "cells=9 failed=0" in capsys.readouterr().out
+    manifest = json.loads((run / "manifest.json").read_text())
+    assert manifest["migration_range"] == "2007-06-08..2007-06-24"
     live = {
         p.name: p.read_bytes()
         for p in run.iterdir()
@@ -345,8 +378,9 @@ def test_sweep_manifest_records_stages(synth_dir, tmp_path, capsys):
     assert set(manifest) == {
         "tool", "created_utc", "version", "span", "tz", "n_partitions", "options",
         "hdas", "windows", "fingerprint", "n_cells", "n_failed", "failed_cells",
-        "elapsed_seconds", "ingest", "stages",
+        "elapsed_seconds", "ingest", "stages", "migration_range",
     }
+    assert manifest["migration_range"] is None  # no truth, nothing split
     stages = manifest["stages"]
     assert set(stages) == {
         "ingest_parse_s", "partition_records_s", "run_sweep_s",

@@ -3,7 +3,8 @@
 import csv
 import tracemalloc
 from collections import Counter
-from datetime import date
+from datetime import date, datetime, timezone
+from zoneinfo import ZoneInfo
 
 import numpy as np
 import pytest
@@ -245,6 +246,29 @@ def test_partition_span_filter_counts():
     )
     assert n_out == 1
     assert parts[0].n_records == 2
+
+
+@pytest.mark.parametrize(
+    "tz", ["Pacific/Kiritimati", "Etc/GMT+12", "America/St_Johns"]
+)
+def test_span_band_keeps_every_in_span_record_at_extreme_offsets(tz):
+    # UTC+14, UTC-12 and a half-hour offset: the records dropped before
+    # civil-time derivation must all have civil dates outside the span
+    span = DatasetSpan.parse("2007-06-01..2007-07-01")
+    start = int(datetime(2007, 5, 27, tzinfo=timezone.utc).timestamp())
+    stamps = start + 600 * np.arange((span.n_days + 10) * 144, dtype=np.int64)
+    users = np.arange(1, len(stamps) + 1, dtype=np.uint64)
+    parts, n_out = partition_records(
+        users, np.zeros(len(stamps), dtype=np.int64), stamps,
+        clock=CivilClock(tz), span=span,
+    )
+    zone = ZoneInfo(tz)
+    want = [
+        int(ts) for ts in stamps
+        if span.contains(datetime.fromtimestamp(int(ts), zone).date())
+    ]
+    assert sorted(parts[0].index_timestamps.tolist()) == want
+    assert n_out == len(stamps) - len(want)
 
 
 def test_partition_records_refuses_a_negative_tower_id():

@@ -6,7 +6,7 @@ from zoneinfo import ZoneInfo
 import numpy as np
 import pytest
 
-from cdrhomes.timebase import CivilClock, iter_days
+from cdrhomes.timebase import CivilClock
 
 from oracles import local_fields
 
@@ -107,14 +107,6 @@ def test_utc_offset_values():
     clock = CivilClock()
     assert clock.utc_offset(clock.parse_local("2007-07-01T12:00:00")) == 7200
     assert clock.utc_offset(clock.parse_local("2007-01-15T12:00:00")) == 3600
-
-
-def test_iter_days():
-    days = list(iter_days(date(2007, 5, 13), date(2007, 10, 13)))
-    assert len(days) == 154
-    assert days[0] == date(2007, 5, 13)
-    assert days[-1] == date(2007, 10, 13)
-    assert list(iter_days(date(2007, 5, 13), date(2007, 5, 13))) == [date(2007, 5, 13)]
 
 
 def test_other_timezone():

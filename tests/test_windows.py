@@ -83,6 +83,14 @@ def test_short_span_degenerates():
     assert wins[0].last_day == span.last_day
 
 
+def test_month_windows_run_to_the_last_representable_day():
+    span = DatasetSpan.parse("9999-11-20..9999-12-31")
+    assert windows_table(generate_windows(span, ("month",))).splitlines()[1:] == [
+        "month-9999-11,9999-11-20,9999-11-30,month",
+        "month-9999-12,9999-12-01,9999-12-31,month",
+    ]
+
+
 def test_window_midpoint_and_membership():
     w = ObservationWindow("14d-01", date(2007, 5, 13), date(2007, 5, 26), "days14")
     assert w.midpoint == date(2007, 5, 19)  # first_day + (14-1)//2
