@@ -427,7 +427,7 @@ def main(argv=None) -> int:
     try:
         args = parse_args(argv)
         return _COMMANDS[args.command][0](args)
-    except (CliError, ValueError, KeyError, OSError) as exc:
+    except (CliError, ValueError, OverflowError, KeyError, OSError) as exc:
         # str() of a KeyError quotes its message
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {message}", file=sys.stderr)

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from datetime import date, timedelta
+from datetime import date
 from pathlib import Path
 
 import numpy as np
@@ -299,9 +299,9 @@ def generate(config: SynthConfig) -> SynthResult:
     if n_subs > 0 and pop.sum() <= 0:
         raise ValueError("population is all zeros; cannot draw home towers")
 
-    first, n_days = config.span.first_day, config.span.n_days
-    days = [first + timedelta(days=i) for i in range(n_days + 1)]
-    boundaries = np.array([clock.midnight_epoch(d) for d in days], dtype=np.int64)
+    n_days = config.span.n_days
+    first = (config.span.first_day - date(1970, 1, 1)).days
+    boundaries = clock.epochs_from_local((first + np.arange(n_days + 1)) * 86400)
     midnights = boundaries[:-1]
     day_len = np.diff(boundaries)  # DST days differ
 

@@ -3,7 +3,9 @@
 All record timestamps are UTC epoch seconds; every date/hour/weekday the rest
 of the package reasons about is civil time in the dataset's zone. The bulk
 path avoids per-record datetime objects by resolving the zone to a table of
-UTC-offset transitions and applying it with a binary search.
+UTC-offset transitions and applying it with a binary search. Each conversion
+builds that table over its own instants, probing the zone once a day within
+years 1-9999; beyond the probes the edge offset holds.
 """
 
 from __future__ import annotations
@@ -21,6 +23,11 @@ _EPOCH_WEEKDAY = 3
 
 _DAY = 86400
 
+# 00:00 UTC on 0001-01-02 and 9999-12-30: a UTC offset is under a day either
+# way, so datetime can show both instants in any zone
+_FIRST_PROBE = (date(1, 1, 2).toordinal() - _EPOCH_ORDINAL) * _DAY
+_LAST_PROBE = (date(9999, 12, 30).toordinal() - _EPOCH_ORDINAL) * _DAY
+
 
 class CivilClock:
     """Epoch-seconds to civil (date, hour, weekday) conversion in one zone."""
@@ -28,8 +35,6 @@ class CivilClock:
     def __init__(self, tz_name: str = DEFAULT_TZ):
         self.tz_name = tz_name
         self._tz = ZoneInfo(tz_name)
-        # cached transition table: (starts asc int64, offsets int64, lo, hi)
-        self._table: tuple[np.ndarray, np.ndarray, int, int] | None = None
 
     def __repr__(self) -> str:
         return f"CivilClock({self.tz_name!r})"
@@ -53,16 +58,6 @@ class CivilClock:
 
     # -- bulk path --------------------------------------------------------
 
-    def _offsets_for(self, timestamps: np.ndarray) -> np.ndarray:
-        """UTC offset in force at each epoch, as a new int64 array."""
-        if timestamps.size == 0:
-            return np.zeros(0, dtype=np.int64)
-        lo = int(timestamps.min())
-        hi = int(timestamps.max())
-        starts, offsets = self._transition_table(lo, hi)
-        idx = np.searchsorted(starts, timestamps, side="right") - 1
-        return offsets[idx]
-
     def local_fields(self, timestamps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized civil fields for an int64 epoch array.
 
@@ -72,7 +67,10 @@ class CivilClock:
         week hours at a time: 17 bytes per record at peak.
         """
         ts = np.asarray(timestamps, dtype=np.int64)
-        local = self._offsets_for(ts)
+        if ts.size == 0:
+            return np.zeros(0, dtype=np.int32), np.zeros(0, dtype=np.uint8)
+        starts, offsets = self._transition_table(int(ts.min()), int(ts.max()))
+        local = offsets[np.searchsorted(starts, ts, side="right") - 1]
         local += ts
         week = local + _EPOCH_WEEKDAY * _DAY
         week %= 7 * _DAY
@@ -103,17 +101,17 @@ class CivilClock:
         return local - offsets[np.searchsorted(ends, local, side="right")]
 
     def _transition_table(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        """Piecewise-constant UTC offsets covering [lo, hi], cached and widened."""
-        pad = 90 * _DAY
-        cached = self._table
-        if cached is not None and cached[2] <= lo and hi <= cached[3]:
-            return cached[0], cached[1]
-        t0, t1 = lo - pad, hi + pad
-        starts = [t0]
-        offsets = [self.utc_offset(t0)]
-        probe = t0
-        while probe < t1:
-            step_end = min(probe + _DAY, t1)
+        """Piecewise-constant UTC offsets over [lo, hi]: (starts, offsets).
+
+        Both ends are clipped into [_FIRST_PROBE, _LAST_PROBE]. The first
+        start is the smallest int64, so the first offset holds before the
+        first probe and the last offset after the last one.
+        """
+        probe, end = (min(max(t, _FIRST_PROBE), _LAST_PROBE) for t in (lo, hi))
+        starts = [np.iinfo(np.int64).min]
+        offsets = [self.utc_offset(probe)]
+        while probe < end:
+            step_end = min(probe + _DAY, end)
             off = self.utc_offset(step_end)
             if off != offsets[-1]:
                 # bisect the exact transition second in (probe, step_end]
@@ -127,11 +125,4 @@ class CivilClock:
                 starts.append(b)
                 offsets.append(off)
             probe = step_end
-        table = (
-            np.asarray(starts, dtype=np.int64),
-            np.asarray(offsets, dtype=np.int64),
-            t0,
-            t1,
-        )
-        self._table = table
-        return table[0], table[1]
+        return np.asarray(starts, dtype=np.int64), np.asarray(offsets, dtype=np.int64)

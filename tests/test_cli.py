@@ -95,6 +95,52 @@ def test_synth_that_refuses_its_options_makes_no_directory(
     assert not out.exists()
 
 
+def test_synth_of_a_population_beyond_int64_is_one_error_line(tmp_path, capsys):
+    # numpy's multinomial raised an OverflowError that main did not catch
+    out = tmp_path / "synth"
+    argv = ["synth", "--out", str(out), "--seed", "3", "--span", SPAN,
+            "--n-towers", "5", "--n-population", "99999999999999999999"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("span", ["0001-01-01..0001-01-20", "9999-12-12..9999-12-31"])
+def test_a_span_at_either_end_of_the_calendar_runs_end_to_end(tmp_path, span, capsys):
+    # every span windows takes: the clock's table once probed 90 days past
+    # the records and the generator the midnight after 9999-12-31
+    data, run = tmp_path / "data", tmp_path / "run"
+    inputs = ["--records", str(data / "records.csv"), "--towers",
+              str(data / "towers.csv"), "--span", span]
+    assert main(["synth", "--out", str(data), "--seed", "5", "--span", span,
+                 "--n-towers", "12", "--n-population", "400"]) == 0
+    assert main(["ingest-check", *inputs]) == 0
+    assert "rejected_out_of_span=0" in capsys.readouterr().out.splitlines()
+    assert main(["sweep", *inputs, "--out", str(run), "--truth",
+                 str(data / "truth.csv"), "--classes", "full,days14",
+                 "--workers", "1"]) == 0
+    rows = (run / "accuracy.csv").read_text().splitlines()
+    assert any(row.startswith("MA,full,all,") for row in rows)
+
+
+@pytest.mark.parametrize("span,stamp", [
+    ("9999-12-01..9999-12-31", "9999-12-15T12:00:00"),
+    ("0001-01-01..0001-01-31", "0001-01-05T12:00:00"),
+    ("0001-04-01..0001-04-10", "0001-04-01T01:00:00"),
+])
+def test_ingest_check_of_one_record_near_either_end_of_the_calendar(
+    tmp_path, span, stamp, capsys
+):
+    towers = tmp_path / "towers.csv"
+    towers.write_text(f"{TOWERS_HEADER}\n1,2.0,3.0,10\n")
+    records = tmp_path / "records.csv"
+    records.write_text(f"user_id,tower_id,timestamp\n1,1,{stamp}\n")
+    assert main(["ingest-check", "--records", str(records), "--towers", str(towers),
+                 "--span", span]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "accepted=1" in out and "rejected_out_of_span=0" in out
+
 def test_ingest_check(synth_dir, capsys):
     rc = main([
         "ingest-check", "--records", str(synth_dir / "records.csv"),

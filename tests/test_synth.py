@@ -1,7 +1,7 @@
 """Generator invariants: determinism, stream isolation, and calibrated shares."""
 
 import hashlib
-from datetime import date
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
@@ -116,6 +116,25 @@ def test_generate_canonical_record_order_and_span():
     assert set(np.unique(res.towers)) <= set(res.registry.tower_ids.tolist())
     assert res.truth.user_ids.tolist() == list(range(1, 169))
 
+
+
+def test_generated_day_starts_are_local_midnights(monkeypatch):
+    # the day starts come from the clock's table in one call; across both
+    # 2007 DST changes each must equal the scalar midnight_epoch
+    span = DatasetSpan.parse("2007-03-20..2007-11-05")
+    seen = []
+    table_path = CivilClock.epochs_from_local
+
+    def spy(self, local):
+        seen.append(table_path(self, local))
+        return seen[-1]
+
+    monkeypatch.setattr(CivilClock, "epochs_from_local", spy)
+    generate(_cfg(span=span, n_population=60))
+    clock = CivilClock()
+    days = [span.first_day + timedelta(days=i) for i in range(span.n_days + 1)]
+    assert len(seen) == 1
+    assert seen[0].tolist() == [clock.midnight_epoch(d) for d in days]
 
 # sha256 of the records, towers and truth CSV each config writes: they pin
 # the generator's output byte for byte (draw order, float arithmetic, record

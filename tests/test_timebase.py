@@ -1,12 +1,12 @@
 """Civil-time derivation against the stdlib zoneinfo oracle."""
 
-from datetime import date, datetime, timedelta
+from datetime import date, datetime, timedelta, timezone
 from zoneinfo import ZoneInfo
 
 import numpy as np
 import pytest
 
-from cdrhomes.timebase import CivilClock
+from cdrhomes.timebase import _LAST_PROBE, CivilClock
 
 from oracles import local_fields
 
@@ -114,3 +114,44 @@ def test_other_timezone():
     _assert_local_fields_match_zoneinfo(CivilClock("UTC"), [0, 3600 * 24 * 4 - 1])
     day_ords, week_hours = CivilClock("UTC").local_fields(np.array([0]))
     assert (day_ords[0], week_hours[0]) == (date(1970, 1, 1).toordinal(), 72)
+
+
+EDGE_ZONES = ["Pacific/Kiritimati", "Etc/GMT+12", "Europe/Paris"]
+UTC_MIN = int(datetime(1, 1, 1, tzinfo=timezone.utc).timestamp())
+UTC_END = int(datetime(9999, 12, 31, tzinfo=timezone.utc).timestamp()) + 86400
+
+
+@pytest.mark.parametrize("tz_name", EDGE_ZONES)
+def test_local_fields_at_both_ends_of_the_calendar(tz_name):
+    # the first and last 10 days of instants that datetime shows both in UTC
+    # and in the zone; the table once probed 90 days past them and failed
+    clock = CivilClock(tz_name)
+    first = max(UTC_MIN, clock.parse_local("0001-01-01T00:00:00"))
+    end = min(UTC_END, clock.parse_local("9999-12-31T23:59:59") + 1)
+    for lo, hi in ((first, first + 10 * 86400), (end - 10 * 86400, end)):
+        stamps = list(range(lo, hi, 3607)) + [hi - 1]
+        _assert_local_fields_match_zoneinfo(clock, stamps)
+
+
+@pytest.mark.parametrize("tz_name", EDGE_ZONES)
+def test_epochs_from_local_at_both_ends_of_the_calendar(tz_name):
+    clock = CivilClock(tz_name)
+    # one call per end: a table over both would probe every day between
+    for start in (datetime(1, 1, 1), datetime(9999, 12, 22)):
+        walls = [start + timedelta(seconds=s) for s in range(0, 10 * 86400, 3607)]
+        walls.append(start + timedelta(days=10, seconds=-1))
+        local = np.array([(w - datetime(1970, 1, 1)) // timedelta(seconds=1)
+                          for w in walls])
+        want = [clock.parse_local(w.isoformat()) for w in walls]
+        assert clock.epochs_from_local(local).tolist() == want
+
+
+@pytest.mark.parametrize("tz_name", EDGE_ZONES)
+def test_an_instant_past_the_last_probe_takes_the_last_offset(tz_name):
+    # 10000-01-01T01:00 UTC: datetime cannot show it, the table can
+    clock = CivilClock(tz_name)
+    ts = _LAST_PROBE + 2 * 86400 + 3600
+    local = ts + clock.utc_offset(_LAST_PROBE)
+    day_ords, week_hours = clock.local_fields(np.array([ts]))
+    assert day_ords[0] == local // 86400 + date(1970, 1, 1).toordinal()
+    assert week_hours[0] == (local // 3600 + 3 * 24) % 168
