@@ -6,13 +6,14 @@ reproducible, which keeps final report files byte-identical for any worker
 count. A cell's result is its cells.jsonl record, in memory as on disk:
 computing a cell yields that record, SweepResult.add_cell keeps it, and the
 reports read the kept records, so a live sweep and a run directory read back
-by load_run emit the same bytes. The process computing a cell writes its
-files, and the cell is recorded only after it returns. A killed run resumes
-by skipping cells already recorded there, provided they carry the run's
-fingerprint (a hash of the package source, options, grid and input arrays);
-cells computed under anything else refuse the resume. A fresh (non-resume)
-sweep first removes every file an earlier sweep may have left in the
-directory (RUN_FILES, and their .tmp forms) and nothing else.
+by load_run emit the same bytes; emit_reports writes towers/ from each ok
+record's x, its home count per tower. The process computing a cell writes
+its assignments/ dump, and the cell is recorded only after it returns. A
+killed run resumes by skipping cells already recorded there, provided they
+carry the run's fingerprint (a hash of the package source, options, grid and
+input arrays); cells computed under anything else refuse the resume. A
+fresh (non-resume) sweep first removes every file an earlier sweep may have
+left in the directory (RUN_FILES, and their .tmp forms) and nothing else.
 
 Worker processes use the fork start method and read the shared state from a
 module global set before the pool starts; where fork is unavailable the
@@ -37,7 +38,8 @@ import numpy as np
 
 from . import __version__
 from .core import (
-    IngestReport, TowerRegistry, UserPartition, format_blocks, read_table,
+    TOWERS_HEADER, IngestReport, TowerRegistry, UserPartition, format_blocks,
+    read_table,
 )
 from .hda import (
     BulkAssignments, HdaSpec, aggregate_homes, detect_homes_bulk,
@@ -88,10 +90,14 @@ class SweepOptions:
 @dataclass
 class SweepResult:
     """Everything a finished sweep knows, keyed by (hda, window) labels:
-    each ok cell's cells.jsonl record, and each failed cell's error."""
+    each ok cell's cells.jsonl record, and each failed cell's error; the
+    registry whose rows a record's x counts, and whether emit_reports
+    writes towers/ from them."""
 
     windows: list[ObservationWindow]
     hda_names: list[str]
+    registry: TowerRegistry
+    per_tower_exports: bool
     reports: dict[tuple[str, str], dict] = field(default_factory=dict)
     errors: dict[tuple[str, str], str] = field(default_factory=dict)
 
@@ -112,9 +118,10 @@ class SweepResult:
             self.errors[key] = rec["error"]
 
 
-def _readable(rec: dict) -> bool:
+def _readable(rec: dict, n_towers: int) -> bool:
     """Whether the reports can read an "ok" record: every field they use is
-    there, with its type (numbers as json.loads gives them, never bool)."""
+    there, with its type (numbers as json.loads gives them, never bool),
+    and x holds one count per tower."""
 
     def num(v) -> bool:
         return type(v) in (int, float)
@@ -124,6 +131,8 @@ def _readable(rec: dict) -> bool:
             all(type(rec[k]) is str for k in ("hda", "window", "class"))
             and (rec["pearson"] is None or num(rec["pearson"]))
             and type(rec["n_used"]) is type(rec["n_excluded"]) is int
+            and type(rec["x"]) is list and len(rec["x"]) == n_towers
+            and all(type(v) is int for v in rec["x"])
             and all(len(row) == 6 and all(map(num, row)) for row in rec["deciles"])
             and all(
                 type(g) is str and type(n) is type(c) is int
@@ -163,7 +172,8 @@ _STATE: dict | None = None
 
 def _compute_cell(state: dict, h_idx: int, w_idx: int) -> dict:
     """The cell's cells.jsonl record, "ok" or "failed". An ok cell first
-    writes its files; a write error aborts the sweep, it fails no cell."""
+    writes its assignments/ dump, if asked for; a write error aborts the
+    sweep, it fails no cell."""
     spec: HdaSpec = state["hdas"][h_idx]
     window: ObservationWindow = state["windows"][w_idx]
     t0 = time.perf_counter()
@@ -200,18 +210,15 @@ def _compute_cell(state: dict, h_idx: int, w_idx: int) -> dict:
             status="ok",
             n_tied=int(bulk.tie_broken.sum()),
             accuracy=accuracy,
+            x=x.tolist(),
         )
     except Exception:
         rec.update(status="failed", error=traceback.format_exc(limit=8))
     else:
-        name = f"{spec.name}__{window.label}.csv"
-        if state["towers_dir"] is not None:
-            _write_tower_export(
-                state["towers_dir"] / name, x, registry.population,
-                state["tower_rows"], state["tower_lines"],
-            )
         if state["assignments_dir"] is not None:
-            _write_assignment_dump(state["assignments_dir"] / name, bulk)
+            _write_assignment_dump(
+                state["assignments_dir"] / f"{spec.name}__{window.label}.csv", bulk
+            )
     rec["fingerprint"] = state["fingerprint"]
     rec["elapsed"] = round(time.perf_counter() - t0, 4)
     return rec
@@ -223,23 +230,16 @@ def _cell_entry(h_idx: int, w_idx: int) -> dict:
 
 
 def _fingerprint(
-    header: dict,
-    partitions: list[UserPartition],
-    registry: TowerRegistry,
-    truth: GroundTruthTable | None,
+    header: dict, partitions: list[UserPartition], truth: GroundTruthTable | None
 ) -> str:
     """sha256 of what a cell's record depends on: the package's own source,
-    the header (numpy's version included), then every partition, registry
-    and truth array (name, dtype, shape and bytes)."""
+    the header (numpy's version and the tower registry included), then every
+    partition and truth array (name, dtype, shape and bytes)."""
     arrays = [
         (f"partition{i}.{f.name}", getattr(p, f.name))
         for i, p in enumerate(partitions)
         for f in fields(p)
         if isinstance(getattr(p, f.name), np.ndarray)
-    ]
-    arrays += [
-        (f"registry.{name}", getattr(registry, name))
-        for name in ("tower_ids", "lon", "lat", "population")
     ]
     if truth is not None:
         arrays += [(f"truth.{f.name}", getattr(truth, f.name)) for f in fields(truth)]
@@ -257,25 +257,27 @@ def _fingerprint(
 
 
 def load_run(
-    out_dir, windows=None, hda_names=None, *, fingerprint: str | None = None
+    out_dir, result: SweepResult | None = None, *, fingerprint: str | None = None
 ) -> tuple[SweepResult, int]:
     """Rebuild a SweepResult from a run directory's cells.jsonl.
 
-    The grid comes from manifest.json unless windows and hda_names are
-    given (a killed run has not written its manifest). Every grid cell
-    recorded "ok" is restored through SweepResult.add_cell; failed cells
-    are left out, so a resume computes them again. Returns the result and
-    the number of unparseable lines: those that are not UTF-8 JSON objects, and
-    "ok" records the reports cannot read (see _readable), whose cells a
-    resume computes again too.
+    The grid, the tower registry and per_tower_exports come from result, an
+    empty SweepResult, or from manifest.json when it is None (a killed run
+    has not written its manifest, so a resume passes its own). Every grid
+    cell recorded "ok" is restored through SweepResult.add_cell; failed
+    cells are left out, so a resume computes them again. Returns the result
+    and the number of unparseable lines: those that are not UTF-8 JSON
+    objects, and "ok" records the reports cannot read (see _readable),
+    whose cells a resume computes again too.
 
     The manifest is checked in one place: one that is not JSON, or records
-    no grid, raises ValueError naming the file. A resume passes the run's
-    fingerprint: an "ok" record with another fingerprint, or none, raises
-    ValueError (it was computed under other inputs or options).
+    no grid or no tower registry, raises ValueError naming the file. A
+    resume passes the run's fingerprint: an "ok" record with another
+    fingerprint, or none, raises ValueError (it was computed under other
+    inputs or options).
     """
     out_path = Path(out_dir)
-    if windows is None:
+    if result is None:
         manifest_path = out_path / MANIFEST_FILE
         if not manifest_path.exists():
             raise FileNotFoundError(
@@ -297,11 +299,18 @@ def load_run(
                 type(v) is str for v in [*hda_names, *(w.label for w in windows)]
             ):
                 raise TypeError("hdas and window labels must be lists of text")
+            towers = manifest["towers"]
+            per_tower_exports = manifest["options"]["per_tower_exports"]
+            if type(per_tower_exports) is not bool:
+                raise TypeError("options.per_tower_exports must be true or false")
+            result = SweepResult(
+                windows, hda_names, TowerRegistry(*(towers[k] for k in TOWERS_HEADER)),
+                per_tower_exports,
+            )
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(
                 f"{manifest_path}: not a sweep manifest ({type(exc).__name__}: {exc})"
             ) from None
-    result = SweepResult(windows=list(windows), hda_names=list(hda_names))
     path = out_path / CELLS_FILE
     if not path.exists():
         return result, 0
@@ -319,7 +328,7 @@ def load_run(
             continue
         if rec.get("status") != "ok":
             continue
-        if not _readable(rec):
+        if not _readable(rec, len(result.registry)):
             n_bad += 1
             continue
         if fingerprint is not None and rec.get("fingerprint") != fingerprint:
@@ -335,13 +344,15 @@ def load_run(
 
 
 def _peak_rss_mb() -> tuple[float, float]:
-    """Peak resident set sizes in MiB: this process's, and that of its
-    largest waited-for child (0 without children).
+    """Peak resident set sizes in MiB: this process's, and that of the
+    largest child it has waited for.
 
-    getrusage(RUSAGE_SELF) carries across exec the high-water mark of the
-    process that started this one, so this process's own figure is read
-    from VmHWM in /proc/self/status, which starts anew at exec, where that
-    file exists (Linux). ru_maxrss is in KiB on Linux, in bytes on macOS.
+    getrusage carries both across exec from the process that started this
+    one, so this process's own figure is read from VmHWM in
+    /proc/self/status, which starts anew at exec, where that file exists
+    (Linux). The children's figure has no such source: it may be a child
+    the launcher waited for before the exec, so it tells of a pool only
+    when one ran. ru_maxrss is in KiB on Linux, in bytes on macOS.
     """
     unit = 2**20 if sys.platform == "darwin" else 2**10
     own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / unit
@@ -356,51 +367,29 @@ def _peak_rss_mb() -> tuple[float, float]:
     return round(own, 1), round(children, 1)
 
 
-def _tower_export_rows(registry: TowerRegistry) -> list[tuple[str, str]]:
-    """Per-tower text of a tower export around its x: ("id,lon,lat,", ",y,")."""
-    return [
-        (f"{tid},{lon!r},{lat!r},", f",{pop},")
-        for tid, lon, lat, pop in zip(
-            registry.tower_ids.tolist(),
-            registry.lon.tolist(),
-            registry.lat.tolist(),
-            registry.population.tolist(),
-        )
-    ]
+def _tower_exports(registry: TowerRegistry, xs: list[list[int]]):
+    """The towers/ CSV text of each x in xs, home counts in registry row order.
 
-
-# most lines a sweep process keeps in its tower-export memo; a full memo is
-# emptied, so its memory never grows with towers x cells
-_EXPORT_MEMO_LINES = 1 << 15
-
-
-def _write_tower_export(
-    path: Path,
-    x: np.ndarray,
-    population: np.ndarray,
-    rows: list[tuple[str, str]],
-    memo: dict[int, str],
-) -> None:
-    """One cell's per-tower CSV; rows come from _tower_export_rows.
-
-    A line depends only on its registry row and x (the log ratio is ln(x/y)
-    element by element), so memo maps row + x * len(rows) to finished line
-    text, and a cell formats only the lines no earlier cell of this sweep
-    process wrote; a cell whose every line is in the memo takes no log
-    ratio. Each sweep, and each of its workers, has its own memo.
+    A line depends only on its registry row and x, since the log ratio
+    ln(x/y) is taken element by element; so each distinct (row, x) line is
+    formatted once per call, and an x whose every line is known takes no
+    log ratio.
     """
-    keys = (x * len(rows) + np.arange(len(rows))).tolist()
-    lines = [memo.get(k) for k in keys]
-    if None in lines:
-        xs, lr = x.tolist(), log_ratio_array(x, population).tolist()
-        for i, line in enumerate(lines):
-            if line is None:
-                head, mid = rows[i]
-                v = "" if lr[i] != lr[i] else repr(lr[i])  # NaN
-                if len(memo) >= _EXPORT_MEMO_LINES:
-                    memo.clear()
-                lines[i] = memo[keys[i]] = f"{head}{xs[i]}{mid}{v}"
-    _atomic_write(path, "\n".join(["tower_id,lon,lat,x,y,logratio", *lines]) + "\n")
+    ids, lon, lat, y = (registry.tower_ids.tolist(), registry.lon.tolist(),
+                        registry.lat.tolist(), registry.population.tolist())
+    rows = np.arange(len(ids))
+    lines: dict[int, str] = {}  # row + x * n_towers -> that row's line at x
+    for x in xs:
+        keys = (np.array(x, dtype=np.int64) * len(ids) + rows).tolist()
+        text = [lines.get(k) for k in keys]
+        if None in text:
+            lr = log_ratio_array(x, registry.population).tolist()
+            for i, k in enumerate(keys):
+                if text[i] is None:
+                    r = "" if lr[i] != lr[i] else repr(lr[i])  # NaN: undefined
+                    line = f"{ids[i]},{lon[i]!r},{lat[i]!r},{x[i]},{y[i]},{r}"
+                    text[i] = lines[k] = line
+        yield _csv("tower_id,lon,lat,x,y,logratio", text)
 
 
 def _write_assignment_dump(path: Path, bulk: BulkAssignments) -> None:
@@ -452,17 +441,19 @@ def run_sweep(
     rewrites the file with them alone, warning of the unparseable lines
     dropped; without it the RUN_FILES in the directory and their .tmp forms
     are removed first, and the towers and assignments directories too when
-    that empties them. The
-    manifest's stages hold the ingest parse, partition_records and run_sweep
-    seconds (perf_counter; the first two from ingest_report) and the peak
-    RSS in MiB of this process and of its largest worker (see _peak_rss_mb).
+    that empties them. The manifest's stages hold the ingest parse,
+    partition_records and run_sweep seconds (perf_counter; the first two
+    from ingest_report) and the peak RSS in MiB of this process and of its
+    largest worker, None when no pool ran (see _peak_rss_mb).
     """
     t_start = time.perf_counter()
     if truth is not None:
         for part in partitions:  # a user without a truth row fails every cell
             truth.rows_for_users(part.user_ids)
     hdas = list(hdas)
-    result = SweepResult(windows=list(windows), hda_names=[s.name for s in hdas])
+    result = SweepResult(
+        list(windows), [s.name for s in hdas], registry, options.per_tower_exports
+    )
     window_dicts = [
         {
             "label": w.label,
@@ -473,7 +464,14 @@ def run_sweep(
         for w in result.windows
     ]
     options_used = asdict(options)
-    del options_used["workers"], options_used["resume"]  # neither changes a record
+    for name in ("workers", "resume", "per_tower_exports"):  # none changes a record
+        del options_used[name]
+    # the registry's columns, whose rows each record's x counts; JSON keeps
+    # every float exactly
+    towers = dict(zip(TOWERS_HEADER, (
+        registry.tower_ids.tolist(), registry.lon.tolist(),
+        registry.lat.tolist(), registry.population.tolist(),
+    )))
     header = {
         "numpy": np.__version__,  # np.log and np.std may differ between versions
         "options": options_used,
@@ -481,12 +479,13 @@ def run_sweep(
         "tz": tz_name,
         "hdas": [asdict(s) for s in hdas],
         "windows": window_dicts,
+        "towers": towers,
         "n_partitions": len(partitions),
         "migration": None if migration is None else (
             migration.first_day, migration.last_day
         ),
     }
-    fingerprint = _fingerprint(header, partitions, registry, truth)
+    fingerprint = _fingerprint(header, partitions, truth)
     state = {
         "partitions": partitions,
         "registry": registry,
@@ -497,7 +496,6 @@ def run_sweep(
         "truth": truth,
         "migration": migration,
         "fingerprint": fingerprint,
-        "towers_dir": None,
         "assignments_dir": None,
     }
     out_path: Path | None = None
@@ -511,9 +509,7 @@ def run_sweep(
         except OSError as exc:
             raise OSError(f"output directory not writable: {out_path}") from exc
         if options.resume:
-            result, n_bad = load_run(
-                out_path, result.windows, result.hda_names, fingerprint=fingerprint
-            )
+            result, n_bad = load_run(out_path, result, fingerprint=fingerprint)
             warn_unparseable(n_bad, out_path / CELLS_FILE)
             _atomic_write(out_path / CELLS_FILE, "".join(
                 json.dumps(r, sort_keys=True) + "\n" for r in result.reports.values()
@@ -525,11 +521,6 @@ def run_sweep(
             for name in (TOWERS_DIR, ASSIGNMENTS_DIR):
                 with contextlib.suppress(OSError):  # absent, or holds other files
                     (out_path / name).rmdir()
-        if options.per_tower_exports:
-            state["towers_dir"] = out_path / TOWERS_DIR
-            state["towers_dir"].mkdir(exist_ok=True)
-            state["tower_rows"] = _tower_export_rows(registry)
-            state["tower_lines"] = {}  # the memo of _write_tower_export
         if options.dump_assignments:
             state["assignments_dir"] = out_path / ASSIGNMENTS_DIR
             state["assignments_dir"].mkdir(exist_ok=True)
@@ -548,7 +539,7 @@ def run_sweep(
     def take(rec: dict) -> None:
         result.add_cell(rec)
         if cells is not None:
-            # the cell wrote its files before it returned: a resume skips
+            # the cell wrote its dump before it returned: a resume skips
             # every recorded cell, so a run killed in between leaves it
             # unrecorded; each line is flushed whole, so a kill tears one at most
             cells.write(json.dumps(rec, sort_keys=True) + "\n")
@@ -602,7 +593,8 @@ def run_sweep(
         stages["partition_records_s"] = round(ingest_report.partition_seconds, 4)
     stages["run_sweep_s"] = round(time.perf_counter() - t_start, 4)
     # the pool's workers were waited for when it closed
-    stages["peak_rss_mb"], stages["workers_peak_rss_mb"] = _peak_rss_mb()
+    stages["peak_rss_mb"], workers_rss = _peak_rss_mb()
+    stages["workers_peak_rss_mb"] = workers_rss if use_workers > 1 else None
     manifest = {
         "tool": "cdrhomes",
         "created_utc": datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
@@ -613,6 +605,7 @@ def run_sweep(
         "options": asdict(options),
         "hdas": list(result.hda_names),
         "windows": window_dicts,
+        "towers": towers,
         "fingerprint": fingerprint,
         "n_cells": result.n_cells,
         "n_failed": result.n_failed,
@@ -646,7 +639,8 @@ def emit_reports(result: SweepResult, out_dir) -> list[Path]:
 
     One pass groups the cells: the computed cells in grid order, and the
     defined Pearson r per HDA (in window order) and per window (in HDA
-    order). Every CSV and chart reads those lists.
+    order). Every CSV and chart reads those lists. With
+    result.per_tower_exports, towers/ gets each computed cell's CSV too.
     """
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
@@ -757,4 +751,9 @@ def emit_reports(result: SweepResult, out_dir) -> list[Path]:
         y_label="max r - min r",
         x_date_ticks=True,
     )
+    if result.per_tower_exports:
+        (out_path / TOWERS_DIR).mkdir(exist_ok=True)
+        texts = _tower_exports(result.registry, [rec["x"] for _, _, rec in cells])
+        for (hda, w, _), text in zip(cells, texts):
+            emit(f"{TOWERS_DIR}/{hda}__{w.label}.csv", text)
     return written

@@ -411,6 +411,81 @@ def test_sweep_and_report_reemit(synth_dir, tmp_path, capsys):
         assert reemitted[name] == data, name
 
 
+def _tree(root: Path) -> dict[str, bytes]:
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("command", ["sweep-1", "sweep-2", "detect"])
+def test_report_restores_a_deleted_towers_directory(synth_dir, tmp_path, command):
+    run = tmp_path / "run"
+    argv = ["--records", str(synth_dir / "records.csv"),
+            "--towers", str(synth_dir / "towers.csv"), "--span", SPAN,
+            "--out", str(run)]
+    if command == "detect":
+        argv = ["detect", *argv, "--hda", "TC-19-9", "--window", "2007-06-03..2007-06-20"]
+    else:
+        argv = ["sweep", *argv, "--classes", "days14,full", "--workers", command[-1]]
+    assert main(argv) == 0
+    towers = _tree(run / "towers")
+    assert len(towers) == (1 if command == "detect" else 9 * 3)
+    shutil.rmtree(run / "towers")
+    assert main(["report", "--out", str(run)]) == 0
+    assert _tree(run / "towers") == towers
+
+
+def test_resume_may_flip_per_tower_exports(synth_dir, tmp_path):
+    # no record depends on the option: a resume under the other value keeps
+    # every cell, and writes towers/ as the new value says
+    argv = [
+        "sweep", "--records", str(synth_dir / "records.csv"),
+        "--towers", str(synth_dir / "towers.csv"), "--span", SPAN,
+        "--classes", "full", "--hdas", "MA,DD",
+    ]
+    fresh, run = tmp_path / "fresh", tmp_path / "run"
+    assert main(argv + ["--out", str(fresh)]) == 0
+    assert main(argv + ["--out", str(run), "--per-tower-exports", "false"]) == 0
+    cells = (run / "cells.jsonl").read_bytes()
+    assert not (run / "towers").exists()
+    assert main(argv + ["--out", str(run), "--resume"]) == 0
+    assert (run / "cells.jsonl").read_bytes() == cells
+    assert _tree(run / "towers") == _tree(fresh / "towers")
+
+    shutil.rmtree(run / "towers")
+    assert main(argv + ["--out", str(run), "--resume", "--per-tower-exports", "false"]) == 0
+    assert (run / "cells.jsonl").read_bytes() == cells
+    assert not (run / "towers").exists()
+
+
+def test_report_on_a_run_without_a_tower_registry_writes_nothing(
+    synth_dir, tmp_path, capsys
+):
+    # a run directory from before records carried x: reporting its records
+    # would rewrite every report with headers only
+    run = tmp_path / "run"
+    assert main([
+        "sweep", "--records", str(synth_dir / "records.csv"),
+        "--towers", str(synth_dir / "towers.csv"), "--span", SPAN,
+        "--classes", "full", "--hdas", "MA,DD", "--out", str(run),
+    ]) == 0
+    path = run / "manifest.json"
+    manifest = json.loads(path.read_text())
+    del manifest["towers"]
+    path.write_text(json.dumps(manifest))
+    cells = run / "cells.jsonl"
+    cells.write_text("".join(
+        json.dumps({k: v for k, v in json.loads(line).items() if k != "x"}) + "\n"
+        for line in cells.read_text().splitlines()
+    ))
+    before = _tree(run)
+    capsys.readouterr()
+    assert main(["report", "--out", str(run)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: not a sweep manifest") and "towers" in err
+    assert err.count("\n") == 1
+    assert _tree(run) == before
+
+
 def test_sweep_manifest_records_stages(synth_dir, tmp_path, capsys):
     run = tmp_path / "run"
     argv = [
@@ -424,7 +499,7 @@ def test_sweep_manifest_records_stages(synth_dir, tmp_path, capsys):
     assert set(manifest) == {
         "tool", "created_utc", "version", "span", "tz", "n_partitions", "options",
         "hdas", "windows", "fingerprint", "n_cells", "n_failed", "failed_cells",
-        "elapsed_seconds", "ingest", "stages", "migration_range",
+        "elapsed_seconds", "ingest", "stages", "migration_range", "towers",
     }
     assert manifest["migration_range"] is None  # no truth, nothing split
     stages = manifest["stages"]
@@ -473,14 +548,23 @@ def test_report_on_a_manifest_without_a_grid_names_the_file(
     assert err.count("\n") == 1
 
 
+# reaps a child that touched 64 MiB, then execs the rest of its command line
+_REAP_THEN_EXEC = (
+    "import os, subprocess, sys; "
+    "subprocess.run([sys.executable, '-c', 'b = bytes(1) * (64 << 20)'], check=True); "
+    "os.execv(sys.executable, [sys.executable, *sys.argv[1:]])"
+)
+
+
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="no VmHWM")
 def test_sweep_peak_rss_is_its_own_not_its_launchers(synth_dir, tmp_path):
     # getrusage(RUSAGE_SELF) in the sweep would carry this process's
-    # high-water mark, 160 MiB or more, across exec
+    # high-water mark, 160 MiB or more, across exec; RUSAGE_CHILDREN would
+    # carry the child its launcher reaped, though no worker ran
     held = np.ones(160 * 2**20 // 8)
     run = tmp_path / "run"
     done = subprocess.run(
-        [sys.executable, "-m", "cdrhomes.cli", "sweep",
+        [sys.executable, "-c", _REAP_THEN_EXEC, "-m", "cdrhomes.cli", "sweep",
          "--records", str(synth_dir / "records.csv"),
          "--towers", str(synth_dir / "towers.csv"), "--span", SPAN,
          "--classes", "full", "--hdas", "MA", "--out", str(run)],
@@ -491,6 +575,7 @@ def test_sweep_peak_rss_is_its_own_not_its_launchers(synth_dir, tmp_path):
     assert done.returncode == 0, done.stderr
     stages = json.loads((run / "manifest.json").read_text())["stages"]
     assert 0 < stages["peak_rss_mb"] < 120
+    assert stages["workers_peak_rss_mb"] is None
 
 
 def test_resume_under_other_options_is_refused(synth_dir, tmp_path, capsys):

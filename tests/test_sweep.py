@@ -5,6 +5,7 @@ import fnmatch
 import json
 import os
 import re
+import shutil
 import sys
 import time
 from datetime import date
@@ -207,6 +208,9 @@ DAMAGE = {
     "deciles-number": lambda rec: rec.update(deciles=5),
     "decile-row-short": lambda rec: rec["deciles"][0].pop(),
     "decile-value-text": lambda rec: rec["deciles"][0].__setitem__(2, "x"),
+    "no-x": lambda rec: rec.pop("x"),
+    "x-short": lambda rec: rec["x"].pop(),
+    "x-count-text": lambda rec: rec["x"].__setitem__(0, "3"),
     "no-accuracy": lambda rec: rec.pop("accuracy"),
     "accuracy-number": lambda rec: rec.update(accuracy=5),
     "accuracy-row-long": lambda rec: rec["accuracy"][0].append(1),
@@ -257,61 +261,65 @@ def test_resume_after_a_kill_between_cell_files_and_record(
     tmp_path, monkeypatch, workers
 ):
     res, parts, wins = _dataset()
+    dumps = SweepOptions(dump_assignments=True)
     fresh = tmp_path / "fresh"
-    run_sweep(parts, res.registry, wins, HDAS, fresh, SweepOptions())
+    run_sweep(parts, res.registry, wins, HDAS, fresh, dumps)
 
-    # writing one cell's tower export fails, in the process that computes
+    # writing one cell's assignment dump fails, in the process that computes
     # the cell: the sweep aborts, and the cell is not recorded
     out = tmp_path / "run"
-    real = sweep_mod._write_tower_export
+    real = sweep_mod._write_assignment_dump
 
-    def fails_on_one_cell(path, *args):
+    def fails_on_one_cell(path, bulk):
         if path.name == "MA__14d-03.csv":
             raise OSError(f"cannot write {path}")
-        real(path, *args)
+        real(path, bulk)
 
-    monkeypatch.setattr(sweep_mod, "_write_tower_export", fails_on_one_cell)
+    monkeypatch.setattr(sweep_mod, "_write_assignment_dump", fails_on_one_cell)
     with pytest.raises(OSError, match="MA__14d-03"):
-        run_sweep(parts, res.registry, wins, HDAS, out, SweepOptions(workers=workers))
-    monkeypatch.setattr(sweep_mod, "_write_tower_export", real)
+        run_sweep(parts, res.registry, wins, HDAS, out,
+                  SweepOptions(workers=workers, dump_assignments=True))
+    monkeypatch.setattr(sweep_mod, "_write_assignment_dump", real)
     log = out / "cells.jsonl"
     recorded = [json.loads(l) for l in log.read_text().splitlines()] if log.exists() else []
     assert ("MA", "14d-03") not in {(r["hda"], r["window"]) for r in recorded}
 
-    run_sweep(parts, res.registry, wins, HDAS, out, SweepOptions(resume=True))
+    run_sweep(parts, res.registry, wins, HDAS, out,
+              SweepOptions(resume=True, dump_assignments=True))
     files = _run_files(out)
-    assert "towers/MA__14d-03.csv" in files
+    assert "assignments/MA__14d-03.csv" in files
     assert files == _run_files(fresh)
 
 
 def test_a_raising_cell_cancels_the_cells_still_queued(tmp_path, monkeypatch):
-    # the first cell's tower export fails at once; every other cell sleeps in
-    # its forked worker, so the failure surfaces while all but the pool's
+    # the first cell's assignment dump fails at once; every other cell sleeps
+    # in its forked worker, so the failure surfaces while all but the pool's
     # running and pre-queued cells are still waiting
     res, parts, wins = _dataset()
     assert len(wins) * len(HDAS) == 12
     out = tmp_path / "run"
-    real, parent = sweep_mod._write_tower_export, os.getpid()
+    real, parent = sweep_mod._write_assignment_dump, os.getpid()
     first = f"{HDAS[0].name}__{wins[0].label}.csv"
 
-    def fails_first_and_sleeps(path, *args):
+    def fails_first_and_sleeps(path, bulk):
         if path.name == first:
             raise OSError(f"cannot write {path}")
         if os.getpid() != parent:
             time.sleep(0.5)
-        real(path, *args)
+        real(path, bulk)
 
-    monkeypatch.setattr(sweep_mod, "_write_tower_export", fails_first_and_sleeps)
+    monkeypatch.setattr(sweep_mod, "_write_assignment_dump", fails_first_and_sleeps)
     workers = 2
     with pytest.raises(OSError, match=first):
-        run_sweep(parts, res.registry, wins, HDAS, out, SweepOptions(workers=workers))
-    written = list((out / "towers").iterdir())
+        run_sweep(parts, res.registry, wins, HDAS, out,
+                  SweepOptions(workers=workers, dump_assignments=True))
+    written = list((out / "assignments").iterdir())
     assert len(written) <= 2 * workers + 1, sorted(p.name for p in written)
 
 
 def _tower_export_text(registry, parts, window, spec) -> str:
-    """A cell's tower export as a sweep alone writes it: formatted line by
-    line, without a memo, from the registry and the cell's x."""
+    """A cell's tower export, formatted line by line from the registry and
+    the cell's x."""
     x = sum(
         aggregate_homes(detect_homes_bulk(part, window, spec), registry)
         for part in parts
@@ -328,10 +336,10 @@ def _tower_export_text(registry, parts, window, spec) -> str:
     return "\n".join(lines) + "\n"
 
 
-def test_tower_export_memo_belongs_to_one_sweep(tmp_path):
-    # two sweeps in one process over the same records and tower ids: every
-    # cell has the same x in both, so the same memo keys, but each sweep's
-    # lines must come from its own registry's lon, lat and population
+def test_report_re_emits_each_runs_own_tower_lines(tmp_path):
+    # two runs in one process over the same records and tower ids: every
+    # cell has the same x in both, but each run's towers/ lines must come
+    # from its own registry's lon, lat and population
     res, parts, wins = _dataset()
     reg = res.registry
     ids = np.append(reg.tower_ids, reg.tower_ids.max() + 1)  # no record: x = 0
@@ -344,9 +352,14 @@ def test_tower_export_memo_belongs_to_one_sweep(tmp_path):
         np.append(0, first.population[1:] * 3),  # y = 0 at the first tower
     )
     runs = [(first, tmp_path / "first"), (second, tmp_path / "second")]
+    swept = {}
     for registry, out in runs:
         run_sweep(parts, registry, wins, HDAS, out, SweepOptions())
+        swept[out] = _run_files(out)
+        shutil.rmtree(out / "towers")
     for registry, out in runs:
+        assert main(["report", "--out", str(out)]) == 0
+        assert _run_files(out) == swept[out]
         assert len(list((out / "towers").iterdir())) == len(HDAS) * len(wins)
         for spec in HDAS:
             for w in wins:
@@ -356,26 +369,6 @@ def test_tower_export_memo_belongs_to_one_sweep(tmp_path):
                 assert rows[-1][3] == "0" and rows[-1][5] == ""  # x = 0
                 if registry is second:
                     assert rows[0][4] == "0" and rows[0][5] == ""  # y = 0
-
-
-@pytest.mark.parametrize("workers", [1, 2])
-def test_tower_export_memo_bound_keeps_every_byte(tmp_path, monkeypatch, workers):
-    res, parts, wins = _dataset()
-    unbounded = tmp_path / "unbounded"
-    run_sweep(parts, res.registry, wins, HDAS, unbounded, SweepOptions(workers=workers))
-
-    # a bound far below one cell's 15 lines: the memo is emptied within cells
-    bound, real = 4, sweep_mod._write_tower_export
-    monkeypatch.setattr(sweep_mod, "_EXPORT_MEMO_LINES", bound)
-
-    def checks_the_bound(path, x, population, rows, memo):
-        real(path, x, population, rows, memo)
-        assert 0 < len(memo) <= bound  # in a worker, this fails the sweep
-
-    monkeypatch.setattr(sweep_mod, "_write_tower_export", checks_the_bound)
-    bounded = tmp_path / "bounded"
-    run_sweep(parts, res.registry, wins, HDAS, bounded, SweepOptions(workers=workers))
-    assert _run_files(bounded) == _run_files(unbounded)
 
 
 def test_undecodable_cells_line_is_skipped_by_report_and_dropped_by_resume(
@@ -709,6 +702,9 @@ def test_sweep_no_tower_exports_option(tmp_path):
     )
     assert not (out / "towers").exists()
     assert not (out / "assignments").exists()
+    # report follows the run's option
+    assert main(["report", "--out", str(out)]) == 0
+    assert not (out / "towers").exists()
 
 
 def test_empty_grid_emits_valid_headers(tmp_path):
