@@ -26,6 +26,7 @@ import contextlib
 import hashlib
 import json
 import os
+import re
 import resource
 import sys
 import time
@@ -121,7 +122,7 @@ class SweepResult:
 def _readable(rec: dict, n_towers: int) -> bool:
     """Whether the reports can read an "ok" record: every field they use is
     there, with its type (numbers as json.loads gives them, never bool),
-    and x holds one count per tower."""
+    and x holds one count per tower, each a non-negative int64."""
 
     def num(v) -> bool:
         return type(v) in (int, float)
@@ -132,7 +133,7 @@ def _readable(rec: dict, n_towers: int) -> bool:
             and (rec["pearson"] is None or num(rec["pearson"]))
             and type(rec["n_used"]) is type(rec["n_excluded"]) is int
             and type(rec["x"]) is list and len(rec["x"]) == n_towers
-            and all(type(v) is int for v in rec["x"])
+            and all(type(v) is int and 0 <= v < 2**63 for v in rec["x"])
             and all(len(row) == 6 and all(map(num, row)) for row in rec["deciles"])
             and all(
                 type(g) is str and type(n) is type(c) is int
@@ -158,12 +159,7 @@ def _atomic_write(path: Path, data: str | bytes) -> None:
 
 def _ffmt(v) -> str:
     """Lossless float cell, empty for missing/NaN."""
-    if v is None:
-        return ""
-    f = float(v)
-    if f != f:  # NaN
-        return ""
-    return repr(f)
+    return "" if v is None or v != v else repr(float(v))
 
 
 # shared state for forked workers; set in the parent before the pool starts
@@ -367,29 +363,28 @@ def _peak_rss_mb() -> tuple[float, float]:
     return round(own, 1), round(children, 1)
 
 
-def _tower_exports(registry: TowerRegistry, xs: list[list[int]]):
-    """The towers/ CSV text of each x in xs, home counts in registry row order.
+def _tower_exports(registry: TowerRegistry, X: np.ndarray) -> list[str]:
+    """The towers/ CSV text of each row of X, one cell's home count per tower.
 
     A line depends only on its registry row and x, since the log ratio
-    ln(x/y) is taken element by element; so each distinct (row, x) line is
-    formatted once per call, and an x whose every line is known takes no
-    log ratio.
+    ln(x/y) is taken element by element; so one pass formats each distinct
+    (row, x) pair once, keyed by row and x's rank among X's values (a key
+    below X.size * n_towers, which cannot wrap): each cell's text is its lines.
     """
-    ids, lon, lat, y = (registry.tower_ids.tolist(), registry.lon.tolist(),
-                        registry.lat.tolist(), registry.population.tolist())
-    rows = np.arange(len(ids))
-    lines: dict[int, str] = {}  # row + x * n_towers -> that row's line at x
-    for x in xs:
-        keys = (np.array(x, dtype=np.int64) * len(ids) + rows).tolist()
-        text = [lines.get(k) for k in keys]
-        if None in text:
-            lr = log_ratio_array(x, registry.population).tolist()
-            for i, k in enumerate(keys):
-                if text[i] is None:
-                    r = "" if lr[i] != lr[i] else repr(lr[i])  # NaN: undefined
-                    line = f"{ids[i]},{lon[i]!r},{lat[i]!r},{x[i]},{y[i]},{r}"
-                    text[i] = lines[k] = line
-        yield _csv("tower_id,lon,lat,x,y,logratio", text)
+    n = X.shape[1]
+    values, rank = np.unique(X, return_inverse=True)
+    pairs, line_of = np.unique(rank.reshape(X.shape) * n + np.arange(n),
+                               return_inverse=True)
+    rows, x = pairs % n, values[pairs // n]
+    y = registry.population[rows]
+    lines = np.array([
+        f"{tid},{lon!r},{lat!r},{xi},{yi},{_ffmt(r)}"  # NaN ln(x/y): empty
+        for tid, lon, lat, xi, yi, r in zip(*(a[rows].tolist() for a in (
+            registry.tower_ids, registry.lon, registry.lat)), x.tolist(),
+            y.tolist(), log_ratio_array(x, y).tolist())
+    ], dtype=object)
+    return [_csv("tower_id,lon,lat,x,y,logratio", cell)
+            for cell in lines[line_of.reshape(X.shape)].tolist()]
 
 
 def _write_assignment_dump(path: Path, bulk: BulkAssignments) -> None:
@@ -618,8 +613,11 @@ def run_sweep(
         "stages": stages,
     }
     if out_path is not None:
-        text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-        _atomic_write(out_path / MANIFEST_FILE, text)
+        # each list of numbers on one line (no JSON string holds a raw newline)
+        text = re.sub(r"\[\n\s*([-+.\deE]+(?:,\n\s*[-+.\deE]+)*)\n\s*\]",
+                      lambda m: "[" + re.sub(r",\n\s*", ", ", m[1]) + "]",
+                      json.dumps(manifest, indent=2, sort_keys=True))
+        _atomic_write(out_path / MANIFEST_FILE, text + "\n")
     return result, manifest
 
 
@@ -753,7 +751,8 @@ def emit_reports(result: SweepResult, out_dir) -> list[Path]:
     )
     if result.per_tower_exports:
         (out_path / TOWERS_DIR).mkdir(exist_ok=True)
-        texts = _tower_exports(result.registry, [rec["x"] for _, _, rec in cells])
-        for (hda, w, _), text in zip(cells, texts):
+        X = np.array([rec["x"] for _, _, rec in cells], dtype=np.int64)
+        X = X.reshape(len(cells), len(result.registry))
+        for (hda, w, _), text in zip(cells, _tower_exports(result.registry, X)):
             emit(f"{TOWERS_DIR}/{hda}__{w.label}.csv", text)
     return written

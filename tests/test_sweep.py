@@ -24,7 +24,7 @@ from cdrhomes.metrics import log_ratio_array
 from cdrhomes.sweep import SweepOptions, emit_reports, load_run, run_sweep
 from cdrhomes.synth import SynthConfig, MigrationConfig, generate
 from cdrhomes.timebase import CivilClock
-from cdrhomes.windows import generate_windows
+from cdrhomes.windows import ObservationWindow, generate_windows
 
 from conftest import one_partition
 from oracles import partition_of
@@ -211,6 +211,8 @@ DAMAGE = {
     "no-x": lambda rec: rec.pop("x"),
     "x-short": lambda rec: rec["x"].pop(),
     "x-count-text": lambda rec: rec["x"].__setitem__(0, "3"),
+    "x-beyond-int64": lambda rec: rec["x"].__setitem__(0, 2**70),
+    "x-negative": lambda rec: rec["x"].__setitem__(0, -3),
     "no-accuracy": lambda rec: rec.pop("accuracy"),
     "accuracy-number": lambda rec: rec.update(accuracy=5),
     "accuracy-row-long": lambda rec: rec["accuracy"][0].append(1),
@@ -317,23 +319,76 @@ def test_a_raising_cell_cancels_the_cells_still_queued(tmp_path, monkeypatch):
     assert len(written) <= 2 * workers + 1, sorted(p.name for p in written)
 
 
-def _tower_export_text(registry, parts, window, spec) -> str:
+def _tower_export_oracle(registry, x) -> str:
     """A cell's tower export, formatted line by line from the registry and
     the cell's x."""
-    x = sum(
-        aggregate_homes(detect_homes_bulk(part, window, spec), registry)
-        for part in parts
-    )
     lr = log_ratio_array(x, registry.population)
     lines = ["tower_id,lon,lat,x,y,logratio"] + [
         f"{tid},{lon!r},{lat!r},{xi},{y},{'' if v != v else repr(v)}"
         for tid, lon, lat, xi, y, v in zip(
             registry.tower_ids.tolist(), registry.lon.tolist(),
-            registry.lat.tolist(), x.tolist(), registry.population.tolist(),
-            lr.tolist(),
+            registry.lat.tolist(), np.asarray(x, dtype=np.int64).tolist(),
+            registry.population.tolist(), lr.tolist(),
         )
     ]
     return "\n".join(lines) + "\n"
+
+
+def _tower_export_text(registry, parts, window, spec) -> str:
+    """The oracle's tower export of one cell computed from parts."""
+    x = sum(
+        aggregate_homes(detect_homes_bulk(part, window, spec), registry)
+        for part in parts
+    )
+    return _tower_export_oracle(registry, x)
+
+
+def test_tower_export_key_does_not_wrap():
+    # 2**62 * 4 towers is 2**64: a key x * n_towers + row in int64 wraps to
+    # 0, the key of x = 0 at the same row
+    registry = TowerRegistry([10, 20, 30, 40], [0.0] * 4, [0.0] * 4, [5, 6, 7, 8])
+    X = np.array([[2**62, 1, 1, 1], [0, 1, 1, 1]], dtype=np.int64)
+    texts = sweep_mod._tower_exports(registry, X)
+    lr = log_ratio_array([2**62], [5]).tolist()[0]
+    assert texts[0].splitlines()[1] == f"10,0.0,0.0,{2**62},5,{lr!r}"
+    assert texts[1].splitlines()[1] == "10,0.0,0.0,0,5,"
+
+
+def test_tower_exports_equal_the_per_cell_oracle(tmp_path):
+    windows = [
+        ObservationWindow(f"w{i}", date(2007, 6, 1), date(2007, 6, 14 + i), "days14")
+        for i in range(4)
+    ]
+    cases = {
+        # registry rows not in tower-id order; each x repeated across cells,
+        # 0 among them, at a tower whose y is 0 too (empty log ratio), and
+        # 2**62 at the row where a later cell has 0
+        "mixed": ((30, 10, 20, 40), (4, 0, 7, 9), [
+            [2**62, 0, 3, 3], [0, 5, 3, 0], [3, 5, 2**62, 1], [0, 0, 0, 0],
+        ]),
+        "no-ok-cell": ((30, 10, 20, 40), (4, 0, 7, 9), []),
+        "no-tower": ((), (), [[], []]),
+    }
+    for case, (ids, population, xs) in cases.items():
+        registry = TowerRegistry(
+            ids, np.linspace(-1.5, 2.25, len(ids)), np.linspace(43.1, 44.7, len(ids)),
+            population,
+        )
+        result = sweep_mod.SweepResult(windows, ["MA"], registry, True)
+        for i, w in enumerate(windows):  # the cells past xs failed
+            result.add_cell({
+                "hda": "MA", "window": w.label, "class": w.duration_class,
+                "status": "ok", "pearson": None, "n_used": 0, "n_excluded": 0,
+                "deciles": [], "accuracy": None, "x": xs[i],
+            } if i < len(xs) else {
+                "hda": "MA", "window": w.label, "status": "failed", "error": "boom",
+            })
+        emit_reports(result, tmp_path / case)
+        got = {p.name: p.read_text() for p in (tmp_path / case / "towers").iterdir()}
+        assert got == {
+            f"MA__{w.label}.csv": _tower_export_oracle(registry, x)
+            for w, x in zip(windows, xs)
+        }, case
 
 
 def test_report_re_emits_each_runs_own_tower_lines(tmp_path):
@@ -705,6 +760,22 @@ def test_sweep_no_tower_exports_option(tmp_path):
     # report follows the run's option
     assert main(["report", "--out", str(out)]) == 0
     assert not (out / "towers").exists()
+
+
+def test_manifest_writes_each_list_of_numbers_on_one_line(tmp_path):
+    res, parts, wins = _dataset()
+    reg = res.registry
+    _, manifest = run_sweep(parts, reg, wins, HDAS, tmp_path / "run")
+    text = (tmp_path / "run" / "manifest.json").read_text()
+    assert json.loads(text) == json.loads(json.dumps(manifest))
+    for name, column in zip(core.TOWERS_HEADER, (
+        reg.tower_ids, reg.lon, reg.lat, reg.population
+    )):
+        assert f'"{name}": {json.dumps(column.tolist())}' in text
+    assert not [
+        line for line in text.splitlines() if re.fullmatch(r"\s*[-+.\deE]+,?", line)
+    ]
+    assert '  "hdas": [\n    "MA",\n' in text  # a list of text keeps its lines
 
 
 def test_empty_grid_emits_valid_headers(tmp_path):
