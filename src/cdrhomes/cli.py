@@ -223,7 +223,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
     )
     for rec in result.reports.values():  # the one cell, unless it failed
         print(f"hda={rec['hda']} window={rec['window']} users={rec['n_users']} "
-              f"assigned={rec['n_assigned']}")
+              f"assigned={sum(rec['x'])}")
     return _failed(manifest)
 
 

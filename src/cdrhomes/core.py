@@ -530,8 +530,9 @@ def _ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
 def _iso_local_seconds(fields: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(valid mask, wall-clock seconds since 1970) of (n, 19) ISO time bytes.
 
-    A time is valid when strptime takes it: a real calendar date, hour up
-    to 23, minute and second up to 59.
+    A time is valid when strptime takes it: a real calendar date in years
+    0001-9999 (numpy's calendar has a year 0, strptime's none), hour up to
+    23, minute and second up to 59.
     """
     digits = fields.astype(np.int64) - ord("0")
 
@@ -544,7 +545,7 @@ def _iso_local_seconds(fields: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     month_start = months.astype("datetime64[M]").astype("datetime64[D]")
     month_days = ((months + 1).astype("datetime64[M]") - month_start).astype(np.int64)
     valid = (
-        (month >= 1) & (month <= 12) & (day >= 1) & (day <= month_days)
+        (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (day <= month_days)
         & (hour <= 23) & (minute <= 59) & (second <= 59)
     )
     days = month_start.astype(np.int64) + day - 1

@@ -106,21 +106,14 @@ def decile_summary(x, y) -> list[list]:
 
 
 def compute_metric_report(
-    x: np.ndarray,
-    population: np.ndarray,
-    window_class: str,
-    *,
-    n_users: int,
-    exclusion_threshold: int = 0,
+    x: np.ndarray, population: np.ndarray, *, exclusion_threshold: int = 0
 ) -> dict:
     """Score one cell's detected homes per tower, x, against the population:
     the metric fields of the cell's cells.jsonl record.
 
-    n_users is the user universe the cell's assignments covered; every
-    assigned user is counted in x, so n_assigned is its sum. Correlation
-    and deciles (decile_summary's rows) run over the towers whose x is not
-    below exclusion_threshold; pearson is None when r is undefined, and
-    pearson_note then says why.
+    Correlation and deciles (decile_summary's rows) run over the towers
+    whose x is not below exclusion_threshold; pearson is None when r is
+    undefined, and pearson_note then says why.
     """
     y = np.asarray(population, dtype=np.int64)
     if len(x) != len(y):
@@ -136,14 +129,9 @@ def compute_metric_report(
         r = None
         note = str(exc)
     return {
-        "class": window_class,
-        "n_towers": len(x),
         "n_used": int(used.sum()),
         "n_excluded": int(excluded.sum()),
-        "exclusion_threshold": exclusion_threshold,
         "pearson": r,
         "pearson_note": note,
-        "n_users": n_users,
-        "n_assigned": int(x.sum()),
         "deciles": decile_summary(x[used], y[used]),
     }

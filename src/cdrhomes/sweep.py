@@ -10,10 +10,11 @@ by load_run emit the same bytes; emit_reports writes towers/ from each ok
 record's x, its home count per tower. The process computing a cell writes
 its assignments/ dump, and the cell is recorded only after it returns. A
 killed run resumes by skipping cells already recorded there, provided they
-carry the run's fingerprint (a hash of the package source, options, grid and
-input arrays); cells computed under anything else refuse the resume. A
-fresh (non-resume) sweep first removes every file an earlier sweep may have
-left in the directory (RUN_FILES, and their .tmp forms) and nothing else.
+carry the run's fingerprint (a hash of the package source, the manifest's
+identity fields and the input arrays); cells computed under anything else
+refuse the resume. A fresh (non-resume) sweep first removes every file an
+earlier sweep may have left in the directory (RUN_FILES, and their .tmp
+forms) and nothing else.
 
 Worker processes use the fork start method and read the shared state from a
 module global set before the pool starts; where fork is unavailable the
@@ -121,16 +122,19 @@ class SweepResult:
 
 def _readable(rec: dict, n_towers: int) -> bool:
     """Whether the reports can read an "ok" record: every field they use is
-    there, with its type (numbers as json.loads gives them, never bool),
-    and x holds one count per tower, each a non-negative int64."""
+    there, with its type (numbers as json.loads gives them, never bool);
+    pearson is null or within [-1, 1], a decile number is a finite float or
+    NaN (a bin of too few towers), and x holds one count per tower, each a
+    non-negative int64."""
 
-    def num(v) -> bool:
-        return type(v) in (int, float)
+    def num(v) -> bool:  # a float or NaN: json.loads takes Infinity and 10**400
+        return type(v) in (int, float) and not abs(v) > sys.float_info.max
 
     try:
         return (
-            all(type(rec[k]) is str for k in ("hda", "window", "class"))
-            and (rec["pearson"] is None or num(rec["pearson"]))
+            type(rec["hda"]) is type(rec["window"]) is str
+            and (rec["pearson"] is None
+                 or (num(rec["pearson"]) and -1 <= rec["pearson"] <= 1))
             and type(rec["n_used"]) is type(rec["n_excluded"]) is int
             and type(rec["x"]) is list and len(rec["x"]) == n_towers
             and all(type(v) is int and 0 <= v < 2**63 for v in rec["x"])
@@ -197,13 +201,11 @@ def _compute_cell(state: dict, h_idx: int, w_idx: int) -> dict:
             accuracy = [[g, n, c] for _, _, g, n, c in rows]
         rec.update(
             compute_metric_report(
-                x,
-                registry.population,
-                window.duration_class,
-                n_users=len(bulk.user_ids),
+                x, registry.population,
                 exclusion_threshold=state["exclusion_threshold"],
             ),
             status="ok",
+            n_users=len(bulk.user_ids),
             n_tied=int(bulk.tie_broken.sum()),
             accuracy=accuracy,
             x=x.tolist(),
@@ -226,11 +228,12 @@ def _cell_entry(h_idx: int, w_idx: int) -> dict:
 
 
 def _fingerprint(
-    header: dict, partitions: list[UserPartition], truth: GroundTruthTable | None
+    identity: dict, partitions: list[UserPartition], truth: GroundTruthTable | None
 ) -> str:
     """sha256 of what a cell's record depends on: the package's own source,
-    the header (numpy's version and the tower registry included), then every
-    partition and truth array (name, dtype, shape and bytes)."""
+    the manifest's identity fields (numpy's version and the tower registry
+    included), then every partition and truth array (name, dtype, shape and
+    bytes)."""
     arrays = [
         (f"partition{i}.{f.name}", getattr(p, f.name))
         for i, p in enumerate(partitions)
@@ -245,7 +248,7 @@ def _fingerprint(
     for path in sorted(Path(__file__).parent.glob("*.py")):
         h.update(f"\n{path.name}\n".encode())
         h.update(path.read_bytes())
-    h.update(json.dumps(header, sort_keys=True, default=str).encode())
+    h.update(json.dumps(identity, sort_keys=True).encode())
     for name, a in arrays:
         h.update(f"\n{name} {a.dtype.str} {a.shape}\n".encode())
         h.update(np.ascontiguousarray(a).data)
@@ -428,15 +431,15 @@ def run_sweep(
     """Compute the full grid, persisting each cell as it completes; returns
     the result and the manifest.json dict.
 
-    With out_dir=None nothing is written (in-memory use); otherwise the
-    directory is probed for writability first, and emit_reports is invoked
-    at the end. A user of the partitions whom truth lacks raises KeyError
-    before anything is written. options.resume keeps the records of an
-    existing cells.jsonl (ValueError if any has another fingerprint) and
-    rewrites the file with them alone, warning of the unparseable lines
-    dropped; without it the RUN_FILES in the directory and their .tmp forms
-    are removed first, and the towers and assignments directories too when
-    that empties them. The manifest's stages hold the ingest parse,
+    With out_dir=None nothing is written (in-memory use); otherwise
+    emit_reports is invoked at the end. A user of the partitions whom truth
+    lacks raises KeyError before anything is written. options.resume keeps
+    the records of an existing cells.jsonl (ValueError if any has another
+    fingerprint) and rewrites the file with them alone, warning of the
+    unparseable lines dropped; without it the RUN_FILES in the directory and
+    their .tmp forms are removed first, and the towers and assignments
+    directories too when that empties them. An unwritable directory raises
+    OSError before any cell runs. The manifest's stages hold the ingest parse,
     partition_records and run_sweep seconds (perf_counter; the first two
     from ingest_report) and the peak RSS in MiB of this process and of its
     largest worker, None when no pool ran (see _peak_rss_mb).
@@ -449,38 +452,42 @@ def run_sweep(
     result = SweepResult(
         list(windows), [s.name for s in hdas], registry, options.per_tower_exports
     )
-    window_dicts = [
-        {
-            "label": w.label,
-            "first_day": w.first_day.isoformat(),
-            "last_day": w.last_day.isoformat(),
-            "class": w.duration_class,
-        }
-        for w in result.windows
-    ]
-    options_used = asdict(options)
-    for name in ("workers", "resume", "per_tower_exports"):  # none changes a record
-        del options_used[name]
-    # the registry's columns, whose rows each record's x counts; JSON keeps
-    # every float exactly
-    towers = dict(zip(TOWERS_HEADER, (
-        registry.tower_ids.tolist(), registry.lon.tolist(),
-        registry.lat.tolist(), registry.population.tolist(),
-    )))
-    header = {
+    # the run's identity: with the partitions and truth, what the
+    # fingerprint hashes; JSON keeps every float of the registry exactly
+    manifest = {
+        "tool": "cdrhomes",
+        "version": __version__,
         "numpy": np.__version__,  # np.log and np.std may differ between versions
-        "options": options_used,
         "span": span,
         "tz": tz_name,
-        "hdas": [asdict(s) for s in hdas],
-        "windows": window_dicts,
-        "towers": towers,
         "n_partitions": len(partitions),
-        "migration": None if migration is None else (
-            migration.first_day, migration.last_day
-        ),
+        "options": asdict(options),
+        "hdas": list(result.hda_names),
+        "windows": [
+            {
+                "label": w.label,
+                "first_day": w.first_day.isoformat(),
+                "last_day": w.last_day.isoformat(),
+                "class": w.duration_class,
+            }
+            for w in result.windows
+        ],
+        # the registry's columns, whose rows each record's x counts
+        "towers": dict(zip(TOWERS_HEADER, (
+            registry.tower_ids.tolist(), registry.lon.tolist(),
+            registry.lat.tolist(), registry.population.tolist(),
+        ))),
+        # the dates that split accuracy.csv's migrant rows
+        "migration_range": None if truth is None or migration is None
+        else f"{migration.first_day}..{migration.last_day}",
     }
-    fingerprint = _fingerprint(header, partitions, truth)
+    # of the options, those that change a record; each HDA in full
+    fingerprint = _fingerprint({
+        **manifest,
+        "options": {k: v for k, v in manifest["options"].items()
+                    if k not in ("workers", "resume", "per_tower_exports")},
+        "hdas": [asdict(spec) for spec in hdas],
+    }, partitions, truth)
     state = {
         "partitions": partitions,
         "registry": registry,
@@ -497,12 +504,6 @@ def run_sweep(
     if out_dir is not None:
         out_path = Path(out_dir)
         out_path.mkdir(parents=True, exist_ok=True)
-        probe = out_path / ".write_probe"
-        try:
-            probe.write_text("")
-            probe.unlink()
-        except OSError as exc:
-            raise OSError(f"output directory not writable: {out_path}") from exc
         if options.resume:
             result, n_bad = load_run(out_path, result, fingerprint=fingerprint)
             warn_unparseable(n_bad, out_path / CELLS_FILE)
@@ -590,28 +591,16 @@ def run_sweep(
     # the pool's workers were waited for when it closed
     stages["peak_rss_mb"], workers_rss = _peak_rss_mb()
     stages["workers_peak_rss_mb"] = workers_rss if use_workers > 1 else None
-    manifest = {
-        "tool": "cdrhomes",
-        "created_utc": datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
-        "version": __version__,
-        "span": span,
-        "tz": tz_name,
-        "n_partitions": len(partitions),
-        "options": asdict(options),
-        "hdas": list(result.hda_names),
-        "windows": window_dicts,
-        "towers": towers,
-        "fingerprint": fingerprint,
-        "n_cells": result.n_cells,
-        "n_failed": result.n_failed,
-        "failed_cells": sorted(f"{h}|{w}" for h, w in result.errors),
-        # the dates that split accuracy.csv's migrant rows
-        "migration_range": None if truth is None or migration is None
-        else f"{migration.first_day}..{migration.last_day}",
-        "elapsed_seconds": elapsed,
-        "ingest": ingest_report.as_dict() if ingest_report else None,
-        "stages": stages,
-    }
+    manifest.update(
+        created_utc=datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
+        fingerprint=fingerprint,
+        n_cells=result.n_cells,
+        n_failed=result.n_failed,
+        failed_cells=sorted(f"{h}|{w}" for h, w in result.errors),
+        elapsed_seconds=elapsed,
+        ingest=ingest_report.as_dict() if ingest_report else None,
+        stages=stages,
+    )
     if out_path is not None:
         # each list of numbers on one line (no JSON string holds a raw newline)
         text = re.sub(r"\[\n\s*([-+.\deE]+(?:,\n\s*[-+.\deE]+)*)\n\s*\]",

@@ -141,6 +141,22 @@ def test_ingest_check_of_one_record_near_either_end_of_the_calendar(
     out = capsys.readouterr().out.splitlines()
     assert "accepted=1" in out and "rejected_out_of_span=0" in out
 
+
+@pytest.mark.parametrize("span", ["0001-01-01..0001-01-20", "2007-01-01..2007-01-20"])
+def test_a_year_0_time_is_malformed_under_any_span(tmp_path, span, capsys):
+    # numpy's calendar has a year 0, strptime's none: under a span whose
+    # two-day band held the time, the block parser took the line and counted
+    # it out of span
+    towers = tmp_path / "towers.csv"
+    towers.write_text(f"{TOWERS_HEADER}\n5,2.0,3.0,10\n")
+    records = tmp_path / "records.csv"
+    records.write_text("user_id,tower_id,timestamp\n1,5,0000-12-31T12:00:00\n")
+    assert main(["ingest-check", "--records", str(records), "--towers", str(towers),
+                 "--span", span, "--tz", "UTC"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "rejected_malformed=1" in out and "rejected_out_of_span=0" in out
+
+
 def test_ingest_check(synth_dir, capsys):
     rc = main([
         "ingest-check", "--records", str(synth_dir / "records.csv"),
@@ -497,9 +513,10 @@ def test_sweep_manifest_records_stages(synth_dir, tmp_path, capsys):
     assert main(argv) == 0
     manifest = json.loads((run / "manifest.json").read_text())
     assert set(manifest) == {
-        "tool", "created_utc", "version", "span", "tz", "n_partitions", "options",
-        "hdas", "windows", "fingerprint", "n_cells", "n_failed", "failed_cells",
-        "elapsed_seconds", "ingest", "stages", "migration_range", "towers",
+        "tool", "created_utc", "version", "numpy", "span", "tz", "n_partitions",
+        "options", "hdas", "windows", "fingerprint", "n_cells", "n_failed",
+        "failed_cells", "elapsed_seconds", "ingest", "stages", "migration_range",
+        "towers",
     }
     assert manifest["migration_range"] is None  # no truth, nothing split
     stages = manifest["stages"]
@@ -752,6 +769,29 @@ def test_a_truth_table_that_lacks_a_user_stops_the_sweep_before_any_cell(
     said = capsys.readouterr()
     assert said.err == "error: user 1 has no ground-truth row\n"
     assert said.out == ""
+    assert not (run / "cells.jsonl").exists()
+
+
+@pytest.mark.skipif(os.geteuid() == 0, reason="root may write into any directory")
+def test_a_sweep_into_a_read_only_directory_is_one_error_line(
+    synth_dir, tmp_path, capsys
+):
+    # no probe file is written: the sweep's own first write, made before any
+    # cell runs, raises OSError naming a path in the directory
+    run = tmp_path / "run"
+    run.mkdir()
+    run.chmod(0o500)
+    try:
+        rc = main([
+            "sweep", "--records", str(synth_dir / "records.csv"),
+            "--towers", str(synth_dir / "towers.csv"), "--span", SPAN,
+            "--out", str(run), "--hdas", "MA", "--classes", "full",
+        ])
+    finally:
+        run.chmod(0o700)
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(run) in err[0], err
     assert not (run / "cells.jsonl").exists()
 
 

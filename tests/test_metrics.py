@@ -134,29 +134,26 @@ def test_decile_summary_small_input():
 def test_exclusion_policy():
     # towers with fewer detected homes than the threshold are excluded
     x, y = np.array([0, 1, 5, 10]), np.array([1, 2, 3, 4])
-    kept = compute_metric_report(x, y, "full", n_users=16, exclusion_threshold=0)
+    kept = compute_metric_report(x, y, exclusion_threshold=0)
     assert (kept["n_used"], kept["n_excluded"]) == (4, 0)
-    cut = compute_metric_report(x, y, "full", n_users=16, exclusion_threshold=2)
+    cut = compute_metric_report(x, y, exclusion_threshold=2)
     assert (cut["n_used"], cut["n_excluded"]) == (2, 2)
     assert cut["pearson"] == pytest.approx(two_pass_pearson([5, 10], [3, 4]))
     with pytest.raises(ValueError):
-        compute_metric_report(x, y, "full", n_users=16, exclusion_threshold=-1)
+        compute_metric_report(x, y, exclusion_threshold=-1)
 
 
-def _report(x, y, window_class, **kwargs):
-    x = np.asarray(x, dtype=np.int64)
-    return compute_metric_report(
-        x, y, window_class, n_users=int(x.sum()) + 2, **kwargs
-    )
+def _report(x, y, **kwargs):
+    return compute_metric_report(np.asarray(x, dtype=np.int64), y, **kwargs)
 
 
 def test_compute_metric_report():
     rng = np.random.default_rng(41)
     y = rng.integers(1, 400, size=30)
     x = y // 3 + rng.integers(0, 10, size=30)
-    rep = _report(x, y, "full")
-    assert rep["class"] == "full" and rep["n_towers"] == 30
-    assert rep["n_users"] == int(x.sum()) + 2 and rep["n_assigned"] == int(x.sum())
+    rep = _report(x, y)
+    # the record's other fields are the cell's or the manifest's to state
+    assert set(rep) == {"n_used", "n_excluded", "pearson", "pearson_note", "deciles"}
     assert rep["n_used"] == 30 and rep["n_excluded"] == 0
     assert abs(rep["pearson"] - two_pass_pearson(x, y)) < 1e-12
     assert rep["pearson_note"] == ""
@@ -165,8 +162,8 @@ def test_compute_metric_report():
     # exclusion shrinks the used set and is reported, never silent
     x2 = x.copy()
     x2[:4] = 0
-    rep2 = _report(x2, y, "full", exclusion_threshold=1)
-    assert rep2["n_excluded"] == 4 and rep2["exclusion_threshold"] == 1
+    rep2 = _report(x2, y, exclusion_threshold=1)
+    assert rep2["n_excluded"] == 4
     assert rep2["n_used"] == 26
     used = x2 >= 1
     assert abs(rep2["pearson"] - two_pass_pearson(x2[used], y[used])) < 1e-12
@@ -174,7 +171,7 @@ def test_compute_metric_report():
 
 def test_compute_metric_report_undefined_pearson():
     y = np.arange(1, 13)
-    rep = _report(np.full(12, 3), y, "full")
+    rep = _report(np.full(12, 3), y)
     assert rep["pearson"] is None
     assert "constant" in rep["pearson_note"]
 
@@ -185,5 +182,5 @@ def test_metric_report_survives_json_round_trip():
     rng = np.random.default_rng(43)
     y = rng.integers(1, 400, size=25)
     x = y // 2 + rng.integers(0, 5, size=25)
-    rep = _report(x, y, "days30", exclusion_threshold=2)
+    rep = _report(x, y, exclusion_threshold=2)
     assert json.loads(json.dumps(rep)) == rep

@@ -8,6 +8,7 @@ import re
 import shutil
 import sys
 import time
+from dataclasses import asdict
 from datetime import date
 
 import numpy as np
@@ -64,7 +65,7 @@ def test_in_memory_sweep_covers_grid():
     assert sw.n_failed == 0
     rep = sw.reports[("MA", "full")]
     assert rep["n_users"] == len(res.truth)
-    assert 0 < rep["n_assigned"] <= rep["n_users"]
+    assert 0 < sum(rep["x"]) <= rep["n_users"]  # every placed user, once
     assert manifest["n_cells"] == sw.n_cells
     assert manifest["n_failed"] == 0
     assert json.loads(json.dumps(manifest)) == manifest
@@ -199,15 +200,18 @@ def test_sweep_resume_skips_completed_cells(tmp_path):
 
 
 DAMAGE = {
-    "no-class": lambda rec: rec.pop("class"),
     "no-pearson": lambda rec: rec.pop("pearson"),
     "pearson-text": lambda rec: rec.update(pearson="0.5"),
+    "pearson-infinite": lambda rec: rec.update(pearson=float("inf")),
+    "pearson-above-one": lambda rec: rec.update(pearson=1.5),
     "n-used-text": lambda rec: rec.update(n_used="12"),
     "n-excluded-float": lambda rec: rec.update(n_excluded=0.0),
     "no-n-excluded": lambda rec: rec.pop("n_excluded"),
     "deciles-number": lambda rec: rec.update(deciles=5),
     "decile-row-short": lambda rec: rec["deciles"][0].pop(),
     "decile-value-text": lambda rec: rec["deciles"][0].__setitem__(2, "x"),
+    "decile-infinite": lambda rec: rec["deciles"][0].__setitem__(4, float("inf")),
+    "decile-beyond-float": lambda rec: rec["deciles"][0].__setitem__(2, 10**400),
     "no-x": lambda rec: rec.pop("x"),
     "x-short": lambda rec: rec["x"].pop(),
     "x-count-text": lambda rec: rec["x"].__setitem__(0, "3"),
@@ -377,9 +381,9 @@ def test_tower_exports_equal_the_per_cell_oracle(tmp_path):
         result = sweep_mod.SweepResult(windows, ["MA"], registry, True)
         for i, w in enumerate(windows):  # the cells past xs failed
             result.add_cell({
-                "hda": "MA", "window": w.label, "class": w.duration_class,
-                "status": "ok", "pearson": None, "n_used": 0, "n_excluded": 0,
-                "deciles": [], "accuracy": None, "x": xs[i],
+                "hda": "MA", "window": w.label, "status": "ok", "pearson": None,
+                "n_used": 0, "n_excluded": 0, "deciles": [], "accuracy": None,
+                "x": xs[i],
             } if i < len(xs) else {
                 "hda": "MA", "window": w.label, "status": "failed", "error": "boom",
             })
@@ -479,6 +483,41 @@ def test_resume_refuses_cells_of_other_inputs(tmp_path, monkeypatch):
     (out / "cells.jsonl").write_text("\n".join([json.dumps(rec), *lines[1:]]) + "\n")
     with pytest.raises(ValueError, match="fingerprint None"):
         run_sweep(parts, res.registry, wins, HDAS, out, resume)
+
+
+def test_manifest_states_what_the_fingerprint_hashes(tmp_path):
+    # the fingerprint is a hash of the manifest's identity fields, with the
+    # options narrowed to those that change a record and each HDA spelled
+    # out, and of the input arrays; no record restates a manifest field
+    res, parts, wins = _dataset(fraction=0.3)
+    out = tmp_path / "run"
+    run_sweep(
+        parts, res.registry, wins, HDAS, out, SweepOptions(dump_assignments=True),
+        truth=res.truth, migration=res.config.migration,
+        span=str(SPAN), tz_name=res.config.tz_name,
+    )
+    manifest = json.loads((out / "manifest.json").read_text())
+    identity = {k: manifest[k] for k in (
+        "tool", "version", "numpy", "span", "tz", "n_partitions", "windows",
+        "towers", "migration_range",
+    )}
+    identity["options"] = {k: manifest["options"][k] for k in (
+        "exclusion_threshold", "min_qualifying", "dump_assignments",
+    )}
+    identity["hdas"] = [asdict(canonical_hda(name)) for name in manifest["hdas"]]
+    fingerprint = sweep_mod._fingerprint(identity, parts, res.truth)
+    assert fingerprint == manifest["fingerprint"]
+    records = [json.loads(l) for l in (out / "cells.jsonl").read_text().splitlines()]
+    assert len(records) == manifest["n_cells"]
+    for rec in records:
+        assert rec["fingerprint"] == fingerprint
+        assert not {"class", "n_towers", "exclusion_threshold", "n_assigned"} & set(rec)
+
+    # only accuracy reads the migration range: without truth it is not hashed
+    _, bare = run_sweep(parts, res.registry, wins[:1], HDAS[:1])
+    _, split = run_sweep(parts, res.registry, wins[:1], HDAS[:1],
+                         migration=res.config.migration)
+    assert bare["fingerprint"] == split["fingerprint"]
 
 
 def test_assignment_dump_rows_do_not_depend_on_partition_count(tmp_path):
