@@ -107,11 +107,22 @@ def _check_writers(tmp_path):
         [-(2**63), 2**63 - 1, -1, 0, 9, 10, -9, -10, -(10**18), 10**18],
         dtype=np.int64,
     )
+    # a largest magnitude at each edge of the unsigned types the writer
+    # divides in; in 3-row blocks, the second block holds only small values
+    u_tops = [255, 256, 65535, 65536, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+    i_tops = [-1, -(2**31), -(2**63), 2**63 - 1]
+    edges = [
+        (np.array([top, 0, top - 1, 9, 10], dtype=np.uint64),
+         np.array([0, low, low // 7, 1, -10], dtype=np.int64),
+         np.array([low, 1, 0, 99, 100], dtype=np.int64))
+        for top, low in zip(u_tops, i_tops * 2)
+    ]
     for cols in (
         (u64, i64, i64[::-1]),
         (users, towers, towers[::-1]),
         (users[::-1], towers // 7, np.arange(10, dtype=np.int64) - 5),
         (users[:0], towers[:0], towers[:0]),
+        *edges,
     ):
         want = _csv_writer_bytes(tmp_path / "r0.csv", header, _records_rows(*cols))
         write_records_csv(tmp_path / "r.csv", *cols)
@@ -129,17 +140,19 @@ def _check_writers(tmp_path):
     )
     assert (tmp_path / "t.csv").read_bytes() == want
 
-    truth = GroundTruthTable(u64, i64, i64[::-1], np.array([-1, -7, 12]))
-    truth.write_csv(tmp_path / "g.csv")
-    want = _csv_writer_bytes(
-        tmp_path / "g0.csv",
-        ["user_id", "home_tower", "work_tower", "migration_tower"],
-        [[int(u), int(h), int(w), int(m) if m >= 0 else ""]
-         for u, h, w, m in zip(truth.user_ids, truth.home_towers,
-                               truth.work_towers, truth.migration_towers)],
-    )
-    assert (tmp_path / "g.csv").read_bytes() == want
-    assert b",\n" in want  # an empty migration tower
+    # a blank column mixed, and all empty
+    for migration in (np.array([-1, -7, 2**32]), np.array([-1, -1, -(2**63)])):
+        truth = GroundTruthTable(u64, i64, i64[::-1], migration)
+        truth.write_csv(tmp_path / "g.csv")
+        want = _csv_writer_bytes(
+            tmp_path / "g0.csv",
+            ["user_id", "home_tower", "work_tower", "migration_tower"],
+            [[int(u), int(h), int(w), int(m) if m >= 0 else ""]
+             for u, h, w, m in zip(truth.user_ids, truth.home_towers,
+                                   truth.work_towers, truth.migration_towers)],
+        )
+        assert (tmp_path / "g.csv").read_bytes() == want
+        assert b",\n" in want  # an empty migration tower
 
 
 def test_writers_equal_csv_writer(tmp_path, monkeypatch):

@@ -6,6 +6,7 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
+from cdrhomes import synth
 from cdrhomes.core import DatasetSpan, write_records_csv
 from cdrhomes.hda import BulkAssignments, canonical_hda, detect_homes_bulk
 from cdrhomes.synth import (
@@ -102,6 +103,23 @@ def test_generate_deterministic():
     assert np.array_equal(a.towers, b.towers)
     assert np.array_equal(a.timestamps, b.timestamps)
     assert np.array_equal(a.truth.home_towers, b.truth.home_towers)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 42, 2**32 - 1, 2**32, 2**64 + 5, 3**80])
+def test_stream_states_equal_numpys_seeding(seed):
+    # seeds of one to four 32-bit words, so the seed sequence mixes three to
+    # six words; ids with low and high bits set
+    uids = np.array([1, 2, 64, 65, 2**16, 2**31, 2**32 - 1], dtype=np.int64)
+    want = [
+        np.random.default_rng(
+            np.random.SeedSequence([seed, synth._TAG_USER, uid])
+        ).bit_generator.state
+        for uid in uids.tolist()
+    ]
+    assert synth._stream_states(seed, uids) == want
+    assert synth._stream_states(seed, uids[:0]) == []
+    with pytest.raises(ValueError, match="below 2"):
+        synth._stream_states(seed, np.array([2**32]))
 
 
 def test_generate_canonical_record_order_and_span():
