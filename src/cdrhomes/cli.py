@@ -222,8 +222,8 @@ def cmd_detect(args: argparse.Namespace) -> int:
         span=str(args.span), tz_name=args.tz, ingest_report=report,
     )
     for rec in result.reports.values():  # the one cell, unless it failed
-        print(f"hda={rec['hda']} window={rec['window']} users={rec['n_users']} "
-              f"assigned={sum(rec['x'])}")
+        print(f"hda={rec['hda']} window={rec['window']} "
+              f"users={report.distinct_users} assigned={sum(rec['x'])}")
     return _failed(manifest)
 
 

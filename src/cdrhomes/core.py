@@ -378,12 +378,14 @@ def partition_records(
             day_ords, week_hours = day_ords[keep], week_hours[keep]
     n_out = n_in - len(users)
 
+    columns = (users, towers, timestamps, day_ords, week_hours)
+    if n_partitions == 1:  # every record is the one partition's: nothing to hash
+        return [UserPartition(**_detection_index(*columns))], n_out
     # the narrowest type: the column stays live while the indexes are built
     part_idx = (_splitmix64(users) % np.uint64(n_partitions)).astype(
         np.min_scalar_type(n_partitions - 1)
     )
     parts: list[UserPartition] = []
-    columns = (users, towers, timestamps, day_ords, week_hours)
     for p in range(n_partitions):
         m = part_idx == p
         # a partition holding every record takes the columns as they are:

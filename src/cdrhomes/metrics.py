@@ -109,7 +109,7 @@ def compute_metric_report(
     x: np.ndarray, population: np.ndarray, *, exclusion_threshold: int = 0
 ) -> dict:
     """Score one cell's detected homes per tower, x, against the population:
-    the metric fields of the cell's cells.jsonl record.
+    the statistics the sweep's reports write for the cell.
 
     Correlation and deciles (decile_summary's rows) run over the towers
     whose x is not below exclusion_threshold; pearson is None when r is

@@ -6,8 +6,9 @@ reproducible, which keeps final report files byte-identical for any worker
 count. A cell's result is its cells.jsonl record, in memory as on disk:
 computing a cell yields that record, SweepResult.add_cell keeps it, and the
 reports read the kept records, so a live sweep and a run directory read back
-by load_run emit the same bytes; emit_reports writes towers/ from each ok
-record's x, its home count per tower. The process computing a cell writes
+by load_run emit the same bytes. A record holds what the cell computed, x
+(its home count per tower) first: emit_reports derives every statistic of
+the cell, and its towers/ file, from x. The process computing a cell writes
 its assignments/ dump, and the cell is recorded only after it returns. A
 killed run resumes by skipping cells already recorded there, provided they
 carry the run's fingerprint (a hash of the package source, the manifest's
@@ -93,13 +94,13 @@ class SweepOptions:
 class SweepResult:
     """Everything a finished sweep knows, keyed by (hda, window) labels:
     each ok cell's cells.jsonl record, and each failed cell's error; the
-    registry whose rows a record's x counts, and whether emit_reports
-    writes towers/ from them."""
+    registry whose rows a record's x counts, and the options emit_reports
+    reads (the exclusion threshold, and whether it writes towers/)."""
 
     windows: list[ObservationWindow]
     hda_names: list[str]
     registry: TowerRegistry
-    per_tower_exports: bool
+    options: SweepOptions
     reports: dict[tuple[str, str], dict] = field(default_factory=dict)
     errors: dict[tuple[str, str], str] = field(default_factory=dict)
 
@@ -122,23 +123,14 @@ class SweepResult:
 
 def _readable(rec: dict, n_towers: int) -> bool:
     """Whether the reports can read an "ok" record: every field they use is
-    there, with its type (numbers as json.loads gives them, never bool);
-    pearson is null or within [-1, 1], a decile number is a finite float or
-    NaN (a bin of too few towers), and x holds one count per tower, each a
-    non-negative int64."""
-
-    def num(v) -> bool:  # a float or NaN: json.loads takes Infinity and 10**400
-        return type(v) in (int, float) and not abs(v) > sys.float_info.max
-
+    there, with its type (ints as json.loads gives them, never bool); x
+    holds one count per tower, each a non-negative int64, and accuracy is
+    null or rows of (group, n_users, n_correct)."""
     try:
         return (
             type(rec["hda"]) is type(rec["window"]) is str
-            and (rec["pearson"] is None
-                 or (num(rec["pearson"]) and -1 <= rec["pearson"] <= 1))
-            and type(rec["n_used"]) is type(rec["n_excluded"]) is int
             and type(rec["x"]) is list and len(rec["x"]) == n_towers
             and all(type(v) is int and 0 <= v < 2**63 for v in rec["x"])
-            and all(len(row) == 6 and all(map(num, row)) for row in rec["deciles"])
             and all(
                 type(g) is str and type(n) is type(c) is int
                 for g, n, c in rec["accuracy"] or ()
@@ -191,8 +183,7 @@ def _compute_cell(state: dict, h_idx: int, w_idx: int) -> dict:
             np.concatenate([getattr(b, f.name) for b in bulks])
             for f in fields(BulkAssignments)
         ))
-        registry: TowerRegistry = state["registry"]
-        x = aggregate_homes(bulk, registry)
+        x = aggregate_homes(bulk, state["registry"])
         accuracy = None
         if state["truth"] is not None:
             rows = score_against_truth(
@@ -200,12 +191,7 @@ def _compute_cell(state: dict, h_idx: int, w_idx: int) -> dict:
             )
             accuracy = [[g, n, c] for _, _, g, n, c in rows]
         rec.update(
-            compute_metric_report(
-                x, registry.population,
-                exclusion_threshold=state["exclusion_threshold"],
-            ),
             status="ok",
-            n_users=len(bulk.user_ids),
             n_tied=int(bulk.tie_broken.sum()),
             accuracy=accuracy,
             x=x.tolist(),
@@ -260,7 +246,7 @@ def load_run(
 ) -> tuple[SweepResult, int]:
     """Rebuild a SweepResult from a run directory's cells.jsonl.
 
-    The grid, the tower registry and per_tower_exports come from result, an
+    The grid, the tower registry and the options come from result, an
     empty SweepResult, or from manifest.json when it is None (a killed run
     has not written its manifest, so a resume passes its own). Every grid
     cell recorded "ok" is restored through SweepResult.add_cell; failed
@@ -299,12 +285,13 @@ def load_run(
             ):
                 raise TypeError("hdas and window labels must be lists of text")
             towers = manifest["towers"]
-            per_tower_exports = manifest["options"]["per_tower_exports"]
-            if type(per_tower_exports) is not bool:
-                raise TypeError("options.per_tower_exports must be true or false")
+            options = manifest["options"]
+            for f in fields(SweepOptions):  # each of the type asdict wrote
+                if type(options[f.name]) is not type(f.default):
+                    raise TypeError(f"options.{f.name} is not {type(f.default).__name__}")
             result = SweepResult(
                 windows, hda_names, TowerRegistry(*(towers[k] for k in TOWERS_HEADER)),
-                per_tower_exports,
+                SweepOptions(**options),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(
@@ -449,9 +436,7 @@ def run_sweep(
         for part in partitions:  # a user without a truth row fails every cell
             truth.rows_for_users(part.user_ids)
     hdas = list(hdas)
-    result = SweepResult(
-        list(windows), [s.name for s in hdas], registry, options.per_tower_exports
-    )
+    result = SweepResult(list(windows), [s.name for s in hdas], registry, options)
     # the run's identity: with the partitions and truth, what the
     # fingerprint hashes; JSON keeps every float of the registry exactly
     manifest = {
@@ -481,11 +466,11 @@ def run_sweep(
         "migration_range": None if truth is None or migration is None
         else f"{migration.first_day}..{migration.last_day}",
     }
-    # of the options, those that change a record; each HDA in full
+    # of the options, those a cell reads (not the reports'); each HDA in full
     fingerprint = _fingerprint({
         **manifest,
-        "options": {k: v for k, v in manifest["options"].items()
-                    if k not in ("workers", "resume", "per_tower_exports")},
+        "options": {k: manifest["options"][k]
+                    for k in ("min_qualifying", "dump_assignments")},
         "hdas": [asdict(spec) for spec in hdas],
     }, partitions, truth)
     state = {
@@ -494,7 +479,6 @@ def run_sweep(
         "windows": result.windows,
         "hdas": hdas,
         "min_qualifying": options.min_qualifying,
-        "exclusion_threshold": options.exclusion_threshold,
         "truth": truth,
         "migration": migration,
         "fingerprint": fingerprint,
@@ -624,10 +608,12 @@ def _r_stats(rs: list[float]) -> tuple:
 def emit_reports(result: SweepResult, out_dir) -> list[Path]:
     """Write the final report files; an empty grid still yields valid headers.
 
-    One pass groups the cells: the computed cells in grid order, and the
-    defined Pearson r per HDA (in window order) and per window (in HDA
-    order). Every CSV and chart reads those lists. With
-    result.per_tower_exports, towers/ gets each computed cell's CSV too.
+    The run's home counts are one int64 matrix, a row per computed cell in
+    grid order: each cell's statistics are compute_metric_report of its row
+    at result.options.exclusion_threshold, and no record's own. One pass
+    groups them: the defined Pearson r per HDA (in window order) and per
+    window (in HDA order). Every CSV and chart reads those lists. With
+    result.options.per_tower_exports, towers/ gets each row's CSV too.
     """
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
@@ -641,6 +627,8 @@ def emit_reports(result: SweepResult, out_dir) -> list[Path]:
     def chart(name: str, series: list, y_label: str = "Pearson r", **kwargs):
         if any(pts for _, pts in series):
             emit(name, line_chart(series, y_label=y_label, **kwargs))
+        else:  # nothing to draw: no chart of an earlier emission may stay
+            (out_path / name).unlink(missing_ok=True)
 
     cells = [
         (hda, w, result.reports[(hda, w.label)])
@@ -648,24 +636,29 @@ def emit_reports(result: SweepResult, out_dir) -> list[Path]:
         for w in result.windows
         if (hda, w.label) in result.reports
     ]
+    X = np.array([rec["x"] for _, _, rec in cells], dtype=np.int64)
+    X = X.reshape(len(cells), len(result.registry))
+    y, threshold = result.registry.population, result.options.exclusion_threshold
+    cells = [(hda, w, rec, compute_metric_report(x, y, exclusion_threshold=threshold))
+             for (hda, w, rec), x in zip(cells, X)]
     r_by_hda = {hda: [] for hda in result.hda_names}
     r_by_window = {w.label: [] for w in result.windows}
-    for hda, w, rec in cells:
-        if rec["pearson"] is not None:
-            r_by_hda[hda].append((w, rec["pearson"]))
-            r_by_window[w.label].append(rec["pearson"])
+    for hda, w, _, m in cells:
+        if m["pearson"] is not None:
+            r_by_hda[hda].append((w, m["pearson"]))
+            r_by_window[w.label].append(m["pearson"])
     classes = list(dict.fromkeys(w.duration_class for w in result.windows))
 
     emit("windows.csv", windows_table(result.windows))
     emit("metrics.csv", _csv("hda,window,class,pearson_r,n_used,excluded", (
         f"{hda},{w.label},{w.duration_class},"
-        f"{_ffmt(rec['pearson'])},{rec['n_used']},{rec['n_excluded']}"
-        for hda, w, rec in cells
+        f"{_ffmt(m['pearson'])},{m['n_used']},{m['n_excluded']}"
+        for hda, w, _, m in cells
     )))
     emit("correlation_over_time.csv", _csv("hda,window,class,midpoint,pearson_r", (
         f"{hda},{w.label},{w.duration_class},"
-        f"{w.midpoint.isoformat()},{_ffmt(rec['pearson'])}"
-        for hda, w, rec in cells
+        f"{w.midpoint.isoformat()},{_ffmt(m['pearson'])}"
+        for hda, w, _, m in cells
     )))
     # r spread per HDA per duration class
     rows = []
@@ -688,12 +681,12 @@ def emit_reports(result: SweepResult, out_dir) -> list[Path]:
     ))
     emit("decile_summary.csv", _csv("hda,window,bin,n,y_lo,y_hi,mean_x,std_x", (
         f"{hda},{w.label},{index},{n},{','.join(_ffmt(v) for v in stats)}"
-        for hda, w, rec in cells
-        for index, n, *stats in rec["deciles"]
+        for hda, w, _, m in cells
+        for index, n, *stats in m["deciles"]
     )))
     # accuracy.csv only when the sweep was truth-scored
     accuracy = [
-        (hda, w.label, *row) for hda, w, rec in cells for row in rec["accuracy"] or ()
+        (hda, w.label, *row) for hda, w, rec, _ in cells for row in rec["accuracy"] or ()
     ]
     if accuracy:
         emit("accuracy.csv", accuracy_csv(accuracy))
@@ -738,10 +731,8 @@ def emit_reports(result: SweepResult, out_dir) -> list[Path]:
         y_label="max r - min r",
         x_date_ticks=True,
     )
-    if result.per_tower_exports:
+    if result.options.per_tower_exports:
         (out_path / TOWERS_DIR).mkdir(exist_ok=True)
-        X = np.array([rec["x"] for _, _, rec in cells], dtype=np.int64)
-        X = X.reshape(len(cells), len(result.registry))
-        for (hda, w, _), text in zip(cells, _tower_exports(result.registry, X)):
+        for (hda, w, _, _), text in zip(cells, _tower_exports(result.registry, X)):
             emit(f"{TOWERS_DIR}/{hda}__{w.label}.csv", text)
     return written

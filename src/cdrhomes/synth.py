@@ -263,7 +263,9 @@ def pick_touristic_towers(registry: TowerRegistry, k: int) -> tuple[int, ...]:
 
 
 def _nearest_pools(lon: np.ndarray, lat: np.ndarray, k: int) -> np.ndarray:
-    """Row indices of the k nearest other towers per tower, ties by index."""
+    """Row indices of the k nearest other towers per tower, ties by index:
+    a stable argsort's first k, but only the towers no farther than a row's
+    k-th distance (np.partition) are ordered."""
     n = len(lon)
     k = min(k, n - 1)
     if k <= 0:
@@ -275,7 +277,11 @@ def _nearest_pools(lon: np.ndarray, lat: np.ndarray, k: int) -> np.ndarray:
         i1 = min(i0 + chunk, n)
         d2 = ((pts[i0:i1, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
         d2[np.arange(i1 - i0), np.arange(i0, i1)] = np.inf  # exclude self
-        pools[i0:i1] = np.argsort(d2, axis=1, kind="stable")[:, :k]
+        kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
+        rows, cols = np.nonzero(d2 <= kth)  # by row, each row by index
+        order = np.lexsort((d2[rows, cols], rows))  # stable: ties by index
+        starts = np.searchsorted(rows, np.arange(i1 - i0))
+        pools[i0:i1] = cols[order][starts[:, None] + np.arange(k)]
     return pools
 
 

@@ -185,7 +185,9 @@ def summer_runs():
             hit = w.last_day >= mig.first_day and w.first_day <= mig.last_day
             (overlapping if hit else clean).append(w.label)
         r = {
-            (spec.name, w.label): sweep.reports[(spec.name, w.label)]["pearson"]
+            (spec.name, w.label): pearson_r(
+                sweep.reports[(spec.name, w.label)]["x"], res.registry.population
+            )
             for spec in CANONICAL_HDAS
             for w in wins
         }

@@ -450,6 +450,40 @@ def test_report_restores_a_deleted_towers_directory(synth_dir, tmp_path, command
     assert _tree(run / "towers") == towers
 
 
+@pytest.mark.parametrize("threshold", ["5", "50"], ids=["fewer-towers", "no-r"])
+def test_resume_under_another_exclusion_threshold_reports_at_it(
+    synth_dir, tmp_path, threshold
+):
+    # no record depends on the threshold: a resume under another one keeps
+    # every cell and writes what a fresh run at the new threshold writes; at
+    # 50 no r is defined, so the charts of the first run must go
+    argv = [
+        "sweep", "--records", str(synth_dir / "records.csv"),
+        "--towers", str(synth_dir / "towers.csv"), "--span", SPAN,
+        "--classes", "days14,full", "--hdas", "MA,DD",
+        "--truth", str(synth_dir / "truth.csv"), "--dump-assignments",
+    ]
+    fresh, run = tmp_path / "fresh", tmp_path / "run"
+    assert main(argv + ["--out", str(fresh), "--exclusion-threshold", threshold]) == 0
+    assert main(argv + ["--out", str(run)]) == 0
+    cells = (run / "cells.jsonl").read_bytes()
+    want = {k: v for k, v in _tree(fresh).items()
+            if k not in ("manifest.json", "cells.jsonl")}
+    assert _tree(run)["metrics.csv"] != want["metrics.csv"]
+    resume = ["--out", str(run), "--resume", "--exclusion-threshold", threshold]
+    assert main(argv + resume) == 0
+    assert (run / "cells.jsonl").read_bytes() == cells
+    got = _tree(run)
+    assert {k: v for k, v in got.items() if k in want} == want
+    assert got.keys() == _tree(fresh).keys()
+    # report reads the threshold from the resumed run's manifest
+    for name in want:
+        if not name.startswith("assignments/"):  # no report writes a dump
+            (run / name).unlink()
+    assert main(["report", "--out", str(run)]) == 0
+    assert _tree(run) == got
+
+
 def test_resume_may_flip_per_tower_exports(synth_dir, tmp_path):
     # no record depends on the option: a resume under the other value keeps
     # every cell, and writes towers/ as the new value says
@@ -606,11 +640,11 @@ def test_resume_under_other_options_is_refused(synth_dir, tmp_path, capsys):
     cells = (run / "cells.jsonl").read_bytes()
     capsys.readouterr()
 
-    # the cells kept would be wrong: a fresh run with this threshold differs
+    # the cells kept would be wrong: a fresh run with this option differs
     fresh = tmp_path / "fresh"
-    assert main(argv[:-1] + [str(fresh), "--exclusion-threshold", "50"]) == 0
+    assert main(argv[:-1] + [str(fresh), "--min-qualifying", "20"]) == 0
     assert (fresh / "metrics.csv").read_bytes() != (run / "metrics.csv").read_bytes()
-    assert main(argv + ["--resume", "--exclusion-threshold", "50"]) == 1
+    assert main(argv + ["--resume", "--min-qualifying", "20"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: cannot resume") and "fingerprint" in err
     assert (run / "cells.jsonl").read_bytes() == cells

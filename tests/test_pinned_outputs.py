@@ -16,9 +16,9 @@ the floats cut out of that text:
   other builds and CPUs. A chart number may differ by one unit in its last
   printed digit;
 - cells.jsonl is pinned as its records in grid order, without elapsed and
-  fingerprint, and without pearson and deciles: `report` re-emits
-  metrics.csv and decile_summary.csv from those two fields byte for byte,
-  so they are pinned there. manifest.json, which holds timings, is not.
+  fingerprint: a record holds what its cell computed (x, accuracy, the tie
+  count), and `report` derives metrics.csv, decile_summary.csv and the
+  charts from x. manifest.json, which holds timings, is not.
 
 A change that moves a pinned value rewrites PINNED with
 `PYTHONPATH=src python tests/test_pinned_outputs.py`, and names every
@@ -74,7 +74,7 @@ def _cells_text(path: Path) -> str:
     records = [json.loads(line) for line in path.read_text().splitlines()]
     assert {r["status"] for r in records} == {"ok"}
     for r in records:
-        for key in ("elapsed", "fingerprint", "pearson", "deciles"):
+        for key in ("elapsed", "fingerprint"):
             del r[key]
     records.sort(key=lambda r: (r["hda"], r["window"]))
     return "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)

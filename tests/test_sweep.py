@@ -21,7 +21,7 @@ from cdrhomes.core import DatasetSpan, TowerRegistry
 from cdrhomes.hda import (
     BulkAssignments, aggregate_homes, canonical_hda, detect_homes_bulk,
 )
-from cdrhomes.metrics import log_ratio_array
+from cdrhomes.metrics import compute_metric_report, log_ratio_array
 from cdrhomes.sweep import SweepOptions, emit_reports, load_run, run_sweep
 from cdrhomes.synth import SynthConfig, MigrationConfig, generate
 from cdrhomes.timebase import CivilClock
@@ -64,8 +64,7 @@ def test_in_memory_sweep_covers_grid():
     assert len(sw.reports) == sw.n_cells
     assert sw.n_failed == 0
     rep = sw.reports[("MA", "full")]
-    assert rep["n_users"] == len(res.truth)
-    assert 0 < sum(rep["x"]) <= rep["n_users"]  # every placed user, once
+    assert 0 < sum(rep["x"]) <= len(res.truth)  # every placed user, once
     assert manifest["n_cells"] == sw.n_cells
     assert manifest["n_failed"] == 0
     assert json.loads(json.dumps(manifest)) == manifest
@@ -200,18 +199,6 @@ def test_sweep_resume_skips_completed_cells(tmp_path):
 
 
 DAMAGE = {
-    "no-pearson": lambda rec: rec.pop("pearson"),
-    "pearson-text": lambda rec: rec.update(pearson="0.5"),
-    "pearson-infinite": lambda rec: rec.update(pearson=float("inf")),
-    "pearson-above-one": lambda rec: rec.update(pearson=1.5),
-    "n-used-text": lambda rec: rec.update(n_used="12"),
-    "n-excluded-float": lambda rec: rec.update(n_excluded=0.0),
-    "no-n-excluded": lambda rec: rec.pop("n_excluded"),
-    "deciles-number": lambda rec: rec.update(deciles=5),
-    "decile-row-short": lambda rec: rec["deciles"][0].pop(),
-    "decile-value-text": lambda rec: rec["deciles"][0].__setitem__(2, "x"),
-    "decile-infinite": lambda rec: rec["deciles"][0].__setitem__(4, float("inf")),
-    "decile-beyond-float": lambda rec: rec["deciles"][0].__setitem__(2, 10**400),
     "no-x": lambda rec: rec.pop("x"),
     "x-short": lambda rec: rec["x"].pop(),
     "x-count-text": lambda rec: rec["x"].__setitem__(0, "3"),
@@ -249,6 +236,54 @@ def test_unreadable_ok_record_is_skipped_by_report_and_recomputed_by_resume(
         parts, res.registry, wins, HDAS, out, SweepOptions(resume=True), **scored
     )
     assert sw.n_failed == 0 and len(sw.reports) == sw.n_cells
+    assert _run_files(out) == want
+
+
+# the statistics of x that records of earlier versions carried, damaged or
+# contradicting x: the reports compute each from x and read none of them
+STALE = {
+    "no-pearson": lambda rec: rec.pop("pearson"),
+    "pearson-text": lambda rec: rec.update(pearson="0.5"),
+    "pearson-infinite": lambda rec: rec.update(pearson=float("inf")),
+    "pearson-above-one": lambda rec: rec.update(pearson=1.5),
+    "pearson-contradicts-x": lambda rec: rec.update(pearson=-0.25),
+    "n-used-text": lambda rec: rec.update(n_used="12"),
+    "n-excluded-float": lambda rec: rec.update(n_excluded=0.0),
+    "no-n-excluded": lambda rec: rec.pop("n_excluded"),
+    "n-used-contradicts-x": lambda rec: rec.update(n_used=1, n_excluded=14),
+    "deciles-number": lambda rec: rec.update(deciles=5),
+    "decile-row-short": lambda rec: rec["deciles"][0].pop(),
+    "decile-value-text": lambda rec: rec["deciles"][0].__setitem__(2, "x"),
+    "decile-infinite": lambda rec: rec["deciles"][0].__setitem__(4, float("inf")),
+    "decile-beyond-float": lambda rec: rec["deciles"][0].__setitem__(2, 10**400),
+    "deciles-contradict-x": lambda rec: rec.update(deciles=rec["deciles"][::-1]),
+}
+
+
+@pytest.mark.parametrize("stale", STALE.values(), ids=STALE.keys())
+def test_report_reads_each_statistic_from_x_alone(tmp_path, capsys, stale):
+    res, parts, wins = _dataset(fraction=0.3)
+    out = tmp_path / "run"
+    scored = {"truth": res.truth, "migration": res.config.migration}
+    run_sweep(parts, res.registry, wins, HDAS, out, SweepOptions(), **scored)
+    want = _run_files(out)
+    lines = (out / "cells.jsonl").read_text().splitlines()
+    rec = json.loads(lines[2])
+    assert not {"pearson", "pearson_note", "n_used", "n_excluded", "deciles",
+                "n_users"} & set(rec)
+    rec.update(compute_metric_report(np.array(rec["x"]), res.registry.population),
+               n_users=len(res.truth))
+    stale(rec)
+    lines[2] = json.dumps(rec)
+    (out / "cells.jsonl").write_text("\n".join(lines) + "\n")
+
+    assert main(["report", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert _run_files(out) == want
+    # a resume keeps the record as it is, and reports the same
+    run_sweep(parts, res.registry, wins, HDAS, out, SweepOptions(resume=True), **scored)
+    assert capsys.readouterr().err == ""
+    assert json.loads((out / "cells.jsonl").read_text().splitlines()[2]) == rec
     assert _run_files(out) == want
 
 
@@ -378,11 +413,10 @@ def test_tower_exports_equal_the_per_cell_oracle(tmp_path):
             ids, np.linspace(-1.5, 2.25, len(ids)), np.linspace(43.1, 44.7, len(ids)),
             population,
         )
-        result = sweep_mod.SweepResult(windows, ["MA"], registry, True)
+        result = sweep_mod.SweepResult(windows, ["MA"], registry, SweepOptions())
         for i, w in enumerate(windows):  # the cells past xs failed
             result.add_cell({
-                "hda": "MA", "window": w.label, "status": "ok", "pearson": None,
-                "n_used": 0, "n_excluded": 0, "deciles": [], "accuracy": None,
+                "hda": "MA", "window": w.label, "status": "ok", "accuracy": None,
                 "x": xs[i],
             } if i < len(xs) else {
                 "hda": "MA", "window": w.label, "status": "failed", "error": "boom",
@@ -502,7 +536,7 @@ def test_manifest_states_what_the_fingerprint_hashes(tmp_path):
         "towers", "migration_range",
     )}
     identity["options"] = {k: manifest["options"][k] for k in (
-        "exclusion_threshold", "min_qualifying", "dump_assignments",
+        "min_qualifying", "dump_assignments",
     )}
     identity["hdas"] = [asdict(canonical_hda(name)) for name in manifest["hdas"]]
     fingerprint = sweep_mod._fingerprint(identity, parts, res.truth)
@@ -511,7 +545,9 @@ def test_manifest_states_what_the_fingerprint_hashes(tmp_path):
     assert len(records) == manifest["n_cells"]
     for rec in records:
         assert rec["fingerprint"] == fingerprint
-        assert not {"class", "n_towers", "exclusion_threshold", "n_assigned"} & set(rec)
+        # what the cell computed from the records, and nothing derived from x
+        assert set(rec) == {"hda", "window", "status", "n_tied", "accuracy", "x",
+                            "fingerprint", "elapsed"}
 
     # only accuracy reads the migration range: without truth it is not hashed
     _, bare = run_sweep(parts, res.registry, wins[:1], HDAS[:1])
@@ -672,6 +708,30 @@ def test_report_after_resume_from_torn_cells_log_emits_every_cell(tmp_path, caps
     assert (out / "metrics.csv").read_bytes() == want
 
 
+BAD_OPTIONS = {
+    "threshold-text": lambda o: o.update(exclusion_threshold="5"),
+    "threshold-negative": lambda o: o.update(exclusion_threshold=-1),
+    "threshold-bool": lambda o: o.update(exclusion_threshold=True),
+    "no-threshold": lambda o: o.pop("exclusion_threshold"),
+    "exports-number": lambda o: o.update(per_tower_exports=1),
+    "unknown-option": lambda o: o.update(colour="red"),
+}
+
+
+@pytest.mark.parametrize("damage", BAD_OPTIONS.values(), ids=BAD_OPTIONS.keys())
+def test_load_run_refuses_options_no_sweep_writes(tmp_path, damage):
+    # the reports read the exclusion threshold from the manifest's options
+    res, parts, wins = _dataset()
+    out = tmp_path / "run"
+    run_sweep(parts, res.registry, wins[:1], HDAS[:1], out)
+    path = out / "manifest.json"
+    manifest = json.loads(path.read_text())
+    damage(manifest["options"])
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match="not a sweep manifest"):
+        load_run(out)
+
+
 def test_resume_rewrites_cells_log_without_the_lines_it_dropped(tmp_path, capsys):
     res, parts, wins = _dataset()
     grid = (res.registry, [w for w in wins if w.duration_class == "full"], HDAS[:2])
@@ -679,14 +739,14 @@ def test_resume_rewrites_cells_log_without_the_lines_it_dropped(tmp_path, capsys
     run_sweep(parts, *grid, out, SweepOptions())
     lines = (out / "cells.jsonl").read_text().splitlines()
     rec = json.loads(lines[0])
-    rec["deciles"] = 5
+    rec["x"] = 5
     (out / "cells.jsonl").write_text("\n".join([json.dumps(rec), lines[1]]) + "\n")
 
     run_sweep(parts, *grid, out, SweepOptions(resume=True))
     assert "skipped 1 unparseable line(s)" in capsys.readouterr().err
     resumed = (out / "cells.jsonl").read_text().splitlines()
     assert resumed[0] == lines[1] and len(resumed) == 2
-    assert json.loads(resumed[1])["deciles"] != 5
+    assert json.loads(resumed[1])["x"] != 5
     assert main(["report", "--out", str(out)]) == 0
     assert capsys.readouterr().err == ""
 

@@ -122,6 +122,36 @@ def test_stream_states_equal_numpys_seeding(seed):
         synth._stream_states(seed, np.array([2**32]))
 
 
+def _argsorted_pools(lon, lat, k):
+    """The reference: the first k of a stable argsort of each whole row."""
+    pts = np.stack([lon, lat], axis=1)
+    d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
+    d2[np.arange(len(lon)), np.arange(len(lon))] = np.inf  # exclude self
+    return np.argsort(d2, axis=1, kind="stable")[:, :max(min(k, len(lon) - 1), 0)]
+
+
+_GRID = np.stack(np.meshgrid(np.arange(7.0), np.arange(9.0)), axis=-1).reshape(-1, 2)
+_RANDOM = np.random.default_rng(3).uniform(0, 10, size=(600, 2))  # two chunks
+POOL_POINTS = {
+    "grid": _GRID,  # many equal distances
+    "duplicate": np.repeat(_GRID[::4], 3, axis=0),
+    "all-equal": np.full((20, 2), 2.5),
+    "random": _RANDOM[:300],
+    "random-600": _RANDOM,
+    "one": _RANDOM[:1],
+}
+
+
+@pytest.mark.parametrize("name", POOL_POINTS)
+def test_nearest_pools_equal_a_stable_argsort(name):
+    lon, lat = POOL_POINTS[name].T.copy()
+    n = len(lon)
+    for k in (1, 3, 8, n - 1, n + 2):
+        got = synth._nearest_pools(lon, lat, k)
+        want = _argsorted_pools(lon, lat, k)
+        assert got.shape == want.shape and np.array_equal(got, want), (name, k)
+
+
 def test_generate_canonical_record_order_and_span():
     res = generate(_cfg())
     order = np.lexsort((res.towers, res.users, res.timestamps))
