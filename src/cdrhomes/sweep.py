@@ -13,9 +13,9 @@ its assignments/ dump, and the cell is recorded only after it returns. A
 killed run resumes by skipping cells already recorded there, provided they
 carry the run's fingerprint (a hash of the package source, the manifest's
 identity fields and the input arrays); cells computed under anything else
-refuse the resume. A fresh (non-resume) sweep first removes every file an
-earlier sweep may have left in the directory (RUN_FILES, and their .tmp
-forms) and nothing else.
+refuse the resume. A fresh (non-resume) sweep first removes every file of
+RUN_FILES (and its .tmp form) from the directory, and each emission the
+REPORT_FILES it did not write; no other file.
 
 Worker processes use the fork start method and read the shared state from a
 module global set before the pool starts; where fork is unavailable the
@@ -58,16 +58,16 @@ MANIFEST_FILE = "manifest.json"
 TOWERS_DIR = "towers"
 ASSIGNMENTS_DIR = "assignments"
 ASSIGNMENTS_HEADER = ("user_id", "home_tower", "qualifying_count", "tie_broken")
-# every file a sweep writes into its run directory, as glob patterns: a
-# fresh sweep removes them and their .tmp forms (see _atomic_write) first,
-# so none is left from an earlier run
-RUN_FILES = (
-    CELLS_FILE, MANIFEST_FILE, "windows.csv", "metrics.csv",
-    "correlation_over_time.csv", "duration_sensitivity.csv",
-    "criteria_sensitivity.csv", "decile_summary.csv", "accuracy.csv",
-    "correlation_over_time_*.svg", "duration_sensitivity.svg",
-    "criteria_sensitivity.svg", f"{TOWERS_DIR}/*.csv", f"{ASSIGNMENTS_DIR}/*.csv",
+# every file emit_reports writes, and every file a sweep writes, as glob
+# patterns: a fresh sweep removes RUN_FILES and their .tmp forms (see
+# _atomic_write) first, and an emission the REPORT_FILES it did not write
+REPORT_FILES = (
+    "windows.csv", "metrics.csv", "correlation_over_time.csv",
+    "duration_sensitivity.csv", "criteria_sensitivity.csv", "decile_summary.csv",
+    "accuracy.csv", "correlation_over_time_*.svg", "duration_sensitivity.svg",
+    "criteria_sensitivity.svg", f"{TOWERS_DIR}/*.csv",
 )
+RUN_FILES = (CELLS_FILE, MANIFEST_FILE, *REPORT_FILES, f"{ASSIGNMENTS_DIR}/*.csv")
 
 
 @dataclass(frozen=True)
@@ -151,6 +151,19 @@ def _atomic_write(path: Path, data: str | bytes) -> None:
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_bytes(data.encode() if isinstance(data, str) else data)
     os.replace(tmp, path)
+
+
+def _remove_stale(out_path: Path, patterns, keep=()) -> None:
+    """Unlink each file of out_path that matches a pattern or its .tmp form
+    and is not in keep; then rmdir each pattern's subdirectory this empties."""
+    keep = set(keep)
+    for pattern in patterns:
+        for path in [*out_path.glob(pattern), *out_path.glob(pattern + ".tmp")]:
+            if path not in keep:
+                path.unlink()
+        if "/" in pattern:
+            with contextlib.suppress(OSError):  # absent, or holds other files
+                (out_path / pattern).parent.rmdir()
 
 
 def _ffmt(v) -> str:
@@ -495,12 +508,7 @@ def run_sweep(
                 json.dumps(r, sort_keys=True) + "\n" for r in result.reports.values()
             ))  # one record per kept cell: no unparseable, failed or torn line
         else:
-            for pattern in (*RUN_FILES, *(p + ".tmp" for p in RUN_FILES)):
-                for path in out_path.glob(pattern):
-                    path.unlink()
-            for name in (TOWERS_DIR, ASSIGNMENTS_DIR):
-                with contextlib.suppress(OSError):  # absent, or holds other files
-                    (out_path / name).rmdir()
+            _remove_stale(out_path, RUN_FILES)
         if options.dump_assignments:
             state["assignments_dir"] = out_path / ASSIGNMENTS_DIR
             state["assignments_dir"].mkdir(exist_ok=True)
@@ -613,22 +621,17 @@ def emit_reports(result: SweepResult, out_dir) -> list[Path]:
     at result.options.exclusion_threshold, and no record's own. One pass
     groups them: the defined Pearson r per HDA (in window order) and per
     window (in HDA order). Every CSV and chart reads those lists. With
-    result.options.per_tower_exports, towers/ gets each row's CSV too.
+    result.options.per_tower_exports, towers/ gets each row's CSV too. Every
+    other REPORT_FILES file goes: the directory holds what this emission
+    wrote (no chart with nothing to draw, no towers/ file of another cell).
     """
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-
-    def emit(name: str, text: str) -> None:
-        path = out_path / name
-        _atomic_write(path, text)
-        written.append(path)
+    files: dict[str, str] = {}  # each report file's name and text
 
     def chart(name: str, series: list, y_label: str = "Pearson r", **kwargs):
-        if any(pts for _, pts in series):
-            emit(name, line_chart(series, y_label=y_label, **kwargs))
-        else:  # nothing to draw: no chart of an earlier emission may stay
-            (out_path / name).unlink(missing_ok=True)
+        if any(pts for _, pts in series):  # else nothing to draw: no chart
+            files[name] = line_chart(series, y_label=y_label, **kwargs)
 
     cells = [
         (hda, w, result.reports[(hda, w.label)])
@@ -649,17 +652,17 @@ def emit_reports(result: SweepResult, out_dir) -> list[Path]:
             r_by_window[w.label].append(m["pearson"])
     classes = list(dict.fromkeys(w.duration_class for w in result.windows))
 
-    emit("windows.csv", windows_table(result.windows))
-    emit("metrics.csv", _csv("hda,window,class,pearson_r,n_used,excluded", (
+    files["windows.csv"] = windows_table(result.windows)
+    files["metrics.csv"] = _csv("hda,window,class,pearson_r,n_used,excluded", (
         f"{hda},{w.label},{w.duration_class},"
         f"{_ffmt(m['pearson'])},{m['n_used']},{m['n_excluded']}"
         for hda, w, _, m in cells
-    )))
-    emit("correlation_over_time.csv", _csv("hda,window,class,midpoint,pearson_r", (
+    ))
+    files["correlation_over_time.csv"] = _csv("hda,window,class,midpoint,pearson_r", (
         f"{hda},{w.label},{w.duration_class},"
         f"{w.midpoint.isoformat()},{_ffmt(m['pearson'])}"
         for hda, w, _, m in cells
-    )))
+    ))
     # r spread per HDA per duration class
     rows = []
     for hda in result.hda_names:
@@ -667,29 +670,29 @@ def emit_reports(result: SweepResult, out_dir) -> list[Path]:
             rs = [r for w, r in r_by_hda[hda] if w.duration_class == cls]
             stats = ",".join(_ffmt(v) for v in _r_stats(rs)[:3])
             rows.append(f"{hda},{cls},{len(rs)},{stats}")
-    emit("duration_sensitivity.csv", _csv(
+    files["duration_sensitivity.csv"] = _csv(
         "hda,class,n_windows,mean_pearson,min_pearson,max_pearson", rows
-    ))
+    )
     # r spread across HDAs per window
-    emit("criteria_sensitivity.csv", _csv(
+    files["criteria_sensitivity.csv"] = _csv(
         "window,class,n_hdas,mean_pearson,min_pearson,max_pearson,spread",
         (
             f"{w.label},{w.duration_class},{len(r_by_window[w.label])},"
             + ",".join(_ffmt(v) for v in _r_stats(r_by_window[w.label]))
             for w in result.windows
         ),
-    ))
-    emit("decile_summary.csv", _csv("hda,window,bin,n,y_lo,y_hi,mean_x,std_x", (
+    )
+    files["decile_summary.csv"] = _csv("hda,window,bin,n,y_lo,y_hi,mean_x,std_x", (
         f"{hda},{w.label},{index},{n},{','.join(_ffmt(v) for v in stats)}"
         for hda, w, _, m in cells
         for index, n, *stats in m["deciles"]
-    )))
+    ))
     # accuracy.csv only when the sweep was truth-scored
     accuracy = [
         (hda, w.label, *row) for hda, w, rec, _ in cells for row in rec["accuracy"] or ()
     ]
     if accuracy:
-        emit("accuracy.csv", accuracy_csv(accuracy))
+        files["accuracy.csv"] = accuracy_csv(accuracy)
 
     for cls in classes:
         chart(
@@ -734,5 +737,9 @@ def emit_reports(result: SweepResult, out_dir) -> list[Path]:
     if result.options.per_tower_exports:
         (out_path / TOWERS_DIR).mkdir(exist_ok=True)
         for (hda, w, _, _), text in zip(cells, _tower_exports(result.registry, X)):
-            emit(f"{TOWERS_DIR}/{hda}__{w.label}.csv", text)
+            files[f"{TOWERS_DIR}/{hda}__{w.label}.csv"] = text
+    written = [out_path / name for name in files]
+    for path, text in zip(written, files.values()):
+        _atomic_write(path, text)
+    _remove_stale(out_path, REPORT_FILES, keep=written)
     return written

@@ -432,6 +432,12 @@ def _tree(root: Path) -> dict[str, bytes]:
             for p in sorted(root.rglob("*")) if p.is_file()}
 
 
+def _reports(run: Path) -> dict[str, bytes]:
+    """_tree of a run directory without the two files that carry timings."""
+    return {k: v for k, v in _tree(run).items()
+            if k not in ("manifest.json", "cells.jsonl")}
+
+
 @pytest.mark.parametrize("command", ["sweep-1", "sweep-2", "detect"])
 def test_report_restores_a_deleted_towers_directory(synth_dir, tmp_path, command):
     run = tmp_path / "run"
@@ -467,8 +473,7 @@ def test_resume_under_another_exclusion_threshold_reports_at_it(
     assert main(argv + ["--out", str(fresh), "--exclusion-threshold", threshold]) == 0
     assert main(argv + ["--out", str(run)]) == 0
     cells = (run / "cells.jsonl").read_bytes()
-    want = {k: v for k, v in _tree(fresh).items()
-            if k not in ("manifest.json", "cells.jsonl")}
+    want = _reports(fresh)
     assert _tree(run)["metrics.csv"] != want["metrics.csv"]
     resume = ["--out", str(run), "--resume", "--exclusion-threshold", threshold]
     assert main(argv + resume) == 0
@@ -486,7 +491,7 @@ def test_resume_under_another_exclusion_threshold_reports_at_it(
 
 def test_resume_may_flip_per_tower_exports(synth_dir, tmp_path):
     # no record depends on the option: a resume under the other value keeps
-    # every cell, and writes towers/ as the new value says
+    # every cell, and leaves what a fresh run at the new value leaves
     argv = [
         "sweep", "--records", str(synth_dir / "records.csv"),
         "--towers", str(synth_dir / "towers.csv"), "--span", SPAN,
@@ -497,14 +502,55 @@ def test_resume_may_flip_per_tower_exports(synth_dir, tmp_path):
     assert main(argv + ["--out", str(run), "--per-tower-exports", "false"]) == 0
     cells = (run / "cells.jsonl").read_bytes()
     assert not (run / "towers").exists()
+    fresh_false = _reports(run)
     assert main(argv + ["--out", str(run), "--resume"]) == 0
     assert (run / "cells.jsonl").read_bytes() == cells
-    assert _tree(run / "towers") == _tree(fresh / "towers")
+    assert _reports(run) == _reports(fresh)
 
-    shutil.rmtree(run / "towers")
     assert main(argv + ["--out", str(run), "--resume", "--per-tower-exports", "false"]) == 0
     assert (run / "cells.jsonl").read_bytes() == cells
+    assert _reports(run) == fresh_false
     assert not (run / "towers").exists()
+
+
+def test_report_leaves_only_the_report_files_it_writes(synth_dir, tmp_path, capsys):
+    # an emission removes each report file it did not write: the towers/
+    # file of a cell whose record became unreadable, and the .tmp of a
+    # killed write; any other file, and every assignments/ dump, stays
+    run = tmp_path / "run"
+    assert main([
+        "sweep", "--records", str(synth_dir / "records.csv"),
+        "--towers", str(synth_dir / "towers.csv"), "--span", SPAN,
+        "--classes", "days14,full", "--hdas", "MA,DD", "--dump-assignments",
+        "--out", str(run),
+    ]) == 0
+    towers, assignments = _tree(run / "towers"), _tree(run / "assignments")
+    assert "MA__14d-01.csv" in towers and len(assignments) == len(towers) == 6
+    recs = [json.loads(line) for line in (run / "cells.jsonl").read_text().splitlines()]
+    for rec in recs:
+        if (rec["hda"], rec["window"]) == ("MA", "14d-01"):
+            rec["x"] = "unreadable"
+    (run / "cells.jsonl").write_text("".join(json.dumps(r) + "\n" for r in recs))
+    planted = ("metrics.csv.tmp", "towers/MA__full.csv.tmp", "notes.txt",
+               "towers/notes.txt")
+    for name in planted:
+        (run / name).write_text("planted\n")
+    capsys.readouterr()
+    assert main(["report", "--out", str(run)]) == 0
+    assert "skipped 1 unparseable line(s)" in capsys.readouterr().err
+
+    rows = [row.split(",") for row in (run / "metrics.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 5
+    got = _tree(run / "towers")
+    assert sorted(k for k in got if k.endswith(".csv")) == sorted(
+        f"{h}__{w}.csv" for h, w, *_ in rows
+    )
+    del towers["MA__14d-01.csv"]
+    assert got == {**towers, "notes.txt": b"planted\n"}
+    assert not (run / "metrics.csv.tmp").exists()
+    assert not (run / "towers" / "MA__full.csv.tmp").exists()
+    assert (run / "notes.txt").read_text() == "planted\n"
+    assert _tree(run / "assignments") == assignments
 
 
 def test_report_on_a_run_without_a_tower_registry_writes_nothing(

@@ -422,7 +422,9 @@ def test_tower_exports_equal_the_per_cell_oracle(tmp_path):
                 "hda": "MA", "window": w.label, "status": "failed", "error": "boom",
             })
         emit_reports(result, tmp_path / case)
-        got = {p.name: p.read_text() for p in (tmp_path / case / "towers").iterdir()}
+        # no ok cell, no towers/: as a run at --per-tower-exports false
+        assert (tmp_path / case / "towers").is_dir() == bool(xs), case
+        got = {p.name: p.read_text() for p in (tmp_path / case).glob("towers/*")}
         assert got == {
             f"MA__{w.label}.csv": _tower_export_oracle(registry, x)
             for w, x in zip(windows, xs)
@@ -780,14 +782,28 @@ def _files(root):
 def test_fresh_sweep_leaves_no_file_of_an_earlier_run(tmp_path):
     res, parts, wins = _dataset(fraction=0.3)
     out = tmp_path / "run"
-    run_sweep(
+    sw, _ = run_sweep(
         parts, res.registry, wins, HDAS, out, SweepOptions(dump_assignments=True),
         truth=res.truth, migration=res.config.migration,
     )
-    # RUN_FILES names every file a sweep writes
+    # RUN_FILES names every file a sweep writes: REPORT_FILES each that
+    # emit_reports writes, and the sweep's own files
+    assert sweep_mod.RUN_FILES == (
+        "cells.jsonl", "manifest.json", *sweep_mod.REPORT_FILES, "assignments/*.csv"
+    )
     assert all(
         any(fnmatch.fnmatch(name, pattern) for pattern in sweep_mod.RUN_FILES)
         for name in _files(out)
+    )
+    emitted = tmp_path / "emitted"
+    written = emit_reports(sw, emitted)
+    assert sorted(p.relative_to(emitted).as_posix() for p in written) == sorted(
+        _files(emitted)
+    )
+    assert "accuracy.csv" in _files(emitted)
+    assert all(
+        any(fnmatch.fnmatch(name, pattern) for pattern in sweep_mod.REPORT_FILES)
+        for name in _files(emitted)
     )
     (out / "notes.txt").write_text("kept\n")
     (out / "towers" / "notes.txt").write_text("kept\n")
