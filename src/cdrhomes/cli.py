@@ -35,7 +35,6 @@ from .core import DatasetSpan, TowerRegistry, ingest, write_records_csv
 from .hda import CANONICAL_HDA_NAMES, canonical_hda
 from .sweep import (
     CELLS_FILE, SweepOptions, load_run, read_assignment_dump, run_sweep,
-    warn_unparseable,
 )
 from .sweep import emit_reports as _emit_reports
 from .synth import (
@@ -257,10 +256,9 @@ def _failed(manifest: dict) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
-    result, n_bad = load_run(out_dir)
+    result = load_run(out_dir)
     if not (out_dir / CELLS_FILE).exists():
         raise CliError(f"no {CELLS_FILE} in {out_dir}; nothing to report")
-    warn_unparseable(n_bad, out_dir / CELLS_FILE)
     written = _emit_reports(result, out_dir)
     for path in written:
         print(f"wrote {path}")

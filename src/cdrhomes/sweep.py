@@ -13,9 +13,9 @@ its assignments/ dump, and the cell is recorded only after it returns. A
 killed run resumes by skipping cells already recorded there, provided they
 carry the run's fingerprint (a hash of the package source, the manifest's
 identity fields and the input arrays); cells computed under anything else
-refuse the resume. A fresh (non-resume) sweep first removes every file of
-RUN_FILES (and its .tmp form) from the directory, and each emission the
-REPORT_FILES it did not write; no other file.
+refuse the resume. A sweep starts by removing each file of RUN_FILES (and
+its .tmp form) but the records it keeps, none unless it resumes, and their
+dumps; each emission the REPORT_FILES it did not write; no other file.
 
 Worker processes use the fork start method and read the shared state from a
 module global set before the pool starts; where fork is unavailable the
@@ -59,8 +59,9 @@ TOWERS_DIR = "towers"
 ASSIGNMENTS_DIR = "assignments"
 ASSIGNMENTS_HEADER = ("user_id", "home_tower", "qualifying_count", "tie_broken")
 # every file emit_reports writes, and every file a sweep writes, as glob
-# patterns: a fresh sweep removes RUN_FILES and their .tmp forms (see
-# _atomic_write) first, and an emission the REPORT_FILES it did not write
+# patterns: a sweep starts by removing RUN_FILES and their .tmp forms (see
+# _atomic_write) but its kept records and their dumps, and an emission the
+# REPORT_FILES it did not write
 REPORT_FILES = (
     "windows.csv", "metrics.csv", "correlation_over_time.csv",
     "duration_sensitivity.csv", "criteria_sensitivity.csv", "decile_summary.csv",
@@ -72,7 +73,9 @@ RUN_FILES = (CELLS_FILE, MANIFEST_FILE, *REPORT_FILES, f"{ASSIGNMENTS_DIR}/*.csv
 
 @dataclass(frozen=True)
 class SweepOptions:
-    """Knobs that apply to every cell of a sweep."""
+    """A sweep's options: a cell reads min_qualifying and dump_assignments,
+    the reports exclusion_threshold and per_tower_exports, and only the run
+    itself workers and resume."""
 
     exclusion_threshold: int = 0
     min_qualifying: int = 1
@@ -140,13 +143,6 @@ def _readable(rec: dict, n_towers: int) -> bool:
         return False
 
 
-def warn_unparseable(n_bad: int, path: Path) -> None:
-    """Say on stderr how many lines of a cells.jsonl were skipped, if any."""
-    if n_bad:
-        print(f"warning: skipped {n_bad} unparseable line(s) in {path}",
-              file=sys.stderr)
-
-
 def _atomic_write(path: Path, data: str | bytes) -> None:
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_bytes(data.encode() if isinstance(data, str) else data)
@@ -164,6 +160,11 @@ def _remove_stale(out_path: Path, patterns, keep=()) -> None:
         if "/" in pattern:
             with contextlib.suppress(OSError):  # absent, or holds other files
                 (out_path / pattern).parent.rmdir()
+
+
+def _dump_name(hda: str, label: str) -> str:
+    """The file name of the (hda, label) cell's assignments/ dump."""
+    return f"{hda}__{label}.csv"
 
 
 def _ffmt(v) -> str:
@@ -213,9 +214,8 @@ def _compute_cell(state: dict, h_idx: int, w_idx: int) -> dict:
         rec.update(status="failed", error=traceback.format_exc(limit=8))
     else:
         if state["assignments_dir"] is not None:
-            _write_assignment_dump(
-                state["assignments_dir"] / f"{spec.name}__{window.label}.csv", bulk
-            )
+            path = state["assignments_dir"] / _dump_name(spec.name, window.label)
+            _write_assignment_dump(path, bulk)
     rec["fingerprint"] = state["fingerprint"]
     rec["elapsed"] = round(time.perf_counter() - t0, 4)
     return rec
@@ -256,17 +256,17 @@ def _fingerprint(
 
 def load_run(
     out_dir, result: SweepResult | None = None, *, fingerprint: str | None = None
-) -> tuple[SweepResult, int]:
+) -> SweepResult:
     """Rebuild a SweepResult from a run directory's cells.jsonl.
 
     The grid, the tower registry and the options come from result, an
     empty SweepResult, or from manifest.json when it is None (a killed run
     has not written its manifest, so a resume passes its own). Every grid
     cell recorded "ok" is restored through SweepResult.add_cell; failed
-    cells are left out, so a resume computes them again. Returns the result
-    and the number of unparseable lines: those that are not UTF-8 JSON
-    objects, and "ok" records the reports cannot read (see _readable),
-    whose cells a resume computes again too.
+    cells are left out, so a resume computes them again. Lines that are not
+    UTF-8 JSON objects, and "ok" records the reports cannot read (see
+    _readable), are skipped, their count named in one warning on stderr; a
+    resume computes their cells again too.
 
     The manifest is checked in one place: one that is not JSON, or records
     no grid or no tower registry, raises ValueError naming the file. A
@@ -312,7 +312,7 @@ def load_run(
             ) from None
     path = out_path / CELLS_FILE
     if not path.exists():
-        return result, 0
+        return result
     grid = {(h, w.label) for h in result.hda_names for w in result.windows}
     n_bad = 0
     for line in path.read_bytes().split(b"\n"):  # decoded line by line
@@ -339,7 +339,10 @@ def load_run(
             )
         if (rec.get("hda"), rec.get("window")) in grid:
             result.add_cell(rec)
-    return result, n_bad
+    if n_bad:
+        print(f"warning: skipped {n_bad} unparseable line(s) in {path}",
+              file=sys.stderr)
+    return result
 
 
 def _peak_rss_mb() -> tuple[float, float]:
@@ -434,11 +437,10 @@ def run_sweep(
     With out_dir=None nothing is written (in-memory use); otherwise
     emit_reports is invoked at the end. A user of the partitions whom truth
     lacks raises KeyError before anything is written. options.resume keeps
-    the records of an existing cells.jsonl (ValueError if any has another
-    fingerprint) and rewrites the file with them alone, warning of the
-    unparseable lines dropped; without it the RUN_FILES in the directory and
-    their .tmp forms are removed first, and the towers and assignments
-    directories too when that empties them. An unwritable directory raises
+    the readable "ok" records of an existing cells.jsonl (ValueError if any
+    has another fingerprint), and a fresh sweep none: either rewrites the
+    file with them alone, then removes every other RUN_FILES file and its
+    .tmp form but the kept cells' dumps. An unwritable directory raises
     OSError before any cell runs. The manifest's stages hold the ingest parse,
     partition_records and run_sweep seconds (perf_counter; the first two
     from ingest_report) and the peak RSS in MiB of this process and of its
@@ -502,13 +504,13 @@ def run_sweep(
         out_path = Path(out_dir)
         out_path.mkdir(parents=True, exist_ok=True)
         if options.resume:
-            result, n_bad = load_run(out_path, result, fingerprint=fingerprint)
-            warn_unparseable(n_bad, out_path / CELLS_FILE)
-            _atomic_write(out_path / CELLS_FILE, "".join(
-                json.dumps(r, sort_keys=True) + "\n" for r in result.reports.values()
-            ))  # one record per kept cell: no unparseable, failed or torn line
-        else:
-            _remove_stale(out_path, RUN_FILES)
+            result = load_run(out_path, result, fingerprint=fingerprint)
+        # one record per kept cell, written before the removal so that no
+        # record outlives its cell's dump: no unparseable, failed or torn line
+        _atomic_write(out_path / CELLS_FILE, "".join(
+            json.dumps(r, sort_keys=True) + "\n" for r in result.reports.values()))
+        _remove_stale(out_path, RUN_FILES, keep=[out_path / CELLS_FILE, *(
+            out_path / ASSIGNMENTS_DIR / _dump_name(*key) for key in result.reports)])
         if options.dump_assignments:
             state["assignments_dir"] = out_path / ASSIGNMENTS_DIR
             state["assignments_dir"].mkdir(exist_ok=True)

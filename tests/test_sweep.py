@@ -297,9 +297,18 @@ def _run_files(out) -> dict:
     }
 
 
+def _make_unreadable(log, hda, label) -> None:
+    """Put a negative count in the x of the (hda, label) record of log."""
+    lines = log.read_text().splitlines()
+    i = next(i for i, l in enumerate(lines)
+             if (json.loads(l)["hda"], json.loads(l)["window"]) == (hda, label))
+    lines[i] = lines[i].replace('"x": [', '"x": [-1, ')
+    log.write_text("\n".join(lines) + "\n")
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_resume_after_a_kill_between_cell_files_and_record(
-    tmp_path, monkeypatch, workers
+    tmp_path, monkeypatch, workers, capsys
 ):
     res, parts, wins = _dataset()
     dumps = SweepOptions(dump_assignments=True)
@@ -329,6 +338,53 @@ def test_resume_after_a_kill_between_cell_files_and_record(
               SweepOptions(resume=True, dump_assignments=True))
     files = _run_files(out)
     assert "assignments/MA__14d-03.csv" in files
+    assert files == _run_files(fresh)
+
+    # a resume of the finished run is killed the same way, after it has
+    # dropped the unreadable record of that cell: it has removed the earlier
+    # manifest and reports first, so the directory is a killed run's, which
+    # report refuses, and the next resume completes it
+    _make_unreadable(log, "MA", "14d-03")
+    monkeypatch.setattr(sweep_mod, "_write_assignment_dump", fails_on_one_cell)
+    with pytest.raises(OSError, match="MA__14d-03"):
+        run_sweep(parts, res.registry, wins, HDAS, out,
+                  SweepOptions(workers=workers, resume=True, dump_assignments=True))
+    monkeypatch.setattr(sweep_mod, "_write_assignment_dump", real)
+    capsys.readouterr()
+    assert main(["report", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: no manifest.json in {out}; run sweep first\n"
+    )
+    run_sweep(parts, res.registry, wins, HDAS, out,
+              SweepOptions(resume=True, dump_assignments=True))
+    assert _run_files(out) == _run_files(fresh)
+
+
+def test_resume_whose_recomputed_cell_fails_leaves_what_a_fresh_run_leaves(
+    tmp_path, monkeypatch
+):
+    res, parts, wins = _dataset()
+    dumps = SweepOptions(dump_assignments=True)
+    out = tmp_path / "run"
+    run_sweep(parts, res.registry, wins, HDAS, out, dumps)
+    # the MA|14d-01 record becomes unreadable, so a resume computes it again
+    _make_unreadable(out / "cells.jsonl", "MA", "14d-01")
+
+    real = sweep_mod.detect_homes_bulk
+
+    def fails_on_one_cell(part, window, spec, **kwargs):
+        if (spec.name, window.label) == ("MA", "14d-01"):
+            raise RuntimeError("detection failed")
+        return real(part, window, spec, **kwargs)
+
+    monkeypatch.setattr(sweep_mod, "detect_homes_bulk", fails_on_one_cell)
+    sw, _ = run_sweep(parts, res.registry, wins, HDAS, out,
+                      SweepOptions(resume=True, dump_assignments=True))
+    fresh = tmp_path / "fresh"
+    sw_fresh, _ = run_sweep(parts, res.registry, wins, HDAS, fresh, dumps)
+    assert sw.errors.keys() == sw_fresh.errors.keys() == {("MA", "14d-01")}
+    files = _run_files(out)
+    assert "assignments/MA__14d-01.csv" not in files
     assert files == _run_files(fresh)
 
 
@@ -753,14 +809,16 @@ def test_resume_rewrites_cells_log_without_the_lines_it_dropped(tmp_path, capsys
     assert capsys.readouterr().err == ""
 
 
-def test_load_run_counts_lines_that_are_not_cell_objects(tmp_path):
+def test_load_run_counts_lines_that_are_not_cell_objects(tmp_path, capsys):
     res, parts, wins = _dataset()
     out = tmp_path / "run"
     sw, _ = run_sweep(parts, res.registry, wins, HDAS, out, SweepOptions())
     with open(out / "cells.jsonl", "a") as fh:
         fh.write("[1, 2]\nnot json\n")
-    loaded, n_bad = load_run(out)
-    assert n_bad == 2
+    loaded = load_run(out)
+    assert capsys.readouterr().err == (
+        f"warning: skipped 2 unparseable line(s) in {out / 'cells.jsonl'}\n"
+    )
     assert loaded.hda_names == [s.name for s in HDAS]
     assert loaded.reports.keys() == sw.reports.keys()
 
@@ -824,6 +882,21 @@ def test_fresh_sweep_leaves_no_file_of_an_earlier_run(tmp_path):
     assert got == want
     assert "accuracy.csv" not in got and "towers/MA__full.csv" in got
     assert not (out / "assignments").exists()
+
+    # a resume keeps its records and their cells' dumps, untouched, and
+    # removes every other file of RUN_FILES, a dump no record owns included
+    full = (narrow[0], HDAS)
+    run_sweep(parts, res.registry, *full, out, SweepOptions(dump_assignments=True))
+    kept = {p.name: (p.read_bytes(), p.stat().st_ino)
+            for p in (out / "assignments").iterdir()}
+    assert len(kept) == len(HDAS)
+    for name in ("assignments/MA__99d-99.csv", "assignments/MA__full.csv.tmp"):
+        (out / name).write_text("stale\n")
+    run_sweep(parts, res.registry, *full, out,
+              SweepOptions(resume=True, dump_assignments=True))
+    assert {p.name: (p.read_bytes(), p.stat().st_ino)
+            for p in (out / "assignments").iterdir()} == kept
+    assert (out / "notes.txt").read_bytes() == b"kept\n"
 
 
 def test_sweep_isolates_cell_failures(tmp_path):
