@@ -325,29 +325,13 @@ def _detection_index(users, towers, timestamps, day_ords, week_hours):
     }
 
 
-def _span_band(span: DatasetSpan) -> tuple[int, int]:
-    """[lo, hi) seconds since 1970: the span's days and two days either side.
-    A UTC offset is under a day, so this holds every instant whose civil
-    date is in the span, and every wall-clock time on one of its dates."""
-    first = (span.first_day - date(1970, 1, 1)).days
-    return (first - 2) * _DAY, (first + span.n_days + 2) * _DAY
-
-
 def partition_records(
-    users,
-    towers,
-    timestamps,
-    *,
-    clock: CivilClock,
-    n_partitions: int = 1,
-    span: DatasetSpan | None = None,
-) -> tuple[list[UserPartition], int]:
+    users, towers, timestamps, day_ords, week_hours, *, n_partitions: int = 1
+) -> list[UserPartition]:
     """Split records into per-user partitions, each holding its detection index.
 
-    Each record's civil day ordinal and week hour come from
-    clock.local_fields and go into the index as they are; when a span is
-    given, records whose civil date falls outside it are dropped and
-    counted. Returns (partitions, n_out_of_span). Input order never matters
+    Each record's civil day ordinal and week hour, as CivilClock.local_fields
+    gives them, go into the index as they are. Input order never matters
     (see UserPartition). A negative tower id raises ValueError.
     """
     if n_partitions < 1:
@@ -355,32 +339,17 @@ def partition_records(
     users = np.asarray(users, dtype=np.uint64)
     towers = np.asarray(towers, dtype=np.int64)
     timestamps = np.asarray(timestamps, dtype=np.int64)
-    if not (len(users) == len(towers) == len(timestamps)):
+    day_ords = np.asarray(day_ords, dtype=np.int32)
+    week_hours = np.asarray(week_hours, dtype=np.uint8)
+    columns = (users, towers, timestamps, day_ords, week_hours)
+    if len({len(c) for c in columns}) > 1:
         raise ValueError("record columns have unequal lengths")
     # a negative home means "no tower" to every consumer of detection
     if len(towers) and towers.min() < 0:
         raise ValueError(f"negative tower id {int(towers.min())} in records")
 
-    n_in = len(users)
-    if span is not None:
-        # dropping records outside the band before civil-time derivation
-        # keeps the zone's transition table (and datetime's range) to the span
-        lo, hi = _span_band(span)
-        keep = (timestamps >= lo) & (timestamps < hi)
-        if not keep.all():
-            users, towers, timestamps = users[keep], towers[keep], timestamps[keep]
-    day_ords, week_hours = clock.local_fields(timestamps)
-    if span is not None:
-        lo, hi = span.first_day.toordinal(), span.last_day.toordinal()
-        keep = (day_ords >= lo) & (day_ords <= hi)
-        if not keep.all():
-            users, towers, timestamps = users[keep], towers[keep], timestamps[keep]
-            day_ords, week_hours = day_ords[keep], week_hours[keep]
-    n_out = n_in - len(users)
-
-    columns = (users, towers, timestamps, day_ords, week_hours)
     if n_partitions == 1:  # every record is the one partition's: nothing to hash
-        return [UserPartition(**_detection_index(*columns))], n_out
+        return [UserPartition(**_detection_index(*columns))]
     # the narrowest type: the column stays live while the indexes are built
     part_idx = (_splitmix64(users) % np.uint64(n_partitions)).astype(
         np.min_scalar_type(n_partitions - 1)
@@ -393,7 +362,7 @@ def partition_records(
         held = columns if m.all() else [c[m] for c in columns]
         del m
         parts.append(UserPartition(**_detection_index(*held)))
-    return parts, n_out
+    return parts
 
 
 @dataclass
@@ -402,10 +371,11 @@ class IngestReport:
 
     total_lines = parsed records + malformed lines: a recognized header is
     flagged, never counted, and every other line is one or the other. So
-    accepted + the three reject columns always equals it. The two timings
-    (perf_counter seconds in the file parse, unknown-tower filter included,
-    and in partition_records) vary from run to run: they take no part in
-    equality and stay out of as_dict.
+    accepted + the three reject columns always equals it; ingest writes
+    every count. The two timings (perf_counter seconds in the file parse,
+    the reject filters and civil-time derivation included, and in
+    partition_records, the index build alone) vary from run to run: they
+    take no part in equality and stay out of as_dict.
     """
 
     records_file: str
@@ -697,7 +667,11 @@ def ingest(
     CR LF or a lone CR. Line 1 is a header if it starts with user_id, as in
     read_table and is never counted; any other line that is not a valid
     record counts as malformed, so total_lines = parsed records + malformed
-    lines. A record on a tower the registry lacks counts as unknown_tower.
+    lines. Of the records, one on a tower the registry lacks counts as
+    unknown_tower, whatever its time, and any other whose civil date in the
+    clock's zone lies outside the span as out_of_span. Every reject is
+    decided here: partition_records indexes the accepted records with the
+    civil fields derived for the span filter.
     """
     if n_partitions < 1:
         raise ValueError("n_partitions must be >= 1")
@@ -711,26 +685,39 @@ def ingest(
     with open(path, "rb") as fh:
         report.header_line = fh.read(len(_HEADER_START)) == _HEADER_START
     judge = _LineJudge(report, clock)
-    # ISO times outside the span's band take the per-line path, which keeps
-    # the zone's transition table short
-    u, t, s = _read_records(path, judge, clock, _span_band(span))
+    # [lo, hi) seconds since 1970: the span's days and two days either side.
+    # A UTC offset is under a day, so this holds every instant whose civil
+    # date is in the span, and every wall-clock time on one of its dates.
+    # ISO times outside it take the per-line path, and records outside it
+    # are dropped before civil-time derivation: both keep the zone's
+    # transition table (and datetime's range) to the span.
+    first = (span.first_day - date(1970, 1, 1)).days
+    lo, hi = (first - 2) * _DAY, (first + span.n_days + 2) * _DAY
+    u, t, s = _read_records(path, judge, clock, (lo, hi))
     report.total_lines = len(u) + report.rejected_malformed
 
-    known = registry.contains_ids(t)
-    n_unknown = int((~known).sum())
-    if n_unknown:
-        report.rejected_unknown_tower = n_unknown
-        for tid in t[~known][:_MAX_SAMPLE_REJECTS]:
-            _note_reject(report, f"tower_id={int(tid)}", "unknown_tower")
-        u, t, s = u[known], t[known], s[known]
+    keep = registry.contains_ids(t)
+    n_known = int(keep.sum())
+    report.rejected_unknown_tower = len(t) - n_known
+    for tid in t[~keep][:_MAX_SAMPLE_REJECTS]:
+        _note_reject(report, f"tower_id={int(tid)}", "unknown_tower")
+    keep &= s >= lo
+    keep &= s < hi
+    if not keep.all():
+        u, t, s = u[keep], t[keep], s[keep]
+    day_ords, week_hours = clock.local_fields(s)
+    first_ord, last_ord = span.first_day.toordinal(), span.last_day.toordinal()
+    keep = (day_ords >= first_ord) & (day_ords <= last_ord)
+    if not keep.all():
+        u, t, s, day_ords, week_hours = (
+            c[keep] for c in (u, t, s, day_ords, week_hours)
+        )
+    report.rejected_out_of_span = n_known - len(u)
 
     t_parsed = time.perf_counter()
-    parts, n_out = partition_records(
-        u, t, s, clock=clock, n_partitions=n_partitions, span=span
-    )
+    parts = partition_records(u, t, s, day_ords, week_hours, n_partitions=n_partitions)
     report.parse_seconds = t_parsed - t_start
     report.partition_seconds = time.perf_counter() - t_parsed
-    report.rejected_out_of_span = n_out
     report.accepted = int(sum(p.n_records for p in parts))
     report.distinct_users = int(sum(p.n_users for p in parts))
     report.check()

@@ -42,11 +42,10 @@ def random_records(rng, n_users, tower_ids, t0: int, t1: int, mean_events=40):
 
 
 def one_partition(users, towers, stamps, clock=None, n_partitions=1):
-    parts, _ = partition_records(
-        users, towers, stamps, clock=clock or CivilClock(),
+    return partition_records(
+        users, towers, stamps, *(clock or CivilClock()).local_fields(stamps),
         n_partitions=n_partitions,
     )
-    return parts
 
 
 def array_fields(part) -> dict:

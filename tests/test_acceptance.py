@@ -42,11 +42,11 @@ def _check(name: str, ok: bool, detail: str):
 
 
 def _parts(res, n_partitions=2):
-    parts, _ = partition_records(
+    return partition_records(
         res.users, res.towers, res.timestamps,
-        clock=CivilClock(res.config.tz_name), n_partitions=n_partitions,
+        *CivilClock(res.config.tz_name).local_fields(res.timestamps),
+        n_partitions=n_partitions,
     )
-    return parts
 
 
 def test_bulk_engine_equals_brute_force_reference():
@@ -263,7 +263,7 @@ def test_single_hda_throughput_over_ten_million_records():
     t0 = CLOCK.midnight_epoch(date(2007, 5, 13))
     t1 = CLOCK.midnight_epoch(date(2007, 10, 14))
     stamps = rng.integers(t0, t1, n)
-    parts, _ = partition_records(users, towers, stamps, clock=CLOCK)
+    parts = partition_records(users, towers, stamps, *CLOCK.local_fields(stamps))
     window = generate_windows(
         DatasetSpan(date(2007, 5, 13), date(2007, 10, 13)), classes=("full",)
     )[0]

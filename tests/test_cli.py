@@ -213,6 +213,15 @@ def test_windows_table(capsys):
     assert len(capsys.readouterr().out.strip().split("\n")) == 1 + 3
 
 
+def test_windows_out_writes_the_table(tmp_path, capsys):
+    main(["windows", "--span", SPAN])
+    table = capsys.readouterr().out
+    path = tmp_path / "windows.csv"
+    assert main(["windows", "--span", SPAN, "--out", str(path)]) == 0
+    assert capsys.readouterr().out == f"wrote {path}\n"
+    assert path.read_text() == table
+
+
 def test_detect_and_score(synth_dir, tmp_path, capsys):
     out = tmp_path / "detect"
     rc = main([
@@ -425,6 +434,23 @@ def test_sweep_and_report_reemit(synth_dir, tmp_path, capsys):
     assert reemitted.keys() == live.keys()
     for name, data in live.items():
         assert reemitted[name] == data, name
+
+
+def test_report_on_a_run_without_cell_records_has_nothing_to_report(
+    synth_dir, tmp_path, capsys
+):
+    run = tmp_path / "run"
+    assert main([
+        "sweep", "--records", str(synth_dir / "records.csv"),
+        "--towers", str(synth_dir / "towers.csv"), "--span", SPAN,
+        "--classes", "full", "--hdas", "MA", "--out", str(run),
+    ]) == 0
+    (run / "cells.jsonl").unlink()
+    capsys.readouterr()
+    assert main(["report", "--out", str(run)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: no cells.jsonl in {run}; nothing to report\n"
 
 
 def _tree(root: Path) -> dict[str, bytes]:

@@ -191,13 +191,14 @@ def test_partition_canonical_order_ignores_input_order():
     )
     clock = CivilClock()
     for n_partitions in (1, 3):
-        parts_a, _ = partition_records(
-            users, towers, stamps, clock=clock, n_partitions=n_partitions
+        parts_a = partition_records(
+            users, towers, stamps, *clock.local_fields(stamps),
+            n_partitions=n_partitions,
         )
         shuffle = rng.permutation(len(users))
-        parts_b, _ = partition_records(
-            users[shuffle], towers[shuffle], stamps[shuffle], clock=clock,
-            n_partitions=n_partitions,
+        parts_b = partition_records(
+            users[shuffle], towers[shuffle], stamps[shuffle],
+            *clock.local_fields(stamps[shuffle]), n_partitions=n_partitions,
         )
         assert_same_partitions(parts_b, parts_a)
 
@@ -217,8 +218,8 @@ def test_partition_holds_each_input_record_once():
     users, towers, stamps = _with_duplicates(
         rng, *random_records(rng, 25, np.arange(100, 105), T0, T1)
     )
-    parts, _ = partition_records(
-        users, towers, stamps, clock=CivilClock(), n_partitions=2
+    parts = partition_records(
+        users, towers, stamps, *CivilClock().local_fields(stamps), n_partitions=2
     )
     assert sum(p.n_users for p in parts) == 25
     assert sum(p.n_records for p in parts) == len(users)
@@ -235,8 +236,8 @@ def test_partition_assignment_stable_and_complete():
             assert 0 <= partition_of(uid, n_partitions) < n_partitions
     rng = np.random.default_rng(8)
     users, towers, stamps = random_records(rng, 60, np.arange(100, 104), T0, T1)
-    parts, _ = partition_records(
-        users, towers, stamps, clock=CivilClock(), n_partitions=4
+    parts = partition_records(
+        users, towers, stamps, *CivilClock().local_fields(stamps), n_partitions=4
     )
     assert sum(p.n_records for p in parts) == len(users)
     for index, p in enumerate(parts):
@@ -247,41 +248,26 @@ def test_partition_assignment_stable_and_complete():
     assert len(np.unique(seen)) == len(seen)
 
 
-def test_partition_span_filter_counts():
-    clock = CivilClock()
-    users = np.array([1, 1, 2], dtype=np.uint64)
-    towers = np.array([100, 100, 101], dtype=np.int64)
-    stamps = np.array(
-        [T0 + 100, T0 - 100, T0 + 200], dtype=np.int64
-    )  # second record falls the civil day before the span
-    parts, n_out = partition_records(
-        users, towers, stamps, clock=clock, span=SPAN
-    )
-    assert n_out == 1
-    assert parts[0].n_records == 2
-
-
 @pytest.mark.parametrize(
     "tz", ["Pacific/Kiritimati", "Etc/GMT+12", "America/St_Johns"]
 )
-def test_span_band_keeps_every_in_span_record_at_extreme_offsets(tz):
+def test_span_band_keeps_every_in_span_record_at_extreme_offsets(tz, tmp_path):
     # UTC+14, UTC-12 and a half-hour offset: the records dropped before
     # civil-time derivation must all have civil dates outside the span
     span = DatasetSpan.parse("2007-06-01..2007-07-01")
     start = int(datetime(2007, 5, 27, tzinfo=timezone.utc).timestamp())
     stamps = start + 600 * np.arange((span.n_days + 10) * 144, dtype=np.int64)
     users = np.arange(1, len(stamps) + 1, dtype=np.uint64)
-    parts, n_out = partition_records(
-        users, np.zeros(len(stamps), dtype=np.int64), stamps,
-        clock=CivilClock(tz), span=span,
-    )
+    path = tmp_path / "records.csv"
+    write_records_csv(path, users, np.full(len(stamps), 100), stamps)
+    parts, report = ingest(path, make_registry(1), span, clock=CivilClock(tz))
     zone = ZoneInfo(tz)
     want = [
         int(ts) for ts in stamps
         if span.contains(datetime.fromtimestamp(int(ts), zone).date())
     ]
     assert sorted(parts[0].index_timestamps.tolist()) == want
-    assert n_out == len(stamps) - len(want)
+    assert report.rejected_out_of_span == len(stamps) - len(want)
 
 
 def test_partition_records_refuses_a_negative_tower_id():
@@ -290,17 +276,19 @@ def test_partition_records_refuses_a_negative_tower_id():
     users = np.array([1, 1, 1, 1], dtype=np.uint64)
     towers = np.array([-5, -5, -5, 7], dtype=np.int64)
     stamps = T0 + 3600 * np.arange(4, dtype=np.int64)
+    fields = CivilClock().local_fields(stamps)
     with pytest.raises(ValueError, match="negative tower id -5"):
-        partition_records(users, towers, stamps, clock=CivilClock())
-    parts, _ = partition_records(users, towers[3:].repeat(4), stamps,
-                                 clock=CivilClock())
+        partition_records(users, towers, stamps, *fields)
+    parts = partition_records(users, towers[3:].repeat(4), stamps, *fields)
     assert parts[0].pair_towers.tolist() == [7]
 
 
 def test_partition_arrays_read_only():
     rng = np.random.default_rng(9)
     users, towers, stamps = random_records(rng, 5, np.arange(100, 103), T0, T1)
-    part = partition_records(users, towers, stamps, clock=CivilClock())[0][0]
+    part = partition_records(
+        users, towers, stamps, *CivilClock().local_fields(stamps)
+    )[0]
     with pytest.raises(ValueError):
         part.index_timestamps[0] = 5
     arrays = array_fields(part)
@@ -320,8 +308,8 @@ def test_partition_layout_bytes():
     rng = np.random.default_rng(13)
     users, towers, stamps = random_records(rng, 40, np.arange(100, 106), T0, T1)
     for part in partition_records(
-        users, towers, stamps, clock=CivilClock(), n_partitions=2
-    )[0]:
+        users, towers, stamps, *CivilClock().local_fields(stamps), n_partitions=2
+    ):
         n_days = len(part.index_days)
         layout = (14 * part.n_records + 16 * part.n_pairs + 8 * part.n_users
                   + 12 * n_days + 8)
@@ -333,7 +321,9 @@ def test_detection_index_holds_the_input_records_by_day():
     users, towers, stamps = _with_duplicates(
         rng, *random_records(rng, 12, np.arange(100, 104), T0, T1)
     )
-    part = partition_records(users, towers, stamps, clock=CivilClock())[0][0]
+    part = partition_records(
+        users, towers, stamps, *CivilClock().local_fields(stamps)
+    )[0]
     pairs = part.index_pairs
     # pairs number (user, tower) combinations densely in that order
     key = part.pair_users * 1000 + part.pair_towers
@@ -415,8 +405,9 @@ def test_detection_index_equals_reference_on_any_ids():
     clock = CivilClock()
     for name, records in cases.items():
         for n_partitions in (1, 3):
-            parts, _ = partition_records(
-                *records, clock=clock, n_partitions=n_partitions
+            parts = partition_records(
+                *records, *clock.local_fields(records[2]),
+                n_partitions=n_partitions,
             )
             want = _reference_partitions(*records, n_partitions)
             assert len(parts) == len(want)
@@ -443,7 +434,7 @@ def test_partition_records_memory_peak():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        partition_records(users, towers, stamps, clock=clock)
+        partition_records(users, towers, stamps, *clock.local_fields(stamps))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -470,7 +461,7 @@ def test_partition_civil_fields_match_clock():
     rng = np.random.default_rng(10)
     users, towers, stamps = random_records(rng, 10, np.arange(100, 103), T0, T1)
     clock = CivilClock()
-    part = partition_records(users, towers, stamps, clock=clock)[0][0]
+    part = partition_records(users, towers, stamps, *clock.local_fields(stamps))[0]
     day_of = np.repeat(part.index_days, np.diff(part.index_day_starts))
     for i in range(0, part.n_records, 31):
         d, h, w = oracle_local_fields(int(part.index_timestamps[i]))
@@ -550,12 +541,22 @@ def test_ingest_counts_far_off_timestamps_out_of_span(tmp_path):
         "1,101,-1000000000000000",
         f"2,100,{2**63 - 1}",
         f"2,101,{-(2**63)}",
+        "3,999,1000000000000000",  # an unknown tower wins over the span
+        f"3,100,{T0 - 100}",  # in the two-day band, the civil day before the span
+        "3,100,never",  # malformed: sampled while parsing, before any tower
     ])
-    parts, report = ingest(path, reg, SPAN)
-    assert report.accepted == 1
-    assert report.rejected_out_of_span == 4
-    assert report.distinct_users == 1
-    assert parts[0].index_timestamps.tolist() == [T0 + 50]
+    for n_partitions in (1, 3):
+        parts, report = ingest(path, reg, SPAN, n_partitions=n_partitions)
+        assert report.accepted == 1
+        assert report.rejected_malformed == 1
+        assert report.rejected_unknown_tower == 1
+        assert report.rejected_out_of_span == 5
+        assert report.distinct_users == 1
+        assert report.sample_rejects == [
+            "malformed: 3,100,never", "unknown_tower: tower_id=999",
+        ]
+        stamps = np.concatenate([p.index_timestamps for p in parts])
+        assert stamps.tolist() == [T0 + 50]
 
 
 def test_ingest_missing_file(tmp_path):
@@ -573,7 +574,7 @@ def test_write_then_ingest_round_trip(tmp_path):
     write_records_csv(path, users, towers, stamps)
     parts, report = ingest(path, reg, SPAN, n_partitions=3)
     assert report.accepted == len(users)
-    direct, _ = partition_records(
-        users, towers, stamps, clock=CivilClock(), n_partitions=3
+    direct = partition_records(
+        users, towers, stamps, *CivilClock().local_fields(stamps), n_partitions=3
     )
     assert_same_partitions(parts, direct)

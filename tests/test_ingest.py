@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from cdrhomes import core
-from cdrhomes.core import DatasetSpan, IngestReport, ingest, partition_records
+from cdrhomes.core import (
+    DatasetSpan, IngestReport, TowerRegistry, ingest, partition_records,
+)
 from cdrhomes.synth import generate, summer_scenario
 from cdrhomes.timebase import CivilClock
 
@@ -19,20 +21,31 @@ T0 = CivilClock().midnight_epoch(date(2007, 5, 13))
 
 
 def _reference_ingest(path, registry, span, clock, n_partitions):
-    """ingest's result from the per-line reference parser."""
+    """ingest's result from the per-line reference parser, with each
+    record's civil date and fields from zoneinfo; an instant that datetime
+    cannot represent is out of span."""
     counts, users, towers, stamps = reference_records(
         path, registry.tower_ids, clock.tz_name
     )
-    parts, n_out = partition_records(
-        np.array(users, dtype=np.uint64),
-        np.array(towers, dtype=np.int64),
-        np.array(stamps, dtype=np.int64),
-        clock=clock, n_partitions=n_partitions, span=span,
-    )
+    zone = ZoneInfo(clock.tz_name)
+    kept = []
+    for record in zip(users, towers, stamps):
+        try:
+            local = datetime.fromtimestamp(record[2], zone)
+        except (OverflowError, OSError, ValueError):
+            continue
+        if span.contains(local.date()):
+            week_hour = local.weekday() * 24 + local.hour
+            kept.append((*record, local.toordinal(), week_hour))
+    columns = [
+        np.array([r[i] for r in kept], dtype=dtype)
+        for i, dtype in enumerate((np.uint64, np.int64, np.int64, np.int32, np.uint8))
+    ]
+    parts = partition_records(*columns, n_partitions=n_partitions)
     report = IngestReport(
         records_file=str(path),
         accepted=sum(p.n_records for p in parts),
-        rejected_out_of_span=n_out,
+        rejected_out_of_span=len(users) - len(kept),
         distinct_users=sum(p.n_users for p in parts),
         **counts,
     )
@@ -95,6 +108,30 @@ def test_mixed_file_matches_reference(mixed_input, block_bytes):
     assert report.rejected_unknown_tower == 30
     assert report.rejected_out_of_span == 30
     assert [s.split(":")[0] for s in report.sample_rejects] == ["malformed"] * 5
+
+
+def test_short_lines_grow_the_columns(tmp_path, block_bytes, monkeypatch):
+    # the columns are sized for 16-byte lines: lines like "1,1,5" outgrow them
+    sizes, original = [], core._grown
+
+    def grown(column, size):
+        sizes.append(size)
+        return original(column, size)
+
+    monkeypatch.setattr(core, "_grown", grown)
+    rng = np.random.default_rng(3)
+    lines = [f"{u},{t},{s}" for u, t, s in zip(
+        rng.integers(1, 10, 2000), rng.integers(1, 3, 2000),
+        rng.integers(-3000, 200_000, 2000),
+    )]
+    path = tmp_path / "records.csv"
+    path.write_text("\n".join(lines) + "\n")
+    registry = TowerRegistry([1, 2], [0.0, 0.1], [0.0, 0.1], [5, 7])
+    span = DatasetSpan.parse("1970-01-01..1970-01-02")
+    report = _assert_matches_reference(path, registry, span)
+    assert sizes
+    assert report.total_lines == 2000
+    assert report.accepted and report.rejected_out_of_span
 
 
 # a span holding both 2007 DST changes of Europe/Paris
