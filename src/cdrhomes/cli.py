@@ -128,7 +128,7 @@ def _touristic(text: str) -> int | tuple[int, ...]:
 
 def _window(text: str) -> ObservationWindow:
     dates = DatasetSpan.parse(text)
-    return ObservationWindow(text, dates.first_day, dates.last_day, "custom")
+    return ObservationWindow(dates.first_day, dates.last_day, text, "custom")
 
 
 def _checked(flag: str, convert):
@@ -204,7 +204,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_detect(args: argparse.Namespace) -> int:
     span = args.span
-    if not args.window.overlaps(span.first_day, span.last_day):
+    if not args.window.overlaps(span):
         # ingest drops every record outside the span: no one could be placed
         raise CliError(f"--window {args.window.label} shares no day with --span {span}")
     if args.dump_assignments and not args.out:

@@ -32,7 +32,9 @@ _DAY = 86400
 
 @dataclass(frozen=True)
 class DatasetSpan:
-    """Closed interval of civil dates the dataset covers."""
+    """Closed interval of civil dates: the days a dataset covers, and the
+    one type of every other range of days (windows.ObservationWindow and
+    synth.MigrationConfig extend it). Its text is 'FIRST..LAST'."""
 
     first_day: date
     last_day: date
@@ -45,8 +47,20 @@ class DatasetSpan:
     def n_days(self) -> int:
         return (self.last_day - self.first_day).days + 1
 
+    @property
+    def first_ord(self) -> int:
+        return self.first_day.toordinal()
+
+    @property
+    def last_ord(self) -> int:
+        return self.last_day.toordinal()
+
     def contains(self, d: date) -> bool:
         return self.first_day <= d <= self.last_day
+
+    def overlaps(self, other: "DatasetSpan") -> bool:
+        """Whether the two ranges share a day."""
+        return self.first_day <= other.last_day and other.first_day <= self.last_day
 
     @classmethod
     def parse(cls, text: str) -> "DatasetSpan":
@@ -325,6 +339,19 @@ def _detection_index(users, towers, timestamps, day_ords, week_hours):
     }
 
 
+def _column(values, dtype, name: str) -> np.ndarray:
+    """values as an array of dtype. An array of another type is cast only
+    if dtype holds each value, or ValueError names the first it cannot: the
+    cast would wrap it. An array of dtype is taken as it is."""
+    column = np.asarray(values)
+    if column.dtype != dtype and len(column):
+        limits = np.iinfo(dtype)
+        for v in (int(column.min()), int(column.max())):
+            if not limits.min <= v <= limits.max:
+                raise ValueError(f"{name} {v} outside the range of {limits.dtype}")
+    return column.astype(dtype, copy=False)
+
+
 def partition_records(
     users, towers, timestamps, day_ords, week_hours, *, n_partitions: int = 1
 ) -> list[UserPartition]:
@@ -332,21 +359,25 @@ def partition_records(
 
     Each record's civil day ordinal and week hour, as CivilClock.local_fields
     gives them, go into the index as they are. Input order never matters
-    (see UserPartition). A negative tower id raises ValueError.
+    (see UserPartition). ValueError refuses a negative tower id, a week hour
+    above 167, and a value its column's type cannot hold (see _column).
     """
     if n_partitions < 1:
         raise ValueError("n_partitions must be >= 1")
-    users = np.asarray(users, dtype=np.uint64)
-    towers = np.asarray(towers, dtype=np.int64)
-    timestamps = np.asarray(timestamps, dtype=np.int64)
-    day_ords = np.asarray(day_ords, dtype=np.int32)
-    week_hours = np.asarray(week_hours, dtype=np.uint8)
+    users = _column(users, np.uint64, "user id")
+    towers = _column(towers, np.int64, "tower id")
+    timestamps = _column(timestamps, np.int64, "timestamp")
+    day_ords = _column(day_ords, np.int32, "day ordinal")
+    week_hours = _column(week_hours, np.uint8, "week hour")
     columns = (users, towers, timestamps, day_ords, week_hours)
     if len({len(c) for c in columns}) > 1:
         raise ValueError("record columns have unequal lengths")
     # a negative home means "no tower" to every consumer of detection
     if len(towers) and towers.min() < 0:
         raise ValueError(f"negative tower id {int(towers.min())} in records")
+    # a TC filter's table has one entry per hour of the week
+    if len(week_hours) and week_hours.max() > 167:
+        raise ValueError(f"week hour {int(week_hours.max())} above 167 in records")
 
     if n_partitions == 1:  # every record is the one partition's: nothing to hash
         return [UserPartition(**_detection_index(*columns))]
@@ -357,9 +388,7 @@ def partition_records(
     parts: list[UserPartition] = []
     for p in range(n_partitions):
         m = part_idx == p
-        # a partition holding every record takes the columns as they are:
-        # copying them would add their size to ingest's peak memory
-        held = columns if m.all() else [c[m] for c in columns]
+        held = [c[m] for c in columns]
         del m
         parts.append(UserPartition(**_detection_index(*held)))
     return parts
@@ -706,8 +735,7 @@ def ingest(
     if not keep.all():
         u, t, s = u[keep], t[keep], s[keep]
     day_ords, week_hours = clock.local_fields(s)
-    first_ord, last_ord = span.first_day.toordinal(), span.last_day.toordinal()
-    keep = (day_ords >= first_ord) & (day_ords <= last_ord)
+    keep = (day_ords >= span.first_ord) & (day_ords <= span.last_ord)
     if not keep.all():
         u, t, s, day_ords, week_hours = (
             c[keep] for c in (u, t, s, day_ords, week_hours)

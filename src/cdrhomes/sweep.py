@@ -41,8 +41,8 @@ import numpy as np
 
 from . import __version__
 from .core import (
-    TOWERS_HEADER, IngestReport, TowerRegistry, UserPartition, format_blocks,
-    read_table,
+    TOWERS_HEADER, DatasetSpan, IngestReport, TowerRegistry, UserPartition,
+    format_blocks, read_table,
 )
 from .hda import (
     BulkAssignments, HdaSpec, aggregate_homes, detect_homes_bulk,
@@ -285,10 +285,8 @@ def load_run(
             manifest = json.loads(manifest_path.read_text())
             windows = [
                 ObservationWindow(
-                    w["label"],
-                    date.fromisoformat(w["first_day"]),
-                    date.fromisoformat(w["last_day"]),
-                    w["class"],
+                    date.fromisoformat(w["first_day"]), date.fromisoformat(w["last_day"]),
+                    w["label"], w["class"],
                 )
                 for w in manifest["windows"]
             ]
@@ -426,7 +424,7 @@ def run_sweep(
     options: SweepOptions = SweepOptions(),
     *,
     truth: GroundTruthTable | None = None,
-    migration=None,  # anything with first_day and last_day
+    migration: DatasetSpan | None = None,
     span: str = "",
     tz_name: str = "",
     ingest_report: IngestReport | None = None,
@@ -436,15 +434,18 @@ def run_sweep(
 
     With out_dir=None nothing is written (in-memory use); otherwise
     emit_reports is invoked at the end. A user of the partitions whom truth
-    lacks raises KeyError before anything is written. options.resume keeps
-    the readable "ok" records of an existing cells.jsonl (ValueError if any
-    has another fingerprint), and a fresh sweep none: either rewrites the
-    file with them alone, then removes every other RUN_FILES file and its
-    .tmp form but the kept cells' dumps. An unwritable directory raises
-    OSError before any cell runs. The manifest's stages hold the ingest parse,
-    partition_records and run_sweep seconds (perf_counter; the first two
-    from ingest_report) and the peak RSS in MiB of this process and of its
-    largest worker, None when no pool ran (see _peak_rss_mb).
+    lacks raises KeyError before anything is written. With truth, migration
+    is the DatasetSpan that dates each cell's migrant rows (see
+    score_against_truth); the manifest's migration_range is its text.
+    options.resume keeps the readable "ok" records of an existing
+    cells.jsonl (ValueError if any has another fingerprint), and a fresh
+    sweep none: either rewrites the file with them alone, then removes
+    every other RUN_FILES file and its .tmp form but the kept cells' dumps.
+    An unwritable directory raises OSError before any cell runs. The
+    manifest's stages hold the ingest parse, partition_records and run_sweep
+    seconds (perf_counter; the first two from ingest_report) and the peak
+    RSS in MiB of this process and of its largest worker, None when no pool
+    ran (see _peak_rss_mb).
     """
     t_start = time.perf_counter()
     if truth is not None:
@@ -479,7 +480,7 @@ def run_sweep(
         ))),
         # the dates that split accuracy.csv's migrant rows
         "migration_range": None if truth is None or migration is None
-        else f"{migration.first_day}..{migration.last_day}",
+        else str(migration),
     }
     # of the options, those a cell reads (not the reports'); each HDA in full
     fingerprint = _fingerprint({

@@ -63,39 +63,33 @@ _POP_SIGMA = 1.2
 
 
 @dataclass(frozen=True)
-class MigrationConfig:
-    """A seasonal relocation shock: who leaves, when, and where to.
+class MigrationConfig(DatasetSpan):
+    """A seasonal relocation shock: the range of days it spans, who leaves,
+    and where to.
 
-    Each migrant draws a personal stay of min_stay_days..range-length days
+    Each migrant draws a personal stay of min_stay_days..n_days days
     starting at a random offset inside the range, so stays are staggered the
     way real holidays are: some users are away long enough that even a
     full-span window misplaces them, others recover.
     """
 
-    first_day: date
-    last_day: date
     fraction: float
     touristic_towers: tuple[int, ...]
     min_stay_days: int = 28
 
     def __post_init__(self):
-        if self.last_day < self.first_day:
-            raise ValueError("migration range ends before it starts")
+        super().__post_init__()
         if not 0.0 <= self.fraction <= 1.0:
             raise ValueError(f"migration fraction {self.fraction} outside [0, 1]")
         if self.fraction > 0 and not self.touristic_towers:
             raise ValueError("migration with no touristic destination towers")
         if len(set(self.touristic_towers)) != len(self.touristic_towers):
             raise ValueError("duplicate touristic tower ids")
-        if not 1 <= self.min_stay_days <= self.n_range_days:
+        if not 1 <= self.min_stay_days <= self.n_days:
             raise ValueError(
                 f"min_stay_days {self.min_stay_days} outside "
-                f"1..{self.n_range_days} (range length)"
+                f"1..{self.n_days} (range length)"
             )
-
-    @property
-    def n_range_days(self) -> int:
-        return (self.last_day - self.first_day).days + 1
 
 
 @dataclass(frozen=True)
@@ -156,7 +150,7 @@ class SynthConfig:
                 if v is None:
                     out["migration"] = "none"
                 else:
-                    out["migration_range"] = f"{v.first_day}..{v.last_day}"
+                    out["migration_range"] = str(v)
                     out["migration_fraction"] = repr(v.fraction)
                     out["min_stay_days"] = str(v.min_stay_days)
                     out["touristic_towers"] = ",".join(
@@ -373,9 +367,6 @@ def generate(config: SynthConfig) -> SynthResult:
     n_subs = config.n_subscribers
 
     pop = registry.population.astype(np.float64)
-    if n_subs > 0 and pop.sum() <= 0:
-        raise ValueError("population is all zeros; cannot draw home towers")
-
     n_days = config.span.n_days
     first = (config.span.first_day - date(1970, 1, 1)).days
     boundaries = clock.epochs_from_local((first + np.arange(n_days + 1)) * 86400)
@@ -405,18 +396,12 @@ def generate(config: SynthConfig) -> SynthResult:
 
     mig = config.migration
     if mig is not None and mig.fraction > 0:
-        if not (
-            config.span.contains(mig.first_day)
-            and config.span.contains(mig.last_day)
-        ):
-            raise ValueError(
-                f"migration range {mig.first_day}..{mig.last_day} not inside "
-                f"span {config.span}"
-            )
+        if not (config.span.contains(mig.first_day)
+                and config.span.contains(mig.last_day)):
+            raise ValueError(f"migration range {mig} not inside span {config.span}")
         tour_rows = registry.rows_for(np.asarray(mig.touristic_towers, dtype=np.int64))
         mig_start_idx = (mig.first_day - config.span.first_day).days
-        mig_span_days = mig.n_range_days
-        mig_stay_spread = mig_span_days - mig.min_stay_days + 1
+        mig_stay_spread = mig.n_days - mig.min_stay_days + 1
     else:
         mig = None
 
@@ -482,9 +467,7 @@ def generate(config: SynthConfig) -> SynthResult:
             dest_row = tour_rows[(u_dest * len(tour_rows)).astype(np.int64)]
             t_mig[b0:b0 + m][migrant] = registry.tower_ids[dest_row[migrant]]
             stay = mig.min_stay_days + (u_stay_len * mig_stay_spread).astype(np.int64)
-            a0 = mig_start_idx + (
-                u_stay_off * (mig_span_days - stay + 1)
-            ).astype(np.int64)
+            a0 = mig_start_idx + (u_stay_off * (mig.n_days - stay + 1)).astype(np.int64)
             a0[~migrant] = stay[~migrant] = 0  # away on no day
             away = (d_idx >= a0[sub]) & (d_idx < (a0 + stay)[sub])
             base_home = np.where(away, dest_row[sub], home)
@@ -569,7 +552,7 @@ def score_against_truth(
     assignments_by_hda: dict[str, BulkAssignments],
     truth: GroundTruthTable,
     window: ObservationWindow,
-    migration: "MigrationConfig | DatasetSpan | None" = None,
+    migration: DatasetSpan | None = None,
 ) -> list[tuple]:
     """How many users' detected home matches the true home: one
     (hda, window, group, n_users, n_correct) row per HDA and group (all,
@@ -578,14 +561,11 @@ def score_against_truth(
     Each HDA maps to its cell's assignments. Truth is the pre-migration
     home. Users count as migrants only when they have a destination AND the
     window overlaps the migration range (which the truth table alone cannot
-    date, hence the explicit argument: anything with first_day and
-    last_day, such as a MigrationConfig or a DatasetSpan). An unassigned
-    user is simply wrong (never dropped from the denominator), even against
-    a truth home of -1.
+    date, hence the explicit argument: a MigrationConfig, or the bare
+    DatasetSpan of its days). An unassigned user is simply wrong (never
+    dropped from the denominator), even against a truth home of -1.
     """
-    overlap = migration is not None and window.overlaps(
-        migration.first_day, migration.last_day
-    )
+    overlap = migration is not None and window.overlaps(migration)
     rows = []
     for hda_name, bulk in assignments_by_hda.items():
         homes = bulk.home_towers

@@ -23,38 +23,21 @@ _LABEL_PREFIX = {"days14": "14d", "days30": "30d"}
 
 
 @dataclass(frozen=True)
-class ObservationWindow:
-    """Closed civil-date interval a detection run is restricted to."""
+class ObservationWindow(DatasetSpan):
+    """The range of days a detection run is restricted to, with the label
+    that names it in the grid and its duration class."""
 
     label: str
-    first_day: date
-    last_day: date
     duration_class: str
 
     def __post_init__(self):
+        super().__post_init__()
         if self.duration_class not in VALID_CLASSES:
             raise ValueError(f"unknown duration class {self.duration_class!r}")
-        if self.last_day < self.first_day:
-            raise ValueError(f"window ends before it starts: {self}")
-
-    @property
-    def n_days(self) -> int:
-        return (self.last_day - self.first_day).days + 1
 
     @property
     def midpoint(self) -> date:
         return self.first_day + timedelta(days=(self.n_days - 1) // 2)
-
-    @property
-    def first_ord(self) -> int:
-        return self.first_day.toordinal()
-
-    @property
-    def last_ord(self) -> int:
-        return self.last_day.toordinal()
-
-    def overlaps(self, first: date, last: date) -> bool:
-        return self.first_day <= last and first <= self.last_day
 
 
 def _fixed_windows(span: DatasetSpan, duration_class: str) -> list[ObservationWindow]:
@@ -66,7 +49,7 @@ def _fixed_windows(span: DatasetSpan, duration_class: str) -> list[ObservationWi
         first = span.first_day + timedelta(days=i * length)
         last = first + timedelta(days=length - 1)
         out.append(
-            ObservationWindow(f"{prefix}-{i + 1:02d}", first, last, duration_class)
+            ObservationWindow(first, last, f"{prefix}-{i + 1:02d}", duration_class)
         )
     return out
 
@@ -78,7 +61,7 @@ def _month_windows(span: DatasetSpan) -> list[ObservationWindow]:
         n = calendar.monthrange(first.year, first.month)[1]
         last = min(first.replace(day=n), span.last_day)
         label = f"month-{first.year:04d}-{first.month:02d}"
-        out.append(ObservationWindow(label, first, last, "month"))
+        out.append(ObservationWindow(first, last, label, "month"))
         if last == span.last_day:
             return out
         first = last + timedelta(days=1)
@@ -100,7 +83,7 @@ def generate_windows(
         elif c == "month":
             out.extend(_month_windows(span))
         else:
-            out.append(ObservationWindow("full", span.first_day, span.last_day, "full"))
+            out.append(ObservationWindow(span.first_day, span.last_day, "full", "full"))
     labels = [w.label for w in out]
     if len(set(labels)) != len(labels):
         raise AssertionError("window labels are not unique")

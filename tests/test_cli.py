@@ -78,6 +78,13 @@ SYNTH_REFUSALS = {  # extra flags -> what the one-line error must say
         ["--migration-fraction", "0.25", "--migration-range", "2007-05-01..2007-06-10",
          "--touristic-towers", "lowest:2"], "not inside span",
     ),
+    "lowest-0": (
+        ["--migration-fraction", "0.25", "--migration-range", "2007-06-08..2007-06-24",
+         "--touristic-towers", "lowest:0"], "cannot pick 0 touristic towers",
+    ),
+    "seed": (["--seed", "-1"], "seed must be non-negative"),
+    "n-population": (["--n-population", "-5"], "population must be non-negative"),
+    "work-pool-size": (["--work-pool-size", "-1"], "pool sizes must be non-negative"),
 }
 
 
@@ -649,6 +656,7 @@ NO_GRID = {
         **m, "windows": [{k: v for k, v in w.items() if k != "first_day"}
                          for w in m["windows"]],
     },
+    "hdas-not-text": lambda m: {**m, "hdas": [1]},
 }
 
 

@@ -1,6 +1,7 @@
 """Records model, partitioning, and ingestion accounting."""
 
 import csv
+import re
 import tracemalloc
 from collections import Counter
 from datetime import date, datetime, timezone
@@ -75,6 +76,13 @@ def test_registry_rejects_duplicates_and_negative_population():
             tower_ids=np.array([1, -5]),
             lon=np.zeros(2),
             lat=np.zeros(2),
+            population=np.array([1, 2]),
+        )
+    with pytest.raises(ValueError, match="unequal lengths"):
+        TowerRegistry(
+            tower_ids=np.array([1, 2]),
+            lon=np.zeros(2),
+            lat=np.zeros(3),
             population=np.array([1, 2]),
         )
 
@@ -163,6 +171,9 @@ def test_writers_equal_csv_writer(tmp_path, monkeypatch):
     with pytest.raises(ValueError, match="unequal"):
         write_records_csv(tmp_path / "r.csv", np.zeros(3, dtype=np.uint64),
                           np.zeros(2, dtype=np.int64), np.zeros(3, dtype=np.int64))
+    with pytest.raises(TypeError, match="integer arrays"):
+        write_records_csv(tmp_path / "r.csv", np.zeros(3, dtype=np.uint64),
+                          np.zeros(3, dtype=np.int64), np.zeros(3))
 
 
 def test_registry_csv_round_trip(tmp_path):
@@ -281,6 +292,48 @@ def test_partition_records_refuses_a_negative_tower_id():
         partition_records(users, towers, stamps, *fields)
     parts = partition_records(users, towers[3:].repeat(4), stamps, *fields)
     assert parts[0].pair_towers.tolist() == [7]
+
+
+# columns (users, towers, timestamps, day ordinals, week hours) -> the error
+UNHELD_COLUMNS = {
+    # a cast would store user 2**64 - 1, day 719163 twice and week hour 44
+    "wrapped": (
+        ([-1, 5], [1, 1], [0, 0], [719163, 2**32 + 719163], [72, 300]),
+        "user id -1 outside the range of uint64",
+    ),
+    "uint64-timestamp": (
+        ([1, 5], [1, 1], np.array([0, 2**63 + 5], dtype=np.uint64),
+         [719163, 719163], [72, 3]),
+        f"timestamp {2**63 + 5} outside the range of int64",
+    ),
+    "day-ordinal": (
+        ([1, 5], [1, 1], [0, 0], [719163, 2**32 + 719163], [72, 3]),
+        f"day ordinal {2**32 + 719163} outside the range of int32",
+    ),
+    "int64-week-hour": (
+        ([1, 5], [1, 1], [0, 0], [719163, 719163], [72, 300]),
+        "week hour 300 outside the range of uint8",
+    ),
+    # it fits uint8, but no TC filter's week-hour table has an entry for it
+    "week-hour-168": (
+        ([1, 5], [1, 1], [0, 0], [719163, 719163], np.array([72, 168], dtype=np.uint8)),
+        "week hour 168 above 167",
+    ),
+    "unequal-lengths": (
+        ([1, 5], [1, 1], [0, 0], [719163], [72, 3]),
+        "record columns have unequal lengths",
+    ),
+}
+
+
+@pytest.mark.parametrize("n_partitions", [1, 4])
+@pytest.mark.parametrize("columns,said", UNHELD_COLUMNS.values(), ids=UNHELD_COLUMNS.keys())
+def test_partition_records_refuses_what_its_columns_cannot_hold(columns, said, n_partitions):
+    with pytest.raises(ValueError, match=re.escape(said)):
+        partition_records(*columns, n_partitions=n_partitions)
+    # the largest week hour is held
+    parts = partition_records([1, 5], [1, 1], [0, 0], [719163, 719163], [72, 167])
+    assert parts[0].index_week_hours.tolist() == [72, 167]
 
 
 def test_partition_arrays_read_only():

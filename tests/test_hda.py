@@ -31,7 +31,7 @@ SPAN = DatasetSpan.parse("2007-05-13..2007-10-13")
 CLOCK = CivilClock()
 T0 = CLOCK.midnight_epoch(date(2007, 5, 13))
 T1 = CLOCK.midnight_epoch(date(2007, 10, 14))
-FULL = ObservationWindow("full", SPAN.first_day, SPAN.last_day, "full")
+FULL = ObservationWindow(SPAN.first_day, SPAN.last_day, "full", "full")
 
 
 def _at(text: str) -> int:
@@ -119,6 +119,8 @@ def test_spec_validation():
         HdaSpec("x", "TC", 19, 24)
     with pytest.raises(ValueError):
         HdaSpec("x", "TC")  # no constraint at all
+    with pytest.raises(ValueError, match="unknown day filter 'sunday_only'"):
+        HdaSpec("x", "TC", day_filter="sunday_only")
     HdaSpec("ok", "TC", None, None, "weekday_only")
 
 
@@ -212,8 +214,8 @@ def test_bulk_matches_reference_and_oracle():
     # randomized datasets with few towers so count ties are frequent
     windows = [
         FULL,
-        ObservationWindow("14d-02", date(2007, 5, 27), date(2007, 6, 9), "days14"),
-        ObservationWindow("wk", date(2007, 6, 8), date(2007, 6, 11), "custom"),
+        ObservationWindow(date(2007, 5, 27), date(2007, 6, 9), "14d-02", "days14"),
+        ObservationWindow(date(2007, 6, 8), date(2007, 6, 11), "wk", "custom"),
     ]
     for seed in range(5):
         rng = np.random.default_rng(seed)
@@ -247,8 +249,8 @@ def test_bulk_matches_oracle_on_whole_grid(n_partitions):
     first, last = date(2007, 5, 20), date(2007, 10, 6)
     windows = [
         *generate_windows(SPAN),
-        ObservationWindow("before", SPAN.first_day, date(2007, 5, 19), "custom"),
-        ObservationWindow("after", date(2007, 10, 7), SPAN.last_day, "custom"),
+        ObservationWindow(SPAN.first_day, date(2007, 5, 19), "before", "custom"),
+        ObservationWindow(date(2007, 10, 7), SPAN.last_day, "after", "custom"),
     ]
     thresholds = [
         (spec, 1) for spec in CANONICAL_HDAS
@@ -301,10 +303,10 @@ def test_bulk_matches_oracle_where_civil_date_steps_back():
     records = records_by_user(users, towers, stamps)
     windows = [
         ObservationWindow(
-            "nov", date(2007, 11, 1), date(2007, 11, 10), "custom"
+            date(2007, 11, 1), date(2007, 11, 10), "nov", "custom"
         ),
-        ObservationWindow("nov3", date(2007, 11, 3), date(2007, 11, 3), "custom"),
-        ObservationWindow("nov4", date(2007, 11, 4), date(2007, 11, 4), "custom"),
+        ObservationWindow(date(2007, 11, 3), date(2007, 11, 3), "nov3", "custom"),
+        ObservationWindow(date(2007, 11, 4), date(2007, 11, 4), "nov4", "custom"),
     ]
     fields = {}
     for window in windows:
@@ -324,7 +326,7 @@ def test_bulk_empty_window():
         np.array([100, 101], dtype=np.int64),
         np.array([T0 + 60, T0 + 120], dtype=np.int64),
     )[0]
-    window = ObservationWindow("later", date(2007, 9, 1), date(2007, 9, 14), "custom")
+    window = ObservationWindow(date(2007, 9, 1), date(2007, 9, 14), "later", "custom")
     bulk = detect_homes_bulk(part, window, canonical_hda("MA"))
     assert (bulk.home_towers == -1).all()
     assert (bulk.qualifying == 0).all()

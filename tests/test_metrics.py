@@ -141,6 +141,8 @@ def test_exclusion_policy():
     assert cut["pearson"] == pytest.approx(two_pass_pearson([5, 10], [3, 4]))
     with pytest.raises(ValueError):
         compute_metric_report(x, y, exclusion_threshold=-1)
+    with pytest.raises(ValueError, match="different tower sets"):
+        compute_metric_report(x, y[:3])
 
 
 def _report(x, y, **kwargs):

@@ -388,6 +388,43 @@ def test_resume_whose_recomputed_cell_fails_leaves_what_a_fresh_run_leaves(
     assert files == _run_files(fresh)
 
 
+def test_a_failed_record_is_reported_as_missing_and_computed_again_by_resume(
+    tmp_path, monkeypatch, capsys
+):
+    res, parts, wins = _dataset()
+    dumps = SweepOptions(dump_assignments=True)
+    out = tmp_path / "run"
+    real = sweep_mod.detect_homes_bulk
+    failing, computed = {("MA", "14d-01")}, []
+
+    def counted(part, window, spec, **kwargs):
+        computed.append((spec.name, window.label))
+        if (spec.name, window.label) in failing:
+            raise RuntimeError("detection failed")
+        return real(part, window, spec, **kwargs)
+
+    monkeypatch.setattr(sweep_mod, "detect_homes_bulk", counted)
+    sw, _ = run_sweep(parts, res.registry, wins, HDAS, out, dumps)
+    assert sw.errors.keys() == {("MA", "14d-01")}
+    want = _run_files(out)
+    capsys.readouterr()
+    # the failed record is a cell without results: report writes what the
+    # sweep wrote, and says nothing of it
+    assert main(["report", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert _run_files(out) == want
+
+    failing.clear()
+    computed.clear()
+    sw, _ = run_sweep(parts, res.registry, wins, HDAS, out,
+                      SweepOptions(resume=True, dump_assignments=True))
+    assert computed == [("MA", "14d-01")] * len(parts)
+    assert sw.n_failed == 0
+    fresh = tmp_path / "fresh"
+    run_sweep(parts, res.registry, wins, HDAS, fresh, dumps)
+    assert _run_files(out) == _run_files(fresh)
+
+
 def test_a_raising_cell_cancels_the_cells_still_queued(tmp_path, monkeypatch):
     # the first cell's assignment dump fails at once; every other cell sleeps
     # in its forked worker, so the failure surfaces while all but the pool's
@@ -451,7 +488,7 @@ def test_tower_export_key_does_not_wrap():
 
 def test_tower_exports_equal_the_per_cell_oracle(tmp_path):
     windows = [
-        ObservationWindow(f"w{i}", date(2007, 6, 1), date(2007, 6, 14 + i), "days14")
+        ObservationWindow(date(2007, 6, 1), date(2007, 6, 14 + i), f"w{i}", "days14")
         for i in range(4)
     ]
     cases = {

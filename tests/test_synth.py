@@ -380,7 +380,7 @@ def test_score_against_truth_grouping():
         )
     }
     overlap_win = ObservationWindow(
-        "w", date(2007, 6, 1), date(2007, 6, 14), "custom"
+        date(2007, 6, 1), date(2007, 6, 14), "w", "custom"
     )
     migration = DatasetSpan(date(2007, 6, 10), date(2007, 8, 31))
     rows = score_against_truth(assignments, truth, overlap_win, migration)
@@ -391,7 +391,7 @@ def test_score_against_truth_grouping():
     ]
 
     # window before the range: nobody counts as a migrant there
-    clean_win = ObservationWindow("w", date(2007, 5, 1), date(2007, 5, 14), "custom")
+    clean_win = ObservationWindow(date(2007, 5, 1), date(2007, 5, 14), "w", "custom")
     rows2 = score_against_truth(assignments, truth, clean_win, migration)
     assert rows2[1] == ("MA", "w", "migrant", 0, 0)
     assert accuracy_csv(rows2) == (
@@ -413,7 +413,7 @@ def test_an_unassigned_user_never_matches_a_truth_home_of_minus_one():
         truth.user_ids, np.array([-1, 100], dtype=np.int64),
         np.array([0, 3], dtype=np.int64), np.zeros(2, dtype=bool),
     )
-    window = ObservationWindow("w", date(2007, 6, 1), date(2007, 6, 14), "custom")
+    window = ObservationWindow(date(2007, 6, 1), date(2007, 6, 14), "w", "custom")
     rows = score_against_truth({"MA": unassigned_first}, truth, window)
     assert rows[0] == ("MA", "w", "all", 2, 1)
 
@@ -423,7 +423,7 @@ def test_detection_on_calm_data_is_accurate():
     part = one_partition(
         res.users, res.towers, res.timestamps, clock=CivilClock()
     )[0]
-    window = ObservationWindow("full", SPAN30.first_day, SPAN30.last_day, "full")
+    window = ObservationWindow(SPAN30.first_day, SPAN30.last_day, "full", "full")
     for name in ("MA", "DD", "TC-19-9"):
         bulk = detect_homes_bulk(part, window, canonical_hda(name))
         rows = score_against_truth({name: bulk}, res.truth, window)

@@ -92,19 +92,19 @@ def test_month_windows_run_to_the_last_representable_day():
 
 
 def test_window_midpoint_and_membership():
-    w = ObservationWindow("14d-01", date(2007, 5, 13), date(2007, 5, 26), "days14")
+    w = ObservationWindow(date(2007, 5, 13), date(2007, 5, 26), "14d-01", "days14")
     assert w.midpoint == date(2007, 5, 19)  # first_day + (14-1)//2
     assert (w.first_day, w.last_day) == (date(2007, 5, 13), date(2007, 5, 26))
-    assert w.overlaps(date(2007, 5, 26), date(2007, 6, 1))
-    assert not w.overlaps(date(2007, 5, 27), date(2007, 6, 1))
-    assert w.overlaps(date(2007, 5, 1), date(2007, 5, 13))
+    assert w.overlaps(DatasetSpan(date(2007, 5, 26), date(2007, 6, 1)))
+    assert not w.overlaps(DatasetSpan(date(2007, 5, 27), date(2007, 6, 1)))
+    assert w.overlaps(DatasetSpan(date(2007, 5, 1), date(2007, 5, 13)))
 
 
 def test_window_validation():
     with pytest.raises(ValueError):
-        ObservationWindow("bad", date(2007, 5, 26), date(2007, 5, 13), "days14")
+        ObservationWindow(date(2007, 5, 26), date(2007, 5, 13), "bad", "days14")
     with pytest.raises(ValueError):
-        ObservationWindow("bad", date(2007, 5, 13), date(2007, 5, 26), "week")
+        ObservationWindow(date(2007, 5, 13), date(2007, 5, 26), "bad", "week")
 
 
 def test_duration_classes_constant():
