@@ -31,7 +31,7 @@ from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import __version__
-from .core import DatasetSpan, TowerRegistry, ingest, write_records_csv
+from .core import DatasetSpan, TowerRegistry, ingest, write_atomic, write_records_csv
 from .hda import CANONICAL_HDA_NAMES, canonical_hda
 from .sweep import (
     CELLS_FILE, SweepOptions, load_run, read_assignment_dump, run_sweep,
@@ -160,7 +160,7 @@ def cmd_ingest_check(args: argparse.Namespace) -> int:
 def cmd_windows(args: argparse.Namespace) -> int:
     table = windows_table(generate_windows(args.span, args.classes))
     if args.out:
-        Path(args.out).write_text(table)
+        write_atomic(args.out, table)
         print(f"wrote {args.out}")
     else:
         print(table, end="")
@@ -194,8 +194,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
                       result.timestamps)
     echo = config.echo()
     echo["n_records"] = str(result.n_records)
-    manifest = "".join(f"{k}={v}\n" for k, v in echo.items())
-    (out_dir / "synth_manifest.txt").write_text(manifest)
+    write_atomic(out_dir / "synth_manifest.txt",
+                 "".join(f"{k}={v}\n" for k, v in echo.items()))
     print(f"towers={args.n_towers} subscribers={config.n_subscribers} "
           f"records={result.n_records}")
     print(f"wrote {out_dir}/towers.csv, truth.csv, records.csv, synth_manifest.txt")

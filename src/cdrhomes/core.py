@@ -13,6 +13,7 @@ shapes and a per-line parser judges every other line, in file order.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field, fields
 from datetime import date
@@ -115,10 +116,8 @@ class TowerRegistry:
         repr(), as csv.writer writes Python ints and floats."""
         rows = zip(self.tower_ids.tolist(), self.lon.tolist(), self.lat.tolist(),
                    self.population.tolist())
-        lines = [",".join(TOWERS_HEADER)]
-        lines += [f"{t},{lo!r},{la!r},{p}" for t, lo, la, p in rows]
-        with open(path, "w", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_atomic(path, csv_text(",".join(TOWERS_HEADER), (
+            f"{t},{lo!r},{la!r},{p}" for t, lo, la, p in rows)))
 
     @classmethod
     def read_csv(cls, path) -> "TowerRegistry":
@@ -420,16 +419,11 @@ class IngestReport:
     partition_seconds: float = field(default=0.0, compare=False)
 
     def check(self) -> None:
-        total = (
-            self.accepted
-            + self.rejected_malformed
-            + self.rejected_unknown_tower
-            + self.rejected_out_of_span
-        )
+        total = (self.accepted + self.rejected_malformed + self.rejected_unknown_tower
+                 + self.rejected_out_of_span)
         if total != self.total_lines:
             raise AssertionError(
-                f"ingest accounting broken: {total} != {self.total_lines}"
-            )
+                f"ingest accounting broken: {total} != {self.total_lines}")
 
     def as_dict(self) -> dict:
         """Every field but sample_rejects and the timings, in field order."""
@@ -441,9 +435,7 @@ class IngestReport:
 
     def as_text(self) -> str:
         lines = [f"{k}={v}" for k, v in self.as_dict().items()]
-        for s in self.sample_rejects:
-            lines.append(f"sample_reject={s}")
-        return "\n".join(lines)
+        return "\n".join(lines + [f"sample_reject={s}" for s in self.sample_rejects])
 
 
 _MAX_SAMPLE_REJECTS = 5
@@ -813,10 +805,31 @@ def _format_rows(columns: list[np.ndarray], blank: tuple[int, ...] = ()) -> byte
     return text.T[keep.T].tobytes()
 
 
-def format_blocks(columns: list[np.ndarray], blank: tuple[int, ...] = ()):
-    """_format_rows of the columns' rows, _FORMAT_ROWS at a time."""
+def format_blocks(header: tuple[str, ...], columns, blank: tuple[int, ...] = ()):
+    """The CSV bytes of an integer table, the one builder of records, truth
+    and assignments/ files: the header line, then _format_rows of the
+    columns' rows, _FORMAT_ROWS at a time."""
+    yield (",".join(header) + "\n").encode()
     for lo in range(0, len(columns[0]), _FORMAT_ROWS):
         yield _format_rows([c[lo:lo + _FORMAT_ROWS] for c in columns], blank)
+
+
+def csv_text(header: str, rows) -> str:
+    """The CSV text of a table of text lines, the one builder of every other
+    table: the header line, then a line per row."""
+    return "\n".join([header, *rows]) + "\n"
+
+
+def write_atomic(path, data) -> None:
+    """The writer of every file but cells.jsonl, which a sweep appends to:
+    text, bytes or byte blocks (written as they come, at flat memory) go to
+    NAME.tmp, which then replaces path. So a file appears whole or not at
+    all: a write cut short leaves NAME.tmp, and any older file at path."""
+    if isinstance(data, str):
+        data = data.encode()
+    with open(f"{path}.tmp", "wb") as fh:
+        fh.writelines([data] if isinstance(data, bytes) else data)
+    os.replace(f"{path}.tmp", path)
 
 
 def write_records_csv(path, users, towers, timestamps) -> None:
@@ -830,6 +843,4 @@ def write_records_csv(path, users, towers, timestamps) -> None:
         raise TypeError("record columns must be integer arrays")
     if not len(columns[0]) == len(columns[1]) == len(columns[2]):
         raise ValueError("record columns have unequal lengths")
-    with open(path, "wb") as fh:
-        fh.write((",".join(RECORDS_HEADER) + "\n").encode())
-        fh.writelines(format_blocks(columns))
+    write_atomic(path, format_blocks(RECORDS_HEADER, columns))

@@ -27,7 +27,6 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
-import os
 import re
 import resource
 import sys
@@ -42,7 +41,7 @@ import numpy as np
 from . import __version__
 from .core import (
     TOWERS_HEADER, DatasetSpan, IngestReport, TowerRegistry, UserPartition,
-    format_blocks, read_table,
+    csv_text, format_blocks, read_table, write_atomic,
 )
 from .hda import (
     BulkAssignments, HdaSpec, aggregate_homes, detect_homes_bulk,
@@ -60,7 +59,7 @@ ASSIGNMENTS_DIR = "assignments"
 ASSIGNMENTS_HEADER = ("user_id", "home_tower", "qualifying_count", "tie_broken")
 # every file emit_reports writes, and every file a sweep writes, as glob
 # patterns: a sweep starts by removing RUN_FILES and their .tmp forms (see
-# _atomic_write) but its kept records and their dumps, and an emission the
+# core.write_atomic) but its kept records and their dumps, and an emission the
 # REPORT_FILES it did not write
 REPORT_FILES = (
     "windows.csv", "metrics.csv", "correlation_over_time.csv",
@@ -141,12 +140,6 @@ def _readable(rec: dict, n_towers: int) -> bool:
         )
     except (KeyError, TypeError, ValueError):  # absent, or not rows of the length
         return False
-
-
-def _atomic_write(path: Path, data: str | bytes) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data.encode() if isinstance(data, str) else data)
-    os.replace(tmp, path)
 
 
 def _remove_stale(out_path: Path, patterns, keep=()) -> None:
@@ -387,7 +380,7 @@ def _tower_exports(registry: TowerRegistry, X: np.ndarray) -> list[str]:
             registry.tower_ids, registry.lon, registry.lat)), x.tolist(),
             y.tolist(), log_ratio_array(x, y).tolist())
     ], dtype=object)
-    return [_csv("tower_id,lon,lat,x,y,logratio", cell)
+    return [csv_text("tower_id,lon,lat,x,y,logratio", cell)
             for cell in lines[line_of.reshape(X.shape)].tolist()]
 
 
@@ -401,8 +394,7 @@ def _write_assignment_dump(path: Path, bulk: BulkAssignments) -> None:
     """
     columns = [bulk.user_ids, bulk.home_towers, bulk.qualifying,
                bulk.tie_broken.view(np.uint8)]  # bool as 0 / 1
-    header = (",".join(ASSIGNMENTS_HEADER) + "\n").encode()
-    _atomic_write(path, b"".join([header, *format_blocks(columns, blank=(1,))]))
+    write_atomic(path, format_blocks(ASSIGNMENTS_HEADER, columns, blank=(1,)))
 
 
 def read_assignment_dump(path) -> BulkAssignments:
@@ -464,15 +456,9 @@ def run_sweep(
         "n_partitions": len(partitions),
         "options": asdict(options),
         "hdas": list(result.hda_names),
-        "windows": [
-            {
-                "label": w.label,
-                "first_day": w.first_day.isoformat(),
-                "last_day": w.last_day.isoformat(),
-                "class": w.duration_class,
-            }
-            for w in result.windows
-        ],
+        "windows": [{"label": w.label, "first_day": w.first_day.isoformat(),
+                     "last_day": w.last_day.isoformat(), "class": w.duration_class}
+                    for w in result.windows],
         # the registry's columns, whose rows each record's x counts
         "towers": dict(zip(TOWERS_HEADER, (
             registry.tower_ids.tolist(), registry.lon.tolist(),
@@ -508,7 +494,7 @@ def run_sweep(
             result = load_run(out_path, result, fingerprint=fingerprint)
         # one record per kept cell, written before the removal so that no
         # record outlives its cell's dump: no unparseable, failed or torn line
-        _atomic_write(out_path / CELLS_FILE, "".join(
+        write_atomic(out_path / CELLS_FILE, "".join(
             json.dumps(r, sort_keys=True) + "\n" for r in result.reports.values()))
         _remove_stale(out_path, RUN_FILES, keep=[out_path / CELLS_FILE, *(
             out_path / ASSIGNMENTS_DIR / _dump_name(*key) for key in result.reports)])
@@ -601,12 +587,8 @@ def run_sweep(
         text = re.sub(r"\[\n\s*([-+.\deE]+(?:,\n\s*[-+.\deE]+)*)\n\s*\]",
                       lambda m: "[" + re.sub(r",\n\s*", ", ", m[1]) + "]",
                       json.dumps(manifest, indent=2, sort_keys=True))
-        _atomic_write(out_path / MANIFEST_FILE, text + "\n")
+        write_atomic(out_path / MANIFEST_FILE, text + "\n")
     return result, manifest
-
-
-def _csv(header: str, rows) -> str:
-    return "\n".join([header, *rows]) + "\n"
 
 
 def _r_stats(rs: list[float]) -> tuple:
@@ -656,12 +638,12 @@ def emit_reports(result: SweepResult, out_dir) -> list[Path]:
     classes = list(dict.fromkeys(w.duration_class for w in result.windows))
 
     files["windows.csv"] = windows_table(result.windows)
-    files["metrics.csv"] = _csv("hda,window,class,pearson_r,n_used,excluded", (
+    files["metrics.csv"] = csv_text("hda,window,class,pearson_r,n_used,excluded", (
         f"{hda},{w.label},{w.duration_class},"
         f"{_ffmt(m['pearson'])},{m['n_used']},{m['n_excluded']}"
         for hda, w, _, m in cells
     ))
-    files["correlation_over_time.csv"] = _csv("hda,window,class,midpoint,pearson_r", (
+    files["correlation_over_time.csv"] = csv_text("hda,window,class,midpoint,pearson_r", (
         f"{hda},{w.label},{w.duration_class},"
         f"{w.midpoint.isoformat()},{_ffmt(m['pearson'])}"
         for hda, w, _, m in cells
@@ -673,11 +655,11 @@ def emit_reports(result: SweepResult, out_dir) -> list[Path]:
             rs = [r for w, r in r_by_hda[hda] if w.duration_class == cls]
             stats = ",".join(_ffmt(v) for v in _r_stats(rs)[:3])
             rows.append(f"{hda},{cls},{len(rs)},{stats}")
-    files["duration_sensitivity.csv"] = _csv(
+    files["duration_sensitivity.csv"] = csv_text(
         "hda,class,n_windows,mean_pearson,min_pearson,max_pearson", rows
     )
     # r spread across HDAs per window
-    files["criteria_sensitivity.csv"] = _csv(
+    files["criteria_sensitivity.csv"] = csv_text(
         "window,class,n_hdas,mean_pearson,min_pearson,max_pearson,spread",
         (
             f"{w.label},{w.duration_class},{len(r_by_window[w.label])},"
@@ -685,7 +667,7 @@ def emit_reports(result: SweepResult, out_dir) -> list[Path]:
             for w in result.windows
         ),
     )
-    files["decile_summary.csv"] = _csv("hda,window,bin,n,y_lo,y_hi,mean_x,std_x", (
+    files["decile_summary.csv"] = csv_text("hda,window,bin,n,y_lo,y_hi,mean_x,std_x", (
         f"{hda},{w.label},{index},{n},{','.join(_ffmt(v) for v in stats)}"
         for hda, w, _, m in cells
         for index, n, *stats in m["deciles"]
@@ -740,9 +722,9 @@ def emit_reports(result: SweepResult, out_dir) -> list[Path]:
     if result.options.per_tower_exports:
         (out_path / TOWERS_DIR).mkdir(exist_ok=True)
         for (hda, w, _, _), text in zip(cells, _tower_exports(result.registry, X)):
-            files[f"{TOWERS_DIR}/{hda}__{w.label}.csv"] = text
+            files[f"{TOWERS_DIR}/{_dump_name(hda, w.label)}"] = text
     written = [out_path / name for name in files]
     for path, text in zip(written, files.values()):
-        _atomic_write(path, text)
+        write_atomic(path, text)
     _remove_stale(out_path, REPORT_FILES, keep=written)
     return written

@@ -32,13 +32,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from datetime import date
-from pathlib import Path
 
 import numpy as np
 
 from .core import (
-    DatasetSpan, TowerRegistry, _grown, argsort_unique, find_sorted, format_blocks,
-    read_table,
+    DatasetSpan, TowerRegistry, _grown, argsort_unique, csv_text, format_blocks,
+    find_sorted, read_table, write_atomic,
 )
 from .hda import BulkAssignments
 from .timebase import DEFAULT_TZ, CivilClock
@@ -121,11 +120,8 @@ class SynthConfig:
             raise ValueError(f"market share {self.market_share} outside (0, 1]")
         if self.daily_event_rate <= 0:
             raise ValueError("daily event rate must be positive")
-        for name in (
-            "home_call_share_night",
-            "work_call_share_day",
-            "home_call_share_day",
-        ):
+        for name in ("home_call_share_night", "work_call_share_day",
+                     "home_call_share_day"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name}={v} outside [0, 1]")
@@ -199,9 +195,7 @@ class GroundTruthTable:
         migration_tower is an empty field."""
         columns = [self.user_ids, self.home_towers, self.work_towers,
                    self.migration_towers]
-        with open(path, "wb") as fh:
-            fh.write((",".join(TRUTH_HEADER) + "\n").encode())
-            fh.writelines(format_blocks(columns, blank=(3,)))
+        write_atomic(path, format_blocks(TRUTH_HEADER, columns, blank=(3,)))
 
     @classmethod
     def read_csv(cls, path) -> "GroundTruthTable":
@@ -541,11 +535,11 @@ def _time_order(users, towers, stamps) -> np.ndarray:
 def accuracy_csv(rows) -> str:
     """Accuracy table text: a header, then one line per
     (hda, window, group, n_users, n_correct) row, in order."""
-    lines = ["hda,window,group,n_users,n_correct,accuracy"]
-    for hda, window, group, n_users, n_correct in rows:
-        acc = repr(n_correct / n_users) if n_users else ""
-        lines.append(f"{hda},{window},{group},{n_users},{n_correct},{acc}")
-    return "\n".join(lines) + "\n"
+    return csv_text("hda,window,group,n_users,n_correct,accuracy", (
+        f"{hda},{window},{group},{n_users},{n_correct},"
+        + (repr(n_correct / n_users) if n_users else "")
+        for hda, window, group, n_users, n_correct in rows
+    ))
 
 
 def score_against_truth(

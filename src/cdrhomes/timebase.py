@@ -5,7 +5,8 @@ of the package reasons about is civil time in the dataset's zone. The bulk
 path avoids per-record datetime objects by resolving the zone to a table of
 UTC-offset transitions and applying it with a binary search. Each conversion
 builds that table over its own instants, probing the zone once a day within
-years 1-9999; beyond the probes the edge offset holds.
+years 1-9999 (over a long range, only near the instants); beyond the probes
+the edge offset holds.
 """
 
 from __future__ import annotations
@@ -27,6 +28,11 @@ _DAY = 86400
 # way, so datetime can show both instants in any zone
 _FIRST_PROBE = (date(1, 1, 2).toordinal() - _EPOCH_ORDINAL) * _DAY
 _LAST_PROBE = (date(9999, 12, 30).toordinal() - _EPOCH_ORDINAL) * _DAY
+
+# a table over more than _DENSE_DAYS days (ten years) probes only the days of
+# the _CHUNK-second (48.5-day) chunks that hold an instant
+_DENSE_DAYS = 3653
+_CHUNK = 1 << 22
 
 
 class CivilClock:
@@ -69,7 +75,7 @@ class CivilClock:
         ts = np.asarray(timestamps, dtype=np.int64)
         if ts.size == 0:
             return np.zeros(0, dtype=np.int32), np.zeros(0, dtype=np.uint8)
-        starts, offsets = self._transition_table(int(ts.min()), int(ts.max()))
+        starts, offsets = self._transition_table(ts)
         local = offsets[np.searchsorted(starts, ts, side="right") - 1]
         local += ts
         week = local + _EPOCH_WEEKDAY * _DAY
@@ -94,28 +100,37 @@ class CivilClock:
         if local.size == 0:
             return np.zeros(0, dtype=np.int64)
         # a UTC offset is less than a day either way
-        starts, offsets = self._transition_table(
-            int(local.min()) - _DAY, int(local.max()) + _DAY
-        )
+        around = np.concatenate((local - _DAY, local + _DAY))
+        starts, offsets = self._transition_table(around)
         ends = starts[1:] + np.maximum(offsets[:-1], offsets[1:])
         return local - offsets[np.searchsorted(ends, local, side="right")]
 
-    def _transition_table(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        """Piecewise-constant UTC offsets over [lo, hi]: (starts, offsets).
+    def _transition_table(self, instants: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Piecewise-constant UTC offsets over the instants: (starts, offsets).
 
-        Both ends are clipped into [_FIRST_PROBE, _LAST_PROBE]. The first
-        start is the smallest int64, so the first offset holds before the
-        first probe and the last offset after the last one.
+        Probes run a day apart from the smallest instant to the largest,
+        each clipped into [_FIRST_PROBE, _LAST_PROBE]; over more than
+        _DENSE_DAYS days, only through each chunk that holds an instant.
+        The first start is the smallest int64, so the first offset holds
+        before the first probe and the last offset after the last one.
         """
-        probe, end = (min(max(t, _FIRST_PROBE), _LAST_PROBE) for t in (lo, hi))
-        starts = [np.iinfo(np.int64).min]
-        offsets = [self.utc_offset(probe)]
-        while probe < end:
-            step_end = min(probe + _DAY, end)
-            off = self.utc_offset(step_end)
+        lo, hi = (min(max(int(t), _FIRST_PROBE), _LAST_PROBE)
+                  for t in (instants.min(), instants.max()))
+        ranges = [(lo, hi)]
+        if hi - lo > _DENSE_DAYS * _DAY:
+            held = np.zeros((hi - lo) // _CHUNK + 1, dtype=bool)
+            held[(np.clip(instants, lo, hi) - lo) // _CHUNK] = True
+            ranges = [(a, min(a + _CHUNK, hi))
+                      for a in (lo + _CHUNK * np.flatnonzero(held)).tolist()]
+        probes = [t for a, b in ranges for t in (*range(a, b, _DAY), b)]
+        starts, offsets = [np.iinfo(np.int64).min], [self.utc_offset(probes[0])]
+        for a, b in zip(probes, probes[1:]):
+            off = self.utc_offset(b)
             if off != offsets[-1]:
-                # bisect the exact transition second in (probe, step_end]
-                a, b = probe, step_end
+                # bisect the exact transition second in (a, b]; a change
+                # between two chunks apart starts where the later one does
+                if b - a > _DAY:
+                    a = b - 1
                 while b - a > 1:
                     mid = (a + b) // 2
                     if self.utc_offset(mid) == offsets[-1]:
@@ -124,5 +139,4 @@ class CivilClock:
                         b = mid
                 starts.append(b)
                 offsets.append(off)
-            probe = step_end
         return np.asarray(starts, dtype=np.int64), np.asarray(offsets, dtype=np.int64)

@@ -12,7 +12,7 @@ import calendar
 from dataclasses import dataclass
 from datetime import date, timedelta
 
-from .core import DatasetSpan
+from .core import DatasetSpan, csv_text
 
 DURATION_CLASSES = ("days14", "days30", "month", "full")
 # grids only use the four classes above; ad-hoc single windows are "custom"
@@ -92,9 +92,7 @@ def generate_windows(
 
 def windows_table(windows: list[ObservationWindow]) -> str:
     """Delimited audit table, one row per window."""
-    lines = ["label,first_day,last_day,class"]
-    for w in windows:
-        lines.append(
-            f"{w.label},{w.first_day.isoformat()},{w.last_day.isoformat()},{w.duration_class}"
-        )
-    return "\n".join(lines) + "\n"
+    return csv_text("label,first_day,last_day,class", (
+        f"{w.label},{w.first_day.isoformat()},{w.last_day.isoformat()},{w.duration_class}"
+        for w in windows
+    ))

@@ -176,6 +176,29 @@ def test_writers_equal_csv_writer(tmp_path, monkeypatch):
                           np.zeros(3, dtype=np.int64), np.zeros(3))
 
 
+def test_a_write_cut_short_leaves_the_older_file_whole(tmp_path, monkeypatch):
+    # the writer fails after its first block, as a full disk would: the
+    # file at the path is still the older one, beside the cut NAME.tmp
+    path = tmp_path / "records.csv"
+    path.write_bytes(b"older bytes\n")
+    real = core.format_blocks
+
+    def fails_after_one_block(*args, **kwargs):
+        yield next(real(*args, **kwargs))
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(core, "format_blocks", fails_after_one_block)
+    users = np.arange(10, dtype=np.uint64)
+    with pytest.raises(OSError, match="no space"):
+        write_records_csv(path, users, users.astype(np.int64), users.astype(np.int64))
+    assert path.read_bytes() == b"older bytes\n"
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names == ["records.csv", "records.csv.tmp"]
+    monkeypatch.setattr(core, "format_blocks", real)
+    write_records_csv(path, users, users.astype(np.int64), users.astype(np.int64))
+    assert path.read_bytes().startswith(b"user_id,tower_id,timestamp\n0,0,0\n")
+
+
 def test_registry_csv_round_trip(tmp_path):
     rng = np.random.default_rng(3)
     reg = make_registry(20, rng=rng)
@@ -326,9 +349,11 @@ UNHELD_COLUMNS = {
 }
 
 
-@pytest.mark.parametrize("n_partitions", [1, 4])
+@pytest.mark.parametrize("n_partitions", [1, 4, 0])
 @pytest.mark.parametrize("columns,said", UNHELD_COLUMNS.values(), ids=UNHELD_COLUMNS.keys())
 def test_partition_records_refuses_what_its_columns_cannot_hold(columns, said, n_partitions):
+    if n_partitions < 1:  # refused before any column is read
+        said = "n_partitions must be >= 1"
     with pytest.raises(ValueError, match=re.escape(said)):
         partition_records(*columns, n_partitions=n_partitions)
     # the largest week hour is held

@@ -58,6 +58,8 @@ def test_pearson_undefined_inputs():
         pearson_r([1.0, np.nan, 3.0], [1, 2, 3])
     with pytest.raises(ValueError, match="mismatch"):
         pearson_r([1.0, 2.0], [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="x must be one-dimensional"):
+        pearson_r([[1.0, 2.0], [3.0, 4.0]], [1.0, 2.0])
 
 
 def test_log_ratio_values_and_reasons():

@@ -3,6 +3,7 @@
 import concurrent.futures
 import fnmatch
 import json
+import multiprocessing
 import os
 import re
 import shutil
@@ -105,6 +106,31 @@ def test_sweep_forks_no_more_workers_than_cells(monkeypatch):
     )
     assert asked == [2]
     assert sw.n_failed == 0 and len(sw.reports) == 2
+
+
+def test_without_fork_two_workers_write_what_one_writes(tmp_path, monkeypatch):
+    # a platform without the fork start method runs every cell in-process
+    res, parts, wins = _dataset(fraction=0.3)
+
+    def sweep(out, workers):
+        _, manifest = run_sweep(
+            parts, res.registry, wins, HDAS, out,
+            SweepOptions(workers=workers, dump_assignments=True),
+            truth=res.truth, migration=res.config.migration,
+        )
+        assert manifest["stages"]["workers_peak_rss_mb"] is None  # no pool ran
+        return _run_files(out)
+
+    want = sweep(tmp_path / "one", 1)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                        lambda: ["spawn", "forkserver"])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    assert sweep(tmp_path / "two", 2) == want
+    assert len(load_run(tmp_path / "two").reports) == len(wins) * len(HDAS)
 
 
 def test_sweep_writes_expected_files(tmp_path):

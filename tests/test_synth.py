@@ -105,6 +105,33 @@ def test_generate_deterministic():
     assert np.array_equal(a.truth.home_towers, b.truth.home_towers)
 
 
+def test_grown_record_columns_do_not_depend_on_where_they_grow(monkeypatch):
+    # three subscribers' geometric day counts of mean 1e5 overflow the
+    # columns sized for 1.02 x the expected count at seed 1; with blocks of
+    # one subscriber they grow after another subscriber's records
+    cfg = SynthConfig(seed=1, n_towers=4, n_population=10, market_share=0.3,
+                      span=DatasetSpan.parse("2007-06-01..2007-06-01"),
+                      daily_event_rate=1e5)
+    real, kept = synth._grown, []
+
+    def grown(column, size):
+        kept.append(len(column))
+        return real(column, size)
+
+    monkeypatch.setattr(synth, "_grown", grown)
+    runs = []
+    for block in (synth._SUBSCRIBER_BLOCK, 1):
+        monkeypatch.setattr(synth, "_SUBSCRIBER_BLOCK", block)
+        kept.clear()
+        runs.append((generate(cfg), kept[:]))
+    (a, kept_a), (b, kept_b) = runs
+    assert kept_a == [0, 0, 0] and kept_b and min(kept_b) > 0
+    assert a.n_records > int(cfg.n_subscribers * cfg.daily_event_rate * 1.02) + 1024
+    for name in ("users", "towers", "timestamps"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert np.array_equal(a.truth.home_towers, b.truth.home_towers)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 42, 2**32 - 1, 2**32, 2**64 + 5, 3**80])
 def test_stream_states_equal_numpys_seeding(seed):
     # seeds of one to four 32-bit words, so the seed sequence mixes three to

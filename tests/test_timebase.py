@@ -6,7 +6,7 @@ from zoneinfo import ZoneInfo
 import numpy as np
 import pytest
 
-from cdrhomes.timebase import _LAST_PROBE, CivilClock
+from cdrhomes.timebase import _DENSE_DAYS, _LAST_PROBE, CivilClock
 
 from oracles import local_fields
 
@@ -23,6 +23,22 @@ def _assert_local_fields_match_zoneinfo(clock, stamps):
     want = [local_fields(ts, clock.tz_name) for ts in stamps]
     assert day_ords.tolist() == [d.toordinal() for d, _, _ in want]
     assert week_hours.tolist() == [w * 24 + h for _, h, w in want]
+
+
+def _counted_probes(clock, monkeypatch, limit):
+    """The instants clock probes from now on. More than limit fail the test
+    at once: a table that probed each day between its smallest and largest
+    instant would probe 3.65M times over the whole calendar."""
+    probes, real = [], clock.utc_offset
+
+    def probe(ts):
+        probes.append(ts)
+        if len(probes) > limit:
+            raise AssertionError(f"more than {limit} probes")
+        return real(ts)
+
+    monkeypatch.setattr(clock, "utc_offset", probe)
+    return probes
 
 
 def test_derive_matches_zoneinfo_at_transitions():
@@ -136,7 +152,7 @@ def test_local_fields_at_both_ends_of_the_calendar(tz_name):
 @pytest.mark.parametrize("tz_name", EDGE_ZONES)
 def test_epochs_from_local_at_both_ends_of_the_calendar(tz_name):
     clock = CivilClock(tz_name)
-    # one call per end: a table over both would probe every day between
+    # one call per end (the test below makes one over both)
     for start in (datetime(1, 1, 1), datetime(9999, 12, 22)):
         walls = [start + timedelta(seconds=s) for s in range(0, 10 * 86400, 3607)]
         walls.append(start + timedelta(days=10, seconds=-1))
@@ -144,6 +160,45 @@ def test_epochs_from_local_at_both_ends_of_the_calendar(tz_name):
                           for w in walls])
         want = [clock.parse_local(w.isoformat()) for w in walls]
         assert clock.epochs_from_local(local).tolist() == want
+
+
+@pytest.mark.parametrize("tz_name", EDGE_ZONES)
+def test_one_table_over_both_ends_of_the_calendar_probes_near_its_instants(
+    tz_name, monkeypatch
+):
+    # the first and last 10 days of the calendar in one call of each kind:
+    # each table probes the days of the chunks that hold its instants
+    clock = CivilClock(tz_name)
+    first = max(UTC_MIN, clock.parse_local("0001-01-01T00:00:00"))
+    end = min(UTC_END, clock.parse_local("9999-12-31T23:59:59") + 1)
+    stamps = [t for lo, hi in ((first, first + 10 * 86400), (end - 10 * 86400, end))
+              for t in [*range(lo, hi, 3607), hi - 1]]
+    walls = [start + timedelta(seconds=s)
+             for start in (datetime(1, 1, 1), datetime(9999, 12, 22))
+             for s in [*range(0, 10 * 86400, 3607), 10 * 86400 - 1]]
+    local = np.array([(w - datetime(1970, 1, 1)) // timedelta(seconds=1) for w in walls])
+    want = [clock.parse_local(w.isoformat()) for w in walls]
+    probes = _counted_probes(clock, monkeypatch, limit=1000)
+    _assert_local_fields_match_zoneinfo(clock, stamps)
+    n_fields = len(probes)
+    assert clock.epochs_from_local(local).tolist() == want
+    assert n_fields < 500 and len(probes) - n_fields < 500
+
+
+@pytest.mark.parametrize("extra", [0, 1], ids=["dense-days", "one-second-more"])
+def test_a_table_probes_each_day_up_to_dense_days_and_near_its_instants_above(
+    extra, monkeypatch
+):
+    # two bursts of instants _DENSE_DAYS days apart, and one second more
+    clock = CivilClock()
+    late = [FALL_BACK - 7200 + 600 * k for k in range(25)]
+    early = [late[-1] - _DENSE_DAYS * 86400 - extra + 600 * k for k in range(25)]
+    probes = _counted_probes(clock, monkeypatch, limit=2 * _DENSE_DAYS)
+    _assert_local_fields_match_zoneinfo(clock, early + late)
+    if extra:
+        assert len(probes) < 200
+    else:
+        assert len(probes) > _DENSE_DAYS  # each day, and bisections
 
 
 @pytest.mark.parametrize("tz_name", EDGE_ZONES)
