@@ -456,7 +456,6 @@ _ISO_RUNS = np.array([4, 2, 2, 2, 2, 2])
 _ISO_WIDTH = 19  # YYYY-MM-DDTHH:MM:SS
 _MAX_FAST_DIGITS = 18  # any 18-digit number fits user, tower and timestamp
 _NL_TO_COMMA = bytes.maketrans(b"\n", b",")
-_KIND_SLOW, _KIND_INT, _KIND_ISO = 0, 1, 2
 
 
 def _note_reject(report: IngestReport, line: str, reason: str) -> None:
@@ -546,34 +545,36 @@ def _iso_local_seconds(fields: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _parse_block(
-    buf: bytes, judge: _LineJudge, clock: CivilClock, iso_range: tuple[int, int]
+    buf: bytes, judge: _LineJudge, clock: CivilClock
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(users, towers, timestamps) of the whole lines in buf, in file order.
 
     numpy parses the lines of two shapes, each id 1-18 digits and the line
     ended by LF or CR LF: all-integer 'U,T,S' with S also 1-18 digits, and
-    ISO local time 'U,T,YYYY-MM-DDTHH:MM:SS' with a valid time whose wall
-    clock lies in iso_range (seconds since 1970, half-open). Every other
-    line, a header included, goes to judge in file order, and so does what
-    follows buf's last LF: lines ended by a lone CR or by the end of file.
-    It reads and writes no IngestReport: judge counts the malformed lines,
-    and ingest derives total_lines from the records and those.
+    ISO local time 'U,T,YYYY-MM-DDTHH:MM:SS' with a valid time, however far
+    from the span. Every other line, a header included, goes to judge in
+    file order, and so does what follows buf's last LF: lines ended by a
+    lone CR or by the end of file. It reads and writes no IngestReport:
+    judge counts the malformed lines, and ingest derives total_lines from
+    the records and those.
     """
     end = buf.rfind(b"\n") + 1
     a = np.frombuffer(buf, dtype=np.uint8, count=end)
     p = np.flatnonzero(a - ord("0") > 9)  # every byte but the digits
     k = _BYTE_CLASS[a[p]]
-    runs = np.diff(p, prepend=-1) - 1  # digits before each non-digit
+    runs = p.copy()  # digits before each non-digit
+    runs[1:] -= p[:-1] + 1
     nl = np.flatnonzero(k == _NL)  # in p, each line's '\n'
-    head = np.concatenate(([-1], nl))[:-1] + 1  # in p, each line's first non-digit
+    head = np.zeros_like(nl)  # in p, each line's first non-digit
+    np.add(nl[:-1], 1, out=head[1:])
     cr = (nl > head) & (k[nl - 1] == _CR) & (runs[nl] == 0)
     width = nl - cr - head  # non-digits before the line end
 
     ids = (k == _COMMA) & _fast_digits(runs)  # commas after 1-18 digit ids
-    kind = np.zeros(len(nl), dtype=np.uint8)
+    fast = np.zeros(len(nl), dtype=bool)
     rows = np.flatnonzero(width == 2)
     at = head[rows]
-    kind[rows[ids[at] & ids[at + 1] & _fast_digits(runs[at + 2])]] = _KIND_INT
+    fast[rows[ids[at] & ids[at + 1] & _fast_digits(runs[at + 2])]] = True
     rows = np.flatnonzero(width == 2 + len(_ISO_CLASSES))
     at = head[rows, None] + np.arange(3 + len(_ISO_CLASSES))
     ok = (ids[at[:, 0]] & ids[at[:, 1]]
@@ -582,41 +583,34 @@ def _parse_block(
     rows, at = rows[ok], at[ok]
     time_at = p[at[:, 1]] + 1  # byte after the second comma
     ok, local = _iso_local_seconds(a[time_at[:, None] + np.arange(_ISO_WIDTH)])
-    ok &= (local >= iso_range[0]) & (local < iso_range[1])
     iso, time_at = rows[ok], time_at[ok]
-    kind[iso] = _KIND_ISO
-    iso_stamps = clock.epochs_from_local(local[ok])
+    fast[iso] = True
+    slow = np.flatnonzero(~fast)
+    starts, stops = p[head[slow]] - runs[head[slow]], p[nl[slow]] + 1
 
-    # the numbers of the fast lines in one fromstring: blank every other
-    # line and every ISO time with its comma, then turn line ends into commas
-    line_start = np.concatenate(([-1], p[nl]))[:-1] + 1
-    slow = np.flatnonzero(kind == _KIND_SLOW)
+    # three numbers per fast line in one fromstring: blank every other line
+    # and each ISO time but its last digit, then turn line ends into commas
     if len(slow) or len(iso):
         blanked = a.copy()
-        blanked[_ranges(line_start[slow], p[nl[slow]] + 1)] = 0
-        blanked[_ranges(time_at - 1, time_at + _ISO_WIDTH)] = 0
+        blanked[_ranges(starts, stops)] = 0
+        blanked[time_at[:, None] + np.arange(_ISO_WIDTH - 1)] = 0
         text = blanked.tobytes()
     else:
         text = buf[:end]
     values = np.fromstring(
         text.translate(_NL_TO_COMMA, b"\0\r"), dtype=np.int64, sep=","
     )
-    fast = np.flatnonzero(kind)
-    is_iso = kind[fast] == _KIND_ISO
-    n_values = np.where(is_iso, 2, 3)
-    if len(values) != n_values.sum():
+    if len(values) != 3 * (len(nl) - len(slow)):
         raise AssertionError("fast-path line classification broken")
-    first = np.cumsum(n_values) - n_values
-    users, towers = values[first].astype(np.uint64), values[first + 1]
-    stamps = np.empty(len(fast), dtype=np.int64)
-    stamps[~is_iso] = values[first[~is_iso] + 2]
-    stamps[is_iso] = iso_stamps
+    users, towers, stamps = values.reshape(-1, 3).T
+    # a line's place among the fast lines: its row less the slow rows before
+    stamps[iso - np.searchsorted(slow, iso)] = clock.epochs_from_local(local[ok])
+    users = users.astype(np.uint64)
 
     # the judged lines' records, placed among the fast ones in file order
     judged: list[tuple[int, int, int]] = []
     rows: list[int] = []
-    for row, lo, hi in zip(slow.tolist(), line_start[slow].tolist(),
-                           (p[nl[slow]] + 1).tolist()):
+    for row, lo, hi in zip(slow.tolist(), starts.tolist(), stops.tolist()):
         got = judge(buf[lo:hi])
         judged += got
         rows += [row] * len(got)
@@ -625,13 +619,13 @@ def _parse_block(
     rows += [len(nl)] * len(got)
     if not judged:
         return users, towers, stamps
-    at = np.searchsorted(fast, rows)
+    at = np.subtract(rows, np.searchsorted(slow, rows))
     return tuple(np.insert(column, at, values)
                  for column, values in zip((users, towers, stamps), zip(*judged)))
 
 
 def _read_records(
-    path: Path, judge: _LineJudge, clock: CivilClock, iso_range: tuple[int, int]
+    path: Path, judge: _LineJudge, clock: CivilClock
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(users, towers, timestamps) of the records file, in file order.
 
@@ -654,7 +648,7 @@ def _read_records(
                 # after the last whole line: a final '\r' may be the first
                 # half of a '\r\n'
                 cut = max(buf.rfind(b"\n"), buf.rfind(b"\r", 0, len(buf) - 1)) + 1
-            parsed = _parse_block(buf[:cut], judge, clock, iso_range)
+            parsed = _parse_block(buf[:cut], judge, clock)
             m = len(parsed[0])
             if n + m > len(columns[0]):
                 columns = [_grown(c[:n], 2 * (n + m)) for c in columns]
@@ -706,15 +700,14 @@ def ingest(
     with open(path, "rb") as fh:
         report.header_line = fh.read(len(_HEADER_START)) == _HEADER_START
     judge = _LineJudge(report, clock)
-    # [lo, hi) seconds since 1970: the span's days and two days either side.
+    u, t, s = _read_records(path, judge, clock)
+    # [lo, hi) seconds since 1970: the span's days and one day either side.
     # A UTC offset is under a day, so this holds every instant whose civil
-    # date is in the span, and every wall-clock time on one of its dates.
-    # ISO times outside it take the per-line path, and records outside it
-    # are dropped before civil-time derivation: both keep the zone's
-    # transition table (and datetime's range) to the span.
+    # date is in the span. Records outside it are out of span and dropped
+    # before civil-time derivation, which keeps local_fields far inside the
+    # instants whose civil day ordinals it can hold.
     first = (span.first_day - date(1970, 1, 1)).days
-    lo, hi = (first - 2) * _DAY, (first + span.n_days + 2) * _DAY
-    u, t, s = _read_records(path, judge, clock, (lo, hi))
+    lo, hi = (first - 1) * _DAY, (first + span.n_days + 1) * _DAY
     report.total_lines = len(u) + report.rejected_malformed
 
     keep = registry.contains_ids(t)

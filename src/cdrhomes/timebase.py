@@ -4,9 +4,9 @@ All record timestamps are UTC epoch seconds; every date/hour/weekday the rest
 of the package reasons about is civil time in the dataset's zone. The bulk
 path avoids per-record datetime objects by resolving the zone to a table of
 UTC-offset transitions and applying it with a binary search. Each conversion
-builds that table over its own instants, probing the zone once a day within
-years 1-9999 (over a long range, only near the instants); beyond the probes
-the edge offset holds.
+builds that table over its own instants, probing the zone at the start of
+each UTC day that holds one and of the day after, within years 1-9999;
+beyond the probes the edge offset holds.
 """
 
 from __future__ import annotations
@@ -28,11 +28,6 @@ _DAY = 86400
 # way, so datetime can show both instants in any zone
 _FIRST_PROBE = (date(1, 1, 2).toordinal() - _EPOCH_ORDINAL) * _DAY
 _LAST_PROBE = (date(9999, 12, 30).toordinal() - _EPOCH_ORDINAL) * _DAY
-
-# a table over more than _DENSE_DAYS days (ten years) probes only the days of
-# the _CHUNK-second (48.5-day) chunks that hold an instant
-_DENSE_DAYS = 3653
-_CHUNK = 1 << 22
 
 
 class CivilClock:
@@ -70,7 +65,8 @@ class CivilClock:
         Returns (day_ordinal int32, week_hour uint8): day_ordinal matches
         datetime.date.toordinal() and week_hour is weekday (Mon=0) * 24 +
         hour, 0..167. Above its input it holds two int64 columns and the
-        week hours at a time: 17 bytes per record at peak.
+        week hours at a time: 17 bytes per record at peak. A civil day
+        ordinal outside int32 (5.8 million years from 1970) raises ValueError.
         """
         ts = np.asarray(timestamps, dtype=np.int64)
         if ts.size == 0:
@@ -85,6 +81,10 @@ class CivilClock:
         del week
         local //= _DAY
         local += _EPOCH_ORDINAL
+        int32 = np.iinfo(np.int32)  # a wrapped ts + offset lies 10**14 days out
+        if local.min() < int32.min or local.max() > int32.max:
+            first = np.flatnonzero((local < int32.min) | (local > int32.max))[0]
+            raise ValueError(f"instant {ts[first]}: civil day ordinal outside int32")
         return local.astype(np.int32), week_hours
 
     def epochs_from_local(self, local: np.ndarray) -> np.ndarray:
@@ -108,27 +108,25 @@ class CivilClock:
     def _transition_table(self, instants: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Piecewise-constant UTC offsets over the instants: (starts, offsets).
 
-        Probes run a day apart from the smallest instant to the largest,
-        each clipped into [_FIRST_PROBE, _LAST_PROBE]; over more than
-        _DENSE_DAYS days, only through each chunk that holds an instant.
-        The first start is the smallest int64, so the first offset holds
-        before the first probe and the last offset after the last one.
+        Each UTC day that holds an instant, clipped into [_FIRST_PROBE,
+        _LAST_PROBE - _DAY], is probed at its start and the next day's. A
+        change between adjacent probes is bisected to its second; one between
+        two held days apart starts where the later one does. The first start
+        is the smallest int64, so the first offset holds before the first
+        probe and the last offset after the last one.
         """
-        lo, hi = (min(max(int(t), _FIRST_PROBE), _LAST_PROBE)
-                  for t in (instants.min(), instants.max()))
-        ranges = [(lo, hi)]
-        if hi - lo > _DENSE_DAYS * _DAY:
-            held = np.zeros((hi - lo) // _CHUNK + 1, dtype=bool)
-            held[(np.clip(instants, lo, hi) - lo) // _CHUNK] = True
-            ranges = [(a, min(a + _CHUNK, hi))
-                      for a in (lo + _CHUNK * np.flatnonzero(held)).tolist()]
-        probes = [t for a, b in ranges for t in (*range(a, b, _DAY), b)]
+        days = np.clip(instants, _FIRST_PROBE, _LAST_PROBE - _DAY)
+        days //= _DAY
+        first = int(days.min())
+        held = np.zeros(int(days.max()) - first + 2, dtype=bool)
+        days -= first
+        held[days] = True
+        held[1:] |= held[:-1]  # and the day after each
+        probes = ((first + np.flatnonzero(held)) * _DAY).tolist()
         starts, offsets = [np.iinfo(np.int64).min], [self.utc_offset(probes[0])]
         for a, b in zip(probes, probes[1:]):
             off = self.utc_offset(b)
             if off != offsets[-1]:
-                # bisect the exact transition second in (a, b]; a change
-                # between two chunks apart starts where the later one does
                 if b - a > _DAY:
                     a = b - 1
                 while b - a > 1:

@@ -151,9 +151,8 @@ def test_ingest_check_of_one_record_near_either_end_of_the_calendar(
 
 @pytest.mark.parametrize("span", ["0001-01-01..0001-01-20", "2007-01-01..2007-01-20"])
 def test_a_year_0_time_is_malformed_under_any_span(tmp_path, span, capsys):
-    # numpy's calendar has a year 0, strptime's none: under a span whose
-    # two-day band held the time, the block parser took the line and counted
-    # it out of span
+    # numpy's calendar has a year 0, strptime's none: the block parser
+    # leaves the line to the per-line parser, under a span the next day too
     towers = tmp_path / "towers.csv"
     towers.write_text(f"{TOWERS_HEADER}\n5,2.0,3.0,10\n")
     records = tmp_path / "records.csv"

@@ -620,7 +620,7 @@ def test_ingest_counts_far_off_timestamps_out_of_span(tmp_path):
         f"2,100,{2**63 - 1}",
         f"2,101,{-(2**63)}",
         "3,999,1000000000000000",  # an unknown tower wins over the span
-        f"3,100,{T0 - 100}",  # in the two-day band, the civil day before the span
+        f"3,100,{T0 - 100}",  # in the band, the civil day before the span
         "3,100,never",  # malformed: sampled while parsing, before any tower
     ])
     for n_partitions in (1, 3):

@@ -212,6 +212,34 @@ def test_edge_lines_match_reference(tmp_path, block_bytes):
     assert report.rejected_unknown_tower == 4
 
 
+# ISO times years from the span, at both ends of the calendar
+FAR_ISO_LINES = [
+    "1,100,0001-01-01T00:00:00",
+    "2,101,1990-07-01T12:00:00",
+    "3,102,9999-12-31T23:59:59\r",
+]
+
+
+@pytest.mark.parametrize("tz_name", ["Europe/Paris", "Pacific/Kiritimati"])
+def test_far_off_iso_times_take_the_block_parser(tmp_path, block_bytes, monkeypatch,
+                                                 tz_name):
+    # the clock's table costs a time only its own days' probes, so no band
+    # sends far-off times to the per-line parser; ingest counts them out of
+    # span like far-off epochs
+    judged, judge = [], core._LineJudge.__call__
+
+    def recording(self, text):
+        judged.extend(text.splitlines())
+        return judge(self, text)
+
+    monkeypatch.setattr(core._LineJudge, "__call__", recording)
+    path = tmp_path / "records.csv"
+    path.write_bytes("\n".join(EDGE_LINES + FAR_ISO_LINES).encode() + b"\n")
+    _assert_matches_reference(path, make_registry(3), DST_SPAN, tz_name)
+    assert judged
+    assert not {line.rstrip("\r").encode() for line in FAR_ISO_LINES} & set(judged)
+
+
 def test_header_and_first_line_rules(tmp_path, block_bytes):
     # line 1 is a header if it starts with user_id, as in read_table; any
     # other line 1 is judged like every line, so a bad one counts as malformed

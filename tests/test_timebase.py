@@ -6,7 +6,7 @@ from zoneinfo import ZoneInfo
 import numpy as np
 import pytest
 
-from cdrhomes.timebase import _DENSE_DAYS, _LAST_PROBE, CivilClock
+from cdrhomes.timebase import _LAST_PROBE, CivilClock
 
 from oracles import local_fields
 
@@ -167,7 +167,7 @@ def test_one_table_over_both_ends_of_the_calendar_probes_near_its_instants(
     tz_name, monkeypatch
 ):
     # the first and last 10 days of the calendar in one call of each kind:
-    # each table probes the days of the chunks that hold its instants
+    # each table probes the days that hold its instants, and the days after
     clock = CivilClock(tz_name)
     first = max(UTC_MIN, clock.parse_local("0001-01-01T00:00:00"))
     end = min(UTC_END, clock.parse_local("9999-12-31T23:59:59") + 1)
@@ -185,20 +185,29 @@ def test_one_table_over_both_ends_of_the_calendar_probes_near_its_instants(
     assert n_fields < 500 and len(probes) - n_fields < 500
 
 
-@pytest.mark.parametrize("extra", [0, 1], ids=["dense-days", "one-second-more"])
-def test_a_table_probes_each_day_up_to_dense_days_and_near_its_instants_above(
-    extra, monkeypatch
-):
-    # two bursts of instants _DENSE_DAYS days apart, and one second more
+@pytest.mark.parametrize("gap_days", [3653, 1_095_727], ids=["ten-years", "3000-years"])
+def test_two_bursts_cost_the_same_probes_however_far_apart(gap_days, monkeypatch):
+    # a burst over the 2007 fall-back, and one gap_days later: each probes
+    # its own days, and the change between them needs no bisection
     clock = CivilClock()
-    late = [FALL_BACK - 7200 + 600 * k for k in range(25)]
-    early = [late[-1] - _DENSE_DAYS * 86400 - extra + 600 * k for k in range(25)]
-    probes = _counted_probes(clock, monkeypatch, limit=2 * _DENSE_DAYS)
+    early = [FALL_BACK - 7200 + 600 * k for k in range(25)]
+    late = [t + gap_days * 86400 for t in early]
+    probes = _counted_probes(clock, monkeypatch, limit=1000)
     _assert_local_fields_match_zoneinfo(clock, early + late)
-    if extra:
-        assert len(probes) < 200
-    else:
-        assert len(probes) > _DENSE_DAYS  # each day, and bisections
+    # each burst holds two days, probed with the day after; one day bisected
+    assert len(probes) == 3 + 3 + 17
+
+
+def test_one_instant_a_year_costs_two_probes_each(monkeypatch):
+    # 12:00 UTC on 15 January of each year 1-9999: each instant's day and
+    # the next, 19,998 probes, and no bisection; a table that probed weeks
+    # around each instant would pass the limit at once
+    clock = CivilClock()
+    stamps = [int(datetime(y, 1, 15, 12, tzinfo=timezone.utc).timestamp())
+              for y in range(1, 10000)]
+    probes = _counted_probes(clock, monkeypatch, limit=25_000)
+    _assert_local_fields_match_zoneinfo(clock, stamps)
+    assert len(probes) < 25_000
 
 
 @pytest.mark.parametrize("tz_name", EDGE_ZONES)
@@ -210,3 +219,32 @@ def test_an_instant_past_the_last_probe_takes_the_last_offset(tz_name):
     day_ords, week_hours = clock.local_fields(np.array([ts]))
     assert day_ords[0] == local // 86400 + date(1970, 1, 1).toordinal()
     assert week_hours[0] == (local // 3600 + 3 * 24) % 168
+
+
+I32_MIN, I32_MAX = -(2**31), 2**31 - 1
+ORDINAL_1970 = date(1970, 1, 1).toordinal()
+
+
+def test_local_fields_holds_each_day_ordinal_int32_can_and_no_other():
+    # the first and last second of the first and last int32 day ordinals,
+    # and a second further out either way
+    clock = CivilClock("UTC")
+    stamps = [(I32_MIN - ORDINAL_1970) * 86400, (I32_MAX - ORDINAL_1970 + 1) * 86400 - 1]
+    day_ords, week_hours = clock.local_fields(np.array(stamps))
+    assert day_ords.tolist() == [I32_MIN, I32_MAX]
+    assert week_hours.tolist() == [(t // 3600 + 3 * 24) % 168 for t in stamps]
+    for outside in (stamps[0] - 1, stamps[1] + 1):
+        with pytest.raises(ValueError, match=f"^instant {outside}: "):
+            clock.local_fields(np.array(stamps + [outside]))
+
+
+@pytest.mark.parametrize("tz_name", ["UTC", "Europe/Paris", "Pacific/Kiritimati"])
+@pytest.mark.parametrize("outside", [
+    (I32_MIN - ORDINAL_1970 - 1) * 86400, (I32_MAX - ORDINAL_1970 + 2) * 86400,
+    10**15, 2**63 - 1, -(2**63),
+], ids=["a-day-before-int32", "a-day-after-int32", "1e15", "int64-max", "int64-min"])
+def test_local_fields_refuses_a_day_ordinal_int32_cannot_hold(tz_name, outside):
+    # ts + offset, or the int32 day ordinal, would wrap silently
+    clock = CivilClock(tz_name)
+    with pytest.raises(ValueError, match=f"^instant {outside}: "):
+        clock.local_fields(np.array([FALL_BACK, outside, FALL_BACK]))
