@@ -131,13 +131,16 @@ def read_table(path, header, types, blank=()) -> list[np.ndarray]:
 
     Line 1 is skipped if it starts with header[0] (ingest's rule for line 1
     of the records file too), and so is a blank line. Every other line has
-    one field per header name, parsed by its column's type (a numpy integer
-    type refuses a value outside its range). An integer field must be
-    non-negative; an empty one reads -1 (none) in the columns named in
-    blank. The first column's values must be unique. A bad line raises
-    ValueError starting 'FILE:LINE:'.
+    one field per header name, parsed by its column's type: Python's int or
+    float, as numpy parses a string, and an integer must lie in its numpy
+    type's range and be non-negative. An empty field reads -1 (none) in the
+    columns named in blank. The first column's values must be unique. A bad
+    line raises ValueError starting 'FILE:LINE:'.
     """
     path = Path(path)
+    # each column's parser, and an integer column's largest value
+    parsers = [(float, None) if np.dtype(kind).kind == "f"
+               else (int, int(np.iinfo(kind).max)) for kind in types]
     columns: list[list] = [[] for _ in header]
     seen = set()
     for lineno, raw in enumerate(path.read_bytes().splitlines(), start=1):
@@ -148,12 +151,12 @@ def read_table(path, header, types, blank=()) -> list[np.ndarray]:
         values = line.split(",")
         if len(values) != len(header):
             raise ValueError(f"{at} expected {len(header)} fields, got {len(values)}")
-        for name, kind, text, column in zip(header, types, values, columns):
-            try:  # numpy's overflow message leaves the value out
-                value = -1 if text == "" and name in blank else kind(text)
-                if isinstance(value, np.integer) and value < 0:
-                    raise ValueError("negative")
-            except (ValueError, OverflowError) as exc:
+        for name, (parse, top), text, column in zip(header, parsers, values, columns):
+            try:  # an empty field of blank reads -1, unchecked
+                value = -1 if text == "" and name in blank else parse(text)
+                if top is not None and text and not 0 <= value <= top:
+                    raise ValueError("negative" if value < 0 else f"above {top}")
+            except ValueError as exc:
                 raise ValueError(f"{at} bad {name} {text!r}: {exc}") from None
             column.append(value)
         if columns[0][-1] in seen:

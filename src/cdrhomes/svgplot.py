@@ -55,7 +55,7 @@ def line_chart(
     """
     pw = _W - _ML - _MR
     ph = _H - _MT - _MB
-    pts = [p for _, data in series for p in data]
+    xs, ys = zip(*(p for _, data in series for p in data))
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
         f'viewBox="0 0 {_W} {_H}">',
@@ -63,10 +63,7 @@ def line_chart(
         f'<text x="{_W // 2}" y="24" text-anchor="middle" '
         f'font-family="sans-serif" font-size="15">{_esc(title)}</text>',
     ]
-    x0 = min(p[0] for p in pts)
-    x1 = max(p[0] for p in pts)
-    y0 = min(p[1] for p in pts)
-    y1 = max(p[1] for p in pts)
+    x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
     if x0 == x1:
         x0, x1 = x0 - 0.5, x1 + 0.5
     if y0 == y1:

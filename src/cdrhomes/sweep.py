@@ -17,9 +17,9 @@ refuse the resume. A sweep starts by removing each file of RUN_FILES (and
 its .tmp form) but the records it keeps, none unless it resumes, and their
 dumps; each emission the REPORT_FILES it did not write; no other file.
 
-Worker processes use the fork start method and read the shared state from a
-module global set before the pool starts; where fork is unavailable the
-sweep degrades to sequential execution with identical outputs.
+Forked workers inherit the sweep state as the pool initializer's argument,
+and one loop takes the records in grid order at any worker count; without
+fork the sweep computes every cell in-process, with identical outputs.
 """
 
 from __future__ import annotations
@@ -165,8 +165,8 @@ def _ffmt(v) -> str:
     return "" if v is None or v != v else repr(float(v))
 
 
-# shared state for forked workers; set in the parent before the pool starts
-_STATE: dict | None = None
+# a forked worker's sweep state, which the pool's initializer fills in
+_STATE: dict = {}
 
 
 def _compute_cell(state: dict, h_idx: int, w_idx: int) -> dict:
@@ -215,7 +215,6 @@ def _compute_cell(state: dict, h_idx: int, w_idx: int) -> dict:
 
 
 def _cell_entry(h_idx: int, w_idx: int) -> dict:
-    assert _STATE is not None, "worker state missing (fork expected)"
     return _compute_cell(_STATE, h_idx, w_idx)
 
 
@@ -421,7 +420,7 @@ def run_sweep(
     tz_name: str = "",
     ingest_report: IngestReport | None = None,
 ) -> tuple[SweepResult, dict]:
-    """Compute the full grid, persisting each cell as it completes; returns
+    """Compute the full grid, persisting each cell in grid order; returns
     the result and the manifest.json dict.
 
     With out_dir=None nothing is written (in-memory use); otherwise
@@ -433,11 +432,11 @@ def run_sweep(
     cells.jsonl (ValueError if any has another fingerprint), and a fresh
     sweep none: either rewrites the file with them alone, then removes
     every other RUN_FILES file and its .tmp form but the kept cells' dumps.
-    An unwritable directory raises OSError before any cell runs. The
-    manifest's stages hold the ingest parse, partition_records and run_sweep
-    seconds (perf_counter; the first two from ingest_report) and the peak
-    RSS in MiB of this process and of its largest worker, None when no pool
-    ran (see _peak_rss_mb).
+    An unwritable directory raises OSError before any cell runs, and a dead
+    worker ChildProcessError (an OSError). The manifest's stages hold the
+    ingest parse, partition_records and run_sweep seconds (perf_counter; the
+    first two from ingest_report) and the peak RSS in MiB of this process
+    and of its largest worker, None when no pool ran (see _peak_rss_mb).
     """
     t_start = time.perf_counter()
     if truth is not None:
@@ -536,30 +535,28 @@ def run_sweep(
 
         if "fork" not in multiprocessing.get_all_start_methods():
             use_workers = 1
-    with (
-        contextlib.nullcontext() if out_path is None
-        else open(out_path / CELLS_FILE, "a")
-    ) as cells:
+    broken = ()  # what the pool raises once a worker has died; no pool, none
+    with contextlib.ExitStack() as stack:
+        cells = None if out_path is None else stack.enter_context(
+            open(out_path / CELLS_FILE, "a"))
+        records = (_compute_cell(state, h, w) for h, w in todo)
         if use_workers > 1:
-            global _STATE
-            _STATE = state
-            try:
-                with concurrent.futures.ProcessPoolExecutor(
-                    max_workers=use_workers,
-                    mp_context=multiprocessing.get_context("fork"),
-                ) as pool:
-                    futures = [pool.submit(_cell_entry, h, w) for h, w in todo]
-                    try:
-                        for fut in concurrent.futures.as_completed(futures):
-                            take(fut.result())
-                    except BaseException:  # run none of the cells still queued
-                        pool.shutdown(cancel_futures=True)
-                        raise
-            finally:
-                _STATE = None
-        else:
-            for h, w in todo:
-                take(_compute_cell(state, h, w))
+            # each worker inherits the state at fork; map yields records in grid order
+            records = stack.enter_context(concurrent.futures.ProcessPoolExecutor(
+                use_workers, mp_context=multiprocessing.get_context("fork"),
+                initializer=_STATE.update, initargs=(state,),
+            )).map(_cell_entry, *zip(*todo))  # hdas, then windows
+            broken = concurrent.futures.BrokenExecutor
+        try:  # leaving the loop on an error closes records, which cancels map's queue
+            for rec in stack.enter_context(contextlib.closing(records)):
+                take(rec)
+        except broken as exc:
+            h, w = todo[len(result.reports) + result.n_failed - n_before]
+            raise ChildProcessError(
+                f"a worker process died (killed, or out of memory) before cell "
+                f"{result.hda_names[h]}|{result.windows[w].label} returned; "
+                "sweep again with --resume"
+            ) from exc
 
     elapsed = round(time.perf_counter() - t_start, 3)
     if out_path is not None:

@@ -173,10 +173,8 @@ class GroundTruthTable:
 
     def __post_init__(self):
         order = argsort_unique(self.user_ids, "duplicate user_id {} in ground truth")
-        self.user_ids = self.user_ids[order]
-        self.home_towers = self.home_towers[order]
-        self.work_towers = self.work_towers[order]
-        self.migration_towers = self.migration_towers[order]
+        for f in fields(self):  # every column in user id order
+            setattr(self, f.name, getattr(self, f.name)[order])
 
     def __len__(self) -> int:
         return len(self.user_ids)

@@ -5,8 +5,8 @@ of the package reasons about is civil time in the dataset's zone. The bulk
 path avoids per-record datetime objects by resolving the zone to a table of
 UTC-offset transitions and applying it with a binary search. Each conversion
 builds that table over its own instants, probing the zone at the start of
-each UTC day that holds one and of the day after, within years 1-9999;
-beyond the probes the edge offset holds.
+each UTC day that holds one, or lies within a day of a wall time's day, and
+of the day after, within years 1-9999; beyond the probes the edge offset holds.
 """
 
 from __future__ import annotations
@@ -100,29 +100,33 @@ class CivilClock:
         if local.size == 0:
             return np.zeros(0, dtype=np.int64)
         # a UTC offset is less than a day either way
-        around = np.concatenate((local - _DAY, local + _DAY))
-        starts, offsets = self._transition_table(around)
+        starts, offsets = self._transition_table(local, reach=1)
         ends = starts[1:] + np.maximum(offsets[:-1], offsets[1:])
         return local - offsets[np.searchsorted(ends, local, side="right")]
 
-    def _transition_table(self, instants: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _transition_table(self, instants: np.ndarray, reach: int = 0) -> tuple:
         """Piecewise-constant UTC offsets over the instants: (starts, offsets).
 
-        Each UTC day that holds an instant, clipped into [_FIRST_PROBE,
-        _LAST_PROBE - _DAY], is probed at its start and the next day's. A
-        change between adjacent probes is bisected to its second; one between
-        two held days apart starts where the later one does. The first start
-        is the smallest int64, so the first offset holds before the first
-        probe and the last offset after the last one.
+        Each UTC day within reach days of an instant's day, clipped into
+        [_FIRST_PROBE, _LAST_PROBE - _DAY], is probed at its start and the
+        next day's. A change between adjacent probes is bisected to its
+        second; one between two held days apart starts where the later one
+        does. The first start is the smallest int64, so the first offset
+        holds before the first probe and the last offset after the last one.
         """
-        days = np.clip(instants, _FIRST_PROBE, _LAST_PROBE - _DAY)
+        # clipped reach days wider, so that the days kept below are as described
+        days = np.clip(instants, _FIRST_PROBE - reach * _DAY,
+                       _LAST_PROBE + (reach - 1) * _DAY)
         days //= _DAY
         first = int(days.min())
-        held = np.zeros(int(days.max()) - first + 2, dtype=bool)
+        held = np.zeros(int(days.max()) - first + 2 * reach + 2, dtype=bool)
         days -= first
         held[days] = True
-        held[1:] |= held[:-1]  # and the day after each
-        probes = ((first + np.flatnonzero(held)) * _DAY).tolist()
+        for _ in range(2 * reach + 1):  # and the 2 * reach + 1 days after each
+            held[1:] |= held[:-1]
+        days = first - reach + np.flatnonzero(held)  # from reach days before each
+        days = days[(days >= _FIRST_PROBE // _DAY) & (days <= _LAST_PROBE // _DAY)]
+        probes = (days * _DAY).tolist()
         starts, offsets = [np.iinfo(np.int64).min], [self.utc_offset(probes[0])]
         for a, b in zip(probes, probes[1:]):
             off = self.utc_offset(b)

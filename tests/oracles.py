@@ -91,6 +91,17 @@ def user_fields(timestamps, tz_name: str = TZ_NAME):
     return out
 
 
+def epochs_from_local_around(clock, local) -> np.ndarray:
+    """CivilClock.epochs_from_local as first built: one transition table
+    over the instants a day before and a day after each wall time, which
+    holds two int64 copies of local."""
+    local = np.asarray(local, dtype=np.int64)
+    around = np.concatenate((local - 86400, local + 86400))
+    starts, offsets = clock._transition_table(around)
+    ends = starts[1:] + np.maximum(offsets[:-1], offsets[1:])
+    return local - offsets[np.searchsorted(ends, local, side="right")]
+
+
 def event_qualifies(spec, hour: int, weekday: int) -> bool:
     """Whether an event at (hour, weekday) counts under the given HDA spec."""
     if spec.criterion != "TC":

@@ -648,6 +648,46 @@ def test_sweep_manifest_records_stages(synth_dir, tmp_path, capsys):
     }
 
 
+def test_a_worker_that_dies_ends_the_sweep_with_one_error_line(
+    synth_dir, tmp_path, monkeypatch, capsys
+):
+    # a worker exits abruptly in one cell, as an OOM kill would end it: the
+    # sweep stops with one error line, and a resume completes the run
+    argv = [
+        "sweep", "--records", str(synth_dir / "records.csv"),
+        "--towers", str(synth_dir / "towers.csv"), "--span", SPAN,
+        "--classes", "days14,full", "--hdas", "MA,DD", "--dump-assignments",
+        "--truth", str(synth_dir / "truth.csv"),
+    ]
+    fresh, run = tmp_path / "fresh", tmp_path / "run"
+    assert main(argv + ["--out", str(fresh)]) == 0
+    real, parent = sweep_mod._compute_cell, os.getpid()
+
+    def dies_in_one_cell(state, h_idx, w_idx):
+        if (h_idx, w_idx) == (1, 1) and os.getpid() != parent:
+            os._exit(3)
+        return real(state, h_idx, w_idx)
+
+    monkeypatch.setattr(sweep_mod, "_compute_cell", dies_in_one_cell)
+    capsys.readouterr()
+    assert main(argv + ["--out", str(run), "--workers", "2"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1, err
+    assert err[0].startswith("error: a worker process died") and "--resume" in err[0]
+    assert not (run / "manifest.json").exists()
+
+    monkeypatch.setattr(sweep_mod, "_compute_cell", real)
+    assert main(argv + ["--out", str(run), "--workers", "2", "--resume"]) == 0
+    assert _reports(run) == _reports(fresh)
+    assert _tree(run).keys() == _tree(fresh).keys()
+
+    def records(out):
+        return [{k: v for k, v in json.loads(line).items() if k != "elapsed"}
+                for line in (out / "cells.jsonl").read_text().splitlines()]
+
+    assert records(run) == records(fresh)
+
+
 NO_GRID = {
     "not-an-object": lambda m: [],
     "empty-object": lambda m: {},

@@ -89,16 +89,20 @@ def test_progress_goes_to_stderr_only_when_it_is_a_terminal(monkeypatch, capsys)
 
 def test_sweep_forks_no_more_workers_than_cells(monkeypatch):
     # a fork pool starts all its workers at once; a one-thread pool stands
-    # in for it (the thread sees the module's shared state) and records the
-    # pool size asked for
+    # in for it and records the pool size asked for (its thread runs the
+    # initializer, which fills in this process's module state: monkeypatch
+    # restores it)
     asked = []
 
     class OneThreadPool(concurrent.futures.ThreadPoolExecutor):
-        def __init__(self, max_workers, mp_context=None):
+        def __init__(self, max_workers, mp_context=None, initializer=None,
+                     initargs=()):
             asked.append(max_workers)
-            super().__init__(max_workers=1)
+            super().__init__(max_workers=1, initializer=initializer,
+                             initargs=initargs)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", OneThreadPool)
+    monkeypatch.setattr(sweep_mod, "_STATE", {})
     res, parts, wins = _dataset()
     full = [w for w in wins if w.duration_class == "full"]
     sw, _ = run_sweep(
@@ -200,6 +204,32 @@ def test_sweep_deterministic_across_runs_and_workers(tmp_path):
         base = (outs[0] / name).read_bytes()
         assert (outs[1] / name).read_bytes() == base, name
         assert (outs[2] / name).read_bytes() == base, name
+
+
+def test_cells_log_holds_the_records_in_grid_order_at_any_worker_count(
+    tmp_path, monkeypatch
+):
+    # the grid's first cell is the slowest, so a worker finishes others
+    # before it; the sweep still appends its record first
+    res, parts, wins = _dataset()
+    real = sweep_mod.detect_homes_bulk
+
+    def slow_first(part, window, spec, **kwargs):
+        if (spec.name, window.label) == (HDAS[0].name, wins[0].label):
+            time.sleep(0.2)
+        return real(part, window, spec, **kwargs)
+
+    monkeypatch.setattr(sweep_mod, "detect_homes_bulk", slow_first)
+    logs = []
+    for workers in (1, 3):
+        out = tmp_path / f"w{workers}"
+        run_sweep(parts, res.registry, wins, HDAS, out, SweepOptions(workers=workers))
+        recs = [json.loads(l) for l in (out / "cells.jsonl").read_text().splitlines()]
+        logs.append([{k: v for k, v in r.items() if k != "elapsed"} for r in recs])
+    assert [(r["hda"], r["window"]) for r in logs[0]] == [
+        (spec.name, w.label) for spec in HDAS for w in wins
+    ]
+    assert logs[1] == logs[0]
 
 
 def test_sweep_resume_skips_completed_cells(tmp_path):

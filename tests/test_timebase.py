@@ -8,7 +8,7 @@ import pytest
 
 from cdrhomes.timebase import _LAST_PROBE, CivilClock
 
-from oracles import local_fields
+from oracles import epochs_from_local_around, local_fields
 
 PARIS = ZoneInfo("Europe/Paris")
 
@@ -117,6 +117,48 @@ def test_epochs_from_local_equals_parse_local(tz_name):
     want = [clock.parse_local(w.strftime("%Y-%m-%dT%H:%M:%S")) for w in walls]
     assert clock.epochs_from_local(local).tolist() == want
     assert clock.epochs_from_local(np.zeros(0, dtype=np.int64)).size == 0
+
+
+def _walls(*texts_and_minutes):
+    """Wall-clock seconds since 1970 of every minute over each (ISO start,
+    minutes) pair."""
+    return np.array([
+        (datetime.fromisoformat(text) - datetime(1970, 1, 1)) // timedelta(seconds=1)
+        + 60 * m
+        for text, n in texts_and_minutes for m in range(n)
+    ])
+
+
+WALL_SETS = {
+    # a spring-forward gap and a fall-back fold, the hours around them
+    "2007-dst": (("2007-03-24T22:00:00", 600), ("2007-10-27T22:00:00", 600)),
+    # the first and last days of the calendar
+    "years-1-and-9999": (("0001-01-01T00:00:00", 2 * 1440),
+                         ("9999-12-30T00:00:00", 2 * 1440)),
+    "all-of-them": (("0001-01-01T00:00:00", 1440), ("2007-03-25T01:00:00", 180),
+                    ("2007-10-28T01:00:00", 180), ("9999-12-31T00:00:00", 1440)),
+}
+
+
+@pytest.mark.parametrize("walls", WALL_SETS.values(), ids=WALL_SETS.keys())
+@pytest.mark.parametrize("tz_name", [
+    "Europe/Paris", "America/St_Johns", "Australia/Lord_Howe",
+    "Pacific/Kiritimati", "Etc/GMT+12", "UTC",
+])
+def test_epochs_from_local_equals_its_table_over_a_day_either_side(
+    tz_name, walls, monkeypatch
+):
+    # the table is built from local itself, a day either side of each wall
+    # time held in the day mask: the same probes, and the same epochs, as
+    # the table over local - 1 day and local + 1 day
+    clock = CivilClock(tz_name)
+    local = _walls(*walls)
+    probes = _counted_probes(clock, monkeypatch, limit=10_000)
+    got = clock.epochs_from_local(local)
+    n_got = len(probes)
+    want = epochs_from_local_around(clock, local)
+    assert got.tolist() == want.tolist()
+    assert probes[:n_got] == probes[n_got:]
 
 
 def test_utc_offset_values():
