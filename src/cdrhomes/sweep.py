@@ -8,8 +8,9 @@ computing a cell yields that record, SweepResult.add_cell keeps it, and the
 reports read the kept records, so a live sweep and a run directory read back
 by load_run emit the same bytes. A record holds what the cell computed, x
 (its home count per tower) first: emit_reports derives every statistic of
-the cell, and its towers/ file, from x. The process computing a cell writes
-its assignments/ dump, and the cell is recorded only after it returns. A
+the cell, and its towers/ file, from x. The process computing a cell builds
+the bytes of its assignments/ dump and opens no file: the sweep process
+writes every file, each dump just before it appends that cell's record. A
 killed run resumes by skipping cells already recorded there, provided they
 carry the run's fingerprint (a hash of the package source, the manifest's
 identity fields and the input arrays); cells computed under anything else
@@ -17,9 +18,10 @@ refuse the resume. A sweep starts by removing each file of RUN_FILES (and
 its .tmp form) but the records it keeps, none unless it resumes, and their
 dumps; each emission the REPORT_FILES it did not write; no other file.
 
-Forked workers inherit the sweep state as the pool initializer's argument,
-and one loop takes the records in grid order at any worker count; without
-fork the sweep computes every cell in-process, with identical outputs.
+Forked workers inherit the sweep state as the pool initializer's argument
+and take the cells in chunks, _CHUNKS_PER_WORKER per worker; one loop takes
+the records in grid order at any worker count. Without fork the sweep
+computes every cell in-process, with identical outputs.
 """
 
 from __future__ import annotations
@@ -167,12 +169,15 @@ def _ffmt(v) -> str:
 
 # a forked worker's sweep state, which the pool's initializer fills in
 _STATE: dict = {}
+# the pool's tasks per worker: each task is a chunk of cells, one round trip
+_CHUNKS_PER_WORKER = 8
 
 
-def _compute_cell(state: dict, h_idx: int, w_idx: int) -> dict:
-    """The cell's cells.jsonl record, "ok" or "failed". An ok cell first
-    writes its assignments/ dump, if asked for; a write error aborts the
-    sweep, it fails no cell."""
+def _compute_cell(state: dict, h_idx: int, w_idx: int) -> tuple[dict, bytes | None]:
+    """The cell's cells.jsonl record, "ok" or "failed", and the bytes of its
+    assignments/ dump: None unless the sweep writes dumps and the cell is ok.
+    It opens no file (the sweep process writes the dump), so the record's
+    elapsed counts the dump's formatting but not its write."""
     spec: HdaSpec = state["hdas"][h_idx]
     window: ObservationWindow = state["windows"][w_idx]
     t0 = time.perf_counter()
@@ -205,16 +210,15 @@ def _compute_cell(state: dict, h_idx: int, w_idx: int) -> dict:
         )
     except Exception:
         rec.update(status="failed", error=traceback.format_exc(limit=8))
+        dump = None
     else:
-        if state["assignments_dir"] is not None:
-            path = state["assignments_dir"] / _dump_name(spec.name, window.label)
-            _write_assignment_dump(path, bulk)
+        dump = _assignment_dump(bulk) if state["dump_assignments"] else None
     rec["fingerprint"] = state["fingerprint"]
     rec["elapsed"] = round(time.perf_counter() - t0, 4)
-    return rec
+    return rec, dump
 
 
-def _cell_entry(h_idx: int, w_idx: int) -> dict:
+def _cell_entry(h_idx: int, w_idx: int) -> tuple[dict, bytes | None]:
     return _compute_cell(_STATE, h_idx, w_idx)
 
 
@@ -359,6 +363,13 @@ def _peak_rss_mb() -> tuple[float, float]:
     return round(own, 1), round(children, 1)
 
 
+def _children_cpu_s() -> float:
+    """User plus system CPU seconds of the children this process has waited
+    for (getrusage's RUSAGE_CHILDREN)."""
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
 def _tower_exports(registry: TowerRegistry, X: np.ndarray) -> list[str]:
     """The towers/ CSV text of each row of X, one cell's home count per tower.
 
@@ -383,8 +394,8 @@ def _tower_exports(registry: TowerRegistry, X: np.ndarray) -> list[str]:
             for cell in lines[line_of.reshape(X.shape)].tolist()]
 
 
-def _write_assignment_dump(path: Path, bulk: BulkAssignments) -> None:
-    """Per-user CSV of a cell's BulkAssignments, rows in its user order.
+def _assignment_dump(bulk: BulkAssignments) -> bytes:
+    """Per-user CSV bytes of a cell's BulkAssignments, rows in its user order.
 
     _compute_cell puts the users partition by partition, by ascending user
     id within each partition, so the row order (not the rows) depends on
@@ -393,12 +404,17 @@ def _write_assignment_dump(path: Path, bulk: BulkAssignments) -> None:
     """
     columns = [bulk.user_ids, bulk.home_towers, bulk.qualifying,
                bulk.tie_broken.view(np.uint8)]  # bool as 0 / 1
-    write_atomic(path, format_blocks(ASSIGNMENTS_HEADER, columns, blank=(1,)))
+    return b"".join(format_blocks(ASSIGNMENTS_HEADER, columns, blank=(1,)))
+
+
+def _write_assignment_dump(path: Path, dump: bytes) -> None:
+    """Write a cell's assignments/ dump, the bytes _assignment_dump built."""
+    write_atomic(path, dump)
 
 
 def read_assignment_dump(path) -> BulkAssignments:
-    """The BulkAssignments of a file _write_assignment_dump wrote (rows in
-    file order); ValueError naming the file and line of a bad row."""
+    """The BulkAssignments of an assignments/ dump (rows in file order);
+    ValueError naming the file and line of a bad row."""
     uids, homes, quals, ties = read_table(
         path, ASSIGNMENTS_HEADER, (np.uint64, np.int64, np.int64, np.int64),
         blank=("home_tower",),
@@ -435,8 +451,10 @@ def run_sweep(
     An unwritable directory raises OSError before any cell runs, and a dead
     worker ChildProcessError (an OSError). The manifest's stages hold the
     ingest parse, partition_records and run_sweep seconds (perf_counter; the
-    first two from ingest_report) and the peak RSS in MiB of this process
-    and of its largest worker, None when no pool ran (see _peak_rss_mb).
+    first two from ingest_report), the wall seconds of the cell loop and of
+    emit_reports (None when nothing is written), the peak RSS in MiB of this
+    process and of its largest worker (see _peak_rss_mb), and the workers'
+    user plus system CPU seconds; the workers' two are None when no pool ran.
     """
     t_start = time.perf_counter()
     if truth is not None:
@@ -483,7 +501,7 @@ def run_sweep(
         "truth": truth,
         "migration": migration,
         "fingerprint": fingerprint,
-        "assignments_dir": None,
+        "dump_assignments": False,  # whether a cell builds its dump's bytes
     }
     out_path: Path | None = None
     if out_dir is not None:
@@ -498,8 +516,8 @@ def run_sweep(
         _remove_stale(out_path, RUN_FILES, keep=[out_path / CELLS_FILE, *(
             out_path / ASSIGNMENTS_DIR / _dump_name(*key) for key in result.reports)])
         if options.dump_assignments:
-            state["assignments_dir"] = out_path / ASSIGNMENTS_DIR
-            state["assignments_dir"].mkdir(exist_ok=True)
+            state["dump_assignments"] = True
+            (out_path / ASSIGNMENTS_DIR).mkdir(exist_ok=True)
 
     todo = [
         (h_idx, w_idx)
@@ -512,12 +530,15 @@ def run_sweep(
     show_progress = sys.stderr.isatty()
     t_cells = time.perf_counter()
 
-    def take(rec: dict) -> None:
+    def take(rec: dict, dump: bytes | None) -> None:
+        if dump is not None:
+            # the dump before its record: a resume skips every recorded
+            # cell, so a run killed in between leaves this one unrecorded
+            _write_assignment_dump(
+                out_path / ASSIGNMENTS_DIR / _dump_name(rec["hda"], rec["window"]), dump)
         result.add_cell(rec)
         if cells is not None:
-            # the cell wrote its dump before it returned: a resume skips
-            # every recorded cell, so a run killed in between leaves it
-            # unrecorded; each line is flushed whole, so a kill tears one at most
+            # each line is flushed whole, so a kill tears one at most
             cells.write(json.dumps(rec, sort_keys=True) + "\n")
             cells.flush()
         if show_progress:  # cells done, the total, and an ETA at this run's rate
@@ -536,20 +557,26 @@ def run_sweep(
         if "fork" not in multiprocessing.get_all_start_methods():
             use_workers = 1
     broken = ()  # what the pool raises once a worker has died; no pool, none
+    cpu_before_pool = None  # no pool, None
     with contextlib.ExitStack() as stack:
         cells = None if out_path is None else stack.enter_context(
             open(out_path / CELLS_FILE, "a"))
         records = (_compute_cell(state, h, w) for h, w in todo)
         if use_workers > 1:
-            # each worker inherits the state at fork; map yields records in grid order
+            # the workers' CPU is a difference across the pool's life, so
+            # a child the launcher reaped before exec counts in neither reading
+            cpu_before_pool = _children_cpu_s()
+            # each worker inherits the state at fork; map yields records in
+            # grid order, and sends the cells in chunks, one round trip each
             records = stack.enter_context(concurrent.futures.ProcessPoolExecutor(
                 use_workers, mp_context=multiprocessing.get_context("fork"),
                 initializer=_STATE.update, initargs=(state,),
-            )).map(_cell_entry, *zip(*todo))  # hdas, then windows
+            )).map(_cell_entry, *zip(*todo),  # hdas, then windows
+                   chunksize=max(1, len(todo) // (_CHUNKS_PER_WORKER * use_workers)))
             broken = concurrent.futures.BrokenExecutor
         try:  # leaving the loop on an error closes records, which cancels map's queue
-            for rec in stack.enter_context(contextlib.closing(records)):
-                take(rec)
+            for rec, dump in stack.enter_context(contextlib.closing(records)):
+                take(rec, dump)
         except broken as exc:
             h, w = todo[len(result.reports) + result.n_failed - n_before]
             raise ChildProcessError(
@@ -558,17 +585,24 @@ def run_sweep(
                 "sweep again with --resume"
             ) from exc
 
-    elapsed = round(time.perf_counter() - t_start, 3)
+    t_emit = time.perf_counter()
+    elapsed = round(t_emit - t_start, 3)
+    emit_s = None  # nothing written, None
     if out_path is not None:
         emit_reports(result, out_path)
+        emit_s = round(time.perf_counter() - t_emit, 4)
     stages = {}
     if ingest_report is not None:
         stages["ingest_parse_s"] = round(ingest_report.parse_seconds, 4)
         stages["partition_records_s"] = round(ingest_report.partition_seconds, 4)
     stages["run_sweep_s"] = round(time.perf_counter() - t_start, 4)
+    stages["cells_s"] = round(t_emit - t_cells, 4)
+    stages["emit_reports_s"] = emit_s
     # the pool's workers were waited for when it closed
     stages["peak_rss_mb"], workers_rss = _peak_rss_mb()
     stages["workers_peak_rss_mb"] = workers_rss if use_workers > 1 else None
+    stages["workers_cpu_s"] = None if cpu_before_pool is None else round(
+        _children_cpu_s() - cpu_before_pool, 4)
     manifest.update(
         created_utc=datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
         fingerprint=fingerprint,

@@ -633,12 +633,19 @@ def test_sweep_manifest_records_stages(synth_dir, tmp_path, capsys):
     assert manifest["migration_range"] is None  # no truth, nothing split
     stages = manifest["stages"]
     assert set(stages) == {
-        "ingest_parse_s", "partition_records_s", "run_sweep_s",
-        "peak_rss_mb", "workers_peak_rss_mb",
+        "ingest_parse_s", "partition_records_s", "run_sweep_s", "cells_s",
+        "emit_reports_s", "peak_rss_mb", "workers_peak_rss_mb", "workers_cpu_s",
     }
     for key, value in stages.items():
         assert isinstance(value, (int, float)) and value >= 0, key
     assert stages["peak_rss_mb"] > 0
+    assert stages["workers_cpu_s"] > 0
+    assert stages["cells_s"] + stages["emit_reports_s"] <= stages["run_sweep_s"]
+    # one worker runs no pool: the workers' figures are null
+    one = tmp_path / "one"
+    assert main([*argv[:-4], "--workers", "1", "--out", str(one)]) == 0
+    stages = json.loads((one / "manifest.json").read_text())["stages"]
+    assert stages["workers_cpu_s"] is stages["workers_peak_rss_mb"] is None
     # the ingest block holds the counts alone, as ingest-check prints them
     capsys.readouterr()
     assert main(["ingest-check", *argv[1:7]]) == 0
@@ -745,7 +752,7 @@ def test_sweep_peak_rss_is_its_own_not_its_launchers(synth_dir, tmp_path):
     assert done.returncode == 0, done.stderr
     stages = json.loads((run / "manifest.json").read_text())["stages"]
     assert 0 < stages["peak_rss_mb"] < 120
-    assert stages["workers_peak_rss_mb"] is None
+    assert stages["workers_peak_rss_mb"] is stages["workers_cpu_s"] is None
 
 
 def test_resume_under_other_options_is_refused(synth_dir, tmp_path, capsys):

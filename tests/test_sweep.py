@@ -20,7 +20,8 @@ from cdrhomes import sweep as sweep_mod
 from cdrhomes.cli import main
 from cdrhomes.core import DatasetSpan, TowerRegistry
 from cdrhomes.hda import (
-    BulkAssignments, aggregate_homes, canonical_hda, detect_homes_bulk,
+    CANONICAL_HDA_NAMES, BulkAssignments, aggregate_homes, canonical_hda,
+    detect_homes_bulk,
 )
 from cdrhomes.metrics import compute_metric_report, log_ratio_array
 from cdrhomes.sweep import SweepOptions, emit_reports, load_run, run_sweep
@@ -210,26 +211,34 @@ def test_cells_log_holds_the_records_in_grid_order_at_any_worker_count(
     tmp_path, monkeypatch
 ):
     # the grid's first cell is the slowest, so a worker finishes others
-    # before it; the sweep still appends its record first
-    res, parts, wins = _dataset()
+    # before it; the sweep still appends its record first. 63 cells go to 2
+    # and 3 workers in chunks of 3 and 2 cells
+    res, parts, _ = _dataset()
+    wins = generate_windows(SPAN)
+    hdas = [canonical_hda(name) for name in CANONICAL_HDA_NAMES]
     real = sweep_mod.detect_homes_bulk
 
     def slow_first(part, window, spec, **kwargs):
-        if (spec.name, window.label) == (HDAS[0].name, wins[0].label):
+        if (spec.name, window.label) == (hdas[0].name, wins[0].label):
             time.sleep(0.2)
         return real(part, window, spec, **kwargs)
 
     monkeypatch.setattr(sweep_mod, "detect_homes_bulk", slow_first)
-    logs = []
-    for workers in (1, 3):
+    logs, files = [], []
+    assert len(wins) * len(hdas) // (sweep_mod._CHUNKS_PER_WORKER * 3) > 1
+    for workers in (1, 2, 3):
         out = tmp_path / f"w{workers}"
-        run_sweep(parts, res.registry, wins, HDAS, out, SweepOptions(workers=workers))
+        run_sweep(parts, res.registry, wins, hdas, out,
+                  SweepOptions(workers=workers, dump_assignments=True))
         recs = [json.loads(l) for l in (out / "cells.jsonl").read_text().splitlines()]
         logs.append([{k: v for k, v in r.items() if k != "elapsed"} for r in recs])
+        files.append(_run_files(out))
     assert [(r["hda"], r["window"]) for r in logs[0]] == [
-        (spec.name, w.label) for spec in HDAS for w in wins
+        (spec.name, w.label) for spec in hdas for w in wins
     ]
-    assert logs[1] == logs[0]
+    assert logs[1] == logs[2] == logs[0]
+    assert files[1] == files[2] == files[0]
+    assert len([f for f in files[0] if f.startswith("assignments/")]) == len(logs[0])
 
 
 def test_sweep_resume_skips_completed_cells(tmp_path):
@@ -371,15 +380,15 @@ def test_resume_after_a_kill_between_cell_files_and_record(
     fresh = tmp_path / "fresh"
     run_sweep(parts, res.registry, wins, HDAS, fresh, dumps)
 
-    # writing one cell's assignment dump fails, in the process that computes
-    # the cell: the sweep aborts, and the cell is not recorded
+    # writing one cell's assignment dump fails, in the sweep process, which
+    # writes every file: the sweep aborts, and the cell is not recorded
     out = tmp_path / "run"
     real = sweep_mod._write_assignment_dump
 
-    def fails_on_one_cell(path, bulk):
+    def fails_on_one_cell(path, dump):
         if path.name == "MA__14d-03.csv":
             raise OSError(f"cannot write {path}")
-        real(path, bulk)
+        real(path, dump)
 
     monkeypatch.setattr(sweep_mod, "_write_assignment_dump", fails_on_one_cell)
     with pytest.raises(OSError, match="MA__14d-03"):
@@ -482,29 +491,64 @@ def test_a_failed_record_is_reported_as_missing_and_computed_again_by_resume(
 
 
 def test_a_raising_cell_cancels_the_cells_still_queued(tmp_path, monkeypatch):
-    # the first cell's assignment dump fails at once; every other cell sleeps
-    # in its forked worker, so the failure surfaces while all but the pool's
-    # running and pre-queued cells are still waiting
+    # the first cell's assignment dump fails at once in the sweep process;
+    # every other cell leaves a marker and sleeps in its forked worker, so
+    # the failure surfaces while all but the pool's running and pre-queued
+    # cells are still waiting
     res, parts, wins = _dataset()
     assert len(wins) * len(HDAS) == 12
-    out = tmp_path / "run"
-    real, parent = sweep_mod._write_assignment_dump, os.getpid()
+    out, computed = tmp_path / "run", tmp_path / "computed"
+    computed.mkdir()
+    real_compute, real_write = sweep_mod._compute_cell, sweep_mod._write_assignment_dump
+    parent = os.getpid()
     first = f"{HDAS[0].name}__{wins[0].label}.csv"
 
-    def fails_first_and_sleeps(path, bulk):
+    def marks_and_sleeps(state, h_idx, w_idx):
+        if (h_idx, w_idx) != (0, 0) and os.getpid() != parent:
+            (computed / f"{h_idx}-{w_idx}").touch()
+            time.sleep(0.5)
+        return real_compute(state, h_idx, w_idx)
+
+    def fails_first(path, dump):
         if path.name == first:
             raise OSError(f"cannot write {path}")
-        if os.getpid() != parent:
-            time.sleep(0.5)
-        real(path, bulk)
+        real_write(path, dump)
 
-    monkeypatch.setattr(sweep_mod, "_write_assignment_dump", fails_first_and_sleeps)
+    monkeypatch.setattr(sweep_mod, "_compute_cell", marks_and_sleeps)
+    monkeypatch.setattr(sweep_mod, "_write_assignment_dump", fails_first)
     workers = 2
     with pytest.raises(OSError, match=first):
         run_sweep(parts, res.registry, wins, HDAS, out,
                   SweepOptions(workers=workers, dump_assignments=True))
-    written = list((out / "assignments").iterdir())
-    assert len(written) <= 2 * workers + 1, sorted(p.name for p in written)
+    ran = sorted(p.name for p in computed.iterdir())
+    assert len(ran) <= 2 * workers + 1, ran
+    assert list((out / "assignments").iterdir()) == []
+
+
+def test_the_sweep_process_creates_every_file_of_the_run(tmp_path, monkeypatch):
+    # 63 cells at 2 workers go to the pool in chunks of 3 cells; every file
+    # of the run directory is created by write_atomic in the sweep process
+    res, parts, _ = _dataset()
+    wins = generate_windows(SPAN)
+    hdas = [canonical_hda(name) for name in CANONICAL_HDA_NAMES]
+    workers = 2
+    assert len(wins) * len(hdas) // (sweep_mod._CHUNKS_PER_WORKER * workers) > 1
+    out, log = tmp_path / "run", tmp_path / "writers.txt"
+    real = sweep_mod.write_atomic
+
+    def logs_its_process(path, data):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {path}\n")
+        real(path, data)
+
+    monkeypatch.setattr(sweep_mod, "write_atomic", logs_its_process)
+    run_sweep(parts, res.registry, wins, hdas, out,
+              SweepOptions(workers=workers, dump_assignments=True))
+    writers = [line.split(" ", 1) for line in log.read_text().splitlines()]
+    assert {pid for pid, _ in writers} == {str(os.getpid())}
+    files = {str(p) for p in out.rglob("*") if p.is_file()}
+    assert files <= {path for _, path in writers}
+    assert len(list((out / "assignments").iterdir())) == len(wins) * len(hdas)
 
 
 def _tower_export_oracle(registry, x) -> str:
@@ -794,7 +838,7 @@ def test_assignment_dump_equals_the_f_string_rows_at_the_extremes(
     }
     for name, bulk in cases.items():
         path = tmp_path / f"{name}.csv"
-        sweep_mod._write_assignment_dump(path, bulk)
+        sweep_mod._write_assignment_dump(path, sweep_mod._assignment_dump(bulk))
         assert path.read_bytes() == _f_string_dump(bulk).encode(), name
         assert not path.with_name(path.name + ".tmp").exists()
 
